@@ -7,10 +7,12 @@ parameters) plus a list of identity suites to run.  Every suite writes a
     {"identity": ..., "max_residual": ..., "tolerance": ..., "pass": ...,
      "residuals_file": ...}
 
-and its residual vector as CSV.  ``manifest.json`` at the output root echoes
-the config, records wall times and the pass/fail summary.  Exit codes:
-0 all selected suites pass, 2 at least one suite failed, 1 execution or
-validation error.  Progress goes to stderr; data only to files and stdout.
+and its residual vector as CSV.  Suites run one after another in the listed
+order and share one value cache per run.  ``manifest.json`` at the output
+root echoes the config, records wall times, the pass/fail summary and, for a
+run stopped by an error, that error.  Exit codes: 0 all selected suites pass,
+2 at least one suite failed, 1 usage, execution or validation error.
+Progress goes to stderr; data only to files and stdout.
 """
 
 from __future__ import annotations
@@ -19,10 +21,8 @@ import argparse
 import datetime
 import json
 import math
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -400,31 +400,21 @@ def emit_mm(exp: Experiment, outdir: Path) -> None:
 # -- driver -----------------------------------------------------------------------
 
 
-def run(cfg: dict, out: Path, jobs: int | None = None, suites=None, quiet=False,
-        tasks=()) -> int:
+def run(cfg: dict, out: Path, suites=None, quiet=False, tasks=()) -> int:
+    """Run ``tasks``, then the selected suites in the listed order."""
     started = datetime.datetime.now(datetime.timezone.utc)
     t0 = time.perf_counter()
+    results = {}
+    times = {}
+    error = None
+    out.mkdir(parents=True, exist_ok=True)
     try:
         exp = Experiment(cfg)
         selected = list(suites) if suites else list(cfg.get("suites", []))
         for s in selected:
             if s not in SUITES:
                 raise ConfigError("/suites", f"unknown suite {s!r}")
-        out.mkdir(parents=True, exist_ok=True)
         exp.problem()  # fail configs violating well-posedness before any work
-    except WedflowError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-
-    results = {}
-    times = {}
-
-    def run_suite(name):
-        t = time.perf_counter()
-        rep = _SUITE_FN[name](exp, out)
-        return name, rep, time.perf_counter() - t
-
-    try:
         for task in tasks:
             t = time.perf_counter()
             if task == "solve":
@@ -438,22 +428,19 @@ def run(cfg: dict, out: Path, jobs: int | None = None, suites=None, quiet=False,
             times[task] = time.perf_counter() - t
             if not quiet:
                 print(f"task {task}: done in {times[task]:.2f}s", file=sys.stderr)
-        if selected:
-            workers = jobs or int(cfg.get("jobs", os.cpu_count() or 1))
-            with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
-                futures = [pool.submit(run_suite, name) for name in selected]
-                for fut in futures:  # declaration order, deterministic merge
-                    name, rep, dt = fut.result()
-                    results[name] = rep
-                    times[name] = dt
-                    write_report(out, rep)
-                    if not quiet:
-                        verdict = "pass" if rep.passed else "FAIL"
-                        print(f"suite {name}: {verdict} (max residual "
-                              f"{rep.max_residual:.3e}, {dt:.2f}s)", file=sys.stderr)
+        for name in selected:
+            t = time.perf_counter()
+            rep = _SUITE_FN[name](exp, out)
+            times[name] = time.perf_counter() - t
+            results[name] = rep
+            write_report(out, rep)
+            if not quiet:
+                verdict = "pass" if rep.passed else "FAIL"
+                print(f"suite {name}: {verdict} (max residual "
+                      f"{rep.max_residual:.3e}, {times[name]:.2f}s)", file=sys.stderr)
     except WedflowError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        error = str(exc)
 
     summary = {name: rep.passed for name, rep in results.items()}
     manifest = {
@@ -466,10 +453,13 @@ def run(cfg: dict, out: Path, jobs: int | None = None, suites=None, quiet=False,
         "task_wall_times_s": times,
         "probe_seed": cfg.get("probe_seed", 20240),
         "summary": summary,
+        "error": error,
     }
     with open(out / "manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=1, sort_keys=True)
         fh.write("\n")
+    if error is not None:
+        return 1
     return 0 if all(summary.values()) else 2
 
 
@@ -480,11 +470,13 @@ def main(argv=None) -> int:
                                             "mm", "finsler", "all"])
     parser.add_argument("--config", required=True, help="experiment config JSON")
     parser.add_argument("--out", default="out", help="output directory")
-    parser.add_argument("--jobs", type=int, default=None, help="worker pool size")
     parser.add_argument("--suite", action="append", default=None,
                         help="suite name for 'check' (repeatable)")
     parser.add_argument("--quiet", action="store_true")
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse exits 0 after --help, 2 on a usage error
+        return 0 if exc.code == 0 else 1
 
     try:
         with open(args.config) as fh:
@@ -496,18 +488,18 @@ def main(argv=None) -> int:
     out = Path(args.out)
     if args.command == "check":
         suites = args.suite or cfg.get("suites") or list(SUITES)
-        return run(cfg, out, args.jobs, suites, args.quiet)
+        return run(cfg, out, suites, args.quiet)
     if args.command == "solve":
-        return run(cfg, out, args.jobs, [], args.quiet, tasks=("solve",))
+        return run(cfg, out, [], args.quiet, tasks=("solve",))
     if args.command == "value":
-        return run(cfg, out, args.jobs, [], args.quiet, tasks=("value",))
+        return run(cfg, out, [], args.quiet, tasks=("value",))
     if args.command == "sweep":
-        return run(cfg, out, args.jobs, [], args.quiet, tasks=("sweep",))
+        return run(cfg, out, [], args.quiet, tasks=("sweep",))
     if args.command == "mm":
-        return run(cfg, out, args.jobs, [], args.quiet, tasks=("mm",))
+        return run(cfg, out, [], args.quiet, tasks=("mm",))
     if args.command == "finsler":
-        return run(cfg, out, args.jobs, ["finsler"], args.quiet)
-    return run(cfg, out, args.jobs, list(SUITES), args.quiet,
+        return run(cfg, out, ["finsler"], args.quiet)
+    return run(cfg, out, list(SUITES), args.quiet,
                tasks=("solve", "value", "mm"))
 
 

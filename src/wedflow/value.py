@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
 
@@ -58,7 +57,10 @@ class IdentityReport:
 
 @dataclass(frozen=True)
 class ValueOptions:
-    """How value samples are produced: grid, horizon, solver, caching."""
+    """How value samples are produced: grid, horizon, solver, caching.
+
+    With ``cache=None`` every request is solved afresh and nothing is kept.
+    """
 
     T: float | None = None  # None: 25 eps
     N: int = 4000
@@ -70,39 +72,33 @@ class ValueOptions:
 
 
 class ValueCache:
-    """LRU cache of value solves, safe for concurrent read/insert.
+    """LRU cache of value solves; not thread-safe.
 
-    Keys round coordinates to 1e-12 so probe sweeps reuse center solves;
-    insert-if-absent keeps results deterministic under races.
+    Keys hold every input of the solve; coordinates are rounded to 1e-12 so
+    probe sweeps reuse center solves.
     """
 
     def __init__(self, capacity: int = 256):
         self.capacity = int(capacity)
         self._data: OrderedDict = OrderedDict()
-        self._lock = threading.Lock()
 
     @staticmethod
-    def key(energy: EnergySpec, space: SpaceSpec, eps: float, coords: np.ndarray):
-        return (energy.key(), space.kind, space.dim, space.p, float(eps),
-                np.round(coords, 12).tobytes())
+    def key(energy: EnergySpec, x: Point, eps: float, T: float, opts: ValueOptions):
+        space = x.space
+        return (energy.key(), space.kind, space.dim, space.p, float(eps), float(T),
+                opts.N, opts.grid_mode, opts.solver, opts.grad_tol, opts.max_iter,
+                np.round(x.coords, 12).tobytes())
 
     def get(self, key):
-        with self._lock:
-            if key in self._data:
-                self._data.move_to_end(key)
-                return self._data[key]
+        if key in self._data:
+            self._data.move_to_end(key)
+            return self._data[key]
         return None
 
-    def put(self, key, value):
-        with self._lock:
-            if key not in self._data:
-                self._data[key] = value
-                while len(self._data) > self.capacity:
-                    self._data.popitem(last=False)
-            return self._data[key]
-
-
-_shared_cache = ValueCache()
+    def put(self, key, value) -> None:
+        self._data[key] = value
+        while len(self._data) > self.capacity:
+            self._data.popitem(last=False)
 
 
 def value_function(energy: EnergySpec, x: Point, epsilon: float,
@@ -114,13 +110,13 @@ def value_function(energy: EnergySpec, x: Point, epsilon: float,
     """
     opts = opts or ValueOptions()
     space = x.space
-    cache = opts.cache if opts.cache is not None else _shared_cache
-    key = ValueCache.key(energy, space, epsilon, x.coords)
-    sol = cache.get(key)
+    T = opts.T if opts.T is not None else default_horizon(epsilon, 0.0)
+    key = None if opts.cache is None else ValueCache.key(energy, x, epsilon, T, opts)
+    sol = None if key is None else opts.cache.get(key)
     if sol is None:
         problem = WedProblem(
             epsilon=epsilon,
-            T=opts.T if opts.T is not None else default_horizon(epsilon, 0.0),
+            T=T,
             N=opts.N,
             space=space,
             energy=energy,
@@ -130,7 +126,9 @@ def value_function(energy: EnergySpec, x: Point, epsilon: float,
             grad_tol=opts.grad_tol,
             max_iter=opts.max_iter,
         )
-        sol = cache.put(key, minimize_wed(problem))
+        sol = minimize_wed(problem)
+        if key is not None:
+            opts.cache.put(key, sol)
     phi = energy_eval(energy, x)
     V = sol.objective
     slack = 1e-8 * (1.0 + abs(phi))
@@ -370,7 +368,11 @@ def conditioned_slope_estimate(energy: EnergySpec, x: Point, epsilon: float,
     move = traj.points[k] - x.coords
     nv = math.sqrt(float(np.sum(space.metric_weights * move * move)))
     if nv > 0.0:
-        dirs.append(-move / nv)
+        approach = -move / nv
+        # in 1-D it is always one of the coordinate probes; a duplicate
+        # direction would only repeat the same solves
+        if not any(np.array_equal(approach, e) for e in dirs):
+            dirs.append(approach)
     ladder = []
     for k in range(probe.k_max + 1):
         h = probe.h0 * 2.0**-k

@@ -60,6 +60,22 @@ def test_smallness_violation_is_a_validation_error(tmp_path):
 
 def test_unknown_suite_rejected(tmp_path):
     assert run(cfg(suites=["nonsense"]), tmp_path / "out", quiet=True) == 1
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert "nonsense" in manifest["error"]
+    assert manifest["summary"] == {}
+
+
+def test_error_inside_suite_leaves_manifest(tmp_path, monkeypatch):
+    def broken(exp, outdir):
+        raise ConfigError("/energy", "broken suite")
+
+    monkeypatch.setitem(_SUITE_FN, "fundamental", broken)
+    out = tmp_path / "out"
+    assert run(cfg(suites=["spectral", "fundamental"]), out, quiet=True) == 1
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert "broken suite" in manifest["error"]
+    assert manifest["summary"] == {"spectral": True}
+    assert (out / "report_spectral.json").exists()
 
 
 def test_missing_key_reports_json_pointer():
@@ -82,7 +98,7 @@ def test_suite_failure_gives_exit_2(tmp_path, monkeypatch):
 
 
 def test_outputs_deterministic_across_runs(tmp_path):
-    config = cfg(suites=["spectral", "fundamental"], N=800, jobs=2)
+    config = cfg(suites=["spectral", "fundamental"], N=800)
     for sub in ("a", "b"):
         assert run(config, tmp_path / sub, quiet=True, tasks=("solve", "value")) == 0
     skip = {"manifest.json", "convergence.csv"}  # wall-clock content
@@ -144,3 +160,19 @@ def test_main_check_single_suite(tmp_path):
                  "--suite", "spectral", "--quiet"])
     assert code == 0
     assert (tmp_path / "out" / "report_spectral.json").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--out", "{out}"],  # no --config
+    ["bogus", "--config", "{cfg}", "--out", "{out}"],
+    ["check", "--config", "{cfg}", "--out", "{out}", "--suite", "spectral", "--jobs", "2"],
+])
+def test_main_usage_error_exits_1(tmp_path, argv, capsys):
+    p = write_cfg(tmp_path, cfg())
+    assert main([a.format(cfg=p, out=tmp_path / "out") for a in argv]) == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_main_help_exits_0(capsys):
+    assert main(["--help"]) == 0
+    assert "--config" in capsys.readouterr().out

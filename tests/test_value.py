@@ -1,5 +1,4 @@
 import math
-import threading
 
 import numpy as np
 import pytest
@@ -71,20 +70,12 @@ def test_value_cache_hit_and_eviction():
     assert len(cache._data) == 2
 
 
-def test_value_cache_concurrent_insert_if_absent():
-    cache = ValueCache(capacity=8)
-    opts = ValueOptions(N=500, cache=cache)
-    results = []
-
-    def worker():
-        results.append(value_function(QUAD, point([1.0], E1), 0.1, opts).solve_ref)
-
-    threads = [threading.Thread(target=worker) for _ in range(4)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert all(r is results[0] for r in results)
+def test_value_cache_key_includes_resolution():
+    cache = ValueCache()
+    x = point([1.0], E1)
+    value_function(QUAD, x, 0.15, ValueOptions(N=50, cache=cache))
+    fine = value_function(QUAD, x, 0.15, ValueOptions(N=400, cache=cache))
+    assert fine.solve_ref.problem.N == 400
 
 
 # -- value along a minimizer --------------------------------------------------------
@@ -268,6 +259,23 @@ def test_hj_convex_quartic():
     rep = check_hj(convex_quartic(), point([1.0], E1), 0.05)
     assert rep.passed, rep.details
     assert rep.details["slope_residual"] <= 5e-2
+
+
+class CountingCache(ValueCache):
+    def __init__(self):
+        super().__init__(capacity=4096)
+        self.asked = []
+
+    def get(self, key):
+        self.asked.append(key)
+        return super().get(key)
+
+
+def test_hj_1d_never_repeats_a_solve():
+    cache = CountingCache()
+    check_hj(QUAD, point([1.0], E1), 0.1, opts=ValueOptions(N=500, cache=cache))
+    assert cache.asked
+    assert len(set(cache.asked)) == len(cache.asked)
 
 
 def test_hj_quantile_fixture():
