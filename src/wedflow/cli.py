@@ -34,13 +34,15 @@ from .reference import (
     StudyOptions, convergence_study, lambda_diagnostics, minimizing_movements,
 )
 from .spaces import EUCLIDEAN, Point, SpaceSpec, distance
-from .trajectories import poincare_witness, spectral_check
+from .trajectories import GRID_MODES, UNIFORM, poincare_witness, spectral_check
 from .value import (
     IdentityReport, ProbeOptions, ValueCache, ValueOptions, check_dpp,
     check_eps_monotonicity, check_fundamental_identity, check_hj,
     check_yosida_bound, finsler_distance, value_along, value_function,
 )
-from .wed import WedProblem, check_inner_variation, default_horizon, minimize_wed
+from .wed import (
+    DIRECT, SOLVERS, WedProblem, check_inner_variation, default_horizon, minimize_wed,
+)
 
 SUITES = ("spectral", "inner", "dpp", "fundamental", "monotone", "yosida",
           "hj", "lambda", "convergence", "finsler")
@@ -48,63 +50,84 @@ SUITES = ("spectral", "inner", "dpp", "fundamental", "monotone", "yosida",
 
 class ConfigError(WedflowError):
     def __init__(self, pointer: str, message: str):
-        super().__init__(f"config {pointer}: {message}")
+        super().__init__(f"config {pointer}: {message}" if pointer else f"config: {message}")
         self.pointer = pointer
 
 
-def _need(cfg: dict, key: str, typ, pointer: str):
-    if key not in cfg:
-        raise ConfigError(f"{pointer}/{key}", "missing required key")
-    val = cfg[key]
-    if typ is float and isinstance(val, int):
+_REQUIRED = object()
+
+
+def _need(cfg: dict, key, typ, pointer: str = "", default=_REQUIRED):
+    """``cfg[key]`` as a ``typ``, or ``default`` (if given) when it is absent or
+    null; ints pass as floats, integral floats as ints, booleans as neither."""
+    val = cfg.get(key)
+    if val is None:
+        if default is _REQUIRED:
+            raise ConfigError(f"{pointer}/{key}", "missing required key")
+        return default
+    if typ is float and isinstance(val, int) and not isinstance(val, bool):
         val = float(val)
-    if not isinstance(val, typ):
+    elif typ is int and isinstance(val, float) and val.is_integer():
+        val = int(val)
+    if not isinstance(val, typ) or isinstance(val, bool):
         raise ConfigError(f"{pointer}/{key}", f"expected {typ.__name__}")
     return val
+
+
+def _floats(cfg: dict, key: str, default: list) -> list:
+    vals = _need(cfg, key, list, default=default)
+    return [_need(dict(enumerate(vals)), i, float, f"/{key}") for i in range(len(vals))]
 
 
 class Experiment:
     """Validated config plus lazily computed shared objects."""
 
     def __init__(self, cfg: dict):
+        if not isinstance(cfg, dict):
+            raise ConfigError("", "expected a JSON object")
         self.cfg = cfg
+        space, energy = _need(cfg, "space", dict), _need(cfg, "energy", dict)
+        x_bar = np.asarray(_floats(cfg, "x_bar", _REQUIRED))
         try:
-            self.space = SpaceSpec.from_json(_need(cfg, "space", dict, ""))
+            self.space = SpaceSpec.from_json(space)
         except WedflowError as exc:
             raise ConfigError("/space", str(exc))
         try:
-            self.energy = EnergySpec.from_json(_need(cfg, "energy", dict, ""))
+            self.energy = EnergySpec.from_json(energy)
         except WedflowError as exc:
             raise ConfigError("/energy", str(exc))
         try:
-            self.x_bar = Point(np.asarray(_need(cfg, "x_bar", list, ""), float), self.space)
+            self.x_bar = Point(x_bar, self.space)
         except WedflowError as exc:
             raise ConfigError("/x_bar", str(exc))
-        self.epsilon = float(_need(cfg, "epsilon", (int, float), ""))
+        self.epsilon = _need(cfg, "epsilon", float)
         if self.epsilon <= 0.0:
             raise ConfigError("/epsilon", "must be positive")
-        eps_list = cfg.get("eps_list")
-        if eps_list is not None:
-            if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
-                raise ConfigError("/eps_list", "must decrease strictly")
-            self.eps_list = [float(e) for e in eps_list]
-        else:
-            self.eps_list = [self.epsilon, self.epsilon / 2.0, self.epsilon / 4.0]
-        self.N = int(cfg.get("N", 4000))
-        self.T = cfg.get("T")
-        self.t_obs = float(cfg.get("t_obs", self.T if self.T is not None else 1.0))
-        self.grid_mode = cfg.get("grid_mode", "uniform")
-        self.solver = cfg.get("solver", "direct")
-        self.grad_tol = float(cfg.get("grad_tol", 1e-8))
-        self.max_iter = int(cfg.get("max_iter", 100))
-        self.probe_seed = int(cfg.get("probe_seed", 20240))
-        self.cache = ValueCache(int(cfg.get("cache_capacity", 256)))
+        self.eps_list = _floats(cfg, "eps_list",
+                                [self.epsilon, self.epsilon / 2.0, self.epsilon / 4.0])
+        if any(b >= a for a, b in zip(self.eps_list, self.eps_list[1:])):
+            raise ConfigError("/eps_list", "must decrease strictly")
+        self.N = _need(cfg, "N", int, default=4000)
+        self.T = _need(cfg, "T", float, default=None)
+        self.t_obs = _need(cfg, "t_obs", float, default=self.T if self.T is not None else 1.0)
+        self.grid_mode = _need(cfg, "grid_mode", str, default=UNIFORM)
+        self.solver = _need(cfg, "solver", str, default=DIRECT)
+        for key, allowed in (("grid_mode", GRID_MODES), ("solver", SOLVERS)):
+            if getattr(self, key) not in allowed:
+                raise ConfigError(f"/{key}", f"expected one of {', '.join(allowed)}")
+        self.grad_tol = _need(cfg, "grad_tol", float, default=1e-8)
+        self.max_iter = _need(cfg, "max_iter", int, default=100)
+        self.probe_seed = _need(cfg, "probe_seed", int, default=20240)
+        capacity = _need(cfg, "cache_capacity", int, default=256)
+        if capacity < 0:
+            raise ConfigError("/cache_capacity", "must be nonnegative")
+        self.cache = ValueCache(capacity)
         self._solution = None
 
     def problem(self, epsilon=None, T=None) -> WedProblem:
         eps = self.epsilon if epsilon is None else epsilon
         horizon = T if T is not None else (
-            float(self.T) if self.T is not None else default_horizon(eps, self.t_obs)
+            self.T if self.T is not None else default_horizon(eps, self.t_obs)
         )
         try:
             return WedProblem(
@@ -121,6 +144,9 @@ class Experiment:
         return self._solution
 
     def value_opts(self) -> ValueOptions:
+        """The config's ``grad_tol`` and ``max_iter`` and the run's cache; value
+        solves keep ``ValueOptions``' own ``N=4000``, ``exp_graded`` grid and
+        ``direct`` solver, whatever the config's ``N``, ``grid_mode``, ``solver``."""
         return ValueOptions(cache=self.cache, grad_tol=self.grad_tol,
                             max_iter=self.max_iter)
 
@@ -227,7 +253,7 @@ def suite_inner(exp: Experiment, outdir: Path) -> IdentityReport:
 
 def suite_dpp(exp: Experiment, outdir: Path) -> IdentityReport:
     eps = exp.epsilon
-    horizons = exp.cfg.get("horizons", [eps, 2 * eps, 5 * eps])
+    horizons = _floats(exp.cfg, "horizons", [eps, 2 * eps, 5 * eps])
     return check_dpp(exp.solution(), horizons, exp.value_opts())
 
 
@@ -262,7 +288,7 @@ def suite_lambda(exp: Experiment, outdir: Path) -> IdentityReport:
     lam = exp.energy.lam
     if lam is None:
         raise ConfigError("/energy/lambda", "lambda suite needs a convexity modulus")
-    lam_prime = exp.cfg.get("lambda_prime", lam - 0.25 if lam < 0 else None)
+    lam_prime = _need(exp.cfg, "lambda_prime", float, default=lam - 0.25 if lam < 0 else None)
     return lambda_diagnostics(exp.solution(), lam, lam_prime)
 
 
@@ -383,8 +409,8 @@ def emit_sweep(exp: Experiment, outdir: Path) -> None:
 
 
 def emit_mm(exp: Experiment, outdir: Path) -> None:
-    tau = float(exp.cfg.get("mm_tau", exp.epsilon**2 / 4.0))
-    steps = int(exp.cfg.get("mm_steps", math.ceil(exp.t_obs / tau)))
+    tau = _need(exp.cfg, "mm_tau", float, default=exp.epsilon**2 / 4.0)
+    steps = _need(exp.cfg, "mm_steps", int, default=math.ceil(exp.t_obs / tau))
     mm = minimizing_movements(exp.x_bar, tau, steps, exp.energy, exp.space)
     phis = eval_many(exp.energy, mm.trajectory.points)
     with open(outdir / "mm.csv", "w") as fh:
@@ -410,7 +436,7 @@ def run(cfg: dict, out: Path, suites=None, quiet=False, tasks=()) -> int:
     out.mkdir(parents=True, exist_ok=True)
     try:
         exp = Experiment(cfg)
-        selected = list(suites) if suites else list(cfg.get("suites", []))
+        selected = list(suites if suites is not None else _need(cfg, "suites", list, default=[]))
         for s in selected:
             if s not in SUITES:
                 raise ConfigError("/suites", f"unknown suite {s!r}")
@@ -451,7 +477,7 @@ def run(cfg: dict, out: Path, suites=None, quiet=False, tasks=()) -> int:
         "finished_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "wall_time_s": time.perf_counter() - t0,
         "task_wall_times_s": times,
-        "probe_seed": cfg.get("probe_seed", 20240),
+        "probe_seed": cfg.get("probe_seed", 20240) if isinstance(cfg, dict) else None,
         "summary": summary,
         "error": error,
     }
@@ -463,11 +489,17 @@ def run(cfg: dict, out: Path, suites=None, quiet=False, tasks=()) -> int:
     return 0 if all(summary.values()) else 2
 
 
+# command -> (suites, tasks); None: the --suite names, else the config's
+# suites, else all of them
+COMMANDS = {"solve": ((), ("solve",)), "value": ((), ("value",)), "sweep": ((), ("sweep",)),
+            "check": (None, ()), "mm": ((), ("mm",)), "finsler": (("finsler",), ()),
+            "all": (SUITES, ("solve", "value", "mm"))}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="wedflow",
                                      description="weighted energy-dissipation experiments")
-    parser.add_argument("command", choices=["solve", "value", "sweep", "check",
-                                            "mm", "finsler", "all"])
+    parser.add_argument("command", choices=list(COMMANDS))
     parser.add_argument("--config", required=True, help="experiment config JSON")
     parser.add_argument("--out", default="out", help="output directory")
     parser.add_argument("--suite", action="append", default=None,
@@ -485,22 +517,10 @@ def main(argv=None) -> int:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 1
 
-    out = Path(args.out)
-    if args.command == "check":
-        suites = args.suite or cfg.get("suites") or list(SUITES)
-        return run(cfg, out, suites, args.quiet)
-    if args.command == "solve":
-        return run(cfg, out, [], args.quiet, tasks=("solve",))
-    if args.command == "value":
-        return run(cfg, out, [], args.quiet, tasks=("value",))
-    if args.command == "sweep":
-        return run(cfg, out, [], args.quiet, tasks=("sweep",))
-    if args.command == "mm":
-        return run(cfg, out, [], args.quiet, tasks=("mm",))
-    if args.command == "finsler":
-        return run(cfg, out, ["finsler"], args.quiet)
-    return run(cfg, out, list(SUITES), args.quiet,
-               tasks=("solve", "value", "mm"))
+    suites, tasks = COMMANDS[args.command]
+    if suites is None:
+        suites = args.suite or (cfg.get("suites") if isinstance(cfg, dict) else None) or SUITES
+    return run(cfg, Path(args.out), suites, args.quiet, tasks)
 
 
 if __name__ == "__main__":

@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, InvalidInputError, NonConvergenceError, NotAvailableError
+from .newton import damped_newton, golden_section, levenberg
 from .spaces import PNORM, QUANTILE1D, Point, SpaceSpec, normal_quantile
 
 QUADRATIC = "quadratic"
@@ -410,22 +411,7 @@ def _yosida_1d(spec, space, x, t):
     grid = np.linspace(xv - span, xv + span, 257)
     vals = np.array([obj(y) for y in grid])
     j = int(np.argmin(vals))
-    lo = grid[max(j - 1, 0)]
-    hi = grid[min(j + 1, len(grid) - 1)]
-    inv = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c, d = b - inv * (b - a), a + inv * (b - a)
-    fc, fd = obj(c), obj(d)
-    for _ in range(90):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - inv * (b - a)
-            fc = obj(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv * (b - a)
-            fd = obj(d)
-    y = 0.5 * (a + b)
+    y = golden_section(obj, grid[max(j - 1, 0)], grid[min(j + 1, len(grid) - 1)], 0.0, 90)
     return obj(y), Point(np.array([y]), space)
 
 
@@ -433,60 +419,24 @@ def _yosida_newton(spec, space, x, t):
     w = space.metric_weights
     if space.kind == PNORM and space.p != 2.0:
         raise NotAvailableError("yosida in pnorm spaces needs p = 2")
-    y = x.coords.copy()
     obj = lambda z: float(np.sum(w * (z - x.coords) ** 2)) / (2.0 * t) + float(
         eval_many(spec, z[None, :])[0]
     )
-    def grad_at(z):
-        return w * (z - x.coords) / t + grad_many(spec, z[None, :])[0]
+    grad_at = lambda z: w * (z - x.coords) / t + grad_many(spec, z[None, :])[0]
+    sup_norm = lambda g: float(np.max(np.abs(g)))
+    shift = np.diag(w / t)
 
-    f = obj(y)
-    trace = []
+    def direction(y, g):
+        H = hess_dense(spec, y) + shift
+        step = levenberg(lambda rho: np.linalg.solve(H + rho * shift, -g), g, -g * t / w)
+        return step, float(step @ g)
+
     # gradient entries scale with the 1/t proximal curvature, so the stop
     # threshold must carry that factor to stay reachable at tiny steps
-    gtol = 1e-12 * (1.0 + abs(f)) * (1.0 + 1.0 / t)
-    eps_f = 8.0 * np.finfo(float).eps
-    gn = float(np.max(np.abs(grad_at(y))))
-    for it in range(200):
-        g = grad_at(y)
-        gn = float(np.max(np.abs(g)))
-        trace.append((it, f, gn))
-        if gn <= gtol:
-            return f, Point(y, space)
-        H = hess_dense(spec, y) + np.diag(w / t)
-        rho = 0.0
-        while True:
-            try:
-                step = np.linalg.solve(H + rho * np.diag(w / t), -g)
-            except np.linalg.LinAlgError:
-                step = None
-            if step is not None and np.all(np.isfinite(step)) and float(step @ g) < 0.0:
-                break
-            rho = max(10.0 * rho, 1e-8)
-            if rho > 1e12:
-                step = -g * t / w
-                break
-        alpha, gd = 1.0, float(step @ g)
-        moved = False
-        while alpha >= 1e-16:
-            yn = y + alpha * step
-            fn = obj(yn)
-            pred = 1e-4 * alpha * gd
-            if math.isfinite(fn) and abs(pred) >= eps_f * (1.0 + abs(f)):
-                accept = fn <= f + pred
-            else:
-                # decrease not measurable against roundoff of f: fall back to
-                # descent of the stationarity residual
-                accept = math.isfinite(fn) and float(np.max(np.abs(grad_at(yn)))) < gn
-            if accept:
-                moved = True
-                break
-            alpha *= 0.5
-        if not moved:
-            break
-        y, f = yn, fn
-    gn = float(np.max(np.abs(grad_at(y))))
-    if gn <= max(gtol, 1e-9 * (1.0 + abs(f)) * (1.0 + 1.0 / t)):
+    gtol = 1e-12 * (1.0 + abs(obj(x.coords))) * (1.0 + 1.0 / t)
+    y, f, g, _, trace = damped_newton(x.coords.copy(), obj, grad_at, sup_norm,
+                                      lambda g: sup_norm(g) <= gtol, direction, 200)
+    if sup_norm(g) <= max(gtol, 1e-9 * (1.0 + abs(f)) * (1.0 + 1.0 / t)):
         return f, Point(y, space)
     raise NonConvergenceError("yosida inner Newton stalled", best=y, trace=trace)
 

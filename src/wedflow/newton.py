@@ -1,0 +1,92 @@
+"""Iterations shared by the trajectory, proximal and Finsler solvers, which
+keep their own problems and convergence verdicts."""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+_EPS_F = 8.0 * np.finfo(float).eps
+
+_INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def levenberg(solve, g, fallback):
+    """First finite descent step ``solve(rho)`` for rho = 0, 1e-8, 1e-7, ...,
+    1e12 (``solve`` may raise on a singular system), else ``fallback``."""
+    rho = 0.0
+    while rho <= 1e12:
+        try:
+            step = solve(rho)
+        except (ZeroDivisionError, np.linalg.LinAlgError):
+            step = None
+        if step is not None and np.all(np.isfinite(step)) and float(np.sum(step * g)) < 0.0:
+            return step
+        rho = max(10.0 * rho, 1e-8)
+    return fallback
+
+
+def damped_newton(x, merit, derivs, residual, done, direction, max_iter):
+    """Descend ``merit`` from ``x`` along ``p, slope = direction(x, g)``.
+
+    ``g = derivs(x)`` is the gradient or residual vector, ``residual(g)`` its
+    size and ``done(g)`` the stop test.  Step lengths t = 1, 1/2, ..., 1e-16
+    are tried until merit drops by 1e-4 t slope or, where that is below
+    roundoff, the residual drops.  A failed search, or a roundoff-level step
+    that does not halve the residual, is a stall; two stalls stop.  Returns
+    ``(x, merit, g, iterations, trace)``, trace holding (iteration, merit, t).
+    """
+    f = merit(x)
+    g = derivs(x)
+    r = residual(g)
+    trace = []
+    it = stalls = 0
+    for it in range(1, max_iter + 1):
+        if done(g):
+            break
+        p, slope = direction(x, g)
+        t = 1.0
+        while t >= 1e-16:
+            xn = x + t * p
+            fn = merit(xn)
+            pred = 1e-4 * t * slope
+            if math.isfinite(fn) and abs(pred) >= _EPS_F * (1.0 + abs(f)):
+                ok = fn <= f + pred
+            else:
+                # merit change below roundoff: accept on residual descent
+                ok = math.isfinite(fn) and residual(derivs(xn)) < r
+            if ok:
+                break
+            t *= 0.5
+        trace.append((it, f, t))
+        if not ok:
+            stalls += 1
+        else:
+            stalls += int(abs(f - fn) <= _EPS_F * (1.0 + abs(f))
+                          and residual(derivs(xn)) >= 0.5 * r)
+            x, f = xn, fn
+        g = derivs(x)
+        r = residual(g)
+        if stalls >= 2:
+            break
+    return x, f, g, it, trace
+
+
+def golden_section(fn, a, b, tol, max_iter):
+    """Midpoint of ``[a, b]`` narrowed around a minimum of ``fn`` to width ``tol``
+    or for ``max_iter`` steps."""
+    c, d = b - _INV_GOLDEN * (b - a), a + _INV_GOLDEN * (b - a)
+    fc, fd = fn(c), fn(d)
+    for _ in range(max_iter):
+        if b - a <= tol:
+            break
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - _INV_GOLDEN * (b - a)
+            fc = fn(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _INV_GOLDEN * (b - a)
+            fd = fn(d)
+    return 0.5 * (a + b)

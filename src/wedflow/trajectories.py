@@ -19,6 +19,7 @@ from .spaces import Point, SpaceSpec
 
 UNIFORM = "uniform"
 EXP_GRADED = "exp_graded"
+GRID_MODES = (UNIFORM, EXP_GRADED)
 
 
 @dataclass(frozen=True)
@@ -36,7 +37,7 @@ class TimeGrid:
             raise InvalidInputError("a time grid needs at least two nodes")
         if nodes[0] != 0.0 or np.any(np.diff(nodes) <= 0.0):
             raise InvalidInputError("grid nodes must start at 0 and increase strictly")
-        if self.mode not in (UNIFORM, EXP_GRADED):
+        if self.mode not in GRID_MODES:
             raise InvalidInputError(f"unknown grid mode {self.mode!r}")
         if self.mode == EXP_GRADED:
             if self.eps is None or self.eps <= 0.0:

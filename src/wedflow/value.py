@@ -23,9 +23,12 @@ import numpy as np
 
 from .energies import EnergySpec, analytic_slope, energy_eval, q_value, yosida
 from .errors import InvalidInputError
+from .newton import damped_newton, golden_section
 from .spaces import QUANTILE1D, Point, SpaceSpec, distance
 from .trajectories import EXP_GRADED, TimeGrid, Trajectory, Weights
-from .wed import DIRECT, WedProblem, WedSolution, default_horizon, minimize_wed
+from .wed import (
+    DIRECT, WedProblem, WedSolution, default_horizon, minimize_wed, solve_block_tridiag,
+)
 
 
 @dataclass(frozen=True)
@@ -528,56 +531,36 @@ def finsler_distance(space: SpaceSpec, f, u0: Point, u1: Point,
         fsq = np.array([float(f(Point(row, space))) ** 2 for row in mids])
         return kin + 0.5 * h * float(np.sum(fsq))
 
-    def inner(P, S):
-        from .wed import solve_block_tridiag
+    full = lambda V: np.concatenate([theta[:1], V, theta[-1:]])  # endpoints pinned
+    sup_norm = lambda g: float(np.max(np.abs(g)))
 
+    def inner(S):
         h = S / K
         n = K - 1
         eye = np.diag(w)
         sub = np.tile((-1.0 / h) * eye, (max(n - 1, 0), 1, 1))
         dia = np.tile((2.0 / h) * eye, (n, 1, 1))
-        for _ in range(opts.inner_max_iter):
+
+        def gradient(V):
+            P = full(V)
             lap = (2.0 * P[1:-1] - P[:-2] - P[2:]) * w / h
             gm = f2_grad_at(0.5 * (P[:-1] + P[1:]))
-            g = lap + 0.25 * h * (gm[:-1] + gm[1:])
-            gn = float(np.max(np.abs(g)))
-            if gn <= opts.inner_tol * (1.0 + fmax):
-                break
+            return lap + 0.25 * h * (gm[:-1] + gm[1:])
+
+        def direction(V, g):
             step = solve_block_tridiag(sub, dia, sub, -g)
-            a = 1.0
-            J = action(P, S)
-            while a >= 1e-14:
-                Pn = P.copy()
-                Pn[1:-1] += a * step
-                if action(Pn, S) <= J - 1e-12 * a * gn * gn * h or a * gn < 1e-14:
-                    break
-                a *= 0.5
-            P = Pn
-        return P, action(P, S)
+            return step, float(np.sum(g * step))
 
-    cache = {}
+        V, value, _, _, _ = damped_newton(
+            theta[1:-1], lambda V: action(full(V), S), gradient, sup_norm,
+            lambda g: sup_norm(g) <= opts.inner_tol * (1.0 + fmax), direction,
+            opts.inner_max_iter,
+        )
+        return full(V), value
 
-    def val(S):
-        Skey = round(S, 14)
-        if Skey not in cache:
-            cache[Skey] = inner(theta.copy(), S)
-        return cache[Skey][1]
-
-    inv = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c, dpt = b - inv * (b - a), a + inv * (b - a)
-    fc, fd = val(c), val(dpt)
-    while b - a > opts.s_tol * max(1.0, d0):
-        if fc < fd:
-            b, dpt, fd = dpt, c, fc
-            c = b - inv * (b - a)
-            fc = val(c)
-        else:
-            a, c, fc = c, dpt, fd
-            dpt = a + inv * (b - a)
-            fd = val(dpt)
-    S_opt = 0.5 * (a + b)
-    P_opt, value = inner(theta.copy(), S_opt)
+    # the cap only guards a tolerance below the spacing of floats near S
+    S_opt = golden_section(lambda S: inner(S)[1], lo, hi, opts.s_tol * max(1.0, d0), 200)
+    P_opt, value = inner(S_opt)
     if value < d0 - 1e-9 * (1.0 + d0):
         raise InvalidInputError("finsler action fell below the base distance")
     if return_curve:

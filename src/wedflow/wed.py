@@ -23,11 +23,15 @@ import numpy as np
 
 from .energies import EnergySpec, eval_many, grad_many, hess_dense
 from .errors import InvalidInputError, NonConvergenceError
+from .newton import damped_newton, levenberg
 from .spaces import PNORM, Point, SpaceSpec
-from .trajectories import EXP_GRADED, UNIFORM, TimeGrid, Trajectory, Weights, metric_speed
+from .trajectories import (
+    EXP_GRADED, GRID_MODES, UNIFORM, TimeGrid, Trajectory, Weights, metric_speed,
+)
 
 DIRECT = "direct"
 EULER_LAGRANGE = "euler_lagrange"
+SOLVERS = (DIRECT, EULER_LAGRANGE)
 
 # With the horizon at least this multiple of eps the tail weight is below
 # 1.4e-11 and the truncated problem is indistinguishable from the
@@ -55,8 +59,10 @@ class WedProblem:
     def __post_init__(self):
         if self.epsilon <= 0.0 or self.T <= 0.0 or self.N < 1:
             raise InvalidInputError("need epsilon > 0, T > 0, N >= 1")
-        if self.solver not in (DIRECT, EULER_LAGRANGE):
+        if self.solver not in SOLVERS:
             raise InvalidInputError(f"unknown solver {self.solver!r}")
+        if self.grid_mode not in GRID_MODES:
+            raise InvalidInputError(f"unknown grid mode {self.grid_mode!r}")
         if self.space.kind == PNORM and self.space.p != 2.0:
             raise InvalidInputError("trajectory solvers need an inner-product metric (p = 2)")
         co = self.energy.coercivity
@@ -178,12 +184,12 @@ def minimize_wed(problem: WedProblem) -> WedSolution:
     w = Weights.for_grid(grid, problem.epsilon)
     eps, m, tail, dt = problem.epsilon, w.masses, w.tail, grid.dt
     omega = problem.space.metric_weights
-    N, d = grid.n_cells, problem.space.dim
+    N = grid.n_cells
     c = eps * m / dt**2  # kinetic coupling per cell
     pw = np.concatenate([m[:-1] + m[1:], [m[-1] + tail]]) if N > 1 else np.array([m[-1] + tail])
     nodew = np.concatenate([m[1:], [tail]])  # energy weight per free node
 
-    U = np.tile(problem.x_bar.coords, (N + 1, 1))
+    full = lambda V: np.concatenate([problem.x_bar.coords[None, :], V])  # U[0] = x_bar is pinned
 
     def objective(U):
         dU = np.diff(U, axis=0)
@@ -212,49 +218,21 @@ def minimize_wed(problem: WedProblem) -> WedSolution:
         # the objective above roundoff
         return float(np.max(np.abs(g) / omega / pw[:, None]))
 
-    f = objective(U)
-    g = gradient(U)
-    gn = gn0 = dual_norm(g)
-    rmax = rmax0 = row_max(g)
+    def direction(V, g):
+        step = _newton_direction(problem, full(V), g, c, nodew, pw, omega)
+        return step, float(np.sum(g * step))
+
+    V0 = np.tile(problem.x_bar.coords, (N, 1))
+    g0 = gradient(full(V0))
+    gn0, rmax0 = dual_norm(g0), row_max(g0)
     row_tol = 1e-6 * (1.0 + rmax0)
-    it = 0
-    stalls = 0
-    eps_f = 8.0 * np.finfo(float).eps
-    for it in range(1, problem.max_iter + 1):
-        if gn <= problem.grad_tol and rmax <= row_tol:
-            break
-        direction = _newton_direction(problem, U, g, c, nodew, pw, omega)
-        gd = float(np.sum(g * direction))
-        if not math.isfinite(gd) or gd >= 0.0:
-            direction = -(g / omega) / pw[:, None]
-            gd = float(np.sum(g * direction))
-        step = 1.0
-        accepted = False
-        while step >= 1e-16:
-            Un = U.copy()
-            Un[1:] += step * direction
-            fn = objective(Un)
-            pred = 1e-4 * step * gd
-            if math.isfinite(fn) and abs(pred) >= eps_f * (1.0 + abs(f)):
-                ok = fn <= f + pred
-            else:
-                # objective change below roundoff: accept on residual descent
-                ok = math.isfinite(fn) and row_max(gradient(Un)) < rmax
-            if ok:
-                accepted = True
-                break
-            step *= 0.5
-        if not accepted:
-            stalls += 1
-        else:
-            stalls += int(abs(f - fn) <= eps_f * (1.0 + abs(f))
-                          and row_max(gradient(Un)) >= 0.5 * rmax)
-            U, f = Un, fn
-        g = gradient(U)
-        gn = dual_norm(g)
-        rmax = row_max(g)
-        if stalls >= 2:
-            break
+    V, f, g, it, _ = damped_newton(
+        V0, lambda V: objective(full(V)), lambda V: gradient(full(V)), row_max,
+        lambda g: dual_norm(g) <= problem.grad_tol and row_max(g) <= row_tol,
+        direction, problem.max_iter,
+    )
+    U = full(V)
+    gn, rmax = dual_norm(g), row_max(g)
     converged = gn <= max(problem.grad_tol, 1e-7 * (1.0 + gn0)) and rmax <= max(
         row_tol, 1e-4 * (1.0 + rmax0)
     )
@@ -286,9 +264,7 @@ def _newton_direction(problem, U, g, c, nodew, pw, omega):
     for k in range(1, N):
         diag[k - 1] = (c[k - 1] + c[k]) * W + nodew[k - 1] * hess_dense(problem.energy, U[k])
     diag[N - 1] = c[N - 1] * W + nodew[N - 1] * hess_dense(problem.energy, U[N])
-    sub = np.empty((max(N - 1, 0), d, d))
-    for k in range(1, N):
-        sub[k - 1] = -c[k] * W
+    sub = -c[1:, None, None] * W
     sup = sub.copy()
     # scale row k by its preconditioner weight to tame the mass decay
     diag /= pw[:, None, None]
@@ -296,17 +272,8 @@ def _newton_direction(problem, U, g, c, nodew, pw, omega):
         sub /= pw[1:, None, None]
         sup /= pw[:-1, None, None]
     rhs = -g / pw[:, None]
-    rho = 0.0
-    while True:
-        try:
-            step = solve_block_tridiag(sub, diag + rho * W, sup, rhs)
-        except (ZeroDivisionError, np.linalg.LinAlgError):
-            step = None
-        if step is not None and np.all(np.isfinite(step)) and float(np.sum(step * g)) < 0.0:
-            return step
-        rho = max(10.0 * rho, 1e-8)
-        if rho > 1e12:
-            return -(g / omega) / pw[:, None]
+    return levenberg(lambda rho: solve_block_tridiag(sub, diag + rho * W, sup, rhs),
+                     g, -(g / omega) / pw[:, None])
 
 
 # -- Euler-Lagrange backend -------------------------------------------------------
@@ -330,9 +297,15 @@ def solve_euler_lagrange(problem: WedProblem) -> WedSolution:
     n_c = max(problem.N, int(math.ceil(t_ext / dt - 1e-12)))
     omega = problem.space.metric_weights
     d = problem.space.dim
-    U = np.tile(problem.x_bar.coords, (n_c + 1, 1))
+    full = lambda V: np.concatenate([problem.x_bar.coords[None, :], V])  # U[0] = x_bar is pinned
+    eye = np.eye(d)
+    lo = np.tile((-eps / dt**2 - 1.0 / (2.0 * dt)) * eye, (n_c - 1, 1, 1))
+    up = np.tile((-eps / dt**2 + 1.0 / (2.0 * dt)) * eye, (n_c - 1, 1, 1))
+    if n_c >= 2:
+        lo[-1] = (-2.0 * eps / dt**2) * eye
 
-    def residual(U):
+    def residual(V):
+        U = full(V)
         try:
             G = grad_many(problem.energy, U[1:]) / omega
         except Exception:
@@ -344,53 +317,33 @@ def solve_euler_lagrange(problem: WedProblem) -> WedSolution:
         F[-1] = -2.0 * eps * (U[-2] - U[-1]) / dt**2 + G[-1]
         return F
 
-    F = residual(U)
-    fn = float(np.max(np.abs(F)))
-    trace = []
-    it = 0
-    for it in range(1, problem.max_iter + 1):
-        if fn <= problem.grad_tol:
-            break
-        lo = np.empty((n_c - 1, d, d))
+    sup_norm = lambda F: float(np.max(np.abs(F)))
+
+    def merit(V):
+        F = residual(V)
+        return math.inf if F is None else sup_norm(F)
+
+    def direction(V, F):
+        U = full(V)
         di = np.empty((n_c, d, d))
-        up = np.empty((n_c - 1, d, d))
-        eye = np.eye(d)
-        a_lo = (-eps / dt**2 - 1.0 / (2.0 * dt)) * eye
-        a_up = (-eps / dt**2 + 1.0 / (2.0 * dt)) * eye
-        for k in range(1, n_c):
+        for k in range(1, n_c + 1):
             di[k - 1] = (2.0 * eps / dt**2) * eye + hess_dense(
                 problem.energy, U[k]
             ) / omega[:, None]
-            if k >= 2:
-                lo[k - 2] = a_lo
-            if k < n_c:
-                up[k - 1] = a_up
-        di[n_c - 1] = (2.0 * eps / dt**2) * eye + hess_dense(problem.energy, U[n_c]) / omega[:, None]
-        if n_c >= 2:
-            lo[n_c - 2] = (-2.0 * eps / dt**2) * eye
         try:
-            step = solve_block_tridiag(lo, di, up, -F.reshape(n_c, d))
+            step = solve_block_tridiag(lo, di, up, -F)
         except (ZeroDivisionError, np.linalg.LinAlgError) as exc:
-            raise NonConvergenceError(f"singular Jacobian: {exc}", best=U, trace=trace)
-        alpha = 1.0
-        while alpha >= 1e-14:
-            Un = U.copy()
-            Un[1:] += alpha * step
-            Fn = residual(Un)
-            if Fn is not None and np.all(np.isfinite(Fn)):
-                fnew = float(np.max(np.abs(Fn)))
-                if fnew <= (1.0 - 1e-4 * alpha) * fn:
-                    break
-            alpha *= 0.5
-        trace.append((it, fn, alpha))
-        if alpha < 1e-14:
-            raise NonConvergenceError(
-                f"Euler-Lagrange damping stalled at residual {fn:.3e}", best=U, trace=trace
-            )
-        U, F, fn = Un, Fn, fnew
+            raise NonConvergenceError(f"singular Jacobian: {exc}", best=U)
+        return step, -sup_norm(F)
+
+    V, fn, _, it, trace = damped_newton(
+        np.tile(problem.x_bar.coords, (n_c, 1)), merit, residual, sup_norm,
+        lambda F: sup_norm(F) <= problem.grad_tol, direction, problem.max_iter,
+    )
+    U = full(V)
     if fn > problem.grad_tol:
         raise NonConvergenceError(
-            f"Euler-Lagrange Newton hit iteration cap at residual {fn:.3e}",
+            f"Euler-Lagrange Newton stopped at residual {fn:.3e} after {it} iterations",
             best=U, trace=trace,
         )
     pts = _restrict(U, dt, grid)

@@ -176,3 +176,31 @@ def test_main_usage_error_exits_1(tmp_path, argv, capsys):
 def test_main_help_exits_0(capsys):
     assert main(["--help"]) == 0
     assert "--config" in capsys.readouterr().out
+
+
+def test_task_commands_run_no_suites(tmp_path):
+    p = write_cfg(tmp_path, cfg(suites=["spectral"]))
+    out = tmp_path / "out"
+    assert main(["solve", "--config", str(p), "--out", str(out), "--quiet"]) == 0
+    assert (out / "report.json").exists()
+    assert not list(out.glob("report_*.json"))
+    assert json.loads((out / "manifest.json").read_text())["summary"] == {}
+
+
+@pytest.mark.parametrize("config, needle", [
+    (cfg(N="abc"), "/N"),
+    (cfg(cache_capacity="x"), "/cache_capacity"),
+    (cfg(max_iter=True), "/max_iter"),
+    (cfg(t_obs=[1]), "/t_obs"),
+    (cfg(epsilon="x"), "/epsilon"),
+    (cfg(eps_list=[0.1, "a"]), "/eps_list/1"),
+    (cfg(grid_mode="nope"), "/grid_mode"),
+    ([1], "JSON object"),
+], ids=["N", "cache_capacity", "max_iter", "t_obs", "epsilon", "eps_list", "grid_mode",
+        "not_an_object"])
+def test_bad_config_values_are_config_errors(tmp_path, config, needle):
+    out = tmp_path / "out"
+    code = main(["check", "--config", str(write_cfg(tmp_path, config)), "--out", str(out),
+                 "--suite", "spectral", "--quiet"])
+    assert code == 1
+    assert needle in json.loads((out / "manifest.json").read_text())["error"]

@@ -218,12 +218,20 @@ def test_determinism_bitwise():
     assert a.iterations == b.iterations
 
 
-def test_nonconvergence_carries_best_iterate():
+@pytest.mark.parametrize("solver", ["direct", "euler_lagrange"])
+def test_nonconvergence_carries_best_iterate(solver):
     pr = WedProblem(epsilon=0.05, T=2.0, N=500, space=E1, energy=double_well(),
-                    x_bar=point([0.3], E1), max_iter=1)
+                    x_bar=point([0.3], E1), max_iter=1, solver=solver)
     with pytest.raises(NonConvergenceError) as info:
         minimize_wed(pr)
-    assert info.value.best is not None
+    best = info.value.best
+    assert best is not None and np.array_equal(best[0], pr.x_bar.coords)
+    assert len(info.value.trace) > 0
+
+
+def test_unknown_grid_mode_rejected():
+    with pytest.raises(InvalidInputError, match="grid mode"):
+        quad_problem(grid_mode="nope")
 
 
 def test_smallness_condition_enforced():
