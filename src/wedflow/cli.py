@@ -108,7 +108,11 @@ class Experiment:
         if any(b >= a for a, b in zip(self.eps_list, self.eps_list[1:])):
             raise ConfigError("/eps_list", "must decrease strictly")
         self.N = _need(cfg, "N", int, default=4000)
+        if self.N < 1:
+            raise ConfigError("/N", "must be at least 1")
         self.T = _need(cfg, "T", float, default=None)
+        if self.T is not None and self.T <= 0.0:
+            raise ConfigError("/T", "must be positive")
         self.t_obs = _need(cfg, "t_obs", float, default=self.T if self.T is not None else 1.0)
         self.grid_mode = _need(cfg, "grid_mode", str, default=UNIFORM)
         self.solver = _need(cfg, "solver", str, default=DIRECT)

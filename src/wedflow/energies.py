@@ -11,7 +11,9 @@ Built-in kinds
 
 Values are plain floats with math.inf as the absorbing out-of-domain
 sentinel (non-monotone quantile vectors).  Gradients and Hessians raise
-DomainError there instead.
+DomainError there instead.  The ``*_many`` kernels work row-wise on (n, d)
+arrays: a trajectory solver gets all Hessians of a Newton step from one
+``hess_many`` call.
 """
 
 from __future__ import annotations
@@ -298,57 +300,50 @@ def grad_many(spec: EnergySpec, U: np.ndarray) -> np.ndarray:
 
 def hess_dense(spec: EnergySpec, u: np.ndarray) -> np.ndarray:
     """Hessian of phi at coordinates u as a dense (d, d) matrix."""
-    u = np.asarray(u, dtype=float)
-    if spec.kind == QUADRATIC:
-        return spec.params["A"].copy()
-    sub, diag, sup = hess_tridiag(spec, u)
-    d = diag.shape[0]
-    H = np.zeros((d, d))
-    H[np.arange(d), np.arange(d)] = diag
-    if d > 1:
-        H[np.arange(1, d), np.arange(d - 1)] = sub
-        H[np.arange(d - 1), np.arange(1, d)] = sup
-    return H
+    return hess_many(spec, np.asarray(u, dtype=float)[None, :])[0]
 
 
-def hess_tridiag(spec: EnergySpec, u: np.ndarray):
-    """Hessian of phi at coordinates u as (sub, diag, super) bands.
+def hess_many(spec: EnergySpec, U: np.ndarray) -> np.ndarray:
+    """Hessians of phi row-wise on an (n, d) array, as dense (n, d, d) blocks.
 
-    Built-in kinds other than dense quadratics have tridiagonal Hessians.
+    Built-in kinds other than quadratics have tridiagonal Hessians.  The
+    blocks are always a fresh array, so callers may assemble in place.
     """
-    u = np.asarray(u, dtype=float)
-    d = u.shape[0]
+    U = np.atleast_2d(np.asarray(U, dtype=float))
+    n, d = U.shape
     k = spec.kind
     if k == QUADRATIC:
-        A = spec.params["A"]
-        if d > 1 and np.max(np.abs(A - np.diag(np.diag(A))
-                                   - np.diag(np.diag(A, 1), 1) - np.diag(np.diag(A, -1), -1))) > 0:
-            raise NotAvailableError("quadratic A with bandwidth > 1 has no banded Hessian")
-        sub = np.diag(A, -1).copy() if d > 1 else np.zeros(0)
-        return sub, np.diag(A).copy(), sub.copy()
+        return np.repeat(spec.params["A"][None], n, axis=0)
+    off = None  # the sub- and superdiagonal, where nonzero
     if k == CONVEX_QUARTIC:
-        return np.zeros(d - 1), 3.0 * u**2, np.zeros(d - 1)
-    if k == DOUBLE_WELL:
-        return np.zeros(d - 1), 3.0 * u**2 - 1.0, np.zeros(d - 1)
-    if k == DISCRETE_DIRICHLET:
-        p, h = spec.params["p"], spec.params["h"]
-        reac = spec.params["reaction"]
-        g = np.diff(np.concatenate([[0.0], u, [0.0]])) / h
+        diag = 3.0 * U**2
+    elif k == DOUBLE_WELL:
+        diag = 3.0 * U**2 - 1.0
+    elif k == DISCRETE_DIRICHLET:
+        p, h, reac = spec.params["p"], spec.params["h"], spec.params["reaction"]
+        g = np.diff(U, axis=1, prepend=0.0, append=0.0) / h  # zero Dirichlet boundary
         w = (p - 1.0) * np.abs(g) ** (p - 2.0) / h
-        diag = w[:-1] + w[1:] + h * _poly(_poly_d(_poly_d(reac)), u)
-        return -w[1:-1], diag, -w[1:-1].copy()
-    if k == QUANTILE_ENTROPY:
+        diag = w[:, :-1] + w[:, 1:] + h * _poly(_poly_d(_poly_d(reac)), U)
+        off = -w[:, 1:-1]
+    elif k == QUANTILE_ENTROPY:
         v2 = spec.params["v2"]
-        m = u.shape[0]
-        gaps = np.diff(u)
+        gaps = np.diff(U, axis=1)
         if np.any(gaps <= 0.0):
             raise DomainError("non-monotone quantile point has no Hessian")
-        w = 1.0 / (m * gaps**2)
-        diag = np.full(m, v2 / m)
-        diag[:-1] += w
-        diag[1:] += w
-        return -w, diag, -w.copy()
-    raise NotAvailableError(spec.kind)
+        w = 1.0 / (d * gaps**2)
+        diag = np.full((n, d), v2 / d)
+        diag[:, :-1] += w
+        diag[:, 1:] += w
+        off = -w
+    else:
+        raise NotAvailableError(spec.kind)
+    H = np.zeros((n, d, d))
+    i = np.arange(d)
+    H[:, i, i] = diag
+    if off is not None:
+        H[:, i[1:], i[:-1]] = off
+        H[:, i[:-1], i[1:]] = off
+    return H
 
 
 # -- metric-aware helpers ------------------------------------------------------

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energies import EnergySpec, eval_many, grad_many, hess_dense
+from .energies import EnergySpec, eval_many, grad_many, hess_many
 from .errors import InvalidInputError, NonConvergenceError
 from .newton import damped_newton, levenberg
 from .spaces import PNORM, Point, SpaceSpec
@@ -121,38 +121,35 @@ def wed_value(problem: WedProblem, traj: Trajectory) -> float:
 
 
 def solve_tridiag(sub, diag, sup, rhs):
-    """Thomas elimination for a scalar tridiagonal system (no pivoting)."""
+    """Thomas elimination for a scalar tridiagonal system (no pivoting).
+
+    The sweep runs on Python floats read and written through memoryviews:
+    the same IEEE double arithmetic as on numpy scalars, at less cost.
+    """
     n = diag.shape[0]
-    cp = np.empty(max(n - 1, 0))
-    dp = np.empty(n)
-    den = diag[0]
-    if den == 0.0:
-        raise ZeroDivisionError("zero pivot")
-    if n > 1:
-        cp[0] = sup[0] / den
-    dp[0] = rhs[0] / den
-    for k in range(1, n):
-        den = diag[k] - sub[k - 1] * cp[k - 1]
+    a, b, c, r = (memoryview(np.ascontiguousarray(v, dtype=float)) for v in (sub, diag, sup, rhs))
+    out, cp = np.empty(n), memoryview(np.empty(n))
+    x = memoryview(out)  # the forward sweep, then the solution
+    ck = xk = 0.0
+    for k in range(n):
+        ak = a[k - 1] if k else 0.0
+        den = b[k] - ak * ck
         if den == 0.0:
             raise ZeroDivisionError("zero pivot")
-        if k < n - 1:
-            cp[k] = sup[k] / den
-        dp[k] = (rhs[k] - sub[k - 1] * dp[k - 1]) / den
-    x = np.empty(n)
-    x[-1] = dp[-1]
+        ck = c[k] / den if k < n - 1 else 0.0
+        xk = (r[k] - ak * xk) / den
+        cp[k], x[k] = ck, xk
     for k in range(n - 2, -1, -1):
-        x[k] = dp[k] - cp[k] * x[k + 1]
-    return x
+        xk = x[k] - cp[k] * xk
+        x[k] = xk
+    return out
 
 
 def solve_block_tridiag(sub, diag, sup, rhs):
     """Block Thomas elimination; blocks are dense (n, d, d), rhs is (n, d)."""
     n, d = rhs.shape
     if d == 1:
-        return solve_tridiag(
-            sub[:, 0, 0] if n > 1 else np.zeros(0), diag[:, 0, 0],
-            sup[:, 0, 0] if n > 1 else np.zeros(0), rhs[:, 0],
-        )[:, None]
+        return solve_tridiag(sub[:, 0, 0], diag[:, 0, 0], sup[:, 0, 0], rhs[:, 0])[:, None]
     cp = np.empty((max(n - 1, 0), d, d))
     dp = np.empty((n, d))
     lu = np.linalg.inv(diag[0])
@@ -258,19 +255,18 @@ def minimize_wed(problem: WedProblem) -> WedSolution:
 
 def _newton_direction(problem, U, g, c, nodew, pw, omega):
     """Row-scaled Newton step with a deterministic Levenberg ladder."""
-    N, d = U.shape[0] - 1, U.shape[1]
     W = np.diag(omega)
-    diag = np.empty((N, d, d))
-    for k in range(1, N):
-        diag[k - 1] = (c[k - 1] + c[k]) * W + nodew[k - 1] * hess_dense(problem.energy, U[k])
-    diag[N - 1] = c[N - 1] * W + nodew[N - 1] * hess_dense(problem.energy, U[N])
+    diag = hess_many(problem.energy, U[1:])
+    diag *= nodew[:, None, None]
+    i = np.arange(U.shape[1])
+    # kinetic coupling to the cells on both sides; the last node has one
+    diag[:, i, i] += np.append(c[:-1] + c[1:], c[-1])[:, None] * omega
     sub = -c[1:, None, None] * W
     sup = sub.copy()
     # scale row k by its preconditioner weight to tame the mass decay
     diag /= pw[:, None, None]
-    if N > 1:
-        sub /= pw[1:, None, None]
-        sup /= pw[:-1, None, None]
+    sub /= pw[1:, None, None]
+    sup /= pw[:-1, None, None]
     rhs = -g / pw[:, None]
     return levenberg(lambda rho: solve_block_tridiag(sub, diag + rho * W, sup, rhs),
                      g, -(g / omega) / pw[:, None])
@@ -298,13 +294,19 @@ def solve_euler_lagrange(problem: WedProblem) -> WedSolution:
     omega = problem.space.metric_weights
     d = problem.space.dim
     full = lambda V: np.concatenate([problem.x_bar.coords[None, :], V])  # U[0] = x_bar is pinned
-    eye = np.eye(d)
+    eye, i = np.eye(d), np.arange(d)
     lo = np.tile((-eps / dt**2 - 1.0 / (2.0 * dt)) * eye, (n_c - 1, 1, 1))
     up = np.tile((-eps / dt**2 + 1.0 / (2.0 * dt)) * eye, (n_c - 1, 1, 1))
     if n_c >= 2:
         lo[-1] = (-2.0 * eps / dt**2) * eye
 
+    # merit and derivatives see each accepted point twice: keep the last (V, F)
+    last = [None, None]
+
     def residual(V):
+        if V is last[0]:
+            return last[1]
+        last[:] = V, None  # a failed evaluation stays None
         U = full(V)
         try:
             G = grad_many(problem.energy, U[1:]) / omega
@@ -315,6 +317,7 @@ def solve_euler_lagrange(problem: WedProblem) -> WedSolution:
         F[:-1] = -eps * upp / dt**2 + (U[2:] - U[:-2]) / (2.0 * dt) + G[:-1]
         # ghost-node zero-slope closure at the far end (second order)
         F[-1] = -2.0 * eps * (U[-2] - U[-1]) / dt**2 + G[-1]
+        last[1] = F
         return F
 
     sup_norm = lambda F: float(np.max(np.abs(F)))
@@ -325,11 +328,9 @@ def solve_euler_lagrange(problem: WedProblem) -> WedSolution:
 
     def direction(V, F):
         U = full(V)
-        di = np.empty((n_c, d, d))
-        for k in range(1, n_c + 1):
-            di[k - 1] = (2.0 * eps / dt**2) * eye + hess_dense(
-                problem.energy, U[k]
-            ) / omega[:, None]
+        di = hess_many(problem.energy, U[1:])
+        di /= omega[:, None]
+        di[:, i, i] += 2.0 * eps / dt**2
         try:
             step = solve_block_tridiag(lo, di, up, -F)
         except (ZeroDivisionError, np.linalg.LinAlgError) as exc:

@@ -9,7 +9,7 @@ from wedflow import (
     gaussian_quantiles, geodesic_point, local_slope, normal_quantile, point,
     q_value, quadratic, quantile_entropy_potential, yosida,
 )
-from wedflow.energies import eval_many, grad_many, hess_dense, reference_point
+from wedflow.energies import eval_many, grad_many, hess_dense, hess_many, reference_point
 
 E1 = SpaceSpec.euclidean(1)
 
@@ -254,3 +254,68 @@ def test_dimension_mismatch_raises():
     spec = quadratic(np.eye(2))
     with pytest.raises(InvalidInputError):
         energy_eval(spec, point([1.0], E1))
+
+
+def hess_fixtures():
+    """(spec, U) with n > 1 rows per built-in kind and d in (1, 3), plus a
+    16-quantile batch; quantile rows are increasing."""
+    rng = np.random.default_rng(31)
+    cases = []
+    for d in (1, 3):
+        A = rng.standard_normal((d, d))
+        cases += [
+            (quadratic((A + A.T) / 2.0 + 3.0 * np.eye(d), rng.standard_normal(d)),
+             rng.standard_normal((7, d))),
+            (convex_quartic(), rng.standard_normal((7, d))),
+            (double_well(), rng.standard_normal((7, d))),
+            (discrete_dirichlet(p=2.5, h=0.2, reaction=(0.0, 0.0, 1.0)),
+             rng.standard_normal((7, d))),
+        ]
+    for d in (1, 3, 16):
+        cases.append((quantile_entropy_potential(v2=1.0, v1=0.3),
+                      np.cumsum(rng.uniform(0.05, 0.8, (7, d)), axis=1) - 2.0))
+    return cases
+
+
+HESS_IDS = [f"{spec.kind}-d{U.shape[1]}" for spec, U in hess_fixtures()]
+
+
+@pytest.mark.parametrize("spec, U", hess_fixtures(), ids=HESS_IDS)
+def test_hess_many_rows_are_one_point_hessians(spec, U):
+    H = hess_many(spec, U)
+    assert H.shape == (U.shape[0], U.shape[1], U.shape[1])
+    for k in range(U.shape[0]):
+        assert np.array_equal(H[k], hess_many(spec, U[k:k + 1])[0])
+        assert np.array_equal(H[k], hess_dense(spec, U[k]))
+
+
+@pytest.mark.parametrize("spec, U", hess_fixtures(), ids=HESS_IDS)
+def test_hess_many_matches_central_differences(spec, U):
+    H = hess_many(spec, U)
+    n, d = U.shape
+    fd = np.empty((n, d, d))
+    for j in range(d):
+        h = 1e-6 * (1.0 + np.abs(U[:, j:j + 1]))
+        up, dn = U.copy(), U.copy()
+        up[:, j:j + 1] += h
+        dn[:, j:j + 1] -= h
+        fd[:, :, j] = (grad_many(spec, up) - grad_many(spec, dn)) / (2 * h)
+    assert np.max(np.abs(H - fd)) < 1e-5 * max(1.0, np.max(np.abs(H))), spec.kind
+
+
+@pytest.mark.parametrize("row", [0, 3, 6])
+def test_hess_many_rejects_any_nonmonotone_quantile_row(row):
+    U = np.tile(np.linspace(-1.0, 1.0, 16), (7, 1))
+    U[row, [4, 5]] = U[row, [5, 4]]
+    with pytest.raises(DomainError):
+        hess_many(quantile_entropy_potential(), U)
+
+
+def test_hess_many_quadratic_is_a_writable_copy():
+    A = np.array([[2.0, 0.5], [0.5, 1.0]])
+    spec = quadratic(A)
+    H = hess_many(spec, np.zeros((3, 2)))
+    H *= 10.0
+    H[:, 0, 0] += 1.0
+    assert np.array_equal(spec.params["A"], A)
+    assert np.array_equal(hess_many(spec, np.zeros((1, 2)))[0], A)

@@ -8,6 +8,7 @@ from wedflow import (
     Trajectory, WedProblem, Weights, check_inner_variation, double_well,
     minimize_wed, point, q_value, quadratic, solve_euler_lagrange, wed_value,
 )
+from wedflow.wed import solve_block_tridiag, solve_tridiag
 
 E1 = SpaceSpec.euclidean(1)
 
@@ -313,3 +314,71 @@ def test_inner_variation_quadratic_residuals():
     assert 1.4 <= ratio <= 2.6  # first order, +-30% around halving
     sol = minimize_wed(quad_problem(eps=eps, N=4000))
     assert reps[4000].boundary_residual <= 1e-3 * abs(sol.objective)
+
+
+def banded_system(rng, n, d):
+    """Random block-diagonally dominant (sub, diag, sup, rhs) and its dense matrix."""
+    sub = rng.standard_normal((max(n - 1, 0), d, d))
+    sup = rng.standard_normal((max(n - 1, 0), d, d))
+    diag = rng.standard_normal((n, d, d)) + 4.0 * d * np.eye(d)
+    rhs = rng.standard_normal((n, d))
+    M = np.zeros((n * d, n * d))
+    for k in range(n):
+        M[k * d:(k + 1) * d, k * d:(k + 1) * d] = diag[k]
+        if k < n - 1:
+            M[(k + 1) * d:(k + 2) * d, k * d:(k + 1) * d] = sub[k]
+            M[k * d:(k + 1) * d, (k + 1) * d:(k + 2) * d] = sup[k]
+    return sub, diag, sup, rhs, M
+
+
+@pytest.mark.parametrize("d", [1, 3])
+@pytest.mark.parametrize("n", [1, 2, 500])
+def test_block_tridiag_matches_dense_solve(n, d):
+    sub, diag, sup, rhs, M = banded_system(np.random.default_rng(n + 10 * d), n, d)
+    x = solve_block_tridiag(sub, diag, sup, rhs)
+    ref = np.linalg.solve(M, rhs.ravel()).reshape(n, d)
+    assert x.shape == (n, d)
+    assert np.max(np.abs(x - ref)) < 1e-12 * max(1.0, np.max(np.abs(ref)))
+
+
+@pytest.mark.parametrize("sub, diag, sup", [
+    ([], [0.0], []),
+    ([1.0], [1.0, 1.0], [1.0]),  # second pivot 1 - 1 * 1
+])
+def test_tridiag_zero_pivot_raises(sub, diag, sup):
+    args = [np.array(v, dtype=float) for v in (sub, diag, sup)]
+    with pytest.raises(ZeroDivisionError):
+        solve_tridiag(*args, np.ones(len(diag)))
+    with pytest.raises(ZeroDivisionError):
+        solve_block_tridiag(*(a.reshape(-1, 1, 1) for a in args), np.ones((len(diag), 1)))
+
+
+def numpy_thomas(sub, diag, sup, rhs):
+    """Thomas elimination on numpy scalars, the reference for the float sweep."""
+    n = diag.shape[0]
+    cp = np.empty(max(n - 1, 0))
+    dp = np.empty(n)
+    den = diag[0]
+    if n > 1:
+        cp[0] = sup[0] / den
+    dp[0] = rhs[0] / den
+    for k in range(1, n):
+        den = diag[k] - sub[k - 1] * cp[k - 1]
+        if k < n - 1:
+            cp[k] = sup[k] / den
+        dp[k] = (rhs[k] - sub[k - 1] * dp[k - 1]) / den
+    x = np.empty(n)
+    x[-1] = dp[-1]
+    for k in range(n - 2, -1, -1):
+        x[k] = dp[k] - cp[k] * x[k + 1]
+    return x
+
+
+@pytest.mark.parametrize("n", [1, 2, 500])
+def test_tridiag_sweep_is_bitwise_numpy_thomas(n):
+    sub, diag, sup, rhs, _ = banded_system(np.random.default_rng(7 * n), n, 1)
+    bands = (sub[:, 0, 0], diag[:, 0, 0], sup[:, 0, 0], rhs[:, 0])
+    assert np.array_equal(solve_tridiag(*bands), numpy_thomas(*bands))
+    # strided views are read as they are
+    wide = [np.repeat(b, 2)[::2] for b in bands]
+    assert np.array_equal(solve_tridiag(*wide), numpy_thomas(*bands))
