@@ -105,6 +105,9 @@ class Experiment:
             raise ConfigError("/epsilon", "must be positive")
         self.eps_list = _floats(cfg, "eps_list",
                                 [self.epsilon, self.epsilon / 2.0, self.epsilon / 4.0])
+        for i, e in enumerate(self.eps_list):
+            if e <= 0.0:
+                raise ConfigError(f"/eps_list/{i}", "must be positive")
         if any(b >= a for a, b in zip(self.eps_list, self.eps_list[1:])):
             raise ConfigError("/eps_list", "must decrease strictly")
         self.N = _need(cfg, "N", int, default=4000)

@@ -13,13 +13,18 @@ Values are plain floats with math.inf as the absorbing out-of-domain
 sentinel (non-monotone quantile vectors).  Gradients and Hessians raise
 DomainError there instead.  The ``*_many`` kernels work row-wise on (n, d)
 arrays: a trajectory solver gets all Hessians of a Newton step from one
-``hess_many`` call.
+``hess_many`` call.  A state with one coordinate is evaluated on Python
+floats by ``EnergySpec.one_point``, with the row kernels' arithmetic: the
+results are bitwise those of the ``*_many`` kernels on one row, without
+numpy's per-call overhead.  ``energy_eval``, ``energy_grad``, the 1-D
+Moreau-Yosida steps and the proximal reference run on it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -65,6 +70,9 @@ class EnergySpec:
     params: dict = field(default_factory=dict)
     lam: float | None = None
     coercivity: Coercivity | None = None
+    # (phi, dphi, ddphi) of the coordinate of a one-dimensional state, as
+    # Python floats (see the one-point kernels below)
+    one_point: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in _KINDS:
@@ -92,6 +100,7 @@ class EnergySpec:
             object.__setattr__(self, "lam", _default_lambda(self))
         if self.coercivity is None:
             object.__setattr__(self, "coercivity", _default_coercivity(self))
+        object.__setattr__(self, "one_point", _one_point(self))
 
     def key(self) -> tuple:
         """Stable hashable identity, used by the value-function cache."""
@@ -227,8 +236,17 @@ def _poly_d(c):
     return np.array([k * c[k] for k in range(1, len(c))]) if len(c) > 1 else np.zeros(1)
 
 
+def _quadratic_params(spec: EnergySpec, U: np.ndarray):
+    A, b = spec.params["A"], spec.params["b"]
+    if U.shape[1] != A.shape[0]:
+        raise InvalidInputError("dimension mismatch with quadratic energy")
+    return A, b
+
+
 def energy_eval(spec: EnergySpec, x: Point) -> float:
     """phi(x); math.inf for out-of-domain points."""
+    if x.coords.shape[0] == 1:
+        return spec.one_point[0](float(x.coords[0]))
     return float(eval_many(spec, x.coords[None, :])[0])
 
 
@@ -237,9 +255,7 @@ def eval_many(spec: EnergySpec, U: np.ndarray) -> np.ndarray:
     U = np.atleast_2d(U)
     k = spec.kind
     if k == QUADRATIC:
-        A, b = spec.params["A"], spec.params["b"]
-        if U.shape[1] != A.shape[0]:
-            raise InvalidInputError("dimension mismatch with quadratic energy")
+        A, b = _quadratic_params(spec, U)
         return 0.5 * np.einsum("ni,ij,nj->n", U, A, U) - U @ b
     if k == CONVEX_QUARTIC:
         return np.sum(U**4, axis=1) / 4.0
@@ -265,6 +281,8 @@ def eval_many(spec: EnergySpec, U: np.ndarray) -> np.ndarray:
 
 def energy_grad(spec: EnergySpec, x: Point) -> np.ndarray:
     """Coordinate gradient of phi (the L^2 gradient in quantile coordinates)."""
+    if x.coords.shape[0] == 1:
+        return np.array([spec.one_point[1](float(x.coords[0]))])
     return grad_many(spec, x.coords[None, :])[0]
 
 
@@ -272,7 +290,7 @@ def grad_many(spec: EnergySpec, U: np.ndarray) -> np.ndarray:
     U = np.atleast_2d(U)
     k = spec.kind
     if k == QUADRATIC:
-        A, b = spec.params["A"], spec.params["b"]
+        A, b = _quadratic_params(spec, U)
         return U @ A.T - b
     if k == CONVEX_QUARTIC:
         return U**3
@@ -313,7 +331,7 @@ def hess_many(spec: EnergySpec, U: np.ndarray) -> np.ndarray:
     n, d = U.shape
     k = spec.kind
     if k == QUADRATIC:
-        return np.repeat(spec.params["A"][None], n, axis=0)
+        return np.repeat(_quadratic_params(spec, U)[0][None], n, axis=0)
     off = None  # the sub- and superdiagonal, where nonzero
     if k == CONVEX_QUARTIC:
         diag = 3.0 * U**2
@@ -344,6 +362,120 @@ def hess_many(spec: EnergySpec, U: np.ndarray) -> np.ndarray:
         H[:, i[1:], i[:-1]] = off
         H[:, i[:-1], i[1:]] = off
     return H
+
+
+# -- one-point kernels -----------------------------------------------------------
+#
+# phi, dphi and ddphi of a one-coordinate state u on Python floats.  Each
+# repeats its row kernel's operations in the same order, down to the 0.0 that
+# starts a numpy sum (it turns a -0.0 term into 0.0), so the results are
+# bitwise those of eval_many, grad_many and hess_many on u[None, None].
+# Powers other than squares go through numpy's ``power`` ufunc: its SIMD loops
+# need not round like the libm ``pow`` behind Python's ``**``.
+
+
+def _pow(x: float, e) -> float:
+    return float(np.power(x, e))
+
+
+def _sign(x: float) -> float:
+    # np.sign, nan included
+    return 1.0 if x > 0.0 else -1.0 if x < 0.0 else 0.0 if x == 0.0 else x
+
+
+def _horner(c: tuple, u: float) -> float:
+    out = 0.0
+    for ck in reversed(c):
+        out = out * u + ck
+    return out
+
+
+def _quadratic_phi(a, b, u):
+    return 0.5 * (0.0 + u * a * u) - (0.0 + u * b)
+
+
+def _quadratic_dphi(a, b, u):
+    return (0.0 + u * a) - b
+
+
+def _quadratic_ddphi(a, b, u):
+    return a
+
+
+def _quartic_phi(u):
+    return _pow(u, 4) / 4.0
+
+
+def _quartic_dphi(u):
+    return _pow(u, 3)
+
+
+def _quartic_ddphi(u):
+    return 3.0 * (u * u)
+
+
+def _well_phi(u):
+    s = u * u - 1.0
+    return s * s / 4.0
+
+
+def _well_dphi(u):
+    return _pow(u, 3) - u
+
+
+def _well_ddphi(u):
+    return 3.0 * (u * u) - 1.0
+
+
+# the differences to the zero boundary values are u - 0.0 (which is u) and
+# 0.0 - u; c holds the reaction coefficients, differentiated as the kernel needs
+
+
+def _dirichlet_phi(p, h, c, u):
+    return (h / p) * (_pow(abs(u / h), p) + _pow(abs((0.0 - u) / h), p)) \
+        + h * (0.0 + _horner(c, u))
+
+
+def _dirichlet_dphi(p, h, c, u):
+    f0, f1 = (_pow(abs(g), p - 1.0) * _sign(g) for g in (u / h, (0.0 - u) / h))
+    return f0 - f1 + h * _horner(c, u)
+
+
+def _dirichlet_ddphi(p, h, c, u):
+    w0, w1 = ((p - 1.0) * _pow(abs(g), p - 2.0) / h for g in (u / h, (0.0 - u) / h))
+    return w0 + w1 + h * _horner(c, u)
+
+
+def _row_phi(spec, u):
+    return float(eval_many(spec, [[u]])[0])
+
+
+def _row_dphi(spec, u):
+    return float(grad_many(spec, [[u]])[0, 0])
+
+
+def _row_ddphi(spec, u):
+    return float(hess_many(spec, [[u]])[0, 0, 0])
+
+
+def _one_point(spec: EnergySpec) -> tuple:
+    """The (phi, dphi, ddphi) kernels of ``spec`` on one float coordinate."""
+    k = spec.kind
+    if k == QUADRATIC and spec.params["A"].shape == (1, 1):
+        ab = (float(spec.params["A"][0, 0]), float(spec.params["b"][0]))
+        return tuple(partial(f, *ab) for f in (_quadratic_phi, _quadratic_dphi, _quadratic_ddphi))
+    if k == CONVEX_QUARTIC:
+        return _quartic_phi, _quartic_dphi, _quartic_ddphi
+    if k == DOUBLE_WELL:
+        return _well_phi, _well_dphi, _well_ddphi
+    if k == DISCRETE_DIRICHLET:
+        p, h, reac = spec.params["p"], spec.params["h"], spec.params["reaction"]
+        dreac = _poly_d(reac)
+        return tuple(partial(f, p, h, tuple(c.tolist())) for f, c in (
+            (_dirichlet_phi, reac), (_dirichlet_dphi, dreac), (_dirichlet_ddphi, _poly_d(dreac))))
+    # the quantile kind, and quadratics of another size (which raise), run
+    # through the row kernels
+    return partial(_row_phi, spec), partial(_row_dphi, spec), partial(_row_ddphi, spec)
 
 
 # -- metric-aware helpers ------------------------------------------------------
@@ -379,7 +511,8 @@ def yosida(spec: EnergySpec, space: SpaceSpec, x: Point, t: float):
 
     Smooth kinds use damped Newton; one-dimensional states fall back to a
     bracketed scan plus golden-section refinement, which also rides out the
-    nonconvex inner problems (double_well with large t).
+    nonconvex inner problems (double_well with large t).  One-dimensional,
+    non-quantile states are solved on Python floats (``yosida_coord``).
     """
     if t <= 0.0:
         raise InvalidInputError("yosida needs t > 0")
@@ -389,51 +522,86 @@ def yosida(spec: EnergySpec, space: SpaceSpec, x: Point, t: float):
         # is unbounded below once 1/t + lambda_min <= 0
         raise InvalidInputError("inner problem not coercive: need t < 1/|lambda|")
     if space.dim == 1 and space.kind != QUANTILE1D:
+        value, y = yosida_coord(spec, space, float(x.coords[0]), t)
+        return value, Point(np.array([y]), space)
+    value, y = _yosida_newton(spec, space, x.coords.copy(), t)
+    return value, Point(y, space)
+
+
+def yosida_coord(spec: EnergySpec, space: SpaceSpec, xv: float, t: float):
+    """``yosida`` at the coordinate ``xv`` of a one-dimensional, non-quantile
+    state, for a ``t`` that ``yosida`` accepts; returns (value, argmin) as
+    Python floats."""
+    lam = spec.lam
+    if lam is not None and (lam >= 0.0 or 2.0 * t * abs(lam) < 0.9):
         # strongly convex inner problem: Newton is exact and much cheaper;
         # otherwise scan a bracket to ride out multiple local minima
-        lam = spec.lam
-        if lam is not None and (lam >= 0.0 or 2.0 * t * abs(lam) < 0.9):
-            return _yosida_newton(spec, space, x, t)
-        return _yosida_1d(spec, space, x, t)
-    return _yosida_newton(spec, space, x, t)
+        return _yosida_newton(spec, space, xv, t)
+    return _yosida_1d(spec, xv, t)
 
 
-def _yosida_1d(spec, space, x, t):
-    xv = float(x.coords[0])
-    phi = lambda y: float(eval_many(spec, np.array([[y]]))[0])
-    obj = lambda y: (y - xv) ** 2 / (2.0 * t) + phi(y)
+def _yosida_1d(spec, xv, t):
+    phi = spec.one_point[0]
+
+    def obj(y):
+        try:
+            sq = (y - xv) ** 2  # the libm pow of numpy's scalar **
+        except OverflowError:  # where numpy gives inf
+            sq = math.inf
+        return sq / (2.0 * t) + phi(y)
+
     span = 2.0 * (1.0 + abs(xv)) * max(1.0, math.sqrt(t))
     grid = np.linspace(xv - span, xv + span, 257)
-    vals = np.array([obj(y) for y in grid])
+    # obj on every grid point at once; float_power rounds like the libm pow
+    # behind ``**``, where numpy's power and square need not
+    vals = np.float_power(grid - xv, 2) / (2.0 * t) + eval_many(spec, grid[:, None])
     j = int(np.argmin(vals))
-    y = golden_section(obj, grid[max(j - 1, 0)], grid[min(j + 1, len(grid) - 1)], 0.0, 90)
-    return obj(y), Point(np.array([y]), space)
+    a, b = grid[max(j - 1, 0)], grid[min(j + 1, len(grid) - 1)]
+    y = golden_section(obj, float(a), float(b), 0.0, 90)
+    return obj(y), y
 
 
-def _yosida_newton(spec, space, x, t):
-    w = space.metric_weights
+def _yosida_newton(spec, space, x0, t):
+    """Damped Newton on the inner problem from ``x0``: a coordinate array, or
+    a Python float for a one-dimensional, non-quantile state, whose whole
+    iteration then runs on floats.  Returns (value, argmin) in that type."""
     if space.kind == PNORM and space.p != 2.0:
         raise NotAvailableError("yosida in pnorm spaces needs p = 2")
-    obj = lambda z: float(np.sum(w * (z - x.coords) ** 2)) / (2.0 * t) + float(
-        eval_many(spec, z[None, :])[0]
-    )
-    grad_at = lambda z: w * (z - x.coords) / t + grad_many(spec, z[None, :])[0]
-    sup_norm = lambda g: float(np.max(np.abs(g)))
-    shift = np.diag(w / t)
+    if isinstance(x0, float):
+        # the array iteration below with metric weight 1, one operation for
+        # one; the 1 x 1 solve is the division
+        phi, dphi, ddphi = spec.one_point
+        shift = 1.0 / t
+        obj = lambda z: (z - x0) * (z - x0) / (2.0 * t) + phi(z)
+        grad_at = lambda z: (z - x0) / t + dphi(z)
+        sup_norm = abs
 
-    def direction(y, g):
-        H = hess_dense(spec, y) + shift
-        step = levenberg(lambda rho: np.linalg.solve(H + rho * shift, -g), g, -g * t / w)
-        return step, float(step @ g)
+        def direction(y, g):
+            H = ddphi(y) + shift
+            step = levenberg(lambda rho: -g / (H + rho * shift), g, -g * t)
+            return step, step * g
+    else:
+        w = space.metric_weights
+        obj = lambda z: float(np.sum(w * (z - x0) ** 2)) / (2.0 * t) + float(
+            eval_many(spec, z[None, :])[0]
+        )
+        grad_at = lambda z: w * (z - x0) / t + grad_many(spec, z[None, :])[0]
+        sup_norm = lambda g: float(np.max(np.abs(g)))
+        shift = np.diag(w / t)
+
+        def direction(y, g):
+            H = hess_dense(spec, y) + shift
+            step = levenberg(lambda rho: np.linalg.solve(H + rho * shift, -g), g, -g * t / w)
+            return step, float(step @ g)
 
     # gradient entries scale with the 1/t proximal curvature, so the stop
     # threshold must carry that factor to stay reachable at tiny steps
-    gtol = 1e-12 * (1.0 + abs(obj(x.coords))) * (1.0 + 1.0 / t)
-    y, f, g, _, trace = damped_newton(x.coords.copy(), obj, grad_at, sup_norm,
+    gtol = 1e-12 * (1.0 + abs(obj(x0))) * (1.0 + 1.0 / t)
+    y, f, g, _, trace = damped_newton(x0, obj, grad_at, sup_norm,
                                       lambda g: sup_norm(g) <= gtol, direction, 200)
     if sup_norm(g) <= max(gtol, 1e-9 * (1.0 + abs(f)) * (1.0 + 1.0 / t)):
-        return f, Point(y, space)
-    raise NonConvergenceError("yosida inner Newton stalled", best=y, trace=trace)
+        return f, y
+    raise NonConvergenceError("yosida inner Newton stalled", best=np.atleast_1d(y), trace=trace)
 
 
 # -- local slope ---------------------------------------------------------------

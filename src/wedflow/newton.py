@@ -14,17 +14,24 @@ _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 def levenberg(solve, g, fallback):
     """First finite descent step ``solve(rho)`` for rho = 0, 1e-8, 1e-7, ...,
-    1e12 (``solve`` may raise on a singular system), else ``fallback``."""
+    1e12 (``solve`` may raise on a singular system), else ``fallback``.  Steps
+    and gradients are arrays, or Python floats for one-coordinate problems."""
     rho = 0.0
     while rho <= 1e12:
         try:
             step = solve(rho)
         except (ZeroDivisionError, np.linalg.LinAlgError):
             step = None
-        if step is not None and np.all(np.isfinite(step)) and float(np.sum(step * g)) < 0.0:
+        if step is not None and _descends(step, g):
             return step
         rho = max(10.0 * rho, 1e-8)
     return fallback
+
+
+def _descends(step, g) -> bool:
+    if isinstance(step, float):
+        return math.isfinite(step) and step * g < 0.0
+    return bool(np.all(np.isfinite(step))) and float(np.sum(step * g)) < 0.0
 
 
 def damped_newton(x, merit, derivs, residual, done, direction, max_iter):

@@ -16,10 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .energies import (
-    EnergySpec, QUADRATIC, QUANTILE_ENTROPY, analytic_slope, eval_many, yosida,
+    EnergySpec, QUADRATIC, QUANTILE_ENTROPY, analytic_slope, eval_many, yosida, yosida_coord,
 )
 from .errors import InvalidInputError, NotAvailableError
-from .spaces import QUANTILE1D, Point, SpaceSpec, distance, normal_quantile
+from .spaces import QUANTILE1D, Point, SpaceSpec, distance, normal_quantile, row_distances
 from .trajectories import TimeGrid, Trajectory, metric_speed
 from .value import IdentityReport
 from .wed import EULER_LAGRANGE, WedProblem, default_horizon, minimize_wed
@@ -49,13 +49,18 @@ def minimizing_movements(x_bar: Point, tau: float, steps: int,
         raise InvalidInputError("tau must stay below 1/(2|lambda|) for this energy")
     pts = np.empty((steps + 1, space.dim))
     pts[0] = x_bar.coords
-    movements = np.empty(steps)
-    cur = x_bar
-    for k in range(steps):
-        _, nxt = yosida(energy, space, cur, tau)
-        movements[k] = distance(space, cur, nxt)
-        pts[k + 1] = nxt.coords
-        cur = nxt
+    if space.dim == 1 and space.kind != QUANTILE1D:
+        # one-point proximal steps on Python floats
+        y = float(x_bar.coords[0])
+        for k in range(steps):
+            y = yosida_coord(energy, space, y, tau)[1]
+            pts[k + 1, 0] = y
+    else:
+        cur = x_bar
+        for k in range(steps):
+            cur = yosida(energy, space, cur, tau)[1]
+            pts[k + 1] = cur.coords
+    movements = row_distances(space, pts[:-1], pts[1:])
     grid = TimeGrid(np.linspace(0.0, steps * tau, steps + 1), "uniform")
     traj = Trajectory(grid, pts, space)
     return MMSolution(trajectory=traj, argmins=pts[1:].copy(), movements=movements, tau=tau)

@@ -149,6 +149,18 @@ def distance(space: SpaceSpec, a: Point, b: Point) -> float:
     return float(np.sqrt(np.sum(diff * diff)))
 
 
+def row_distances(space: SpaceSpec, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """``distance`` of the rows of A and B, pair by pair, bitwise as
+    ``distance`` gives it (float_power takes the root with the libm pow of
+    numpy's scalar ``**``)."""
+    diff = A - B
+    if space.kind == PNORM:
+        return np.float_power(np.sum(np.abs(diff) ** space.p, axis=1), 1.0 / space.p)
+    if space.kind == QUANTILE1D:
+        return np.sqrt(np.sum(diff * diff, axis=1) / space.dim)
+    return np.sqrt(np.sum(diff * diff, axis=1))
+
+
 def geodesic_point(space: SpaceSpec, a: Point, b: Point, theta: float) -> Point:
     """Point at parameter theta on the constant-speed segment from a to b.
 

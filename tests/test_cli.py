@@ -200,8 +200,9 @@ def test_task_commands_run_no_suites(tmp_path):
     (cfg(T=-1.0), "config /T:"),
     (cfg(T=0.0), "config /T:"),
     (cfg(epsilon=0.0), "config /epsilon:"),
+    (cfg(eps_list=[0.1, 0.05, -0.01]), "config /eps_list/2:"),
 ], ids=["N", "cache_capacity", "max_iter", "t_obs", "epsilon", "eps_list", "grid_mode",
-        "not_an_object", "N_zero", "T_negative", "T_zero", "epsilon_zero"])
+        "not_an_object", "N_zero", "T_negative", "T_zero", "epsilon_zero", "eps_list_negative"])
 def test_bad_config_values_are_config_errors(tmp_path, config, needle):
     out = tmp_path / "out"
     code = main(["check", "--config", str(write_cfg(tmp_path, config)), "--out", str(out),

@@ -10,6 +10,7 @@ from wedflow import (
     q_value, quadratic, quantile_entropy_potential, yosida,
 )
 from wedflow.energies import eval_many, grad_many, hess_dense, hess_many, reference_point
+from wedflow.newton import damped_newton, golden_section, levenberg
 
 E1 = SpaceSpec.euclidean(1)
 
@@ -201,6 +202,69 @@ def test_yosida_multidimensional_newton():
     y = np.linalg.solve(np.eye(2) / t + A, x.coords / t)
     assert np.allclose(arg.coords, y, atol=1e-9)
     assert val == pytest.approx(np.sum((y - x.coords) ** 2) / (2 * t) + 0.5 * y @ A @ y, abs=1e-10)
+
+
+def array_yosida_1d(spec, x, t):
+    """The 1-D proximal step on numpy values: the Newton branch on (1, 1)
+    arrays through the row kernels and np.linalg.solve, the bracket branch
+    on numpy scalars, one eval_many call per point."""
+    lam = spec.lam
+    if lam is not None and (lam >= 0.0 or 2.0 * t * abs(lam) < 0.9):
+        w, xc = np.ones(1), np.array([x])
+        obj = lambda z: float(np.sum(w * (z - xc) ** 2)) / (2.0 * t) + float(
+            eval_many(spec, z[None, :])[0])
+        grad_at = lambda z: w * (z - xc) / t + grad_many(spec, z[None, :])[0]
+        sup_norm = lambda g: float(np.max(np.abs(g)))
+        shift = np.diag(w / t)
+
+        def direction(y, g):
+            H = hess_dense(spec, y) + shift
+            step = levenberg(lambda rho: np.linalg.solve(H + rho * shift, -g), g, -g * t / w)
+            return step, float(step @ g)
+
+        gtol = 1e-12 * (1.0 + abs(obj(xc))) * (1.0 + 1.0 / t)
+        y, f, _, _, _ = damped_newton(xc.copy(), obj, grad_at, sup_norm,
+                                      lambda g: sup_norm(g) <= gtol, direction, 200)
+        return f, y[0]
+    obj = lambda y: (y - x) ** 2 / (2.0 * t) + float(eval_many(spec, np.array([[y]]))[0])
+    span = 2.0 * (1.0 + abs(x)) * max(1.0, math.sqrt(t))
+    grid = np.linspace(x - span, x + span, 257)
+    j = int(np.argmin(np.array([obj(y) for y in grid])))
+    y = golden_section(obj, grid[max(j - 1, 0)], grid[min(j + 1, 256)], 0.0, 90)
+    return obj(y), y
+
+
+PROX_CASES = [
+    # double well (lambda = -1): Newton below t = 0.45, the bracket from there
+    *[(double_well(), t) for t in (4e-5, 0.01, 0.3, 0.45, 0.8, 3.0)],
+    *[(convex_quartic(), t) for t in (1e-3, 0.5)],
+    # lambda = -1.5: Newton below t = 0.3, the bracket up to 1/|lambda|
+    *[(quadratic([[-1.5]], [0.25]), t) for t in (0.1, 0.4)],
+    # no modulus: always the bracket
+    (discrete_dirichlet(p=4.5, h=0.3, reaction=(0.5, -1.0, 0.25)), 0.05),
+]
+
+
+@pytest.mark.parametrize("spec, t", PROX_CASES,
+                         ids=[f"{spec.kind}-t{t}" for spec, t in PROX_CASES])
+def test_yosida_1d_is_bitwise_the_array_iteration(spec, t):
+    for x in (-1.3, -0.2, 0.0, 0.37, 1.9):
+        val, arg = yosida(spec, E1, point([x], E1), t)
+        ref_val, ref_arg = array_yosida_1d(spec, x, t)
+        assert type(val) is float
+        assert (val, arg.coords[0]) == (ref_val, ref_arg)
+        assert np.array([val, arg.coords[0]]).tobytes() == np.array([ref_val, ref_arg]).tobytes()
+
+
+@pytest.mark.parametrize("t", [0.01, 1.0])
+def test_yosida_1d_overflow_gives_inf_as_numpy_does(t):
+    # far out, the bracket's squares overflow: numpy scalars give inf where
+    # Python's ** raises OverflowError
+    with np.errstate(over="ignore", invalid="ignore"):
+        val, arg = yosida(double_well(), E1, point([1e160], E1), t)
+        ref_val, ref_arg = array_yosida_1d(double_well(), 1e160, t)
+    assert val == ref_val == math.inf
+    assert arg.coords[0] == ref_arg
 
 
 def test_local_slope_analytic():

@@ -8,7 +8,7 @@ from wedflow import (
     TimeGrid, Trajectory, WedProblem, check_max_slope, convergence_study,
     convex_quartic, distance, double_well, exact_flow, gaussian_quantiles,
     lambda_diagnostics, minimize_wed, minimizing_movements, normal_quantile,
-    point, quadratic, quantile_entropy_potential,
+    point, quadratic, quantile_entropy_potential, yosida,
 )
 from wedflow.energies import eval_many
 
@@ -74,6 +74,26 @@ def test_mm_energy_dissipation_equality_first_order():
                          + 0.5 * np.sum(tau * slopes**2) + phis[-1] - phis[0])
     assert resid[0.01] < resid[0.02]
     assert 1.5 <= resid[0.02] / resid[0.01] <= 2.5  # first-order decay
+
+
+@pytest.mark.parametrize("space, energy, x0, tau", [
+    (E1, double_well(), [0.3], 0.01),
+    (E1, double_well(), [0.3], 0.46),  # the bracketed 1-D prox
+    (SpaceSpec.pnorm(1, 3.0), double_well(), [-1.2], 0.46),
+    (SpaceSpec.pnorm(1, 2.0), convex_quartic(), [-1.2], 0.01),
+    (SpaceSpec.euclidean(3), double_well(), [0.3, -1.4, 0.05], 0.01),
+    (SpaceSpec.quantile1d(8), quantile_entropy_potential(v2=1.0, v1=0.3), None, 0.01),
+], ids=["euclidean1", "euclidean1-bracket", "pnorm1-p3", "pnorm1-p2", "euclidean3",
+        "quantile8"])
+def test_mm_steps_are_yosida_and_movements_are_distances(space, energy, x0, tau):
+    x = gaussian_quantiles(space, 0.5, 2.0) if x0 is None else point(x0, space)
+    mm = minimizing_movements(x, tau, 40, energy, space)
+    P = mm.trajectory.points
+    for k in range(40):
+        step = yosida(energy, space, Point(P[k], space), tau)[1].coords
+        assert P[k + 1].tobytes() == step.tobytes()
+    dists = [distance(space, Point(P[k], space), Point(P[k + 1], space)) for k in range(40)]
+    assert mm.movements.tobytes() == np.array(dists).tobytes()
 
 
 def test_mm_rejects_too_large_step():

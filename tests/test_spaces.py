@@ -7,6 +7,7 @@ from wedflow import (
     InvalidInputError, Point, SpaceSpec, distance, gaussian_quantiles,
     geodesic_point, normal_quantile, point,
 )
+from wedflow.spaces import row_distances
 
 SPACES = [
     SpaceSpec.euclidean(3),
@@ -65,6 +66,19 @@ def test_distance_symmetry_and_triangle():
             assert dab == distance(space, b, a)
             dac, dcb = distance(space, a, c), distance(space, c, b)
             assert dab <= (dac + dcb) * (1.0 + 1e-12)
+
+
+@pytest.mark.parametrize("space", SPACES + [
+    SpaceSpec.euclidean(1), SpaceSpec.pnorm(1, 4.5), SpaceSpec.quantile1d(16),
+    SpaceSpec.euclidean(17),
+], ids=lambda s: f"{s.kind}{s.dim}")
+def test_row_distances_are_bitwise_distance(space):
+    rng = np.random.default_rng(13)
+    pts = [random_point(space, rng) for _ in range(200)]
+    A = np.array([p.coords for p in pts[:-1]])
+    B = np.array([p.coords for p in pts[1:]])
+    want = [distance(space, a, b) for a, b in zip(pts[:-1], pts[1:])]
+    assert row_distances(space, A, B).tobytes() == np.array(want).tobytes()
 
 
 def test_geodesic_endpoints_exact():
