@@ -5,7 +5,7 @@ and a battery of identity checks."""
 __version__ = "0.1.0"
 
 from .energies import (
-    Coercivity, EnergySpec, SlopeEstimate, analytic_slope, convex_quartic,
+    Coercivity, EnergySpec, SlopeEstimate, analytic_slope, analytic_slopes, convex_quartic,
     discrete_dirichlet, double_well, energy_eval, energy_grad, local_slope,
     quadratic, quantile_entropy_potential, q_value, yosida,
 )
@@ -15,7 +15,7 @@ from .errors import (
 )
 from .reference import (
     ConvergenceTable, MMSolution, StudyOptions, check_max_slope,
-    convergence_study, exact_flow, lambda_diagnostics, minimizing_movements,
+    convergence_study, exact_flow, exact_flows, lambda_diagnostics, minimizing_movements,
 )
 from .spaces import (
     Point, SpaceSpec, distance, gaussian_quantiles, geodesic_point,

@@ -28,13 +28,15 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .energies import EnergySpec, energy_eval, eval_many
+from .energies import EnergySpec, eval_many
 from .errors import WedflowError
 from .reference import (
     StudyOptions, convergence_study, lambda_diagnostics, minimizing_movements,
 )
 from .spaces import EUCLIDEAN, Point, SpaceSpec, distance
-from .trajectories import GRID_MODES, UNIFORM, poincare_witness, spectral_check
+from .trajectories import (
+    GRID_MODES, UNIFORM, g_reparam, metric_speed, poincare_witness, spectral_check,
+)
 from .value import (
     IdentityReport, ProbeOptions, ValueCache, ValueOptions, check_dpp,
     check_eps_monotonicity, check_fundamental_identity, check_hj,
@@ -143,7 +145,8 @@ class Experiment:
                 grad_tol=self.grad_tol, max_iter=self.max_iter,
             )
         except WedflowError as exc:
-            raise ConfigError("/epsilon", str(exc))
+            field = getattr(exc, "field", None)
+            raise ConfigError(f"/{field}" if field else "", str(exc))
 
     def solution(self):
         if self._solution is None:
@@ -268,15 +271,18 @@ def suite_fundamental(exp: Experiment, outdir: Path) -> IdentityReport:
     return check_fundamental_identity(exp.solution())
 
 
+def _sweep_points(exp: Experiment) -> list:
+    """The 20 points from x_bar - 1 to x_bar + 1 of 1-D ``monotone`` and ``sweep``."""
+    x0 = exp.x_bar.coords[0]
+    return [Point(np.array([xv]), exp.space) for xv in np.linspace(x0 - 1.0, x0 + 1.0, 20)]
+
+
 def suite_monotone(exp: Experiment, outdir: Path) -> IdentityReport:
     if exp.space.dim != 1:
         return check_eps_monotonicity(exp.energy, exp.x_bar, exp.eps_list, exp.value_opts())
-    xs = np.linspace(exp.x_bar.coords[0] - 1.0, exp.x_bar.coords[0] + 1.0, 20)
     worst = None
-    for xv in xs:
-        rep = check_eps_monotonicity(
-            exp.energy, Point(np.array([xv]), exp.space), exp.eps_list, exp.value_opts()
-        )
+    for x in _sweep_points(exp):
+        rep = check_eps_monotonicity(exp.energy, x, exp.eps_list, exp.value_opts())
         if worst is None or rep.max_residual > worst.max_residual:
             worst = rep
     return worst
@@ -331,26 +337,22 @@ def suite_finsler(exp: Experiment, outdir: Path) -> IdentityReport:
     b_coords = np.zeros(space.dim)
     b_coords[0] = 1.5
     b = Point(b_coords, space)
-    d_plain = finsler_distance(space, lambda p: 1.0, a, b)
+    d_plain = finsler_distance(space, lambda P: np.ones(len(P)), a, b)
     resid = [abs(d_plain - distance(space, a, b)) / 1e-6]
     s1 = SpaceSpec.euclidean(1)
     c_val = 4.0
     da = Point(np.array([0.0]), s1)
     db = Point(np.array([2.0]), s1)
-    d_const = finsler_distance(s1, lambda p: math.sqrt(c_val), da, db)
+    d_const = finsler_distance(s1, lambda P: np.full(len(P), math.sqrt(c_val)), da, db)
     resid.append(abs(d_const - math.sqrt(c_val) * 2.0) / 1e-4)
     if exp.space.dim == 1 and exp.space.kind == EUCLIDEAN:
-        f_phi = lambda p: math.sqrt(max(1.0, energy_eval(exp.energy, p)))
+        f_phi = lambda P: np.sqrt(np.maximum(1.0, eval_many(exp.energy, P)))
     else:
-        f_phi = lambda p: math.sqrt(max(1.0, float(p.coords[0]) ** 2))
+        f_phi = lambda P: np.sqrt(np.maximum(1.0, np.float_power(P[:, 0], 2)))
     val, curve = finsler_distance(s1, f_phi, da, db, return_curve=True)
-    from .trajectories import g_reparam, metric_speed as _speed
-
     rep_curve = g_reparam(curve, f_phi)
-    v = _speed(rep_curve)
     mids = 0.5 * (rep_curve.points[:-1] + rep_curve.points[1:])
-    fvals = np.array([f_phi(Point(m, s1)) for m in mids])
-    product = float(np.sum(fvals * v * rep_curve.grid.dt))
+    product = float(np.sum(f_phi(mids) * metric_speed(rep_curve) * rep_curve.grid.dt))
     resid.append(abs(product - val) / max(val, 1e-9) / 1e-3)
     resid = np.asarray(resid)
     return IdentityReport(
@@ -410,9 +412,7 @@ def emit_value(exp: Experiment, outdir: Path, xs=None) -> None:
 def emit_sweep(exp: Experiment, outdir: Path) -> None:
     if exp.space.dim != 1:
         raise ConfigError("/space", "sweep currently expects a one-dimensional space")
-    xs = [Point(np.array([xv]), exp.space)
-          for xv in np.linspace(exp.x_bar.coords[0] - 1.0, exp.x_bar.coords[0] + 1.0, 20)]
-    emit_value(exp, outdir, xs)
+    emit_value(exp, outdir, _sweep_points(exp))
 
 
 def emit_mm(exp: Experiment, outdir: Path) -> None:

@@ -13,7 +13,8 @@ Values are plain floats with math.inf as the absorbing out-of-domain
 sentinel (non-monotone quantile vectors).  Gradients and Hessians raise
 DomainError there instead.  The ``*_many`` kernels work row-wise on (n, d)
 arrays: a trajectory solver gets all Hessians of a Newton step from one
-``hess_many`` call.  A state with one coordinate is evaluated on Python
+``hess_many`` call, the descent check all slopes of a curve from one
+``analytic_slopes`` call.  A state with one coordinate is evaluated on Python
 floats by ``EnergySpec.one_point``, with the row kernels' arithmetic: the
 results are bitwise those of the ``*_many`` kernels on one row, without
 numpy's per-call overhead.  ``energy_eval``, ``energy_grad``, the 1-D
@@ -239,7 +240,7 @@ def _poly_d(c):
 def _quadratic_params(spec: EnergySpec, U: np.ndarray):
     A, b = spec.params["A"], spec.params["b"]
     if U.shape[1] != A.shape[0]:
-        raise InvalidInputError("dimension mismatch with quadratic energy")
+        raise InvalidInputError("dimension mismatch with quadratic energy", "energy")
     return A, b
 
 
@@ -314,11 +315,6 @@ def grad_many(spec: EnergySpec, U: np.ndarray) -> np.ndarray:
         out[:, 1:] -= inv / m
         return out
     raise NotAvailableError(spec.kind)
-
-
-def hess_dense(spec: EnergySpec, u: np.ndarray) -> np.ndarray:
-    """Hessian of phi at coordinates u as a dense (d, d) matrix."""
-    return hess_many(spec, np.asarray(u, dtype=float)[None, :])[0]
 
 
 def hess_many(spec: EnergySpec, U: np.ndarray) -> np.ndarray:
@@ -481,26 +477,24 @@ def _one_point(spec: EnergySpec) -> tuple:
 # -- metric-aware helpers ------------------------------------------------------
 
 
-def metric_grad(spec: EnergySpec, space: SpaceSpec, x: Point) -> np.ndarray:
-    """Gradient with respect to the space metric (drives the metric flow)."""
-    g = energy_grad(spec, x)
+def analytic_slopes(spec: EnergySpec, space: SpaceSpec, U: np.ndarray) -> np.ndarray:
+    """|dphi| row-wise on an (n, d) array: the metric (dual) norm of each row's
+    gradient, from one ``grad_many`` call.  Bitwise ``analytic_slope`` per row
+    but for quadratics with d > 1, whose matrix product may round differently
+    on many rows.  The p-norm root is float_power's, the libm pow of ``**``."""
+    G = grad_many(spec, U)
+    if space.kind == PNORM:
+        q = space.p / (space.p - 1.0)
+        return np.float_power(np.sum(np.abs(G) ** q, axis=1), 1.0 / q)
     if space.kind == QUANTILE1D:
-        return g * space.dim  # inverse of the 1/m metric weights
-    if space.kind == PNORM and space.p != 2.0:
-        raise NotAvailableError("metric gradient only for inner-product metrics")
-    return g
+        # metric gradient m*g measured in the (1/m)-weighted l2 norm
+        return np.sqrt(space.dim * np.sum(G * G, axis=1))
+    return np.sqrt(np.sum(G * G, axis=1))
 
 
 def analytic_slope(spec: EnergySpec, space: SpaceSpec, x: Point) -> float:
-    """|dphi|(x) as the metric (dual) norm of the gradient."""
-    g = energy_grad(spec, x)
-    if space.kind == PNORM:
-        q = space.p / (space.p - 1.0)
-        return float(np.sum(np.abs(g) ** q) ** (1.0 / q))
-    if space.kind == QUANTILE1D:
-        # metric gradient m*g measured in the (1/m)-weighted l2 norm
-        return float(np.sqrt(space.dim * np.sum(g * g)))
-    return float(np.sqrt(np.sum(g * g)))
+    """|dphi|(x): ``analytic_slopes`` on one row."""
+    return float(analytic_slopes(spec, space, x.coords[None])[0])
 
 
 # -- Moreau-Yosida regularization ---------------------------------------------
@@ -590,7 +584,7 @@ def _yosida_newton(spec, space, x0, t):
         shift = np.diag(w / t)
 
         def direction(y, g):
-            H = hess_dense(spec, y) + shift
+            H = hess_many(spec, y[None])[0] + shift
             step = levenberg(lambda rho: np.linalg.solve(H + rho * shift, -g), g, -g * t / w)
             return step, float(step @ g)
 

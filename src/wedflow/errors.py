@@ -6,7 +6,12 @@ class WedflowError(Exception):
 
 
 class InvalidInputError(WedflowError):
-    """Malformed or mutually inconsistent arguments (dimension mismatch, bad ranges)."""
+    """Malformed or mutually inconsistent arguments (dimension mismatch, bad
+    ranges); ``field`` names the argument at fault, where a single one is."""
+
+    def __init__(self, message, field=None):
+        super().__init__(message)
+        self.field = field
 
 
 class DomainError(WedflowError):

@@ -137,22 +137,18 @@ def _check_same_space(a: Point, b: Point):
 
 
 def distance(space: SpaceSpec, a: Point, b: Point) -> float:
-    """Metric distance d(a, b); W_2 for quantile vectors."""
+    """Metric distance d(a, b); W_2 for quantile vectors (``row_distances``
+    on one row)."""
     _check_same_space(a, b)
     if a.space != space:
         raise InvalidInputError("points do not belong to the given space")
-    diff = a.coords - b.coords
-    if space.kind == PNORM:
-        return float(np.sum(np.abs(diff) ** space.p) ** (1.0 / space.p))
-    if space.kind == QUANTILE1D:
-        return float(np.sqrt(np.sum(diff * diff) / space.dim))
-    return float(np.sqrt(np.sum(diff * diff)))
+    return float(row_distances(space, a.coords[None], b.coords[None])[0])
 
 
 def row_distances(space: SpaceSpec, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """``distance`` of the rows of A and B, pair by pair, bitwise as
-    ``distance`` gives it (float_power takes the root with the libm pow of
-    numpy's scalar ``**``)."""
+    """The distances of the rows of A and B, pair by pair.  Each is bitwise
+    the distance of its pair on numpy scalars: float_power takes the p-norm
+    root with the libm pow of numpy's scalar ``**``."""
     diff = A - B
     if space.kind == PNORM:
         return np.float_power(np.sum(np.abs(diff) ** space.p, axis=1), 1.0 / space.p)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateCurveError, DomainError, InvalidInputError
-from .spaces import Point, SpaceSpec
+from .spaces import Point, SpaceSpec, row_distances
 
 UNIFORM = "uniform"
 EXP_GRADED = "exp_graded"
@@ -120,38 +120,37 @@ class Trajectory:
 
 def metric_speed(traj: Trajectory) -> np.ndarray:
     """Forward-difference speeds v_i = d(u_i, u_{i+1}) / dt_i, one per cell."""
-    seg = _segment_lengths(traj)
-    return seg / traj.grid.dt
-
-
-def _segment_lengths(traj: Trajectory) -> np.ndarray:
-    diff = np.diff(traj.points, axis=0)
-    sp = traj.space
-    if sp.kind == "pnorm":
-        return np.sum(np.abs(diff) ** sp.p, axis=1) ** (1.0 / sp.p)
-    w = sp.metric_weights
-    return np.sqrt(np.sum(w * diff * diff, axis=1))
+    return row_distances(traj.space, traj.points[:-1], traj.points[1:]) / traj.grid.dt
 
 
 def arclength_reparam(traj: Trajectory) -> Trajectory:
     """Unit-speed reparameterization onto a uniform grid over [0, L]."""
-    seg = _segment_lengths(traj)
+    seg = row_distances(traj.space, traj.points[:-1], traj.points[1:])
     L = float(np.sum(seg))
     if L <= 0.0:
         raise DegenerateCurveError("arclength reparameterization of a constant curve")
     return _resample(traj, seg, L)
 
 
+def row_values(f, P: np.ndarray) -> np.ndarray:
+    """``f(P)``, checked to be one value per row of the (n, d) array P."""
+    vals = np.asarray(f(P), dtype=float)
+    if vals.shape != (P.shape[0],):
+        raise InvalidInputError(f"need one value per row of {P.shape}, got shape {vals.shape}")
+    return vals
+
+
 def g_reparam(traj: Trajectory, g) -> Trajectory:
     """Reparameterize so the curve's speed matches g along it.
 
-    ``g`` is a callable on Point, sampled at segment midpoints; it must be
-    strictly positive there.  The output parameter interval is [0, S] with
-    S = sum of segment_length / g.
+    ``g`` maps an (n, d) array of coordinate rows to n values (``row_values``);
+    it is called once, on the segment midpoints, and must be strictly positive
+    there.  The output parameter interval is [0, S] with S = sum of
+    segment_length / g.
     """
-    seg = _segment_lengths(traj)
-    mids = 0.5 * (traj.points[:-1] + traj.points[1:])
-    gvals = np.array([float(g(Point(m, traj.space))) for m in mids])
+    P = traj.points
+    seg = row_distances(traj.space, P[:-1], P[1:])
+    gvals = row_values(g, 0.5 * (P[:-1] + P[1:]))
     if np.any(~np.isfinite(gvals)) or np.any(gvals <= 0.0):
         raise DomainError("g must be positive and finite along the curve")
     increments = seg / gvals

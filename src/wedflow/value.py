@@ -25,7 +25,7 @@ from .energies import EnergySpec, analytic_slope, energy_eval, q_value, yosida
 from .errors import InvalidInputError
 from .newton import damped_newton, golden_section
 from .spaces import QUANTILE1D, Point, SpaceSpec, distance
-from .trajectories import EXP_GRADED, TimeGrid, Trajectory, Weights
+from .trajectories import EXP_GRADED, TimeGrid, Trajectory, Weights, row_values
 from .wed import (
     DIRECT, WedProblem, WedSolution, default_horizon, minimize_wed, solve_block_tridiag,
 )
@@ -489,11 +489,16 @@ def finsler_distance(space: SpaceSpec, f, u0: Point, u1: Point,
                      opts: FinslerOptions | None = None, return_curve: bool = False):
     """Length distance weighting curve speed by f >= 1.
 
+    ``f`` maps an (n, d) array of coordinate rows to n values: one call weighs
+    all segment midpoints, or difference stencil points, of a step; f >= 1 is
+    checked on the rows u0, u1 and their midpoint.
+
     Evaluated through the action form: minimize the integral of
     |curve'|^2/2 + f(curve)^2/2 over curves AND over the parameter interval
     length S; at the optimal S the action equals the weighted length.  The
     curve problem is solved by descent preconditioned with the exact kinetic
-    operator; S by golden-section.
+    operator; S by golden-section.  Weights are squared with float_power,
+    the libm pow of Python's float ``**``.
     """
     opts = opts or FinslerOptions()
     if u0.space != space or u1.space != space:
@@ -501,10 +506,11 @@ def finsler_distance(space: SpaceSpec, f, u0: Point, u1: Point,
     d0 = distance(space, u0, u1)
     if d0 == 0.0:
         return (0.0, None) if return_curve else 0.0
-    fvals = [float(f(u0)), float(f(u1)), float(f(Point(0.5 * (u0.coords + u1.coords), space)))]
-    if any(v < 1.0 - 1e-12 for v in fvals):
+    fvals = row_values(f, np.stack([u0.coords, u1.coords, 0.5 * (u0.coords + u1.coords)]))
+    if np.any(fvals < 1.0 - 1e-12):
         raise InvalidInputError("finsler weight must satisfy f >= 1")
-    fmax = max(fvals)
+    fmax = float(np.max(fvals))
+    f2 = lambda P: np.float_power(row_values(f, P), 2)
     lo, hi = 0.1 * d0, 10.0 * math.sqrt(fmax) * max(d0, 1e-6)
     K = opts.n_cells
     w = space.metric_weights
@@ -517,9 +523,7 @@ def finsler_distance(space: SpaceSpec, f, u0: Point, u1: Point,
             step = 1e-6 * (1.0 + np.abs(P[:, j]))
             Pp = P.copy(); Pp[:, j] += step
             Pm = P.copy(); Pm[:, j] -= step
-            fp = np.array([float(f(Point(row, space))) ** 2 for row in Pp])
-            fm = np.array([float(f(Point(row, space))) ** 2 for row in Pm])
-            out[:, j] = (fp - fm) / (2.0 * step)
+            out[:, j] = (f2(Pp) - f2(Pm)) / (2.0 * step)
         return out
 
     def action(P, S):
@@ -527,9 +531,7 @@ def finsler_distance(space: SpaceSpec, f, u0: Point, u1: Point,
         h = S / K
         dP = np.diff(P, axis=0)
         kin = 0.5 * float(np.sum(w * dP * dP)) / h
-        mids = 0.5 * (P[:-1] + P[1:])
-        fsq = np.array([float(f(Point(row, space))) ** 2 for row in mids])
-        return kin + 0.5 * h * float(np.sum(fsq))
+        return kin + 0.5 * h * float(np.sum(f2(0.5 * (P[:-1] + P[1:]))))
 
     full = lambda V: np.concatenate([theta[:1], V, theta[-1:]])  # endpoints pinned
     sup_norm = lambda g: float(np.max(np.abs(g)))

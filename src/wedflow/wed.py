@@ -64,18 +64,20 @@ class WedProblem:
         if self.grid_mode not in GRID_MODES:
             raise InvalidInputError(f"unknown grid mode {self.grid_mode!r}")
         if self.space.kind == PNORM and self.space.p != 2.0:
-            raise InvalidInputError("trajectory solvers need an inner-product metric (p = 2)")
+            raise InvalidInputError("trajectory solvers need an inner-product metric (p = 2)",
+                                    "space")
         co = self.energy.coercivity
         if co is None:
-            raise InvalidInputError("energy provides no coercivity constants")
+            raise InvalidInputError("energy provides no coercivity constants", "energy")
         if 1.0 / (16.0 * self.epsilon) < co.B:
             raise InvalidInputError(
-                f"well-posedness requires 1/(16 eps) >= B: eps={self.epsilon}, B={co.B}"
+                f"well-posedness requires 1/(16 eps) >= B: eps={self.epsilon}, B={co.B}",
+                "epsilon",
             )
         if self.x_bar.space != self.space:
-            raise InvalidInputError("x_bar does not live in the problem space")
+            raise InvalidInputError("x_bar does not live in the problem space", "x_bar")
         if not math.isfinite(float(eval_many(self.energy, self.x_bar.coords[None, :])[0])):
-            raise InvalidInputError("x_bar must have finite energy")
+            raise InvalidInputError("x_bar must have finite energy", "x_bar")
 
     def grid(self) -> TimeGrid:
         if self.grid_mode == EXP_GRADED:

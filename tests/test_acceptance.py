@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from wedflow import (
-    Point, SpaceSpec, StudyOptions, WedProblem, check_dpp,
+    SpaceSpec, StudyOptions, WedProblem, check_dpp,
     check_eps_monotonicity, check_fundamental_identity, check_hj,
     check_yosida_bound, convergence_study, convex_quartic, distance,
     double_well, exact_flow, finsler_distance, gaussian_quantiles, g_reparam,
@@ -20,7 +20,7 @@ from wedflow import (
     quadratic, quantile_entropy_potential, solve_euler_lagrange,
     spectral_check, wed_slope_compare,
 )
-from wedflow.energies import energy_eval
+from wedflow.energies import eval_many
 
 E1 = SpaceSpec.euclidean(1)
 QUAD = quadratic([[1.0]])
@@ -229,21 +229,21 @@ def test_criterion_11_small_parameter_convergence():
 def test_criterion_12_finsler_distance():
     s2 = SpaceSpec.euclidean(2)
     a2, b2 = point([0.0, 0.0], s2), point([1.0, 2.0], s2)
-    plain = finsler_distance(s2, lambda p: 1.0, a2, b2)
+    plain = finsler_distance(s2, lambda P: np.ones(len(P)), a2, b2)
     err_plain = abs(plain - distance(s2, a2, b2))
     assert err_plain <= 1e-6
     c = 4.0
     a1, b1 = point([0.0], E1), point([2.0], E1)
-    const = finsler_distance(E1, lambda p: math.sqrt(c), a1, b1)
+    const = finsler_distance(E1, lambda P: np.full(len(P), math.sqrt(c)), a1, b1)
     err_const = abs(const - math.sqrt(c) * 2.0)
     assert err_const <= 1e-4
-    f = lambda p: math.sqrt(max(1.0, energy_eval(QUAD, p)))
+    f = lambda P: np.sqrt(np.maximum(1.0, eval_many(QUAD, P)))
     val, curve = finsler_distance(E1, f, point([0.5], E1), point([3.0], E1),
                                   return_curve=True)
     rep = g_reparam(curve, f)
     v = metric_speed(rep)
     mids = 0.5 * (rep.points[:-1] + rep.points[1:])
-    fv = np.array([f(Point(m, E1)) for m in mids])
+    fv = f(mids)
     product = float(np.sum(fv * v * rep.grid.dt))
     rel = abs(product - val) / val
     assert rel <= 1e-3

@@ -201,8 +201,20 @@ def test_task_commands_run_no_suites(tmp_path):
     (cfg(T=0.0), "config /T:"),
     (cfg(epsilon=0.0), "config /epsilon:"),
     (cfg(eps_list=[0.1, 0.05, -0.01]), "config /eps_list/2:"),
+    (cfg(space={"kind": "pnorm", "dim": 1, "p": 3.0}), "config /space: trajectory solvers"),
+    pytest.param(cfg(energy={"kind": "double_well"}, x_bar=[1e200]),
+                 "config /x_bar: x_bar must have",
+                 marks=pytest.mark.filterwarnings("ignore:overflow encountered")),
+    (cfg(space={"kind": "quantile1d", "m": 3}, x_bar=[-1.0, 0.0, 1.0],
+         energy={"kind": "quantile_entropy_potential", "params": {"v2": 0.0}}),
+     "config /energy: energy provides no coercivity"),
+    (cfg(energy={"kind": "quadratic", "params": {"A": [[1.0, 0.0], [0.0, 1.0]]}}),
+     "config /energy: dimension mismatch"),
+    (cfg(energy={"kind": "quadratic", "params": {"A": [[-1.0]]}}), "config /epsilon: well-posed"),
 ], ids=["N", "cache_capacity", "max_iter", "t_obs", "epsilon", "eps_list", "grid_mode",
-        "not_an_object", "N_zero", "T_negative", "T_zero", "epsilon_zero", "eps_list_negative"])
+        "not_an_object", "N_zero", "T_negative", "T_zero", "epsilon_zero", "eps_list_negative",
+        "pnorm_space", "x_bar_infinite_energy", "energy_no_coercivity", "energy_of_other_dim",
+        "epsilon_too_large"])
 def test_bad_config_values_are_config_errors(tmp_path, config, needle):
     out = tmp_path / "out"
     code = main(["check", "--config", str(write_cfg(tmp_path, config)), "--out", str(out),

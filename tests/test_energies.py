@@ -9,7 +9,9 @@ from wedflow import (
     gaussian_quantiles, geodesic_point, local_slope, normal_quantile, point,
     q_value, quadratic, quantile_entropy_potential, yosida,
 )
-from wedflow.energies import eval_many, grad_many, hess_dense, hess_many, reference_point
+from wedflow.energies import (
+    analytic_slope, analytic_slopes, eval_many, grad_many, hess_many, reference_point,
+)
 from wedflow.newton import damped_newton, golden_section, levenberg
 
 E1 = SpaceSpec.euclidean(1)
@@ -100,7 +102,7 @@ def test_hessians_match_finite_differences():
     rng = np.random.default_rng(12)
     for spec, space, sample in kind_fixtures(rng):
         x = sample(rng)
-        H = hess_dense(spec, x.coords)
+        H = hess_many(spec, x.coords[None])[0]
         d = H.shape[0]
         fd = np.empty((d, d))
         for j in range(d):
@@ -218,7 +220,7 @@ def array_yosida_1d(spec, x, t):
         shift = np.diag(w / t)
 
         def direction(y, g):
-            H = hess_dense(spec, y) + shift
+            H = hess_many(spec, y[None])[0] + shift
             step = levenberg(lambda rho: np.linalg.solve(H + rho * shift, -g), g, -g * t / w)
             return step, float(step @ g)
 
@@ -272,6 +274,39 @@ def test_local_slope_analytic():
     assert local_slope(spec, E1, point([2.0], E1)).value == pytest.approx(2.0, abs=1e-14)
     dw = double_well()
     assert local_slope(dw, E1, point([1.0], E1)).value == 0.0
+
+
+def numpy_scalar_slope(spec, space, x):
+    """|dphi|(x) from the gradient of one point, on numpy scalars."""
+    g = energy_grad(spec, x)
+    if space.kind == "pnorm":
+        q = space.p / (space.p - 1.0)
+        return float(np.sum(np.abs(g) ** q) ** (1.0 / q))
+    if space.kind == "quantile1d":
+        return float(np.sqrt(space.dim * np.sum(g * g)))
+    return float(np.sqrt(np.sum(g * g)))
+
+
+def slope_cases():
+    # no quadratic in d > 1: its gradient is a matrix product, which may
+    # round differently on many rows than on one
+    rng = np.random.default_rng(31)
+    return [
+        (double_well(), E1, rng.uniform(-3.0, 3.0, (2000, 1))),
+        (discrete_dirichlet(p=2.5, h=0.2, reaction=(0.0, 0.0, 1.0)), SpaceSpec.euclidean(3),
+         rng.standard_normal((2000, 3))),
+        (quantile_entropy_potential(v2=1.0, v1=0.3), SpaceSpec.quantile1d(10),
+         np.cumsum(rng.uniform(0.05, 0.8, (2000, 10)), axis=1) - 2.0),
+        (double_well(), SpaceSpec.pnorm(3, 3.0), rng.uniform(-3.0, 3.0, (2000, 3))),
+    ]
+
+
+@pytest.mark.parametrize("spec, space, U", slope_cases(),
+                         ids=["euclidean1", "euclidean3", "quantile10", "pnorm3"])
+def test_analytic_slopes_are_bitwise_one_point_slopes(spec, space, U):
+    want = np.array([numpy_scalar_slope(spec, space, Point(u, space)) for u in U])
+    assert analytic_slopes(spec, space, U).tobytes() == want.tobytes()
+    assert all(analytic_slope(spec, space, Point(u, space)) == w for u, w in zip(U[:50], want))
 
 
 def test_local_slope_yosida_duality():
@@ -350,7 +385,6 @@ def test_hess_many_rows_are_one_point_hessians(spec, U):
     assert H.shape == (U.shape[0], U.shape[1], U.shape[1])
     for k in range(U.shape[0]):
         assert np.array_equal(H[k], hess_many(spec, U[k:k + 1])[0])
-        assert np.array_equal(H[k], hess_dense(spec, U[k]))
 
 
 @pytest.mark.parametrize("spec, U", hess_fixtures(), ids=HESS_IDS)

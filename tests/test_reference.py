@@ -6,7 +6,7 @@ import pytest
 from wedflow import (
     InvalidInputError, NotAvailableError, Point, SpaceSpec, StudyOptions,
     TimeGrid, Trajectory, WedProblem, check_max_slope, convergence_study,
-    convex_quartic, distance, double_well, exact_flow, gaussian_quantiles,
+    convex_quartic, distance, double_well, exact_flow, exact_flows, gaussian_quantiles,
     lambda_diagnostics, minimize_wed, minimizing_movements, normal_quantile,
     point, quadratic, quantile_entropy_potential, yosida,
 )
@@ -169,6 +169,38 @@ def test_exact_flow_ou_against_rk4_moment_oracle():
     z = normal_quantile(qs.quantile_nodes)
     oracle = Point(y[0] + math.sqrt(y[1]) * z, qs)
     assert distance(qs, got, oracle) <= 1e-6
+
+
+def per_time_flow(energy, x_bar, t):
+    """The closed-form flow at one time, on a vector and Python floats."""
+    if energy.kind == "quadratic":
+        vals, vecs = np.linalg.eigh(energy.params["A"])
+        x_star = vecs @ ((vecs.T @ energy.params["b"]) / vals)
+        z = vecs.T @ (x_bar.coords - x_star)
+        return x_star + vecs @ (np.exp(-vals * t) * z)
+    v2, v1 = energy.params["v2"], energy.params["v1"]
+    z = normal_quantile(x_bar.space.quantile_nodes)
+    m0 = float(np.mean(x_bar.coords))
+    s0 = float(np.dot(x_bar.coords - m0, z) / np.dot(z, z))
+    m_inf = -v1 / v2
+    mt = m_inf + (m0 - m_inf) * math.exp(-v2 * t)
+    var = 1.0 / v2 + (s0 * s0 - 1.0 / v2) * math.exp(-2.0 * v2 * t)
+    return mt + math.sqrt(var) * z
+
+
+@pytest.mark.parametrize("energy, x_bar", [
+    (quadratic([[1.0]]), point([1.0], E1)),
+    (quadratic([[2.0, 0.5, 0.0], [0.5, 1.0, 0.2], [0.0, 0.2, 3.0]], [0.3, -1.0, 0.5]),
+     point([1.0, -2.0, 0.5], SpaceSpec.euclidean(3))),
+    (quantile_entropy_potential(v2=1.5, v1=0.4),
+     gaussian_quantiles(SpaceSpec.quantile1d(8), 1.0, 2.0)),
+], ids=["quadratic1", "quadratic3", "quantile8"])
+def test_exact_flows_rows_are_bitwise_the_flow_at_each_time(energy, x_bar):
+    ts = np.linspace(0.0, 2.0, 801)
+    rows = exact_flows(energy, x_bar, ts)
+    want = np.stack([per_time_flow(energy, x_bar, float(t)) for t in ts])
+    assert rows.tobytes() == want.tobytes()
+    assert np.array_equal(exact_flow(energy, x_bar, float(ts[300])).coords, rows[300])
 
 
 def test_exact_flow_unregistered_kind():

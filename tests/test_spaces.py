@@ -81,6 +81,26 @@ def test_row_distances_are_bitwise_distance(space):
     assert row_distances(space, A, B).tobytes() == np.array(want).tobytes()
 
 
+def numpy_scalar_distance(space, a, b):
+    """d(a, b) of one pair on numpy scalars."""
+    diff = a.coords - b.coords
+    if space.kind == "pnorm":
+        return float(np.sum(np.abs(diff) ** space.p) ** (1.0 / space.p))
+    if space.kind == "quantile1d":
+        return float(np.sqrt(np.sum(diff * diff) / space.dim))
+    return float(np.sqrt(np.sum(diff * diff)))
+
+
+@pytest.mark.parametrize("space", SPACES + [
+    SpaceSpec.euclidean(1), SpaceSpec.pnorm(1, 4.5), SpaceSpec.quantile1d(10),
+], ids=lambda s: f"{s.kind}{s.dim}")
+def test_distance_is_bitwise_the_numpy_scalar_formula(space):
+    rng = np.random.default_rng(17)
+    pts = [random_point(space, rng) for _ in range(2001)]
+    for a, b in zip(pts[:-1], pts[1:]):
+        assert distance(space, a, b) == numpy_scalar_distance(space, a, b)
+
+
 def test_geodesic_endpoints_exact():
     rng = np.random.default_rng(1)
     for space in SPACES:

@@ -5,11 +5,11 @@ from hypothesis import strategies as st
 
 
 from wedflow import (
-    DegenerateCurveError, DomainError, Point, SpaceSpec, TimeGrid, Trajectory,
+    DegenerateCurveError, DomainError, InvalidInputError, Point, SpaceSpec, TimeGrid, Trajectory,
     Weights, arclength_reparam, g_reparam, geodesic_point, metric_speed,
     poincare_witness, quadratic, spectral_check, weighted_ibp_check,
 )
-from wedflow.energies import energy_eval
+from wedflow.energies import eval_many
 
 E1 = SpaceSpec.euclidean(1)
 E2 = SpaceSpec.euclidean(2)
@@ -77,6 +77,34 @@ def test_speed_of_geodesic_interpolation_is_constant():
         assert np.max(np.abs(v - v[0])) < 1e-12
 
 
+def weighted_segment_lengths(space, P):
+    """Segment lengths with the metric weights inside the sum."""
+    diff = np.diff(P, axis=0)
+    if space.kind == "pnorm":
+        return np.sum(np.abs(diff) ** space.p, axis=1) ** (1.0 / space.p)
+    return np.sqrt(np.sum(space.metric_weights * diff * diff, axis=1))
+
+
+@pytest.mark.parametrize("space, bitwise", [
+    (E1, True), (SpaceSpec.euclidean(3), True), (SpaceSpec.quantile1d(8), True),
+    (SpaceSpec.quantile1d(16), True), (SpaceSpec.quantile1d(3), False),
+    (SpaceSpec.quantile1d(10), False), (SpaceSpec.quantile1d(12), False),
+    (SpaceSpec.pnorm(3, 3.0), False),
+], ids=lambda v: f"{v.kind}{v.dim}" if isinstance(v, SpaceSpec) else str(v))
+def test_speeds_are_the_weighted_segment_lengths(space, bitwise):
+    # the weight 1/m inside or outside the sum, and the p-norm root by libm's
+    # pow or numpy's, agree bitwise for m a power of two, else to a few ulp
+    rng = np.random.default_rng(23)
+    P = np.cumsum(rng.uniform(0.01, 1.0, (2001, space.dim)), axis=1)
+    grid = TimeGrid.uniform(1.0, 2000)
+    want = weighted_segment_lengths(space, P) / grid.dt
+    got = metric_speed(Trajectory(grid, P, space))
+    if bitwise:
+        assert got.tobytes() == want.tobytes()
+    else:
+        assert np.max(np.abs(got - want) / want) <= 4 * np.finfo(float).eps
+
+
 # -- reparameterization ----------------------------------------------------------
 
 
@@ -116,7 +144,7 @@ def test_unit_reparam_of_unit_speed_curve_is_identity():
     # (a straight segment with nonuniform speed keeps the resampling exact)
     traj = line_traj(lambda t: np.array([2.0 * t * t, t * t]), 1.0, 500, E2)
     unit = arclength_reparam(traj)
-    again = g_reparam(unit, lambda p: 1.0)
+    again = g_reparam(unit, lambda P: np.ones(len(P)))
     assert np.max(np.abs(unit.grid.nodes - again.grid.nodes)) < 1e-8
     assert np.max(np.abs(unit.points - again.points)) < 1e-8
 
@@ -124,7 +152,7 @@ def test_unit_reparam_of_unit_speed_curve_is_identity():
 def test_g_reparam_unit_g_is_arclength():
     traj = line_traj(lambda t: np.array([t * t, t]), 1.0, 500, E2)
     a = arclength_reparam(traj)
-    b = g_reparam(traj, lambda p: 1.0)
+    b = g_reparam(traj, lambda P: np.ones(len(P)))
     assert np.max(np.abs(a.grid.nodes - b.grid.nodes)) < 1e-12
     assert np.max(np.abs(a.points - b.points)) < 1e-8
 
@@ -132,48 +160,70 @@ def test_g_reparam_unit_g_is_arclength():
 def test_g_reparam_constant_scaling():
     c = 2.5
     traj = line_traj(lambda t: np.array([3.0 * t, 0.0]), 1.0, 200, E2)  # length 3
-    out = g_reparam(traj, lambda p: c)
+    out = g_reparam(traj, lambda P: np.full(len(P), c))
     assert out.grid.T == pytest.approx(3.0 / c, abs=1e-12)
     assert np.allclose(metric_speed(out), c, atol=1e-9)
 
 
 def test_g_reparam_speed_matches_g_along_curve():
     spec = quadratic([[1.0, 0.0], [0.0, 1.0]])
-    g = lambda p: float(np.sqrt(max(1.0, energy_eval(spec, p))))
+    g = lambda P: np.sqrt(np.maximum(1.0, eval_many(spec, P)))
     traj = line_traj(lambda t: np.array([2.0 * t, 1.0 - t]), 1.0, 800, E2)
     out = g_reparam(traj, g)
     v = metric_speed(out)
-    gv = np.array([g(out.point_at(i)) for i in range(len(v))])
+    gv = g(out.points[:-1])
     assert np.max(np.abs(v - gv) / gv) < 5e-3
 
 
 def test_g_reparam_three_integral_identity():
     # both sides of the reparameterized-action identity against a 16x oracle
     spec = quadratic([[4.0, 0.0], [0.0, 4.0]])
-    g = lambda p: float(np.sqrt(max(1.0, energy_eval(spec, p))))
+    g = lambda P: np.sqrt(np.maximum(1.0, eval_many(spec, P)))
     N = 400
     traj = line_traj(lambda t: np.array([1.0 + t, 0.5 * t]), 1.0, N, E2)
     out = g_reparam(traj, g)
     v = metric_speed(out)
     dt = out.grid.dt
     mids = 0.5 * (out.points[:-1] + out.points[1:])
-    gv = np.array([g(Point(m, E2)) for m in mids])
+    gv = g(mids)
     int_g2 = float(np.sum(gv**2 * dt))
     int_v2 = float(np.sum(v**2 * dt))
     int_gv = float(np.sum(gv * v * dt))
     fine = line_traj(lambda t: np.array([1.0 + t, 0.5 * t]), 1.0, 16 * N, E2)
     vf = metric_speed(fine)
     fmids = 0.5 * (fine.points[:-1] + fine.points[1:])
-    gf = np.array([g(Point(m, E2)) for m in fmids])
+    gf = g(fmids)
     oracle = float(np.sum(gf * vf * fine.grid.dt))
     for val in (int_g2, int_v2, int_gv):
         assert val == pytest.approx(oracle, rel=1e-3)
 
 
+def test_g_reparam_calls_g_once_on_the_midpoint_rows():
+    traj = line_traj(lambda t: np.array([t, 2.0 * t]), 1.0, 32, E2)
+    seen = []
+
+    def g(P):
+        seen.append(P.copy())
+        return np.ones(len(P))
+
+    g_reparam(traj, g)
+    assert len(seen) == 1
+    assert seen[0].dtype == np.float64
+    assert np.array_equal(seen[0], 0.5 * (traj.points[:-1] + traj.points[1:]))
+
+
+@pytest.mark.parametrize("g", [lambda P: 2.0, lambda P: np.ones(len(P) - 1)],
+                         ids=["scalar", "too_short"])
+def test_g_reparam_rejects_g_of_wrong_shape(g):
+    traj = line_traj(lambda t: np.array([t, 0.0]), 1.0, 32, E2)
+    with pytest.raises(InvalidInputError, match="one value per row"):
+        g_reparam(traj, g)
+
+
 def test_g_reparam_rejects_nonpositive_g():
     traj = line_traj(lambda t: np.array([t, 0.0]), 1.0, 32, E2)
     with pytest.raises(DomainError):
-        g_reparam(traj, lambda p: float(p.coords[0]) - 0.5)
+        g_reparam(traj, lambda P: P[:, 0] - 0.5)
 
 
 # -- weighted integration by parts ------------------------------------------------

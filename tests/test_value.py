@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 
 from wedflow import (
-    InvalidInputError, Point, SpaceSpec, ValueCache, ValueOptions, WedProblem,
+    InvalidInputError, SpaceSpec, ValueCache, ValueOptions, WedProblem,
     check_dpp, check_eps_monotonicity, check_fundamental_identity, check_hj,
     check_yosida_bound, conditioned_slope_estimate, convex_quartic, distance,
     double_well, finsler_distance, minimize_wed, point, quadratic,
     value_along, value_function, wed_slope_compare,
 )
 from wedflow.value import ProbeOptions, apriori_speed_bound, chain_rule_bound
-from wedflow.energies import energy_eval
+from wedflow.energies import eval_many
 
 E1 = SpaceSpec.euclidean(1)
 QUAD = quadratic([[1.0]])
@@ -309,7 +309,7 @@ def test_hj_sandwich_at_small_eps():
 def test_finsler_unit_weight_recovers_distance():
     s2 = SpaceSpec.euclidean(2)
     a, b = point([0.0, 0.0], s2), point([1.0, 2.0], s2)
-    val = finsler_distance(s2, lambda p: 1.0, a, b)
+    val = finsler_distance(s2, lambda P: np.ones(len(P)), a, b)
     assert val == pytest.approx(distance(s2, a, b), abs=1e-6)
 
 
@@ -318,7 +318,7 @@ def test_finsler_constant_energy_scaling():
     # random discretized monotone curves can do no better
     c = 4.0
     a, b = point([0.0], E1), point([2.0], E1)
-    val = finsler_distance(E1, lambda p: math.sqrt(c), a, b)
+    val = finsler_distance(E1, lambda P: np.full(len(P), math.sqrt(c)), a, b)
     assert val == pytest.approx(math.sqrt(c) * 2.0, abs=1e-4)
     rng = np.random.default_rng(6)
     best = math.inf
@@ -332,13 +332,13 @@ def test_finsler_constant_energy_scaling():
 def test_finsler_lagrangian_equals_product_form():
     from wedflow import g_reparam, metric_speed
 
-    f = lambda p: math.sqrt(max(1.0, energy_eval(QUAD, p)))
+    f = lambda P: np.sqrt(np.maximum(1.0, eval_many(QUAD, P)))
     a, b = point([0.5], E1), point([3.0], E1)
     val, curve = finsler_distance(E1, f, a, b, return_curve=True)
     rep = g_reparam(curve, f)
     v = metric_speed(rep)
     mids = 0.5 * (rep.points[:-1] + rep.points[1:])
-    fv = np.array([f(Point(m, E1)) for m in mids])
+    fv = f(mids)
     product = float(np.sum(fv * v * rep.grid.dt))
     assert product == pytest.approx(val, rel=1e-3)
     assert val >= distance(E1, a, b) - 1e-9
@@ -346,4 +346,30 @@ def test_finsler_lagrangian_equals_product_form():
 
 def test_finsler_rejects_weight_below_one():
     with pytest.raises(InvalidInputError):
-        finsler_distance(E1, lambda p: 0.5, point([0.0], E1), point([1.0], E1))
+        finsler_distance(E1, lambda P: np.full(len(P), 0.5), point([0.0], E1), point([1.0], E1))
+
+
+def test_finsler_weight_gets_float_row_arrays():
+    s2 = SpaceSpec.euclidean(2)
+    shapes = []
+
+    def f(P):
+        assert isinstance(P, np.ndarray) and P.dtype == np.float64 and P.ndim == 2
+        shapes.append(P.shape)
+        return np.sqrt(1.0 + P[:, 0] ** 2)
+
+    finsler_distance(s2, f, point([0.0, 0.0], s2), point([1.0, 2.0], s2))
+    assert shapes[0] == (3, 2)  # u0, u1 and their midpoint
+    # then the 64 segment midpoints, or their difference stencils, per call
+    assert len(shapes) > 1 and set(shapes[1:]) == {(64, 2)}
+
+
+@pytest.mark.parametrize("f", [
+    lambda P: 1.0,
+    lambda P: np.ones(len(P) + 1),
+    lambda P: np.ones((len(P), 1)),
+    lambda P: np.ones(3),  # right for the first call only
+], ids=["scalar", "too_long", "column", "fixed_length"])
+def test_finsler_weight_of_wrong_shape_raises(f):
+    with pytest.raises(InvalidInputError, match="one value per row"):
+        finsler_distance(E1, f, point([0.0], E1), point([1.0], E1))
