@@ -26,9 +26,9 @@ from .trajectories import (
     poincare_witness, spectral_check, weighted_ibp_check,
 )
 from .value import (
-    FinslerOptions, IdentityReport, ProbeOptions, ValueCache, ValueOptions,
-    ValueSample, check_dpp, check_eps_monotonicity, check_fundamental_identity,
-    check_hj, check_yosida_bound, conditioned_slope_estimate, finsler_distance,
+    IdentityReport, ProbeOptions, ValueCache, ValueOptions, ValueSample,
+    check_dpp, check_eps_monotonicity, check_fundamental_identity, check_hj,
+    check_yosida_bound, conditioned_slope_estimate, finsler_distance,
     value_along, value_function, wed_slope_compare,
 )
 from .wed import (

@@ -133,14 +133,11 @@ class Experiment:
         self.cache = ValueCache(capacity)
         self._solution = None
 
-    def problem(self, epsilon=None, T=None) -> WedProblem:
-        eps = self.epsilon if epsilon is None else epsilon
-        horizon = T if T is not None else (
-            self.T if self.T is not None else default_horizon(eps, self.t_obs)
-        )
+    def problem(self) -> WedProblem:
+        horizon = self.T if self.T is not None else default_horizon(self.epsilon, self.t_obs)
         try:
             return WedProblem(
-                epsilon=eps, T=horizon, N=self.N, space=self.space, energy=self.energy,
+                epsilon=self.epsilon, T=horizon, N=self.N, space=self.space, energy=self.energy,
                 x_bar=self.x_bar, grid_mode=self.grid_mode, solver=self.solver,
                 grad_tol=self.grad_tol, max_iter=self.max_iter,
             )
@@ -155,8 +152,9 @@ class Experiment:
 
     def value_opts(self) -> ValueOptions:
         """The config's ``grad_tol`` and ``max_iter`` and the run's cache; value
-        solves keep ``ValueOptions``' own ``N=4000``, ``exp_graded`` grid and
-        ``direct`` solver, whatever the config's ``N``, ``grid_mode``, ``solver``."""
+        solves keep ``ValueOptions``' own ``N=4000`` and are ``direct`` solves on
+        the ``exp_graded`` grid over 25 eps, whatever the config's ``N``, ``T``,
+        ``grid_mode``, ``solver``."""
         return ValueOptions(cache=self.cache, grad_tol=self.grad_tol,
                             max_iter=self.max_iter)
 
@@ -204,13 +202,13 @@ def _jsonable(obj):
     return obj
 
 
-def write_trajectory_csv(path: Path, sol, V=None, resid_fund=None, resid_inner=None) -> None:
+def write_trajectory_csv(path: Path, sol, resid_fund=None, resid_inner=None) -> None:
     """One row per node; per-cell quantities (speed, residuals) at the cell's
     left node, blank on the final row."""
     pts = sol.trajectory.points
     nodes = sol.trajectory.grid.nodes
     d = pts.shape[1]
-    V = value_along(sol) if V is None else V
+    V = value_along(sol)
     with open(path, "w") as fh:
         cols = ["t"] + [f"x{j}" for j in range(d)] + ["speed", "phi", "V",
                                                       "resid_fund", "resid_inner"]
@@ -244,7 +242,7 @@ def suite_spectral(exp: Experiment, outdir: Path) -> IdentityReport:
     _, _, ratio = spectral_check(t, poincare_witness(n_w, eps_w, t), eps_w)
     resid = np.asarray(violations + [max(0.0, 0.9 - ratio)])
     return IdentityReport(
-        name="spectral", residuals=resid, max_residual=float(np.max(resid)),
+        name="spectral", residuals=resid,
         tolerance=1e-12, details={"witness_ratio": ratio},
     )
 
@@ -255,7 +253,7 @@ def suite_inner(exp: Experiment, outdir: Path) -> IdentityReport:
     scale = max(rep.speed_scale, 1e-12)
     resid = np.append(rep.residuals / scale, rep.boundary_residual / max(abs(sol.objective), 1e-9))
     return IdentityReport(
-        name="inner", residuals=resid, max_residual=float(np.max(resid)),
+        name="inner", residuals=resid,
         tolerance=5e-2,
         details={"boundary_residual": rep.boundary_residual, "speed_scale": rep.speed_scale},
     )
@@ -324,7 +322,7 @@ def suite_convergence(exp: Experiment, outdir: Path) -> IdentityReport:
             resid.append(max(0.0, 1.6 - ratio) + max(0.0, ratio - 2.4))
     resid = np.asarray(resid)
     return IdentityReport(
-        name="convergence", residuals=resid, max_residual=float(np.max(resid)),
+        name="convergence", residuals=resid,
         tolerance=0.0,
         details={"sup_err": errs.tolist(),
                  "lsc": [r.lsc_residual for r in table.rows]},
@@ -356,7 +354,7 @@ def suite_finsler(exp: Experiment, outdir: Path) -> IdentityReport:
     resid.append(abs(product - val) / max(val, 1e-9) / 1e-3)
     resid = np.asarray(resid)
     return IdentityReport(
-        name="finsler", residuals=resid, max_residual=float(np.max(resid)),
+        name="finsler", residuals=resid,
         tolerance=1.0,
         details={"plain": d_plain, "const": d_const, "lagrangian": val, "product": product},
     )

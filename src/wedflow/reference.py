@@ -20,7 +20,7 @@ from .energies import (
 )
 from .errors import InvalidInputError, NotAvailableError
 from .spaces import QUANTILE1D, Point, SpaceSpec, normal_quantile, row_distances
-from .trajectories import TimeGrid, Trajectory, metric_speed
+from .trajectories import UNIFORM, TimeGrid, Trajectory, metric_speed
 from .value import IdentityReport
 from .wed import EULER_LAGRANGE, WedProblem, default_horizon, minimize_wed
 
@@ -145,7 +145,6 @@ def check_max_slope(traj: Trajectory, energy: EnergySpec, phi0: float,
     return IdentityReport(
         name="max_slope",
         residuals=resid,
-        max_residual=float(np.max(resid)),
         tolerance=tol,
         details={"equality": equality},
     )
@@ -181,12 +180,12 @@ class ConvergenceTable:
 
 @dataclass(frozen=True)
 class StudyOptions:
+    """Resolution and solver tolerances of the study's Euler-Lagrange solves
+    on uniform grids."""
+
     N: int = 4000
-    solver: str = EULER_LAGRANGE
     grad_tol: float = 1e-8
     max_iter: int = 100
-    mm_tau_factor: float = 0.25  # reference step tau = factor * eps^2
-    grid_mode: str = "uniform"
 
 
 def convergence_study(energy: EnergySpec, x_bar: Point, eps_list, t_obs: float,
@@ -194,14 +193,15 @@ def convergence_study(energy: EnergySpec, x_bar: Point, eps_list, t_obs: float,
     """Sup distance to the reference flow on [0, t_obs], one row per epsilon.
 
     The reference is the closed-form flow when registered, otherwise the
-    proximal iteration at a step much finer than every epsilon in the sweep.
+    proximal iteration at the step tau = min(eps)^2 / 4, much finer than
+    every epsilon in the sweep.
     """
     opts = opts or StudyOptions()
     space = x_bar.space
     rows = []
     mm_ref = None
     if not has_exact_flow(energy):
-        tau = opts.mm_tau_factor * min(eps_list) ** 2
+        tau = 0.25 * min(eps_list) ** 2
         mm_ref = minimizing_movements(x_bar, tau, int(math.ceil(t_obs / tau)), energy, space)
     for eps in eps_list:
         start = time.perf_counter()
@@ -212,8 +212,8 @@ def convergence_study(energy: EnergySpec, x_bar: Point, eps_list, t_obs: float,
             space=space,
             energy=energy,
             x_bar=x_bar,
-            grid_mode=opts.grid_mode,
-            solver=opts.solver,
+            grid_mode=UNIFORM,
+            solver=EULER_LAGRANGE,
             grad_tol=opts.grad_tol,
             max_iter=opts.max_iter,
         )
@@ -282,7 +282,6 @@ def lambda_diagnostics(sol, lam: float, lam_prime: float | None = None) -> Ident
     return IdentityReport(
         name="lambda",
         residuals=resid,
-        max_residual=float(np.max(resid)),
         tolerance=1.0,
         details=checks,
     )

@@ -91,8 +91,7 @@ def test_eps_list_must_decrease():
 
 
 def test_suite_failure_gives_exit_2(tmp_path, monkeypatch):
-    failing = IdentityReport(name="spectral", residuals=np.array([1.0]),
-                             max_residual=1.0, tolerance=0.0)
+    failing = IdentityReport(name="spectral", residuals=np.array([1.0]), tolerance=0.0)
     monkeypatch.setitem(_SUITE_FN, "spectral", lambda exp, outdir: failing)
     assert run(cfg(suites=["spectral"]), tmp_path / "out", quiet=True) == 2
 

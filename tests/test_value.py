@@ -78,6 +78,16 @@ def test_value_cache_key_includes_resolution():
     assert fine.solve_ref.problem.N == 400
 
 
+def test_value_cache_key_is_exact_in_coordinates():
+    cache = ValueCache()
+    opts = ValueOptions(N=50, cache=cache)
+    a = value_function(QUAD, point([1.0], E1), 0.15, opts)
+    b = value_function(QUAD, point([1.0 + 1e-13], E1), 0.15, opts)
+    assert len(cache._data) == 2
+    assert a.solve_ref is not b.solve_ref
+    assert b.solve_ref.problem.x_bar.coords[0] == 1.0 + 1e-13
+
+
 # -- value along a minimizer --------------------------------------------------------
 
 
@@ -125,6 +135,8 @@ def test_dpp_trivial_horizon():
     rep = check_dpp(sol, [0.0])
     assert rep.details["construction"][0] <= 1e-12
     assert rep.max_residual <= 5e-3
+    assert rep.max_residual == max(rep.residuals)
+    assert check_dpp(sol, []).max_residual == 0.0
 
 
 def test_dpp_quadratic_and_double_well():

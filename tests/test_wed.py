@@ -317,17 +317,18 @@ def test_inner_variation_quadratic_residuals():
 
 
 def banded_system(rng, n, d):
-    """Random block-diagonally dominant (sub, diag, sup, rhs) and its dense matrix."""
-    sub = rng.standard_normal((max(n - 1, 0), d, d))
-    sup = rng.standard_normal((max(n - 1, 0), d, d))
+    """Random block-diagonally dominant (sub, diag, sup, rhs) and its dense matrix;
+    the off-diagonal blocks are diagonal, given by their (n - 1, d) diagonals."""
+    sub = rng.standard_normal((max(n - 1, 0), d))
+    sup = rng.standard_normal((max(n - 1, 0), d))
     diag = rng.standard_normal((n, d, d)) + 4.0 * d * np.eye(d)
     rhs = rng.standard_normal((n, d))
     M = np.zeros((n * d, n * d))
     for k in range(n):
         M[k * d:(k + 1) * d, k * d:(k + 1) * d] = diag[k]
         if k < n - 1:
-            M[(k + 1) * d:(k + 2) * d, k * d:(k + 1) * d] = sub[k]
-            M[k * d:(k + 1) * d, (k + 1) * d:(k + 2) * d] = sup[k]
+            M[(k + 1) * d:(k + 2) * d, k * d:(k + 1) * d] = np.diag(sub[k])
+            M[k * d:(k + 1) * d, (k + 1) * d:(k + 2) * d] = np.diag(sup[k])
     return sub, diag, sup, rhs, M
 
 
@@ -350,7 +351,8 @@ def test_tridiag_zero_pivot_raises(sub, diag, sup):
     with pytest.raises(ZeroDivisionError):
         solve_tridiag(*args, np.ones(len(diag)))
     with pytest.raises(ZeroDivisionError):
-        solve_block_tridiag(*(a.reshape(-1, 1, 1) for a in args), np.ones((len(diag), 1)))
+        solve_block_tridiag(args[0][:, None], args[1].reshape(-1, 1, 1), args[2][:, None],
+                            np.ones((len(diag), 1)))
 
 
 def numpy_thomas(sub, diag, sup, rhs):
@@ -377,7 +379,7 @@ def numpy_thomas(sub, diag, sup, rhs):
 @pytest.mark.parametrize("n", [1, 2, 500])
 def test_tridiag_sweep_is_bitwise_numpy_thomas(n):
     sub, diag, sup, rhs, _ = banded_system(np.random.default_rng(7 * n), n, 1)
-    bands = (sub[:, 0, 0], diag[:, 0, 0], sup[:, 0, 0], rhs[:, 0])
+    bands = (sub[:, 0], diag[:, 0, 0], sup[:, 0], rhs[:, 0])
     assert np.array_equal(solve_tridiag(*bands), numpy_thomas(*bands))
     # strided views are read as they are
     wide = [np.repeat(b, 2)[::2] for b in bands]
