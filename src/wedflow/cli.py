@@ -428,6 +428,9 @@ def emit_mm(exp: Experiment, outdir: Path) -> None:
             fh.write(",".join(row) + "\n")
 
 
+_TASK_FN = {"solve": emit_solve, "value": emit_value, "sweep": emit_sweep, "mm": emit_mm}
+
+
 # -- driver -----------------------------------------------------------------------
 
 
@@ -448,14 +451,7 @@ def run(cfg: dict, out: Path, suites=None, quiet=False, tasks=()) -> int:
         exp.problem()  # fail configs violating well-posedness before any work
         for task in tasks:
             t = time.perf_counter()
-            if task == "solve":
-                emit_solve(exp, out)
-            elif task == "value":
-                emit_value(exp, out)
-            elif task == "sweep":
-                emit_sweep(exp, out)
-            elif task == "mm":
-                emit_mm(exp, out)
+            _TASK_FN[task](exp, out)
             times[task] = time.perf_counter() - t
             if not quiet:
                 print(f"task {task}: done in {times[task]:.2f}s", file=sys.stderr)

@@ -588,10 +588,17 @@ def _yosida_newton(spec, space, x0, t):
             step = levenberg(lambda rho: np.linalg.solve(H + rho * shift, -g), g, -g * t / w)
             return step, float(step @ g)
 
+    def evaluate(z):
+        # the gradient also where obj overflowed; none off the quantile cone
+        try:
+            return obj(z), grad_at(z)
+        except DomainError:
+            return math.inf, None
+
     # gradient entries scale with the 1/t proximal curvature, so the stop
     # threshold must carry that factor to stay reachable at tiny steps
     gtol = 1e-12 * (1.0 + abs(obj(x0))) * (1.0 + 1.0 / t)
-    y, f, g, _, trace = damped_newton(x0, obj, grad_at, sup_norm,
+    y, f, g, _, trace = damped_newton(x0, evaluate, sup_norm,
                                       lambda g: sup_norm(g) <= gtol, direction, 200)
     if sup_norm(g) <= max(gtol, 1e-9 * (1.0 + abs(f)) * (1.0 + 1.0 / t)):
         return f, y

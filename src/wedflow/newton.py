@@ -34,18 +34,22 @@ def _descends(step, g) -> bool:
     return bool(np.all(np.isfinite(step))) and float(np.sum(step * g)) < 0.0
 
 
-def damped_newton(x, merit, derivs, residual, done, direction, max_iter):
-    """Descend ``merit`` from ``x`` along ``p, slope = direction(x, g)``.
+def damped_newton(x, evaluate, residual, done, direction, max_iter):
+    """Descend a merit from ``x`` along ``p, slope = direction(x, g)``.
 
-    ``g = derivs(x)`` is the gradient or residual vector, ``residual(g)`` its
-    size and ``done(g)`` the stop test.  Step lengths t = 1, 1/2, ..., 1e-16
-    are tried until merit drops by 1e-4 t slope or, where that is below
-    roundoff, the residual drops.  A failed search, or a roundoff-level step
-    that does not halve the residual, is a stall; two stalls stop.  Returns
-    ``(x, merit, g, iterations, trace)``, trace holding (iteration, merit, t).
+    ``evaluate(x)`` returns ``(merit, g)``, g the gradient or residual vector,
+    or None where it cannot be formed (the merit is then inf); ``residual(g)``
+    is its size and ``done(g)`` the stop test.  Each point is evaluated once:
+    the accepted point's g serves the stall test and the next step.  Step
+    lengths t = 1, 1/2, ..., 1e-16 are tried until merit drops by 1e-4 t slope
+    or, where that is below roundoff, the residual drops; the search fails at
+    the first t where ``x + t*p`` rounds to ``x`` (every smaller t does too).
+    A failed search, or a roundoff-level step that does not halve the
+    residual, is a stall; two stalls stop.  Returns ``(x, merit, g,
+    iterations, trace)``, trace holding (iteration, merit, t).
     """
-    f = merit(x)
-    g = derivs(x)
+    same = (lambda a, b: a == b) if isinstance(x, float) else np.array_equal
+    f, g = evaluate(x)
     r = residual(g)
     trace = []
     it = stalls = 0
@@ -54,15 +58,18 @@ def damped_newton(x, merit, derivs, residual, done, direction, max_iter):
             break
         p, slope = direction(x, g)
         t = 1.0
+        ok = False
         while t >= 1e-16:
             xn = x + t * p
-            fn = merit(xn)
+            if same(xn, x):
+                break
+            fn, gn = evaluate(xn)
             pred = 1e-4 * t * slope
             if math.isfinite(fn) and abs(pred) >= _EPS_F * (1.0 + abs(f)):
                 ok = fn <= f + pred
             else:
                 # merit change below roundoff: accept on residual descent
-                ok = math.isfinite(fn) and residual(derivs(xn)) < r
+                ok = math.isfinite(fn) and residual(gn) < r
             if ok:
                 break
             t *= 0.5
@@ -70,11 +77,9 @@ def damped_newton(x, merit, derivs, residual, done, direction, max_iter):
         if not ok:
             stalls += 1
         else:
-            stalls += int(abs(f - fn) <= _EPS_F * (1.0 + abs(f))
-                          and residual(derivs(xn)) >= 0.5 * r)
-            x, f = xn, fn
-        g = derivs(x)
-        r = residual(g)
+            rn = residual(gn)
+            stalls += int(abs(f - fn) <= _EPS_F * (1.0 + abs(f)) and rn >= 0.5 * r)
+            x, f, g, r = xn, fn, gn, rn
         if stalls >= 2:
             break
     return x, f, g, it, trace

@@ -517,11 +517,11 @@ def finsler_distance(space: SpaceSpec, f, u0: Point, u1: Point,
         sub = np.tile((-1.0 / h) * w, (max(n - 1, 0), 1))
         dia = np.tile((2.0 / h) * np.diag(w), (n, 1, 1))
 
-        def gradient(V):
+        def evaluate(V):
             P = full(V)
             lap = (2.0 * P[1:-1] - P[:-2] - P[2:]) * w / h
             gm = f2_grad_at(0.5 * (P[:-1] + P[1:]))
-            return lap + 0.25 * h * (gm[:-1] + gm[1:])
+            return action(P, S), lap + 0.25 * h * (gm[:-1] + gm[1:])
 
         def direction(V, g):
             step = solve_block_tridiag(sub, dia, sub, -g)
@@ -532,7 +532,7 @@ def finsler_distance(space: SpaceSpec, f, u0: Point, u1: Point,
         # kinetic-preconditioned iteration contracts like (S/K)^2 per sweep so a
         # dozen sweeps is already far below the quadrature error
         V, value, _, _, _ = damped_newton(
-            theta[1:-1], lambda V: action(full(V), S), gradient, sup_norm,
+            theta[1:-1], evaluate, sup_norm,
             lambda g: sup_norm(g) <= 1e-9 * (1.0 + fmax), direction, 12,
         )
         return full(V), value

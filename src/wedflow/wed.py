@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .energies import EnergySpec, eval_many, grad_many, hess_many
-from .errors import InvalidInputError, NonConvergenceError
+from .errors import DomainError, InvalidInputError, NonConvergenceError
 from .newton import damped_newton, levenberg
 from .spaces import PNORM, Point, SpaceSpec
 from .trajectories import (
@@ -192,23 +192,20 @@ def minimize_wed(problem: WedProblem) -> WedSolution:
 
     full = lambda V: np.concatenate([problem.x_bar.coords[None, :], V])  # U[0] = x_bar is pinned
 
-    def objective(U):
+    def evaluate(V):
+        U = full(V)
         dU = np.diff(U, axis=0)
-        kin = 0.5 * eps * np.sum(m * np.sum(omega * dU * dU, axis=1) / dt**2)
         phis = eval_many(problem.energy, U)
         if not np.all(np.isfinite(phis)):
-            return math.inf
-        return kin + float(np.sum(m * phis[:-1]) + tail * phis[-1])
-
-    def gradient(U):
-        dU = np.diff(U, axis=0)
+            return math.inf, None  # grad_many raises off the quantile cone
+        kin = 0.5 * eps * np.sum(m * np.sum(omega * dU * dU, axis=1) / dt**2)
         ke = (c[:, None] * dU) * omega
         g = np.zeros_like(U)
         g[:-1] -= ke
         g[1:] += ke
         g[:-1] += m[:, None] * grad_many(problem.energy, U[:-1])
         g[-1] += tail * grad_many(problem.energy, U[-1:])[0]
-        return g[1:]
+        return kin + float(np.sum(m * phis[:-1]) + tail * phis[-1]), g[1:]
 
     def dual_norm(g):
         return float(np.sqrt(np.sum(g * g / omega / pw[:, None])))
@@ -224,11 +221,11 @@ def minimize_wed(problem: WedProblem) -> WedSolution:
         return step, float(np.sum(g * step))
 
     V0 = np.tile(problem.x_bar.coords, (N, 1))
-    g0 = gradient(full(V0))
+    g0 = evaluate(V0)[1]
     gn0, rmax0 = dual_norm(g0), row_max(g0)
     row_tol = 1e-6 * (1.0 + rmax0)
     V, f, g, it, _ = damped_newton(
-        V0, lambda V: objective(full(V)), lambda V: gradient(full(V)), row_max,
+        V0, evaluate, row_max,
         lambda g: dual_norm(g) <= problem.grad_tol and row_max(g) <= row_tol,
         direction, problem.max_iter,
     )
@@ -304,31 +301,22 @@ def solve_euler_lagrange(problem: WedProblem) -> WedSolution:
     if n_c >= 2:
         lo[-1] = -2.0 * eps / dt**2
 
-    # merit and derivatives see each accepted point twice: keep the last (V, F)
-    last = [None, None]
+    sup_norm = lambda F: float(np.max(np.abs(F)))
 
-    def residual(V):
-        if V is last[0]:
-            return last[1]
-        last[:] = V, None  # a failed evaluation stays None
+    def evaluate(V):
+        # the residual F and its size max|F|; off the quantile cone grad_many
+        # raises DomainError and the merit is inf
         U = full(V)
         try:
             G = grad_many(problem.energy, U[1:]) / omega
-        except Exception:
-            return None
+        except DomainError:
+            return math.inf, None
         F = np.empty((n_c, d))
         upp = U[2:] - 2.0 * U[1:-1] + U[:-2]
         F[:-1] = -eps * upp / dt**2 + (U[2:] - U[:-2]) / (2.0 * dt) + G[:-1]
         # ghost-node zero-slope closure at the far end (second order)
         F[-1] = -2.0 * eps * (U[-2] - U[-1]) / dt**2 + G[-1]
-        last[1] = F
-        return F
-
-    sup_norm = lambda F: float(np.max(np.abs(F)))
-
-    def merit(V):
-        F = residual(V)
-        return math.inf if F is None else sup_norm(F)
+        return sup_norm(F), F
 
     def direction(V, F):
         U = full(V)
@@ -342,7 +330,7 @@ def solve_euler_lagrange(problem: WedProblem) -> WedSolution:
         return step, -sup_norm(F)
 
     V, fn, _, it, trace = damped_newton(
-        np.tile(problem.x_bar.coords, (n_c, 1)), merit, residual, sup_norm,
+        np.tile(problem.x_bar.coords, (n_c, 1)), evaluate, sup_norm,
         lambda F: sup_norm(F) <= problem.grad_tol, direction, problem.max_iter,
     )
     U = full(V)

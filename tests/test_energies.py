@@ -225,7 +225,7 @@ def array_yosida_1d(spec, x, t):
             return step, float(step @ g)
 
         gtol = 1e-12 * (1.0 + abs(obj(xc))) * (1.0 + 1.0 / t)
-        y, f, _, _, _ = damped_newton(xc.copy(), obj, grad_at, sup_norm,
+        y, f, _, _, _ = damped_newton(xc.copy(), lambda z: (obj(z), grad_at(z)), sup_norm,
                                       lambda g: sup_norm(g) <= gtol, direction, 200)
         return f, y[0]
     obj = lambda y: (y - x) ** 2 / (2.0 * t) + float(eval_many(spec, np.array([[y]]))[0])

@@ -1,0 +1,217 @@
+"""The damped-Newton driver against the two-callback iteration it replaced.
+
+``reference_damped_newton`` is that iteration written out: separate merit and
+derivative callbacks, and a line search that halves t down to 1e-16 however
+early ``x + t*p`` rounds to ``x``.  The driver must give the same iterates,
+merits, gradients and iteration counts, bit for bit, on every solver that
+runs through it.
+"""
+
+import importlib
+import math
+
+import numpy as np
+import pytest
+
+from wedflow import (
+    NonConvergenceError, SpaceSpec, ValueOptions, WedProblem, double_well, finsler_distance,
+    gaussian_quantiles, minimize_wed, point, quantile_entropy_potential, value_function, yosida,
+)
+from wedflow.energies import yosida_coord
+from wedflow.newton import damped_newton
+
+E1 = SpaceSpec.euclidean(1)
+Q16 = SpaceSpec.quantile1d(16)
+QENT = quantile_entropy_potential(v2=1.0, v1=0.0)
+DRIVER_MODULES = [importlib.import_module(f"wedflow.{m}") for m in ("wed", "energies", "value")]
+
+_EPS_F = 8.0 * np.finfo(float).eps
+
+
+def reference_damped_newton(x, merit, derivs, residual, done, direction, max_iter):
+    f = merit(x)
+    g = derivs(x)
+    r = residual(g)
+    trace = []
+    it = stalls = 0
+    for it in range(1, max_iter + 1):
+        if done(g):
+            break
+        p, slope = direction(x, g)
+        t = 1.0
+        while t >= 1e-16:
+            xn = x + t * p
+            fn = merit(xn)
+            pred = 1e-4 * t * slope
+            if math.isfinite(fn) and abs(pred) >= _EPS_F * (1.0 + abs(f)):
+                ok = fn <= f + pred
+            else:
+                ok = math.isfinite(fn) and residual(derivs(xn)) < r
+            if ok:
+                break
+            t *= 0.5
+        trace.append((it, f, t))
+        if not ok:
+            stalls += 1
+        else:
+            stalls += int(abs(f - fn) <= _EPS_F * (1.0 + abs(f))
+                          and residual(derivs(xn)) >= 0.5 * r)
+            x, f = xn, fn
+        g = derivs(x)
+        r = residual(g)
+        if stalls >= 2:
+            break
+    return x, f, g, it, trace
+
+
+def reference_driver(x, evaluate, residual, done, direction, max_iter):
+    return reference_damped_newton(x, lambda z: evaluate(z)[0], lambda z: evaluate(z)[1],
+                                   residual, done, direction, max_iter)
+
+
+def run_with(monkeypatch, driver, solve):
+    """``solve()`` with every solver module calling ``driver``; returns its
+    result (or NonConvergenceError) and the driver's returns, in call order."""
+    returns = []
+
+    def recording(*args):
+        out = driver(*args)
+        returns.append(out)
+        return out
+
+    for module in DRIVER_MODULES:
+        monkeypatch.setattr(module, "damped_newton", recording)
+    try:
+        result = solve()
+    except NonConvergenceError as exc:
+        result = exc
+    monkeypatch.undo()
+    return result, returns
+
+
+def bits(v):
+    return type(v), np.asarray(v, dtype=float).tobytes()
+
+
+def assert_same_runs(new, ref):
+    """Same x, merit, gradient and iterations; traces equal but for the last
+    t of a failed search, which the reference halves below 1e-16."""
+    assert len(new) == len(ref) > 0
+    for (x, f, g, it, trace), (rx, rf, rg, rit, rtrace) in zip(new, ref):
+        assert bits(x) == bits(rx)
+        assert bits(f) == bits(rf)
+        assert bits(g) == bits(rg)
+        assert it == rit
+        assert len(trace) == len(rtrace)
+        for (i, fi, t), (ri, rfi, rt) in zip(trace, rtrace):
+            assert (i, bits(fi)) == (ri, bits(rfi))
+            assert t == rt or (rt < 1e-16 and t > rt)
+
+
+def compare(monkeypatch, solve):
+    new_result, new = run_with(monkeypatch, damped_newton, solve)
+    ref_result, ref = run_with(monkeypatch, reference_driver, solve)
+    assert_same_runs(new, ref)
+    return new_result, ref_result, ref
+
+
+def test_double_well_value_solve_ending_in_failed_searches(monkeypatch):
+    new, ref, runs = compare(monkeypatch, lambda: value_function(
+        double_well(), point([1.5], E1), 0.05, ValueOptions(N=4000)))
+    assert bits(new.V) == bits(ref.V) and bits(new.G) == bits(ref.G)
+    assert runs[0][4][-1][2] < 1e-16  # the reference ends in a failed search
+
+
+def test_quantile_euler_lagrange_solve(monkeypatch):
+    pr = WedProblem(epsilon=0.05, T=0.5, N=800, space=Q16, energy=QENT,
+                    x_bar=gaussian_quantiles(Q16, 1.0, 1.5), solver="euler_lagrange")
+    new, ref, _ = compare(monkeypatch, lambda: minimize_wed(pr))
+    assert np.array_equal(new.trajectory.points, ref.trajectory.points)
+    assert (new.objective, new.iterations) == (ref.objective, ref.iterations)
+
+
+@pytest.mark.parametrize("xv, t", [(0.7, 0.01), (-1.3, 4e-5), (2.0, 0.3)])
+def test_float_prox(monkeypatch, xv, t):
+    new, ref, _ = compare(monkeypatch, lambda: yosida_coord(double_well(), E1, xv, t))
+    assert bits(new[0]) == bits(ref[0]) and bits(new[1]) == bits(ref[1])
+
+
+def test_quantile_prox(monkeypatch):
+    x = gaussian_quantiles(Q16, 1.0, 1.5)
+    new, ref, _ = compare(monkeypatch, lambda: yosida(QENT, Q16, x, 0.01))
+    assert new[0] == ref[0] and np.array_equal(new[1].coords, ref[1].coords)
+
+
+def test_finsler_inner_solves(monkeypatch):
+    f = lambda P: 1.0 + np.sum(P * P, axis=1)
+    new, ref, _ = compare(monkeypatch, lambda: finsler_distance(
+        E1, f, point([-0.5], E1), point([0.8], E1)))
+    assert bits(new) == bits(ref)
+
+
+@pytest.mark.parametrize("solver", ["direct", "euler_lagrange"])
+def test_one_iteration_failure_and_its_best(monkeypatch, solver):
+    pr = WedProblem(epsilon=0.05, T=1.0, N=4000, space=E1, energy=double_well(),
+                    x_bar=point([0.3], E1), max_iter=1, solver=solver)
+    new, ref, _ = compare(monkeypatch, lambda: minimize_wed(pr))
+    assert isinstance(new, NonConvergenceError) and isinstance(ref, NonConvergenceError)
+    assert str(new) == str(ref)
+    assert np.array_equal(new.best, ref.best)
+
+
+# -- when the driver evaluates ------------------------------------------------------
+
+
+def counting_driver(seen):
+    """The driver, failing if it evaluates the current iterate again."""
+
+    def driver(x, evaluate, residual, done, direction, max_iter):
+        current = []
+
+        def counted(z):
+            assert not (current and np.array_equal(z, current[-1]))
+            seen.append(z)
+            return evaluate(z)
+
+        def recorded(z, g):
+            current.append(z)
+            return direction(z, g)
+
+        return damped_newton(x, counted, residual, done, recorded, max_iter)
+
+    return driver
+
+
+@pytest.mark.parametrize("solve", [
+    lambda: value_function(double_well(), point([1.5], E1), 0.05, ValueOptions(N=4000)),
+    lambda: yosida_coord(double_well(), E1, 0.7, 0.01),
+    lambda: minimize_wed(WedProblem(epsilon=0.05, T=0.5, N=800, space=Q16, energy=QENT,
+                                    x_bar=gaussian_quantiles(Q16, 1.0, 1.5),
+                                    solver="euler_lagrange")),
+], ids=["dw-value", "float-prox", "q16-el"])
+def test_current_iterate_is_never_evaluated_again(monkeypatch, solve):
+    seen = []
+    run_with(monkeypatch, counting_driver(seen), solve)
+    assert seen
+
+
+@pytest.mark.parametrize("x0, p", [
+    (1.0, 1.0),
+    # the second coordinate rounds away from t = 2^-51, the first only at 2^-53
+    (np.array([1.0, 4.0]), np.array([1.0, 1.0])),
+])
+def test_failed_search_stops_where_the_step_rounds_away(x0, p):
+    # an ascent direction claimed as descent: every search fails
+    points = []
+
+    def evaluate(z):
+        points.append(z)
+        return float(np.sum(z)), 1.0
+
+    x, f, g, it, trace = damped_newton(x0, evaluate, abs, lambda g: False,
+                                       lambda z, g: (p, -1.0), 10)
+    assert x is x0 and f == float(np.sum(x0)) and it == 2
+    # trials at t = 1, 1/2, ..., 2^-52; x + 2^-53 p == x ends each search
+    assert trace == [(1, f, 2.0**-53), (2, f, 2.0**-53)]
+    assert len(points) == 1 + 2 * 53
+    assert not any(np.array_equal(z, x0) for z in points[1:])

@@ -291,7 +291,7 @@ def test_hj_1d_never_repeats_a_solve():
 
 
 def test_hj_quantile_fixture():
-    # 32-dimensional quantile state: the identity needs the flow-direction
+    # 16-dimensional quantile state: the identity needs the flow-direction
     # probe; translation/dilation/random alone undershoot the slope
     from wedflow import SpaceSpec, ValueCache, gaussian_quantiles, quantile_entropy_potential
 

@@ -230,6 +230,26 @@ def test_nonconvergence_carries_best_iterate(solver):
     assert len(info.value.trace) > 0
 
 
+def test_euler_lagrange_passes_on_errors_other_than_domain(monkeypatch):
+    # only DomainError means "no gradient here"; a bug must not read as an
+    # infinite merit and a stalled search
+    import wedflow.wed as wed
+
+    calls = []
+
+    def grad_many(spec, U):
+        calls.append(1)
+        if len(calls) == 2:
+            raise RuntimeError("bug in the gradient")
+        return np.asarray(U) ** 3 - np.asarray(U)
+
+    monkeypatch.setattr(wed, "grad_many", grad_many)
+    pr = WedProblem(epsilon=0.05, T=1.0, N=400, space=E1, energy=double_well(),
+                    x_bar=point([0.3], E1), solver="euler_lagrange")
+    with pytest.raises(RuntimeError, match="bug in the gradient"):
+        minimize_wed(pr)
+
+
 def test_unknown_grid_mode_rejected():
     with pytest.raises(InvalidInputError, match="grid mode"):
         quad_problem(grid_mode="nope")
