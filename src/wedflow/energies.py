@@ -14,11 +14,10 @@ sentinel (non-monotone quantile vectors).  Gradients and Hessians raise
 DomainError there instead.  The ``*_many`` kernels work row-wise on (n, d)
 arrays: a trajectory solver gets all Hessians of a Newton step from one
 ``hess_many`` call, the descent check all slopes of a curve from one
-``analytic_slopes`` call.  A state with one coordinate is evaluated on Python
-floats by ``EnergySpec.one_point``, with the row kernels' arithmetic: the
-results are bitwise those of the ``*_many`` kernels on one row, without
-numpy's per-call overhead.  ``energy_eval``, ``energy_grad``, the 1-D
-Moreau-Yosida steps and the proximal reference run on it.
+``analytic_slopes`` call.  The proximal step ``prox`` runs a one-dimensional,
+non-quantile state on Python floats through ``EnergySpec.one_point``, with
+the row kernels' arithmetic: the results are bitwise those of the ``*_many``
+kernels on one row, without numpy's per-call overhead.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ import numpy as np
 
 from .errors import DomainError, InvalidInputError, NonConvergenceError, NotAvailableError
 from .newton import damped_newton, golden_section, levenberg
-from .spaces import PNORM, QUANTILE1D, Point, SpaceSpec, normal_quantile
+from .spaces import PNORM, QUANTILE1D, Point, SpaceSpec, normal_quantile, probe_directions
 
 QUADRATIC = "quadratic"
 CONVEX_QUARTIC = "convex_quartic"
@@ -245,9 +244,7 @@ def _quadratic_params(spec: EnergySpec, U: np.ndarray):
 
 
 def energy_eval(spec: EnergySpec, x: Point) -> float:
-    """phi(x); math.inf for out-of-domain points."""
-    if x.coords.shape[0] == 1:
-        return spec.one_point[0](float(x.coords[0]))
+    """phi(x); math.inf for out-of-domain points.  ``eval_many`` on one row."""
     return float(eval_many(spec, x.coords[None, :])[0])
 
 
@@ -281,9 +278,8 @@ def eval_many(spec: EnergySpec, U: np.ndarray) -> np.ndarray:
 
 
 def energy_grad(spec: EnergySpec, x: Point) -> np.ndarray:
-    """Coordinate gradient of phi (the L^2 gradient in quantile coordinates)."""
-    if x.coords.shape[0] == 1:
-        return np.array([spec.one_point[1](float(x.coords[0]))])
+    """Coordinate gradient of phi (the L^2 gradient in quantile coordinates).
+    ``grad_many`` on one row."""
     return grad_many(spec, x.coords[None, :])[0]
 
 
@@ -500,38 +496,40 @@ def analytic_slope(spec: EnergySpec, space: SpaceSpec, x: Point) -> float:
 # -- Moreau-Yosida regularization ---------------------------------------------
 
 
-def yosida(spec: EnergySpec, space: SpaceSpec, x: Point, t: float):
-    """phi_t(x) = inf_y d^2(y,x)/(2t) + phi(y); returns (value, argmin Point).
+def prox(spec: EnergySpec, space: SpaceSpec, coords: np.ndarray, t: float):
+    """The proximal step at the coordinate row ``coords``: returns
+    (phi_t(x), argmin row) for phi_t(x) = inf_y d^2(y,x)/(2t) + phi(y).
 
-    Smooth kinds use damped Newton; one-dimensional states fall back to a
-    bracketed scan plus golden-section refinement, which also rides out the
-    nonconvex inner problems (double_well with large t).  One-dimensional,
-    non-quantile states are solved on Python floats (``yosida_coord``).
+    Smooth kinds use damped Newton; one-dimensional, non-quantile states run
+    on Python floats, and fall back to a bracketed scan plus golden-section
+    refinement where the inner problem may be nonconvex (double_well with
+    large t).  This is the one place that decides when a state runs on
+    floats.
     """
     if t <= 0.0:
         raise InvalidInputError("yosida needs t > 0")
-    if spec.kind == QUADRATIC and spec.lam is not None and spec.lam < 0.0 \
-            and t * abs(spec.lam) >= 1.0:
+    lam = spec.lam
+    if spec.kind == QUADRATIC and lam is not None and lam < 0.0 and t * abs(lam) >= 1.0:
         # quadratics have no growth beyond their curvature: the inner problem
         # is unbounded below once 1/t + lambda_min <= 0
         raise InvalidInputError("inner problem not coercive: need t < 1/|lambda|")
     if space.dim == 1 and space.kind != QUANTILE1D:
-        value, y = yosida_coord(spec, space, float(x.coords[0]), t)
-        return value, Point(np.array([y]), space)
-    value, y = _yosida_newton(spec, space, x.coords.copy(), t)
+        xv = float(coords[0])
+        if lam is not None and (lam >= 0.0 or 2.0 * t * abs(lam) < 0.9):
+            # strongly convex inner problem: Newton is exact and much cheaper;
+            # otherwise scan a bracket to ride out multiple local minima
+            value, y = _yosida_newton(spec, space, xv, t)
+        else:
+            value, y = _yosida_1d(spec, xv, t)
+        return value, np.array([y])
+    return _yosida_newton(spec, space, coords.copy(), t)
+
+
+def yosida(spec: EnergySpec, space: SpaceSpec, x: Point, t: float):
+    """phi_t(x) = inf_y d^2(y,x)/(2t) + phi(y); returns (value, argmin Point).
+    ``prox`` at the coordinates of ``x``."""
+    value, y = prox(spec, space, x.coords, t)
     return value, Point(y, space)
-
-
-def yosida_coord(spec: EnergySpec, space: SpaceSpec, xv: float, t: float):
-    """``yosida`` at the coordinate ``xv`` of a one-dimensional, non-quantile
-    state, for a ``t`` that ``yosida`` accepts; returns (value, argmin) as
-    Python floats."""
-    lam = spec.lam
-    if lam is not None and (lam >= 0.0 or 2.0 * t * abs(lam) < 0.9):
-        # strongly convex inner problem: Newton is exact and much cheaper;
-        # otherwise scan a bracket to ride out multiple local minima
-        return _yosida_newton(spec, space, xv, t)
-    return _yosida_1d(spec, xv, t)
 
 
 def _yosida_1d(spec, xv, t):
@@ -595,10 +593,11 @@ def _yosida_newton(spec, space, x0, t):
         except DomainError:
             return math.inf, None
 
+    start = evaluate(x0)
     # gradient entries scale with the 1/t proximal curvature, so the stop
     # threshold must carry that factor to stay reachable at tiny steps
-    gtol = 1e-12 * (1.0 + abs(obj(x0))) * (1.0 + 1.0 / t)
-    y, f, g, _, trace = damped_newton(x0, evaluate, sup_norm,
+    gtol = 1e-12 * (1.0 + abs(start[0])) * (1.0 + 1.0 / t)
+    y, f, g, _, trace = damped_newton(x0, start, evaluate, sup_norm,
                                       lambda g: sup_norm(g) <= gtol, direction, 200)
     if sup_norm(g) <= max(gtol, 1e-9 * (1.0 + abs(f)) * (1.0 + 1.0 / t)):
         return f, y
@@ -635,7 +634,7 @@ def local_slope(spec: EnergySpec, space: SpaceSpec, x: Point, method="analytic")
         if spec.lam is None:
             raise InvalidInputError("lambda_representation needs the convexity modulus")
         phi_x = energy_eval(spec, x)
-        dirs = _probe_directions(space, seed=20210)
+        dirs = probe_directions(space, 20210, at=x.coords)
         best = 0.0
         diag = []
         for k in range(13):
@@ -675,17 +674,3 @@ def local_slope(spec: EnergySpec, space: SpaceSpec, x: Point, method="analytic")
 def _admissible(space, coords):
     return space.kind != QUANTILE1D or bool(np.all(np.diff(coords) > 0.0))
 
-
-def _probe_directions(space: SpaceSpec, seed: int):
-    d = space.dim
-    dirs = []
-    for i in range(d):
-        e = np.zeros(d)
-        e[i] = 1.0
-        dirs.extend([e, -e])
-    if d > 1:
-        rng = np.random.default_rng(seed)
-        for _ in range(8):
-            v = rng.standard_normal(d)
-            dirs.append(v / np.linalg.norm(v))
-    return dirs

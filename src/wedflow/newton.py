@@ -34,13 +34,15 @@ def _descends(step, g) -> bool:
     return bool(np.all(np.isfinite(step))) and float(np.sum(step * g)) < 0.0
 
 
-def damped_newton(x, evaluate, residual, done, direction, max_iter):
+def damped_newton(x, start, evaluate, residual, done, direction, max_iter):
     """Descend a merit from ``x`` along ``p, slope = direction(x, g)``.
 
     ``evaluate(x)`` returns ``(merit, g)``, g the gradient or residual vector,
     or None where it cannot be formed (the merit is then inf); ``residual(g)``
-    is its size and ``done(g)`` the stop test.  Each point is evaluated once:
-    the accepted point's g serves the stall test and the next step.  Step
+    is its size and ``done(g)`` the stop test.  ``start`` is ``evaluate(x)``,
+    which the caller has formed for its own tolerances: the driver evaluates
+    only trial points, each once, and the accepted point's g serves the stall
+    test and the next step.  Step
     lengths t = 1, 1/2, ..., 1e-16 are tried until merit drops by 1e-4 t slope
     or, where that is below roundoff, the residual drops; the search fails at
     the first t where ``x + t*p`` rounds to ``x`` (every smaller t does too).
@@ -49,7 +51,7 @@ def damped_newton(x, evaluate, residual, done, direction, max_iter):
     iterations, trace)``, trace holding (iteration, merit, t).
     """
     same = (lambda a, b: a == b) if isinstance(x, float) else np.array_equal
-    f, g = evaluate(x)
+    f, g = start
     r = residual(g)
     trace = []
     it = stalls = 0

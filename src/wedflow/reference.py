@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .energies import (
-    EnergySpec, QUADRATIC, QUANTILE_ENTROPY, analytic_slopes, eval_many, yosida, yosida_coord,
+    EnergySpec, QUADRATIC, QUANTILE_ENTROPY, analytic_slopes, eval_many, prox,
 )
 from .errors import InvalidInputError, NotAvailableError
 from .spaces import QUANTILE1D, Point, SpaceSpec, normal_quantile, row_distances
@@ -30,7 +30,6 @@ class MMSolution:
     """Proximal (implicit Euler) iterates with step tau."""
 
     trajectory: Trajectory
-    argmins: np.ndarray
     movements: np.ndarray
     tau: float
 
@@ -49,21 +48,12 @@ def minimizing_movements(x_bar: Point, tau: float, steps: int,
         raise InvalidInputError("tau must stay below 1/(2|lambda|) for this energy")
     pts = np.empty((steps + 1, space.dim))
     pts[0] = x_bar.coords
-    if space.dim == 1 and space.kind != QUANTILE1D:
-        # one-point proximal steps on Python floats
-        y = float(x_bar.coords[0])
-        for k in range(steps):
-            y = yosida_coord(energy, space, y, tau)[1]
-            pts[k + 1, 0] = y
-    else:
-        cur = x_bar
-        for k in range(steps):
-            cur = yosida(energy, space, cur, tau)[1]
-            pts[k + 1] = cur.coords
+    for k in range(steps):
+        pts[k + 1] = prox(energy, space, pts[k], tau)[1]
     movements = row_distances(space, pts[:-1], pts[1:])
     grid = TimeGrid(np.linspace(0.0, steps * tau, steps + 1), "uniform")
     traj = Trajectory(grid, pts, space)
-    return MMSolution(trajectory=traj, argmins=pts[1:].copy(), movements=movements, tau=tau)
+    return MMSolution(trajectory=traj, movements=movements, tau=tau)
 
 
 # -- closed-form flows ------------------------------------------------------------

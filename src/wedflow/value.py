@@ -21,10 +21,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .energies import EnergySpec, analytic_slope, energy_eval, q_value, yosida
+from .energies import EnergySpec, analytic_slope, energy_eval, prox, q_value
 from .errors import InvalidInputError
 from .newton import damped_newton, golden_section
-from .spaces import QUANTILE1D, Point, SpaceSpec, distance
+from .spaces import QUANTILE1D, Point, SpaceSpec, distance, probe_directions
 from .trajectories import EXP_GRADED, TimeGrid, Trajectory, Weights, row_values
 from .wed import (
     DIRECT, WedProblem, WedSolution, default_horizon, minimize_wed, solve_block_tridiag,
@@ -110,7 +110,8 @@ def value_function(energy: EnergySpec, x: Point, epsilon: float,
     """Solve for V(x) and the induced gradient surrogate G(x).
 
     G = sqrt(2 (phi - V)^+ / eps) is the quantity that plays the role of the
-    slope of phi in the small-eps limit.
+    slope of phi in the small-eps limit.  phi(x) is read off the solve, the
+    value its objective used at x, so a cached sample evaluates no energy.
     """
     opts = opts or ValueOptions()
     space = x.space
@@ -132,7 +133,7 @@ def value_function(energy: EnergySpec, x: Point, epsilon: float,
         sol = minimize_wed(problem)
         if key is not None:
             opts.cache.put(key, sol)
-    phi = energy_eval(energy, x)
+    phi = float(sol.phi[0])
     V = sol.objective
     slack = 1e-8 * (1.0 + abs(phi))
     if V > phi + slack or V < -q_value(energy, space, x) - slack:
@@ -266,7 +267,7 @@ def check_yosida_bound(energy: EnergySpec, x: Point, epsilon: float,
     phis = np.empty(n_quad)
     phis[0] = energy_eval(energy, x)  # t -> 0 limit of the inf-convolution
     for i in range(1, n_quad):
-        phis[i] = yosida(energy, x.space, x, float(grid.nodes[i]))[0]
+        phis[i] = prox(energy, x.space, x.coords, float(grid.nodes[i]))[0]
     quad = float(np.sum(w.masses * phis))
     correction = 2.0 * q_value(energy, x.space, x) * math.exp(-T / epsilon)
     sample = value_function(energy, x, epsilon, opts)
@@ -309,33 +310,6 @@ class ProbeOptions:
     solve_N: int | None = None
 
 
-def _probe_dirs(space: SpaceSpec, seed: int, at: np.ndarray | None = None):
-    d = space.dim
-    dirs = []
-    rng = np.random.default_rng(seed)
-    if space.kind == QUANTILE1D and d > 1 and at is not None:
-        # translation and dilation span the directions the confined flows
-        # move in; coordinate probes would mostly leave the monotone cone
-        shift = np.ones(d)
-        centered = at - float(np.mean(at))
-        for v in (shift, centered):
-            nv = math.sqrt(float(np.sum(space.metric_weights * v * v)))
-            if nv > 0.0:
-                dirs.extend([v / nv, -v / nv])
-    else:
-        scale = 1.0 / np.sqrt(space.metric_weights)
-        for i in range(d):
-            e = np.zeros(d)
-            e[i] = scale[i]  # unit metric length
-            dirs.extend([e, -e])
-    if d > 1:
-        for _ in range(8):
-            v = rng.standard_normal(d)
-            v /= math.sqrt(float(np.sum(space.metric_weights * v * v)))
-            dirs.append(v)
-    return dirs
-
-
 def conditioned_slope_estimate(energy: EnergySpec, x: Point, epsilon: float,
                                probe: ProbeOptions, opts: ValueOptions | None = None) -> tuple:
     """Finite-difference estimate of the descending slope of V at x.
@@ -353,7 +327,7 @@ def conditioned_slope_estimate(energy: EnergySpec, x: Point, epsilon: float,
     if solve_n != opts.N:
         opts = dataclasses.replace(opts, N=solve_n)
     center = value_function(energy, x, epsilon, opts)
-    dirs = _probe_dirs(space, probe.seed, at=x.coords)
+    dirs = probe_directions(space, probe.seed, at=x.coords)
     # the descent of V is steepest along the minimizer itself, so the early
     # movement of the center solve supplies the sharp approach direction
     # (probe points are still fresh solves at perturbed states)
@@ -531,8 +505,9 @@ def finsler_distance(space: SpaceSpec, f, u0: Point, u1: Point,
         # tolerance must sit above the ~1e-10 differencing noise floor; the
         # kinetic-preconditioned iteration contracts like (S/K)^2 per sweep so a
         # dozen sweeps is already far below the quadrature error
+        V0 = theta[1:-1]
         V, value, _, _, _ = damped_newton(
-            theta[1:-1], evaluate, sup_norm,
+            V0, evaluate(V0), evaluate, sup_norm,
             lambda g: sup_norm(g) <= 1e-9 * (1.0 + fmax), direction, 12,
         )
         return full(V), value

@@ -221,11 +221,11 @@ def minimize_wed(problem: WedProblem) -> WedSolution:
         return step, float(np.sum(g * step))
 
     V0 = np.tile(problem.x_bar.coords, (N, 1))
-    g0 = evaluate(V0)[1]
-    gn0, rmax0 = dual_norm(g0), row_max(g0)
+    start = evaluate(V0)
+    gn0, rmax0 = dual_norm(start[1]), row_max(start[1])
     row_tol = 1e-6 * (1.0 + rmax0)
     V, f, g, it, _ = damped_newton(
-        V0, evaluate, row_max,
+        V0, start, evaluate, row_max,
         lambda g: dual_norm(g) <= problem.grad_tol and row_max(g) <= row_tol,
         direction, problem.max_iter,
     )
@@ -329,8 +329,9 @@ def solve_euler_lagrange(problem: WedProblem) -> WedSolution:
             raise NonConvergenceError(f"singular Jacobian: {exc}", best=U)
         return step, -sup_norm(F)
 
+    V0 = np.tile(problem.x_bar.coords, (n_c, 1))
     V, fn, _, it, trace = damped_newton(
-        np.tile(problem.x_bar.coords, (n_c, 1)), evaluate, sup_norm,
+        V0, evaluate(V0), evaluate, sup_norm,
         lambda F: sup_norm(F) <= problem.grad_tol, direction, problem.max_iter,
     )
     U = full(V)

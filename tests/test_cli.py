@@ -96,10 +96,20 @@ def test_suite_failure_gives_exit_2(tmp_path, monkeypatch):
     assert run(cfg(suites=["spectral"]), tmp_path / "out", quiet=True) == 2
 
 
-def test_outputs_deterministic_across_runs(tmp_path):
-    config = cfg(suites=["spectral", "fundamental"], N=800)
+ALL_SUITES = ["spectral", "inner", "dpp", "fundamental", "monotone", "yosida", "hj",
+              "lambda", "convergence", "finsler"]
+
+
+@pytest.mark.parametrize("config, tasks", [
+    (cfg(suites=["spectral", "fundamental"], N=800), ("solve", "value")),
+    # every suite and the sweep on a 1-D double well: exit 0 means all pass
+    (cfg(energy={"kind": "double_well"}, x_bar=[0.28], epsilon=0.05,
+         eps_list=[0.1, 0.05, 0.025, 0.0125], N=4000, suites=ALL_SUITES),
+     ("solve", "sweep", "mm")),
+], ids=["quadratic", "double-well-all-suites"])
+def test_outputs_deterministic_across_runs(tmp_path, config, tasks):
     for sub in ("a", "b"):
-        assert run(config, tmp_path / sub, quiet=True, tasks=("solve", "value")) == 0
+        assert run(config, tmp_path / sub, quiet=True, tasks=tasks) == 0
     skip = {"manifest.json", "convergence.csv"}  # wall-clock content
     names = sorted(p.name for p in (tmp_path / "a").iterdir())
     assert names == sorted(p.name for p in (tmp_path / "b").iterdir())

@@ -225,7 +225,8 @@ def array_yosida_1d(spec, x, t):
             return step, float(step @ g)
 
         gtol = 1e-12 * (1.0 + abs(obj(xc))) * (1.0 + 1.0 / t)
-        y, f, _, _, _ = damped_newton(xc.copy(), lambda z: (obj(z), grad_at(z)), sup_norm,
+        evaluate = lambda z: (obj(z), grad_at(z))
+        y, f, _, _, _ = damped_newton(xc.copy(), evaluate(xc), evaluate, sup_norm,
                                       lambda g: sup_norm(g) <= gtol, direction, 200)
         return f, y[0]
     obj = lambda y: (y - x) ** 2 / (2.0 * t) + float(eval_many(spec, np.array([[y]]))[0])
@@ -336,6 +337,19 @@ def test_local_slope_lambda_representation():
     assert est.value <= analytic + 5e-2
     # quotients at shrinking radii approach the analytic slope
     assert abs(est.diagnostics[-1][1] - analytic) < 1e-3
+
+
+@pytest.mark.parametrize("spec, x", [
+    (double_well(), point([0.3, -0.8, 1.4], SpaceSpec.euclidean(3))),
+    (quantile_entropy_potential(v2=1.0, v1=0.5),
+     gaussian_quantiles(SpaceSpec.quantile1d(8), 0.4, 1.7)),
+], ids=["dw-3d", "q8"])
+def test_lambda_representation_stays_below_slope(spec, x):
+    # lambda-convexity bounds every probe quotient by the slope
+    analytic = analytic_slope(spec, x.space, x)
+    est = local_slope(spec, x.space, x, method="lambda_representation")
+    assert all(q <= analytic + 1e-12 for _, q in est.diagnostics)
+    assert est.value <= analytic + 1e-12
 
 
 def test_energy_json_roundtrip():

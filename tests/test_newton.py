@@ -17,8 +17,8 @@ from wedflow import (
     NonConvergenceError, SpaceSpec, ValueOptions, WedProblem, double_well, finsler_distance,
     gaussian_quantiles, minimize_wed, point, quantile_entropy_potential, value_function, yosida,
 )
-from wedflow.energies import yosida_coord
-from wedflow.newton import damped_newton
+from wedflow.energies import eval_many, grad_many, prox
+from wedflow.newton import damped_newton, levenberg
 
 E1 = SpaceSpec.euclidean(1)
 Q16 = SpaceSpec.quantile1d(16)
@@ -64,7 +64,8 @@ def reference_damped_newton(x, merit, derivs, residual, done, direction, max_ite
     return x, f, g, it, trace
 
 
-def reference_driver(x, evaluate, residual, done, direction, max_iter):
+def reference_driver(x, start, evaluate, residual, done, direction, max_iter):
+    # evaluates x itself, as the iteration it replaced did
     return reference_damped_newton(x, lambda z: evaluate(z)[0], lambda z: evaluate(z)[1],
                                    residual, done, direction, max_iter)
 
@@ -132,7 +133,7 @@ def test_quantile_euler_lagrange_solve(monkeypatch):
 
 @pytest.mark.parametrize("xv, t", [(0.7, 0.01), (-1.3, 4e-5), (2.0, 0.3)])
 def test_float_prox(monkeypatch, xv, t):
-    new, ref, _ = compare(monkeypatch, lambda: yosida_coord(double_well(), E1, xv, t))
+    new, ref, _ = compare(monkeypatch, lambda: prox(double_well(), E1, np.array([xv]), t))
     assert bits(new[0]) == bits(ref[0]) and bits(new[1]) == bits(ref[1])
 
 
@@ -165,7 +166,7 @@ def test_one_iteration_failure_and_its_best(monkeypatch, solver):
 def counting_driver(seen):
     """The driver, failing if it evaluates the current iterate again."""
 
-    def driver(x, evaluate, residual, done, direction, max_iter):
+    def driver(x, start, evaluate, residual, done, direction, max_iter):
         current = []
 
         def counted(z):
@@ -177,14 +178,14 @@ def counting_driver(seen):
             current.append(z)
             return direction(z, g)
 
-        return damped_newton(x, counted, residual, done, recorded, max_iter)
+        return damped_newton(x, start, counted, residual, done, recorded, max_iter)
 
     return driver
 
 
 @pytest.mark.parametrize("solve", [
     lambda: value_function(double_well(), point([1.5], E1), 0.05, ValueOptions(N=4000)),
-    lambda: yosida_coord(double_well(), E1, 0.7, 0.01),
+    lambda: prox(double_well(), E1, np.array([0.7]), 0.01),
     lambda: minimize_wed(WedProblem(epsilon=0.05, T=0.5, N=800, space=Q16, energy=QENT,
                                     x_bar=gaussian_quantiles(Q16, 1.0, 1.5),
                                     solver="euler_lagrange")),
@@ -208,10 +209,69 @@ def test_failed_search_stops_where_the_step_rounds_away(x0, p):
         points.append(z)
         return float(np.sum(z)), 1.0
 
-    x, f, g, it, trace = damped_newton(x0, evaluate, abs, lambda g: False,
+    x, f, g, it, trace = damped_newton(x0, evaluate(x0), evaluate, abs, lambda g: False,
                                        lambda z, g: (p, -1.0), 10)
     assert x is x0 and f == float(np.sum(x0)) and it == 2
     # trials at t = 1, 1/2, ..., 2^-52; x + 2^-53 p == x ends each search
     assert trace == [(1, f, 2.0**-53), (2, f, 2.0**-53)]
     assert len(points) == 1 + 2 * 53
     assert not any(np.array_equal(z, x0) for z in points[1:])
+
+
+# -- the Levenberg shift ladder ------------------------------------------------------
+
+
+def shifts_tried(solve):
+    """levenberg on ``solve`` with g = 1 and fallback -7: (step, rhos tried)."""
+    seen = []
+
+    def recorded(rho):
+        seen.append(rho)
+        return solve(rho)
+
+    return levenberg(recorded, 1.0, -7.0), seen
+
+
+def test_levenberg_shifts_past_a_raise_at_zero():
+    def singular_at_zero(rho):
+        if rho == 0.0:
+            raise np.linalg.LinAlgError("singular")
+        return -1.0
+
+    assert shifts_tried(singular_at_zero) == (-1.0, [0.0, 1e-8])
+
+
+def test_levenberg_shifts_past_non_descent_steps():
+    # H = -1: ascent below rho = 1, a zero pivot at 1, descent from 10 on
+    step, seen = shifts_tried(lambda rho: -1.0 / (-1.0 + rho))
+    assert step == -1.0 / 9.0
+    assert seen[0] == 0.0 and seen[-2:] == [1.0, 10.0] and len(seen) == 11
+
+
+def test_levenberg_falls_back_after_1e12():
+    step, seen = shifts_tried(lambda rho: 1.0)  # never a descent step
+    assert step == -7.0
+    assert seen[0] == 0.0 and seen[-1] == 1e12 and len(seen) == 22
+
+
+def test_two_dimensional_prox_climbs_the_ladder(monkeypatch):
+    # at the hilltop of a 2-D double well with t = 2 the proximal Hessian
+    # 3x^2 - 1 + 1/t is negative: only the shifts up to rho = 1 descend
+    E2 = SpaceSpec.euclidean(2)
+    x = point([0.05, 0.05], E2)
+    rhos = []
+
+    def recording(solve, g, fallback):
+        def recorded(rho):
+            rhos.append(rho)
+            return solve(rho)
+
+        return levenberg(recorded, g, fallback)
+
+    monkeypatch.setattr("wedflow.energies.levenberg", recording)
+    value, y = yosida(double_well(), E2, x, 2.0)
+    assert max(rhos) == 1.0
+    assert np.allclose(y.coords, 0.7309, atol=1e-4)
+    grad = (y.coords - x.coords) / 2.0 + grad_many(double_well(), y.coords[None])[0]
+    assert np.max(np.abs(grad)) <= 1e-12
+    assert value < eval_many(double_well(), x.coords[None])[0]

@@ -7,8 +7,9 @@ from wedflow import (
     InvalidInputError, SpaceSpec, ValueCache, ValueOptions, WedProblem,
     check_dpp, check_eps_monotonicity, check_fundamental_identity, check_hj,
     check_yosida_bound, conditioned_slope_estimate, convex_quartic, distance,
-    double_well, finsler_distance, minimize_wed, point, quadratic,
-    value_along, value_function, wed_slope_compare,
+    discrete_dirichlet, double_well, energy_eval, finsler_distance, gaussian_quantiles,
+    minimize_wed, point, quadratic, quantile_entropy_potential, value_along,
+    value_function, wed_slope_compare,
 )
 from wedflow.value import ProbeOptions, apriori_speed_bound, chain_rule_bound
 from wedflow.energies import eval_many
@@ -86,6 +87,31 @@ def test_value_cache_key_is_exact_in_coordinates():
     assert len(cache._data) == 2
     assert a.solve_ref is not b.solve_ref
     assert b.solve_ref.problem.x_bar.coords[0] == 1.0 + 1e-13
+
+
+def _phi_cases():
+    rng = np.random.default_rng(11)
+    q16 = SpaceSpec.quantile1d(16)
+    e8 = SpaceSpec.euclidean(8)
+    dirichlet = discrete_dirichlet(p=3.0, h=1.0 / 9.0, reaction=[0.0, 0.0, 1.0])
+    s = np.arange(1, 9) / 9.0
+    cases = [(DW, point([u], E1)) for u in rng.uniform(-1.6, 1.6, 3)]
+    cases += [(quantile_entropy_potential(), gaussian_quantiles(q16, m, sd))
+              for m, sd in rng.uniform([-0.5, 0.8], [0.5, 1.6], (2, 2))]
+    cases += [(dirichlet, point(a * np.sin(np.pi * s) + b * np.sin(2.0 * np.pi * s), e8))
+              for a, b in rng.uniform([0.8, -0.3], [1.2, 0.3], (2, 2))]
+    return cases
+
+
+@pytest.mark.parametrize("energy, x", _phi_cases())
+def test_sample_phi_is_energy_eval_on_miss_and_hit(energy, x):
+    # phi is read off the solve; on these kinds it is bitwise phi(x)
+    opts = ValueOptions(N=200, cache=ValueCache())
+    want = energy_eval(energy, x).hex()
+    miss = value_function(energy, x, 0.05, opts)
+    hit = value_function(energy, x, 0.05, opts)
+    assert hit.solve_ref is miss.solve_ref
+    assert miss.phi.hex() == hit.phi.hex() == want
 
 
 # -- value along a minimizer --------------------------------------------------------

@@ -404,3 +404,14 @@ def test_tridiag_sweep_is_bitwise_numpy_thomas(n):
     # strided views are read as they are
     wide = [np.repeat(b, 2)[::2] for b in bands]
     assert np.array_equal(solve_tridiag(*wide), numpy_thomas(*bands))
+
+
+def test_euler_lagrange_interpolates_onto_a_graded_grid():
+    # both solves run on the same uniform computational grid, dt = T/N; the
+    # graded one interpolates it linearly at its own nodes
+    kw = dict(eps=0.05, T=1.0, N=800, solver="euler_lagrange")
+    uniform = minimize_wed(quad_problem(**kw)).trajectory
+    graded = minimize_wed(quad_problem(grid_mode="exp_graded", **kw)).trajectory
+    want = np.interp(graded.grid.nodes, uniform.grid.nodes, uniform.points[:, 0])
+    assert graded.grid.mode == "exp_graded"
+    assert np.max(np.abs(graded.points[:, 0] - want)) <= 1e-13
