@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from wedflow import (
     InvalidInputError, NonConvergenceError, Point, SpaceSpec, TimeGrid,
@@ -375,35 +377,88 @@ def test_tridiag_zero_pivot_raises(sub, diag, sup):
                             np.ones((len(diag), 1)))
 
 
-def numpy_thomas(sub, diag, sup, rhs):
-    """Thomas elimination on numpy scalars, the reference for the float sweep."""
-    n = diag.shape[0]
-    cp = np.empty(max(n - 1, 0))
-    dp = np.empty(n)
-    den = diag[0]
-    if n > 1:
-        cp[0] = sup[0] / den
-    dp[0] = rhs[0] / den
-    for k in range(1, n):
-        den = diag[k] - sub[k - 1] * cp[k - 1]
-        if k < n - 1:
-            cp[k] = sup[k] / den
-        dp[k] = (rhs[k] - sub[k - 1] * dp[k - 1]) / den
-    x = np.empty(n)
-    x[-1] = dp[-1]
-    for k in range(n - 2, -1, -1):
-        x[k] = dp[k] - cp[k] * x[k + 1]
-    return x
+def solve_banded_ref(sub, diag, sup, rhs):
+    """scipy's banded LU with partial pivoting (LAPACK gbsv), the reference."""
+    la = pytest.importorskip("scipy.linalg")
+    ab = np.zeros((3, diag.shape[0]))
+    ab[0, 1:], ab[1], ab[2, :-1] = sup, diag, sub
+    return la.solve_banded((1, 1), ab, rhs)
 
 
-@pytest.mark.parametrize("n", [1, 2, 500])
-def test_tridiag_sweep_is_bitwise_numpy_thomas(n):
+def rel_err(x, ref):
+    return float(np.max(np.abs(x - ref)) / np.max(np.abs(ref)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 63, 500, 4000, 4001])
+def test_tridiag_matches_solve_banded(n):
+    # n = 63 is the Finsler curve size and 4000 a direct solve at N = 4000;
+    # the reduction meets odd and even sizes on its way down
     sub, diag, sup, rhs, _ = banded_system(np.random.default_rng(7 * n), n, 1)
     bands = (sub[:, 0], diag[:, 0, 0], sup[:, 0], rhs[:, 0])
-    assert np.array_equal(solve_tridiag(*bands), numpy_thomas(*bands))
+    x = solve_tridiag(*bands)
+    assert x.shape == (n,)
+    assert rel_err(x, solve_banded_ref(*bands)) <= 1e-13
     # strided views are read as they are
     wide = [np.repeat(b, 2)[::2] for b in bands]
-    assert np.array_equal(solve_tridiag(*wide), numpy_thomas(*bands))
+    assert np.array_equal(solve_tridiag(*wide), x)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(n=st.integers(1, 130), seed=st.integers(0, 2**32 - 1))
+@example(n=64, seed=0)
+@example(n=65, seed=0)
+@example(n=127, seed=0)
+@example(n=128, seed=0)
+@example(n=129, seed=0)
+def test_tridiag_matches_dense_solve(n, seed):
+    # n = 2^k halves through even sizes only, 2^k + 1 through odd ones down to 3
+    sub, diag, sup, rhs, M = banded_system(np.random.default_rng(seed), n, 1)
+    x = solve_tridiag(sub[:, 0], diag[:, 0, 0], sup[:, 0], rhs[:, 0])
+    assert rel_err(x, np.linalg.solve(M, rhs[:, 0])) <= 1e-13
+
+
+@pytest.mark.parametrize("rho", [0.0, 1e-3, 1.0])
+def test_tridiag_on_the_double_well_newton_matrix_near_the_hilltop(monkeypatch, rho):
+    # phi'' < 0 at x_bar = 0.25: on the first step no row but the one next to
+    # the pinned node is diagonally dominant, and the matrix has condition
+    # number about 2.7e6; rho is a Levenberg shift (omega = 1).  The bound
+    # sits below condition number x unit roundoff, 3e-10; measured against
+    # solve_banded: at most 5.4e-12, where the Thomas sweep was at 5.3e-12
+    import wedflow.wed as wed
+
+    # the row-scaled systems of a direct solve, as `_newton_direction` hands
+    # them to the solver
+    systems, solve = [], wed.solve_block_tridiag
+
+    def record(sub, diag, sup, rhs):
+        systems.append((sub[:, 0].copy(), diag[:, 0, 0].copy(), sup[:, 0].copy(), rhs[:, 0].copy()))
+        return solve(sub, diag, sup, rhs)
+
+    monkeypatch.setattr(wed, "solve_block_tridiag", record)
+    minimize_wed(WedProblem(epsilon=0.05, T=1.25, N=4000, space=E1, energy=double_well(),
+                            x_bar=point([0.25], E1)))
+    sub, diag, sup, _ = systems[0]
+    off = np.append(0.0, np.abs(sub)) + np.append(np.abs(sup), 0.0)
+    assert np.all(np.abs(diag[1:]) < off[1:])
+    assert len(systems) >= 2
+    for sub, diag, sup, rhs in systems:
+        shifted = (sub, diag + rho, sup, rhs)
+        assert rel_err(solve_tridiag(*shifted), solve_banded_ref(*shifted)) <= 1e-10
+
+
+@pytest.mark.parametrize("solver", ["direct", "euler_lagrange"])
+def test_double_well_solve_is_the_same_with_a_banded_lu(monkeypatch, solver):
+    # swapping the reduction for LAPACK's pivoted banded solve changes the
+    # Newton steps at roundoff only
+    import wedflow.wed as wed
+
+    pr = WedProblem(epsilon=0.05, T=1.25, N=4000, space=E1, energy=double_well(),
+                    x_bar=point([0.25], E1), solver=solver)
+    ours = minimize_wed(pr)
+    monkeypatch.setattr(wed, "solve_tridiag", solve_banded_ref)
+    ref = minimize_wed(pr)
+    assert ours.iterations == ref.iterations
+    assert np.max(np.abs(ours.trajectory.points - ref.trajectory.points)) <= 1e-12
 
 
 def test_euler_lagrange_interpolates_onto_a_graded_grid():
