@@ -22,13 +22,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .energies import EnergySpec, analytic_slope, energy_eval, prox, q_value
-from .errors import InvalidInputError
-from .newton import damped_newton, golden_section
-from .spaces import QUANTILE1D, Point, SpaceSpec, distance, probe_directions
+from .errors import InvalidInputError, NotAvailableError
+from .newton import damped_newton
+from .spaces import PNORM, QUANTILE1D, Point, SpaceSpec, distance, probe_directions
 from .trajectories import EXP_GRADED, TimeGrid, Trajectory, Weights, row_values
-from .wed import (
-    DIRECT, WedProblem, WedSolution, default_horizon, minimize_wed, solve_block_tridiag,
-)
+from .wed import DIRECT, WedProblem, WedSolution, default_horizon, minimize_wed
 
 
 @dataclass(frozen=True)
@@ -437,7 +435,7 @@ def chain_rule_bound(sol: WedSolution) -> IdentityReport:
 
 def finsler_distance(space: SpaceSpec, f, u0: Point, u1: Point,
                      return_curve: bool = False):
-    """Length distance weighting curve speed by f >= 1.
+    """Length distance weighting curve speed by f >= 1, for p = 2.
 
     ``f`` maps an (n, d) array of coordinate rows to n values: one call weighs
     all segment midpoints, or difference stencil points, of a step; f >= 1 is
@@ -445,11 +443,15 @@ def finsler_distance(space: SpaceSpec, f, u0: Point, u1: Point,
 
     Evaluated through the action form: minimize the integral of
     |curve'|^2/2 + f(curve)^2/2 over curves AND over the parameter interval
-    length S; at the optimal S the action equals the weighted length.  The
-    curve is a polyline of 64 cells, solved by descent preconditioned with
-    the exact kinetic operator; S by golden-section to 1e-8 max(1, d).  Weights are squared with float_power,
-    the libm pow of Python's float ``**``.
+    length S; at the optimal S the action equals the weighted length.  On a
+    polyline of K = 64 cells, with a = sum w |dP|^2/2 and b = sum f^2/2 at the
+    midpoints, the action K a/S + S b/K is least at S = K sqrt(a/b), where it
+    is 2 sqrt(a b): that reduced action is minimized over the interior nodes
+    by descent preconditioned with the exact kinetic operator at that S.
+    Weights are squared with float_power, the libm pow of Python's float ``**``.
     """
+    if space.kind == PNORM and space.p != 2.0:
+        raise NotAvailableError("finsler distance in pnorm spaces needs p = 2")
     if u0.space != space or u1.space != space:
         raise InvalidInputError("endpoints must live in the given space")
     d0 = distance(space, u0, u1)
@@ -460,10 +462,11 @@ def finsler_distance(space: SpaceSpec, f, u0: Point, u1: Point,
         raise InvalidInputError("finsler weight must satisfy f >= 1")
     fmax = float(np.max(fvals))
     f2 = lambda P: np.float_power(row_values(f, P), 2)
-    lo, hi = 0.1 * d0, 10.0 * math.sqrt(fmax) * max(d0, 1e-6)
     K = 64
     w = space.metric_weights
     theta = np.linspace(0.0, 1.0, K + 1)[:, None] * (u1.coords - u0.coords) + u0.coords
+    i = np.arange(1, K)
+    lap_inv = np.minimum.outer(i, i) * (K - np.maximum.outer(i, i)) / K  # of tridiag(-1, 2, -1)
 
     def f2_grad_at(P):
         # central differences of f^2, row-wise
@@ -475,49 +478,40 @@ def finsler_distance(space: SpaceSpec, f, u0: Point, u1: Point,
             out[:, j] = (f2(Pp) - f2(Pm)) / (2.0 * step)
         return out
 
-    def action(P, S):
-        # kinetic part exact for the polyline, f^2 at segment midpoints
-        h = S / K
-        dP = np.diff(P, axis=0)
-        kin = 0.5 * float(np.sum(w * dP * dP)) / h
-        return kin + 0.5 * h * float(np.sum(f2(0.5 * (P[:-1] + P[1:]))))
+    def parts(V):
+        # the polyline with the endpoints pinned, its midpoints, a and b (a > 0)
+        P = np.concatenate([theta[:1], V, theta[-1:]])
+        dP, mids = np.diff(P, axis=0), 0.5 * (P[:-1] + P[1:])
+        b = 0.5 * float(np.sum(f2(mids)))
+        if b == 0.0:
+            raise InvalidInputError("finsler weight vanishes at every segment midpoint")
+        return P, mids, 0.5 * float(np.sum(w * dP * dP)), b
 
-    full = lambda V: np.concatenate([theta[:1], V, theta[-1:]])  # endpoints pinned
+    def evaluate(V):
+        # the action's gradient at the optimal S, step h = S/K, is the reduced one's
+        P, mids, a, b = parts(V)
+        h = math.sqrt(a / b)
+        gm = f2_grad_at(mids)
+        lap = (2.0 * P[1:-1] - P[:-2] - P[2:]) * w / h
+        return 2.0 * math.sqrt(a * b), lap + 0.25 * h * (gm[:-1] + gm[1:])
+
+    def direction(V, g):
+        _, _, a, b = parts(V)
+        step = -math.sqrt(a / b) * (lap_inv @ g) / w
+        return step, float(np.sum(g * step))
+
+    V0 = theta[1:-1]
     sup_norm = lambda g: float(np.max(np.abs(g)))
-
-    def inner(S):
-        h = S / K
-        n = K - 1
-        sub = np.tile((-1.0 / h) * w, (max(n - 1, 0), 1))
-        dia = np.tile((2.0 / h) * np.diag(w), (n, 1, 1))
-
-        def evaluate(V):
-            P = full(V)
-            lap = (2.0 * P[1:-1] - P[:-2] - P[2:]) * w / h
-            gm = f2_grad_at(0.5 * (P[:-1] + P[1:]))
-            return action(P, S), lap + 0.25 * h * (gm[:-1] + gm[1:])
-
-        def direction(V, g):
-            step = solve_block_tridiag(sub, dia, sub, -g)
-            return step, float(np.sum(g * step))
-
-        # the weight gradient is finite-differenced, so the inner stationarity
-        # tolerance must sit above the ~1e-10 differencing noise floor; the
-        # kinetic-preconditioned iteration contracts like (S/K)^2 per sweep so a
-        # dozen sweeps is already far below the quadrature error
-        V0 = theta[1:-1]
-        V, value, _, _, _ = damped_newton(
-            V0, evaluate(V0), evaluate, sup_norm,
-            lambda g: sup_norm(g) <= 1e-9 * (1.0 + fmax), direction, 12,
-        )
-        return full(V), value
-
-    # the cap only guards a tolerance below the spacing of floats near S
-    S_opt = golden_section(lambda S: inner(S)[1], lo, hi, 1e-8 * max(1.0, d0), 200)
-    P_opt, value = inner(S_opt)
+    # the weight gradient is finite-differenced, so the stationarity tolerance
+    # must sit above the ~1e-10 differencing noise floor
+    V, value, _, _, _ = damped_newton(
+        V0, evaluate(V0), evaluate, sup_norm,
+        lambda g: sup_norm(g) <= 1e-9 * (1.0 + fmax), direction, 50,
+    )
     if value < d0 - 1e-9 * (1.0 + d0):
         raise InvalidInputError("finsler action fell below the base distance")
     if return_curve:
-        curve = Trajectory(TimeGrid(np.linspace(0.0, S_opt, K + 1), "uniform"), P_opt, space)
-        return value, curve
+        P, _, a, b = parts(V)
+        grid = TimeGrid(np.linspace(0.0, K * math.sqrt(a / b), K + 1), "uniform")
+        return value, Trajectory(grid, P, space)
     return value

@@ -230,3 +230,15 @@ def test_bad_config_values_are_config_errors(tmp_path, config, needle):
                  "--suite", "spectral", "--quiet"])
     assert code == 1
     assert needle in json.loads((out / "manifest.json").read_text())["error"]
+
+
+def test_finsler_command_runs_the_finsler_suite_only(tmp_path):
+    out = tmp_path / "out"
+    argv = ["finsler", "--config", str(write_cfg(tmp_path, cfg())), "--out", str(out), "--quiet"]
+    assert main(argv) == 0
+    names = {p.name for p in out.iterdir()}
+    assert names == {"manifest.json", "report_finsler.json", "residuals_finsler.csv"}
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["summary"] == {"finsler": True}
+    report = json.loads((out / "report_finsler.json").read_text())
+    assert report["pass"] is True and report["details"]["plain"] == 1.5

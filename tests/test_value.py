@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from wedflow import (
-    InvalidInputError, SpaceSpec, ValueCache, ValueOptions, WedProblem,
+    InvalidInputError, NotAvailableError, SpaceSpec, ValueCache, ValueOptions, WedProblem,
     check_dpp, check_eps_monotonicity, check_fundamental_identity, check_hj,
     check_yosida_bound, conditioned_slope_estimate, convex_quartic, distance,
     discrete_dirichlet, double_well, energy_eval, finsler_distance, gaussian_quantiles,
@@ -410,4 +410,63 @@ def test_finsler_weight_gets_float_row_arrays():
 ], ids=["scalar", "too_long", "column", "fixed_length"])
 def test_finsler_weight_of_wrong_shape_raises(f):
     with pytest.raises(InvalidInputError, match="one value per row"):
+        finsler_distance(E1, f, point([0.0], E1), point([1.0], E1))
+
+
+# reference distances, from the golden-section search over S that the closed form replaced
+S2 = SpaceSpec.euclidean(2)
+FINSLER_PINS = {
+    "unit": (E1, lambda P: np.ones(len(P)), [0.0], [1.5], 1.5),
+    "constant": (E1, lambda P: np.full(len(P), 2.0), [0.0], [2.0], 4.0),
+    "double_well": (E1, lambda P: np.sqrt(np.maximum(1.0, eval_many(DW, P))), [0.0], [2.0],
+                    2.065339831856094),
+    "plane": (S2, lambda P: np.sqrt(1.0 + np.sum(P * P, axis=1)), [0.0, 0.0], [1.0, 2.0],
+              3.5108177852032467),
+}
+
+
+@pytest.mark.parametrize("case", list(FINSLER_PINS))
+def test_finsler_pinned_values(case):
+    space, f, a, b, ref = FINSLER_PINS[case]
+    val = finsler_distance(space, f, point(a, space), point(b, space))
+    assert val == pytest.approx(ref, rel=1e-12)
+
+
+def test_finsler_pinned_value_of_the_kinked_weight():
+    # f = sqrt(max(1, x^2/2)) has a kink at sqrt(2); its solves stop above the
+    # stationarity tolerance, so the pin is looser
+    f = lambda P: np.sqrt(np.maximum(1.0, eval_many(QUAD, P)))
+    val = finsler_distance(E1, f, point([0.5], E1), point([3.0], E1))
+    assert val == pytest.approx(3.389011373098585, rel=1e-7)
+
+
+@pytest.mark.parametrize("case", ["double_well", "plane"])
+def test_finsler_parameter_length_is_the_closed_form(case):
+    space, f, a, b, _ = FINSLER_PINS[case]
+    val, curve = finsler_distance(space, f, point(a, space), point(b, space), return_curve=True)
+    P, K = curve.points, curve.grid.n_cells
+    dP = np.diff(P, axis=0)
+    kin = 0.5 * float(np.sum(space.metric_weights * dP * dP))
+    pot = 0.5 * float(np.sum(np.float_power(f(0.5 * (P[:-1] + P[1:])), 2)))
+    S = curve.grid.T
+    assert S == pytest.approx(K * math.sqrt(kin / pot), rel=1e-14)
+    assert val == pytest.approx(2.0 * math.sqrt(kin * pot), rel=1e-14)
+    for s in (S * (1.0 - 1e-3), S * (1.0 + 1e-3)):
+        assert val < K * kin / s + s * pot / K
+
+
+@pytest.mark.parametrize("p", [3.0, 1.5])
+def test_finsler_needs_an_inner_product_metric(p):
+    # the kinetic form is the l2 one; with it p = 3 gave sqrt(2), not 2^(1/3)
+    sp = SpaceSpec.pnorm(2, p)
+    with pytest.raises(NotAvailableError, match="p = 2"):
+        finsler_distance(sp, lambda P: np.ones(len(P)), point([0.0, 0.0], sp),
+                         point([1.0, 1.0], sp))
+
+
+def test_finsler_weight_vanishing_at_every_midpoint_raises():
+    # f = 1 at u0, u1 and their midpoint passes the f >= 1 check, but vanishes
+    # at all 64 segment midpoints of the starting line
+    f = lambda P: np.isin(P[:, 0], [0.0, 0.5, 1.0]).astype(float)
+    with pytest.raises(InvalidInputError, match="vanishes"):
         finsler_distance(E1, f, point([0.0], E1), point([1.0], E1))

@@ -391,7 +391,7 @@ def rel_err(x, ref):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 63, 500, 4000, 4001])
 def test_tridiag_matches_solve_banded(n):
-    # n = 63 is the Finsler curve size and 4000 a direct solve at N = 4000;
+    # n = 63 is 2^6 - 1 and 4000 a direct solve at N = 4000;
     # the reduction meets odd and even sizes on its way down
     sub, diag, sup, rhs, _ = banded_system(np.random.default_rng(7 * n), n, 1)
     bands = (sub[:, 0], diag[:, 0, 0], sup[:, 0], rhs[:, 0])
