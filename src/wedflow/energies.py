@@ -256,7 +256,8 @@ def eval_many(spec: EnergySpec, U: np.ndarray) -> np.ndarray:
         A, b = _quadratic_params(spec, U)
         return 0.5 * np.einsum("ni,ij,nj->n", U, A, U) - U @ b
     if k == CONVEX_QUARTIC:
-        return np.sum(U**4, axis=1) / 4.0
+        S = U * U
+        return np.sum(S * S, axis=1) / 4.0
     if k == DOUBLE_WELL:
         return np.sum((U**2 - 1.0) ** 2, axis=1) / 4.0
     if k == DISCRETE_DIRICHLET:
@@ -290,9 +291,9 @@ def grad_many(spec: EnergySpec, U: np.ndarray) -> np.ndarray:
         A, b = _quadratic_params(spec, U)
         return U @ A.T - b
     if k == CONVEX_QUARTIC:
-        return U**3
+        return U * U * U
     if k == DOUBLE_WELL:
-        return U**3 - U
+        return U * U * U - U
     if k == DISCRETE_DIRICHLET:
         p, h, reac = spec.params["p"], spec.params["h"], spec.params["reaction"]
         Z = np.zeros((U.shape[0], 1))
@@ -362,8 +363,9 @@ def hess_many(spec: EnergySpec, U: np.ndarray) -> np.ndarray:
 # repeats its row kernel's operations in the same order, down to the 0.0 that
 # starts a numpy sum (it turns a -0.0 term into 0.0), so the results are
 # bitwise those of eval_many, grad_many and hess_many on u[None, None].
-# Powers other than squares go through numpy's ``power`` ufunc: its SIMD loops
-# need not round like the libm ``pow`` behind Python's ``**``.
+# Cubes and fourth powers are products, as in the row kernels; the Dirichlet
+# exponents go through numpy's ``power`` ufunc: its SIMD loops need not round
+# like the libm ``pow`` behind Python's ``**``.
 
 
 def _pow(x: float, e) -> float:
@@ -395,11 +397,12 @@ def _quadratic_ddphi(a, b, u):
 
 
 def _quartic_phi(u):
-    return _pow(u, 4) / 4.0
+    s = u * u
+    return s * s / 4.0
 
 
 def _quartic_dphi(u):
-    return _pow(u, 3)
+    return u * u * u
 
 
 def _quartic_ddphi(u):
@@ -412,7 +415,7 @@ def _well_phi(u):
 
 
 def _well_dphi(u):
-    return _pow(u, 3) - u
+    return u * u * u - u
 
 
 def _well_ddphi(u):

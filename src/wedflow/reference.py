@@ -1,10 +1,11 @@
 """Reference flows and small-parameter studies.
 
 The benchmark dynamics are produced two ways: closed forms where the flow is
-known (linear drift, Gaussian families in quantile coordinates), and the
-implicit proximal iteration otherwise.  The study driver compares trajectory
-solves against these references as the weight parameter shrinks and evaluates
-the descent inequality that characterizes curves of maximal slope.
+known (linear drift, Gaussian families in quantile coordinates, and the
+coordinatewise double well and convex quartic), and the implicit proximal
+iteration otherwise.  The study driver compares trajectory solves against
+these references as the weight parameter shrinks and evaluates the descent
+inequality that characterizes curves of maximal slope.
 """
 
 from __future__ import annotations
@@ -16,10 +17,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .energies import (
-    EnergySpec, QUADRATIC, QUANTILE_ENTROPY, analytic_slopes, eval_many, prox,
+    CONVEX_QUARTIC, DOUBLE_WELL, EnergySpec, QUADRATIC, QUANTILE_ENTROPY, analytic_slopes,
+    eval_many, prox,
 )
 from .errors import InvalidInputError, NotAvailableError
-from .spaces import QUANTILE1D, Point, SpaceSpec, normal_quantile, row_distances
+from .spaces import PNORM, QUANTILE1D, Point, SpaceSpec, normal_quantile, row_distances
 from .trajectories import UNIFORM, TimeGrid, Trajectory, metric_speed
 from .value import IdentityReport
 from .wed import EULER_LAGRANGE, WedProblem, default_horizon, minimize_wed
@@ -66,13 +68,19 @@ def exact_flow(energy: EnergySpec, x_bar: Point, t: float) -> Point:
 
 def exact_flows(energy: EnergySpec, x_bar: Point, ts) -> np.ndarray:
     """States of the gradient flow from x_bar at the times ts, one coordinate
-    row per time, for registered kinds.
+    row per time, for registered kinds (``has_exact_flow``).
 
     quadratic                  u(t) = x* + e^{-At}(x_bar - x*), A x* = b
     quantile_entropy_potential Gaussian-family solution in quantile
                                coordinates (confined drift-diffusion); the
                                initial datum is matched by its mean and its
                                projection on the standard normal profile
+    double_well                u_i(t) = x_i / sqrt(x_i^2 + (1 - x_i^2) e^{-2t/w_i})
+    convex_quartic             u_i(t) = x_i / sqrt(1 + 2 x_i^2 t / w_i)
+
+    w_i are the space's metric weights: the last two flows solve
+    w_i u_i' = -dphi/du_i one coordinate at a time, which needs a weighted
+    l^2 metric (not a p-norm with p != 2 in more than one dimension).
     """
     ts = np.asarray(ts, dtype=float)
     if np.any(ts < 0.0):
@@ -104,10 +112,29 @@ def exact_flows(energy: EnergySpec, x_bar: Point, ts) -> np.ndarray:
         mt = m_inf + (m0 - m_inf) * decay
         var = 1.0 / v2 + (s0 * s0 - 1.0 / v2) * decay2
         return mt[:, None] + np.sqrt(var)[:, None] * z
+    if energy.kind in (DOUBLE_WELL, CONVEX_QUARTIC):
+        if not _coordinatewise(x_bar.space):
+            raise NotAvailableError("coordinatewise flows need p = 2 in more than one dimension")
+        x, w = x_bar.coords, x_bar.space.metric_weights
+        x2 = x * x
+        if energy.kind == CONVEX_QUARTIC:
+            return x / np.sqrt(1.0 + 2.0 * x2 * ts[:, None] / w)
+        # math.exp per entry, as above; the hilltop x_i = 0 stays at 0, with no
+        # 0/0 once e^{-2t/w_i} underflows
+        decay = np.array([[math.exp(-2.0 * t / wi) for wi in w.tolist()] for t in ts.tolist()])
+        den = x2 + (1.0 - x2) * decay.reshape(len(ts), len(x))
+        return x / np.sqrt(np.where(x == 0.0, 1.0, den))
     raise NotAvailableError(f"no registered flow for kind {energy.kind!r}")
 
 
-def has_exact_flow(energy: EnergySpec) -> bool:
+def _coordinatewise(space: SpaceSpec) -> bool:
+    return not (space.kind == PNORM and space.p != 2.0 and space.dim > 1)
+
+
+def has_exact_flow(energy: EnergySpec, space: SpaceSpec) -> bool:
+    """Whether ``exact_flows`` has a closed form for ``energy`` on ``space``."""
+    if energy.kind in (DOUBLE_WELL, CONVEX_QUARTIC):
+        return _coordinatewise(space)
     return energy.kind == QUADRATIC or (
         energy.kind == QUANTILE_ENTROPY and energy.params["v2"] > 0.0
     )
@@ -182,15 +209,16 @@ def convergence_study(energy: EnergySpec, x_bar: Point, eps_list, t_obs: float,
                       opts: StudyOptions | None = None) -> ConvergenceTable:
     """Sup distance to the reference flow on [0, t_obs], one row per epsilon.
 
-    The reference is the closed-form flow when registered, otherwise the
-    proximal iteration at the step tau = min(eps)^2 / 4, much finer than
-    every epsilon in the sweep.
+    The reference is the closed-form flow where ``has_exact_flow`` finds one
+    (quadratics, the double well, the convex quartic, the confined quantile
+    flow), otherwise the proximal iteration at the step tau = min(eps)^2 / 4,
+    much finer than every epsilon in the sweep.
     """
     opts = opts or StudyOptions()
     space = x_bar.space
     rows = []
     mm_ref = None
-    if not has_exact_flow(energy):
+    if not has_exact_flow(energy, space):
         tau = 0.25 * min(eps_list) ** 2
         mm_ref = minimizing_movements(x_bar, tau, int(math.ceil(t_obs / tau)), energy, space)
     for eps in eps_list:

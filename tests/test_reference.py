@@ -3,14 +3,16 @@ import math
 import numpy as np
 import pytest
 
+import wedflow.reference
 from wedflow import (
-    InvalidInputError, NotAvailableError, Point, SpaceSpec, StudyOptions,
+    EnergySpec, InvalidInputError, NotAvailableError, Point, SpaceSpec, StudyOptions,
     TimeGrid, Trajectory, WedProblem, check_max_slope, convergence_study,
-    convex_quartic, distance, double_well, exact_flow, exact_flows, gaussian_quantiles,
-    lambda_diagnostics, minimize_wed, minimizing_movements, normal_quantile,
-    point, quadratic, quantile_entropy_potential, yosida,
+    convex_quartic, discrete_dirichlet, distance, double_well, exact_flow, exact_flows,
+    gaussian_quantiles, lambda_diagnostics, minimize_wed, minimizing_movements,
+    normal_quantile, point, quadratic, quantile_entropy_potential, yosida,
 )
 from wedflow.energies import eval_many
+from wedflow.reference import has_exact_flow
 
 E1 = SpaceSpec.euclidean(1)
 
@@ -173,6 +175,17 @@ def test_exact_flow_ou_against_rk4_moment_oracle():
 
 def per_time_flow(energy, x_bar, t):
     """The closed-form flow at one time, on a vector and Python floats."""
+    if energy.kind in ("double_well", "convex_quartic"):
+        out = []
+        for x, w in zip(x_bar.coords.tolist(), x_bar.space.metric_weights.tolist()):
+            if energy.kind == "convex_quartic":
+                out.append(x / math.sqrt(1.0 + 2.0 * (x * x) * t / w))
+            elif x == 0.0:
+                out.append(0.0)
+            else:
+                e = math.exp(-2.0 * t / w)
+                out.append(x / math.sqrt(x * x + (1.0 - x * x) * e))
+        return np.array(out)
     if energy.kind == "quadratic":
         vals, vecs = np.linalg.eigh(energy.params["A"])
         x_star = vecs @ ((vecs.T @ energy.params["b"]) / vals)
@@ -194,7 +207,12 @@ def per_time_flow(energy, x_bar, t):
      point([1.0, -2.0, 0.5], SpaceSpec.euclidean(3))),
     (quantile_entropy_potential(v2=1.5, v1=0.4),
      gaussian_quantiles(SpaceSpec.quantile1d(8), 1.0, 2.0)),
-], ids=["quadratic1", "quadratic3", "quantile8"])
+    # the hilltop 0, both wells' sides and a start beyond the well bottom
+    (double_well(), point([-0.3, 0.0, 0.3, 1.5], SpaceSpec.euclidean(4))),
+    (double_well(), point([-0.3, 0.0, 0.3, 1.5], SpaceSpec.quantile1d(4))),
+    (convex_quartic(), point([-0.3, 0.0, 0.3, 1.5], SpaceSpec.euclidean(4))),
+], ids=["quadratic1", "quadratic3", "quantile8", "double_well4", "double_well-quantile4",
+        "quartic4"])
 def test_exact_flows_rows_are_bitwise_the_flow_at_each_time(energy, x_bar):
     ts = np.linspace(0.0, 2.0, 801)
     rows = exact_flows(energy, x_bar, ts)
@@ -204,8 +222,46 @@ def test_exact_flows_rows_are_bitwise_the_flow_at_each_time(energy, x_bar):
 
 
 def test_exact_flow_unregistered_kind():
+    assert not has_exact_flow(discrete_dirichlet(), E1)
     with pytest.raises(NotAvailableError):
-        exact_flow(double_well(), point([0.3], E1), 1.0)
+        exact_flow(discrete_dirichlet(), point([0.3], E1), 1.0)
+    # a 3-norm couples the coordinates: the double well's flow is no longer
+    # coordinatewise there
+    p3 = SpaceSpec.pnorm(2, 3.0)
+    assert not has_exact_flow(double_well(), p3)
+    with pytest.raises(NotAvailableError):
+        exact_flow(double_well(), point([0.3, -0.2], p3), 1.0)
+
+
+def test_coordinatewise_flows_are_registered_where_the_metric_allows():
+    for space in (E1, SpaceSpec.euclidean(3), SpaceSpec.quantile1d(4), SpaceSpec.pnorm(1, 3.0),
+                  SpaceSpec.pnorm(3, 2.0)):
+        assert has_exact_flow(double_well(), space)
+        assert has_exact_flow(convex_quartic(), space)
+    # the hilltop and the well bottoms stay put, also once e^{-2t} underflows
+    flow = exact_flows(double_well(), point([-1.0, 0.0, 1.0], SpaceSpec.euclidean(3)),
+                       [0.0, 1.0, 1e3])
+    assert np.array_equal(flow, np.tile([-1.0, 0.0, 1.0], (3, 1)))
+
+
+@pytest.mark.parametrize("energy, x0, tol", [
+    # measured 4.4e-6, 2.6e-6, 2.7e-6, 1.3e-5, 1.0e-7 and 2.4e-5
+    (double_well(), 0.22, 5e-6),
+    (double_well(), 0.3, 5e-6),
+    (double_well(), 0.6, 5e-6),
+    (double_well(), 1.5, 2e-5),
+    (convex_quartic(), 0.3, 2e-7),
+    (convex_quartic(), 1.5, 3e-5),
+], ids=["double_well-0.22", "double_well-0.3", "double_well-0.6", "double_well-1.5",
+        "quartic-0.3", "quartic-1.5"])
+def test_exact_flow_matches_a_fine_proximal_chain(energy, x0, tol):
+    # the chain the convergence study used as its reference before: tau =
+    # 0.0125^2 / 4 on [0, 1], first order in tau
+    tau = 0.0125**2 / 4.0
+    x = point([x0], E1)
+    mm = minimizing_movements(x, tau, int(math.ceil(1.0 / tau)), energy, E1)
+    flow = exact_flows(energy, x, mm.trajectory.grid.nodes)
+    assert np.max(np.abs(flow - mm.trajectory.points)) <= tol
 
 
 # -- descent inequality -----------------------------------------------------------------
@@ -225,6 +281,20 @@ def test_max_slope_equality_on_exact_flow():
     pts = np.array([exact_flow(spec, point([1.0], E1), float(t)).coords for t in grid.nodes])
     traj = Trajectory(grid, pts, E1)
     rep = check_max_slope(traj, spec, 0.5, tol=2e-3, equality=True)
+    assert rep.passed, rep.max_residual
+
+
+@pytest.mark.parametrize("energy, x0", [
+    (double_well(), [0.3]), (double_well(), [1.5]), (convex_quartic(), [1.5]),
+    (double_well(), [-0.3, 0.0, 0.3, 1.5]),
+], ids=["double_well-0.3", "double_well-1.5", "quartic-1.5", "double_well4"])
+def test_max_slope_equality_on_coordinatewise_flows(energy, x0):
+    space = SpaceSpec.euclidean(len(x0))
+    x = point(x0, space)
+    grid = TimeGrid.uniform(1.0, 2000)
+    traj = Trajectory(grid, exact_flows(energy, x, grid.nodes), space)
+    rep = check_max_slope(traj, energy, float(eval_many(energy, x.coords)[0]), tol=2e-3,
+                          equality=True)
     assert rep.passed, rep.max_residual
 
 
@@ -254,7 +324,12 @@ def test_convergence_study_quadratic_rates():
         assert 0.2 <= c <= 0.6  # fitted constant stays O(1)
 
 
-def test_convergence_study_double_well_with_mm_reference():
+def no_chain(*args):
+    raise AssertionError("the study built a proximal chain")
+
+
+def test_convergence_study_double_well_with_exact_reference(monkeypatch):
+    monkeypatch.setattr(wedflow.reference, "minimizing_movements", no_chain)
     table = convergence_study(double_well(), point([0.3], E1),
                               [0.1, 0.05, 0.025], 1.0,
                               StudyOptions(N=2000))
@@ -262,6 +337,37 @@ def test_convergence_study_double_well_with_mm_reference():
     for i in range(len(errs) - 1):
         assert errs[i + 1] <= 1.1 * errs[i]
     assert table.rows[-1].lsc_residual <= 5e-2
+
+
+def test_convergence_study_double_well_finest_pair_is_first_order(monkeypatch):
+    # with an exact reference the error ratio of eps 0.025 / 0.0125 is the
+    # first-order 2 (measured 1.90-2.17 on this range); the coarse pair 0.1 /
+    # 0.05 leaves [1.6, 2.4] near x_bar 0.4, where the sup error moves to
+    # another time
+    monkeypatch.setattr(wedflow.reference, "minimizing_movements", no_chain)
+    ratios = {}
+    for x0 in np.linspace(0.2, 0.6, 21).tolist():
+        errs = convergence_study(double_well(), point([x0], E1), [0.025, 0.0125], 1.0).sup_errors
+        ratios[round(x0, 2)] = errs[0] / errs[1]
+    assert all(1.6 <= r <= 2.4 for r in ratios.values()), ratios
+
+
+def test_convergence_study_falls_back_to_the_proximal_chain(monkeypatch):
+    # the 1-D Dirichlet energy u^2 + u^4/4 has no registered flow; the study
+    # takes its reference from the chain at tau = 0.05^2 / 4
+    spec = EnergySpec("discrete_dirichlet", {"reaction": [0.0, 0.0, 0.0, 0.0, 0.25]}, lam=2.0)
+    assert not has_exact_flow(spec, E1)
+    taus = []
+
+    def spy(x_bar, tau, steps, energy, space):
+        taus.append(tau)
+        return minimizing_movements(x_bar, tau, steps, energy, space)
+
+    monkeypatch.setattr(wedflow.reference, "minimizing_movements", spy)
+    table = convergence_study(spec, point([0.8], E1), [0.1, 0.05], 1.0, StudyOptions(N=2000))
+    assert taus == [0.25 * 0.05**2]
+    errs = table.sup_errors
+    assert errs[1] <= 0.6 * errs[0], errs
 
 
 def test_convergence_study_ou_quantile():
