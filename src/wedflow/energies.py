@@ -14,22 +14,19 @@ sentinel (non-monotone quantile vectors).  Gradients and Hessians raise
 DomainError there instead.  The ``*_many`` kernels work row-wise on (n, d)
 arrays: a trajectory solver gets all Hessians of a Newton step from one
 ``hess_many`` call, the descent check all slopes of a curve from one
-``analytic_slopes`` call.  The proximal step ``prox`` runs a one-dimensional,
-non-quantile state on Python floats through ``EnergySpec.one_point``, with
-the row kernels' arithmetic: the results are bitwise those of the ``*_many``
-kernels on one row, without numpy's per-call overhead.
+``analytic_slopes`` call, and the proximal step ``prox`` all inner problems
+of a stack of coordinate rows from one damped-Newton run.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
 from .errors import DomainError, InvalidInputError, NonConvergenceError, NotAvailableError
-from .newton import damped_newton, golden_section, levenberg
+from .newton import damped_newton, levenberg
 from .spaces import PNORM, QUANTILE1D, Point, SpaceSpec, normal_quantile, probe_directions
 
 QUADRATIC = "quadratic"
@@ -70,9 +67,6 @@ class EnergySpec:
     params: dict = field(default_factory=dict)
     lam: float | None = None
     coercivity: Coercivity | None = None
-    # (phi, dphi, ddphi) of the coordinate of a one-dimensional state, as
-    # Python floats (see the one-point kernels below)
-    one_point: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in _KINDS:
@@ -100,7 +94,6 @@ class EnergySpec:
             object.__setattr__(self, "lam", _default_lambda(self))
         if self.coercivity is None:
             object.__setattr__(self, "coercivity", _default_coercivity(self))
-        object.__setattr__(self, "one_point", _one_point(self))
 
     def key(self) -> tuple:
         """Stable hashable identity, used by the value-function cache."""
@@ -357,122 +350,6 @@ def hess_many(spec: EnergySpec, U: np.ndarray) -> np.ndarray:
     return H
 
 
-# -- one-point kernels -----------------------------------------------------------
-#
-# phi, dphi and ddphi of a one-coordinate state u on Python floats.  Each
-# repeats its row kernel's operations in the same order, down to the 0.0 that
-# starts a numpy sum (it turns a -0.0 term into 0.0), so the results are
-# bitwise those of eval_many, grad_many and hess_many on u[None, None].
-# Cubes and fourth powers are products, as in the row kernels; the Dirichlet
-# exponents go through numpy's ``power`` ufunc: its SIMD loops need not round
-# like the libm ``pow`` behind Python's ``**``.
-
-
-def _pow(x: float, e) -> float:
-    return float(np.power(x, e))
-
-
-def _sign(x: float) -> float:
-    # np.sign, nan included
-    return 1.0 if x > 0.0 else -1.0 if x < 0.0 else 0.0 if x == 0.0 else x
-
-
-def _horner(c: tuple, u: float) -> float:
-    out = 0.0
-    for ck in reversed(c):
-        out = out * u + ck
-    return out
-
-
-def _quadratic_phi(a, b, u):
-    return 0.5 * (0.0 + u * a * u) - (0.0 + u * b)
-
-
-def _quadratic_dphi(a, b, u):
-    return (0.0 + u * a) - b
-
-
-def _quadratic_ddphi(a, b, u):
-    return a
-
-
-def _quartic_phi(u):
-    s = u * u
-    return s * s / 4.0
-
-
-def _quartic_dphi(u):
-    return u * u * u
-
-
-def _quartic_ddphi(u):
-    return 3.0 * (u * u)
-
-
-def _well_phi(u):
-    s = u * u - 1.0
-    return s * s / 4.0
-
-
-def _well_dphi(u):
-    return u * u * u - u
-
-
-def _well_ddphi(u):
-    return 3.0 * (u * u) - 1.0
-
-
-# the differences to the zero boundary values are u - 0.0 (which is u) and
-# 0.0 - u; c holds the reaction coefficients, differentiated as the kernel needs
-
-
-def _dirichlet_phi(p, h, c, u):
-    return (h / p) * (_pow(abs(u / h), p) + _pow(abs((0.0 - u) / h), p)) \
-        + h * (0.0 + _horner(c, u))
-
-
-def _dirichlet_dphi(p, h, c, u):
-    f0, f1 = (_pow(abs(g), p - 1.0) * _sign(g) for g in (u / h, (0.0 - u) / h))
-    return f0 - f1 + h * _horner(c, u)
-
-
-def _dirichlet_ddphi(p, h, c, u):
-    w0, w1 = ((p - 1.0) * _pow(abs(g), p - 2.0) / h for g in (u / h, (0.0 - u) / h))
-    return w0 + w1 + h * _horner(c, u)
-
-
-def _row_phi(spec, u):
-    return float(eval_many(spec, [[u]])[0])
-
-
-def _row_dphi(spec, u):
-    return float(grad_many(spec, [[u]])[0, 0])
-
-
-def _row_ddphi(spec, u):
-    return float(hess_many(spec, [[u]])[0, 0, 0])
-
-
-def _one_point(spec: EnergySpec) -> tuple:
-    """The (phi, dphi, ddphi) kernels of ``spec`` on one float coordinate."""
-    k = spec.kind
-    if k == QUADRATIC and spec.params["A"].shape == (1, 1):
-        ab = (float(spec.params["A"][0, 0]), float(spec.params["b"][0]))
-        return tuple(partial(f, *ab) for f in (_quadratic_phi, _quadratic_dphi, _quadratic_ddphi))
-    if k == CONVEX_QUARTIC:
-        return _quartic_phi, _quartic_dphi, _quartic_ddphi
-    if k == DOUBLE_WELL:
-        return _well_phi, _well_dphi, _well_ddphi
-    if k == DISCRETE_DIRICHLET:
-        p, h, reac = spec.params["p"], spec.params["h"], spec.params["reaction"]
-        dreac = _poly_d(reac)
-        return tuple(partial(f, p, h, tuple(c.tolist())) for f, c in (
-            (_dirichlet_phi, reac), (_dirichlet_dphi, dreac), (_dirichlet_ddphi, _poly_d(dreac))))
-    # the quantile kind, and quadratics of another size (which raise), run
-    # through the row kernels
-    return partial(_row_phi, spec), partial(_row_dphi, spec), partial(_row_ddphi, spec)
-
-
 # -- metric-aware helpers ------------------------------------------------------
 
 
@@ -499,112 +376,113 @@ def analytic_slope(spec: EnergySpec, space: SpaceSpec, x: Point) -> float:
 # -- Moreau-Yosida regularization ---------------------------------------------
 
 
-def prox(spec: EnergySpec, space: SpaceSpec, coords: np.ndarray, t: float):
-    """The proximal step at the coordinate row ``coords``: returns
-    (phi_t(x), argmin row) for phi_t(x) = inf_y d^2(y,x)/(2t) + phi(y).
+def prox(spec: EnergySpec, space: SpaceSpec, coords: np.ndarray, t):
+    """The proximal step on a stack of coordinate rows: for each row x_r of
+    the (n, d) array ``coords`` and its time t_r (``t`` a scalar or an (n,)
+    array), phi_t(x_r) = inf_y d^2(y, x_r)/(2 t_r) + phi(y).  Returns
+    (values (n,), argmins (n, d)).
 
-    Smooth kinds use damped Newton; one-dimensional, non-quantile states run
-    on Python floats, and fall back to a bracketed scan plus golden-section
-    refinement where the inner problem may be nonconvex (double_well with
-    large t).  This is the one place that decides when a state runs on
-    floats.
+    The inner problems are separable: one damped-Newton run minimizes their
+    sum.  Each row keeps its own stop test and verdict, and takes a zero step
+    once it meets the test.  The other rows' Newton directions come from one
+    batched solve; a row whose direction is not a finite descent step climbs
+    the Levenberg ladder on its own.  Where the inner problem may be
+    nonconvex (one non-quantile coordinate, and no modulus or 2 t_r |lambda|
+    >= 0.9) the row starts from the best of 257 points around x_r, and Newton
+    refines it from there, inside the scanned window or not.
     """
-    if t <= 0.0:
+    X = np.asarray(coords, dtype=float)
+    if X.ndim != 2 or X.shape[1] != space.dim:
+        raise InvalidInputError("prox needs an (n, d) stack of coordinate rows")
+    n, d = X.shape
+    t = np.asarray(t, dtype=float)
+    if t.shape != (n,):
+        t = np.full(n, t)
+    if not (t > 0.0).all():
         raise InvalidInputError("yosida needs t > 0")
     lam = spec.lam
-    if spec.kind == QUADRATIC and lam is not None and lam < 0.0 and t * abs(lam) >= 1.0:
+    if spec.kind == QUADRATIC and lam is not None and lam < 0.0 and (t * abs(lam) >= 1.0).any():
         # quadratics have no growth beyond their curvature: the inner problem
         # is unbounded below once 1/t + lambda_min <= 0
         raise InvalidInputError("inner problem not coercive: need t < 1/|lambda|")
-    if space.dim == 1 and space.kind != QUANTILE1D:
-        xv = float(coords[0])
-        if lam is not None and (lam >= 0.0 or 2.0 * t * abs(lam) < 0.9):
-            # strongly convex inner problem: Newton is exact and much cheaper;
-            # otherwise scan a bracket to ride out multiple local minima
-            value, y = _yosida_newton(spec, space, xv, t)
-        else:
-            value, y = _yosida_1d(spec, xv, t)
-        return value, np.array([y])
-    return _yosida_newton(spec, space, coords.copy(), t)
+    if space.kind == PNORM and space.p != 2.0 and d > 1:
+        raise NotAvailableError("yosida in pnorm spaces needs p = 2")
+    w = space.metric_weights
+    tc = t[:, None]
+    S = (w / tc)[:, :, None] * np.eye(d)  # the proximal curvature diag(w)/t_r
+
+    def objective(Y):
+        D = Y - X
+        F = (w * D**2).sum(axis=1) / (2.0 * t) + eval_many(spec, Y)
+        return F, w * D / tc + grad_many(spec, Y)
+
+    def state(F, G):
+        # damped_newton's g: the rows' values and gradients, and the sup norm of
+        # each gradient still above its row's stop threshold (0 once below)
+        R = np.abs(G).max(axis=1)
+        return F, G, np.where(R <= gtol, 0.0, R)
+
+    def evaluate(Y):
+        try:
+            F, G = objective(Y)
+        except DomainError:  # off the quantile cone
+            return math.inf, None
+        return float(F.sum()), state(F, G)
+
+    def direction(Y, g):
+        _, G, R = g
+        H = hess_many(spec, Y) + S
+        try:
+            P = np.linalg.solve(H, -G[:, :, None])[:, :, 0]
+        except np.linalg.LinAlgError:
+            P = np.full_like(Y, np.nan)  # every row climbs the ladder
+        done = R == 0.0
+        P[done] = 0.0
+        descends = np.isfinite(P).all(axis=1) & ((P * G).sum(axis=1) < 0.0)
+        for r in np.flatnonzero(~(descends | done)):
+            P[r] = levenberg(lambda rho: np.linalg.solve(H[r] + rho * S[r], -G[r]), G[r],
+                             -G[r] * t[r] / w)
+        return P, float(P.ravel() @ G.ravel())
+
+    Y0 = X.copy()
+    scan = np.zeros(n, dtype=bool)
+    if d == 1 and space.kind != QUANTILE1D:
+        # strongly convex inner problems need no scan: Newton is exact there
+        scan[:] = lam is None or (lam < 0.0) & (2.0 * t * abs(lam) >= 0.9)
+    scanning = scan.any()
+    if scanning:
+        Y0[scan, 0] = _scan_starts(spec, X[scan, 0], t[scan])
+    F0, G0 = objective(Y0)
+    phi_x = F0.copy()
+    if scanning:
+        phi_x[scan] = eval_many(spec, X[scan])
+    # gradient entries scale with the 1/t proximal curvature, so the stop
+    # threshold must carry that factor to stay reachable at tiny steps
+    gtol = 1e-12 * (1.0 + np.abs(phi_x)) * (1.0 + 1.0 / t)
+    Y, _, (F, G, R), _, trace = damped_newton(
+        Y0, (float(F0.sum()), state(F0, G0)), evaluate, lambda g: float(g[2].max()),
+        lambda g: not g[2].any(), direction, 200)
+    if not R.any() or (np.abs(G).max(axis=1) <= np.maximum(
+            gtol, 1e-9 * (1.0 + np.abs(F)) * (1.0 + 1.0 / t))).all():
+        return F, Y
+    raise NonConvergenceError("yosida inner Newton stalled", best=Y, trace=trace)
+
+
+def _scan_starts(spec, x, t):
+    """Per row, the best of 257 points spread evenly over x +- 2 (1 + |x|)
+    max(1, sqrt t), for one-coordinate states x with times t."""
+    span = 2.0 * (1.0 + np.abs(x)) * np.maximum(1.0, np.sqrt(t))
+    grid = np.linspace(x - span, x + span, 257, axis=1)
+    vals = (grid - x[:, None]) ** 2 / (2.0 * t[:, None]) \
+        + eval_many(spec, grid.reshape(-1, 1)).reshape(grid.shape)
+    return grid[np.arange(len(x)), np.argmin(vals, axis=1)]
 
 
 def yosida(spec: EnergySpec, space: SpaceSpec, x: Point, t: float):
     """phi_t(x) = inf_y d^2(y,x)/(2t) + phi(y); returns (value, argmin Point).
-    ``prox`` at the coordinates of ``x``."""
-    value, y = prox(spec, space, x.coords, t)
-    return value, Point(y, space)
-
-
-def _yosida_1d(spec, xv, t):
-    phi = spec.one_point[0]
-
-    def obj(y):
-        try:
-            sq = (y - xv) ** 2  # the libm pow of numpy's scalar **
-        except OverflowError:  # where numpy gives inf
-            sq = math.inf
-        return sq / (2.0 * t) + phi(y)
-
-    span = 2.0 * (1.0 + abs(xv)) * max(1.0, math.sqrt(t))
-    grid = np.linspace(xv - span, xv + span, 257)
-    # obj on every grid point at once; float_power rounds like the libm pow
-    # behind ``**``, where numpy's power and square need not
-    vals = np.float_power(grid - xv, 2) / (2.0 * t) + eval_many(spec, grid[:, None])
-    j = int(np.argmin(vals))
-    a, b = grid[max(j - 1, 0)], grid[min(j + 1, len(grid) - 1)]
-    y = golden_section(obj, float(a), float(b), 0.0, 90)
-    return obj(y), y
-
-
-def _yosida_newton(spec, space, x0, t):
-    """Damped Newton on the inner problem from ``x0``: a coordinate array, or
-    a Python float for a one-dimensional, non-quantile state, whose whole
-    iteration then runs on floats.  Returns (value, argmin) in that type."""
-    if space.kind == PNORM and space.p != 2.0:
-        raise NotAvailableError("yosida in pnorm spaces needs p = 2")
-    if isinstance(x0, float):
-        # the array iteration below with metric weight 1, one operation for
-        # one; the 1 x 1 solve is the division
-        phi, dphi, ddphi = spec.one_point
-        shift = 1.0 / t
-        obj = lambda z: (z - x0) * (z - x0) / (2.0 * t) + phi(z)
-        grad_at = lambda z: (z - x0) / t + dphi(z)
-        sup_norm = abs
-
-        def direction(y, g):
-            H = ddphi(y) + shift
-            step = levenberg(lambda rho: -g / (H + rho * shift), g, -g * t)
-            return step, step * g
-    else:
-        w = space.metric_weights
-        obj = lambda z: float(np.sum(w * (z - x0) ** 2)) / (2.0 * t) + float(
-            eval_many(spec, z[None, :])[0]
-        )
-        grad_at = lambda z: w * (z - x0) / t + grad_many(spec, z[None, :])[0]
-        sup_norm = lambda g: float(np.max(np.abs(g)))
-        shift = np.diag(w / t)
-
-        def direction(y, g):
-            H = hess_many(spec, y[None])[0] + shift
-            step = levenberg(lambda rho: np.linalg.solve(H + rho * shift, -g), g, -g * t / w)
-            return step, float(step @ g)
-
-    def evaluate(z):
-        # the gradient also where obj overflowed; none off the quantile cone
-        try:
-            return obj(z), grad_at(z)
-        except DomainError:
-            return math.inf, None
-
-    start = evaluate(x0)
-    # gradient entries scale with the 1/t proximal curvature, so the stop
-    # threshold must carry that factor to stay reachable at tiny steps
-    gtol = 1e-12 * (1.0 + abs(start[0])) * (1.0 + 1.0 / t)
-    y, f, g, _, trace = damped_newton(x0, start, evaluate, sup_norm,
-                                      lambda g: sup_norm(g) <= gtol, direction, 200)
-    if sup_norm(g) <= max(gtol, 1e-9 * (1.0 + abs(f)) * (1.0 + 1.0 / t)):
-        return f, y
-    raise NonConvergenceError("yosida inner Newton stalled", best=np.atleast_1d(y), trace=trace)
+    ``prox`` on the one row of ``x``."""
+    values, Y = prox(spec, space, x.coords[None], t)
+    return float(values[0]), Point(Y[0], space)
 
 
 # -- local slope ---------------------------------------------------------------
@@ -660,11 +538,9 @@ def local_slope(spec: EnergySpec, space: SpaceSpec, x: Point, method="analytic")
         return SlopeEstimate(max(best, 0.0), "lambda_representation", tuple(diag))
     if method == "yosida_duality":
         phi_x = energy_eval(spec, x)
-        quotients = []
-        for k in range(9):
-            t = 0.1 * 2.0**-k
-            val, _ = yosida(spec, space, x, t)
-            quotients.append((t, (phi_x - val) / t))
+        ts = [0.1 * 2.0**-k for k in range(9)]
+        vals = prox(spec, space, np.repeat(x.coords[None], 9, axis=0), np.array(ts))[0]
+        quotients = [(t, (phi_x - val) / t) for t, val in zip(ts, vals.tolist())]
         # quotient is L - C t + O(t^2); one Richardson step removes the O(t)
         richardson = 2.0 * quotients[-1][1] - quotients[-2][1]
         diag = tuple(quotients) + ((0.0, richardson),)

@@ -51,7 +51,7 @@ def minimizing_movements(x_bar: Point, tau: float, steps: int,
     pts = np.empty((steps + 1, space.dim))
     pts[0] = x_bar.coords
     for k in range(steps):
-        pts[k + 1] = prox(energy, space, pts[k], tau)[1]
+        pts[k + 1] = prox(energy, space, pts[k:k + 1], tau)[1][0]
     movements = row_distances(space, pts[:-1], pts[1:])
     grid = TimeGrid(np.linspace(0.0, steps * tau, steps + 1), "uniform")
     traj = Trajectory(grid, pts, space)
@@ -70,7 +70,8 @@ def exact_flows(energy: EnergySpec, x_bar: Point, ts) -> np.ndarray:
     """States of the gradient flow from x_bar at the times ts, one coordinate
     row per time, for registered kinds (``has_exact_flow``).
 
-    quadratic                  u(t) = x* + e^{-At}(x_bar - x*), A x* = b
+    quadratic                  u(t) = x* + W^{-1/2} e^{-Mt} W^{1/2}(x_bar - x*),
+                               A x* = b, M = W^{-1/2} A W^{-1/2}
     quantile_entropy_potential Gaussian-family solution in quantile
                                coordinates (confined drift-diffusion); the
                                initial datum is matched by its mean and its
@@ -78,24 +79,26 @@ def exact_flows(energy: EnergySpec, x_bar: Point, ts) -> np.ndarray:
     double_well                u_i(t) = x_i / sqrt(x_i^2 + (1 - x_i^2) e^{-2t/w_i})
     convex_quartic             u_i(t) = x_i / sqrt(1 + 2 x_i^2 t / w_i)
 
-    w_i are the space's metric weights: the last two flows solve
-    w_i u_i' = -dphi/du_i one coordinate at a time, which needs a weighted
-    l^2 metric (not a p-norm with p != 2 in more than one dimension).
+    W = diag(w_i) holds the space's metric weights: every flow but the
+    quantile one solves w_i u_i' = -dphi/du_i, which needs a weighted l^2
+    metric (not a p-norm with p != 2 in more than one dimension).
     """
     ts = np.asarray(ts, dtype=float)
     if np.any(ts < 0.0):
         raise InvalidInputError("flow time must be nonnegative")
     if energy.kind == QUADRATIC:
-        A, b = energy.params["A"], energy.params["b"]
-        vals, vecs = np.linalg.eigh(A)
+        space = x_bar.space
+        if not _coordinatewise(space):
+            raise NotAvailableError("quadratic flows need p = 2 in more than one dimension")
+        vals, vecs, r = _quadratic_modes(energy, space)
         if np.any(np.abs(vals) < 1e-14):
             raise NotAvailableError("singular quadratic has no registered flow")
-        x_star = vecs @ ((vecs.T @ b) / vals)
-        z = vecs.T @ (x_bar.coords - x_star)
+        x_star = (vecs @ ((vecs.T @ (energy.params["b"] / r)) / vals)) / r
+        z = vecs.T @ (r * (x_bar.coords - x_star))
         # a matrix-vector product per time: one matrix product of all rows may
         # round differently
         W = np.exp(-np.outer(ts, vals)) * z
-        return x_star + (vecs @ W[:, :, None])[:, :, 0]
+        return x_star + (vecs @ W[:, :, None])[:, :, 0] / r
     if energy.kind == QUANTILE_ENTROPY:
         if x_bar.space.kind != QUANTILE1D:
             raise InvalidInputError("quantile flow needs quantile coordinates")
@@ -131,13 +134,22 @@ def _coordinatewise(space: SpaceSpec) -> bool:
     return not (space.kind == PNORM and space.p != 2.0 and space.dim > 1)
 
 
+def _quadratic_modes(energy: EnergySpec, space: SpaceSpec):
+    """Eigenpairs of W^{-1/2} A W^{-1/2}, W the metric weights, and the root
+    weights r = W^{1/2}: v = r (u - x*) then solves v' = -W^{-1/2} A W^{-1/2} v."""
+    r = np.sqrt(space.metric_weights)
+    vals, vecs = np.linalg.eigh(energy.params["A"] / np.outer(r, r))
+    return vals, vecs, r
+
+
 def has_exact_flow(energy: EnergySpec, space: SpaceSpec) -> bool:
     """Whether ``exact_flows`` has a closed form for ``energy`` on ``space``."""
     if energy.kind in (DOUBLE_WELL, CONVEX_QUARTIC):
         return _coordinatewise(space)
-    return energy.kind == QUADRATIC or (
-        energy.kind == QUANTILE_ENTROPY and energy.params["v2"] > 0.0
-    )
+    if energy.kind == QUADRATIC:
+        return _coordinatewise(space) and bool(
+            np.all(np.abs(_quadratic_modes(energy, space)[0]) >= 1e-14))
+    return energy.kind == QUANTILE_ENTROPY and energy.params["v2"] > 0.0
 
 
 # -- descent-inequality check ------------------------------------------------------

@@ -264,8 +264,8 @@ def check_yosida_bound(energy: EnergySpec, x: Point, epsilon: float,
     w = Weights.for_grid(grid, epsilon)
     phis = np.empty(n_quad)
     phis[0] = energy_eval(energy, x)  # t -> 0 limit of the inf-convolution
-    for i in range(1, n_quad):
-        phis[i] = prox(energy, x.space, x.coords, float(grid.nodes[i]))[0]
+    rows = np.repeat(x.coords[None], n_quad - 1, axis=0)
+    phis[1:] = prox(energy, x.space, rows, grid.nodes[1:n_quad])[0]
     quad = float(np.sum(w.masses * phis))
     correction = 2.0 * q_value(energy, x.space, x) * math.exp(-T / epsilon)
     sample = value_function(energy, x, epsilon, opts)

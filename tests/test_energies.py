@@ -10,9 +10,8 @@ from wedflow import (
     q_value, quadratic, quantile_entropy_potential, yosida,
 )
 from wedflow.energies import (
-    analytic_slope, analytic_slopes, eval_many, grad_many, hess_many, reference_point,
+    analytic_slope, analytic_slopes, eval_many, grad_many, hess_many, prox, reference_point,
 )
-from wedflow.newton import damped_newton, golden_section, levenberg
 
 E1 = SpaceSpec.euclidean(1)
 
@@ -206,68 +205,84 @@ def test_yosida_multidimensional_newton():
     assert val == pytest.approx(np.sum((y - x.coords) ** 2) / (2 * t) + 0.5 * y @ A @ y, abs=1e-10)
 
 
-def array_yosida_1d(spec, x, t):
-    """The 1-D proximal step on numpy values: the Newton branch on (1, 1)
-    arrays through the row kernels and np.linalg.solve, the bracket branch
-    on numpy scalars, one eval_many call per point."""
-    lam = spec.lam
-    if lam is not None and (lam >= 0.0 or 2.0 * t * abs(lam) < 0.9):
-        w, xc = np.ones(1), np.array([x])
-        obj = lambda z: float(np.sum(w * (z - xc) ** 2)) / (2.0 * t) + float(
-            eval_many(spec, z[None, :])[0])
-        grad_at = lambda z: w * (z - xc) / t + grad_many(spec, z[None, :])[0]
-        sup_norm = lambda g: float(np.max(np.abs(g)))
-        shift = np.diag(w / t)
-
-        def direction(y, g):
-            H = hess_many(spec, y[None])[0] + shift
-            step = levenberg(lambda rho: np.linalg.solve(H + rho * shift, -g), g, -g * t / w)
-            return step, float(step @ g)
-
-        gtol = 1e-12 * (1.0 + abs(obj(xc))) * (1.0 + 1.0 / t)
-        evaluate = lambda z: (obj(z), grad_at(z))
-        y, f, _, _, _ = damped_newton(xc.copy(), evaluate(xc), evaluate, sup_norm,
-                                      lambda g: sup_norm(g) <= gtol, direction, 200)
-        return f, y[0]
-    obj = lambda y: (y - x) ** 2 / (2.0 * t) + float(eval_many(spec, np.array([[y]]))[0])
-    span = 2.0 * (1.0 + abs(x)) * max(1.0, math.sqrt(t))
-    grid = np.linspace(x - span, x + span, 257)
-    j = int(np.argmin(np.array([obj(y) for y in grid])))
-    y = golden_section(obj, grid[max(j - 1, 0)], grid[min(j + 1, 256)], 0.0, 90)
-    return obj(y), y
-
-
 PROX_CASES = [
-    # double well (lambda = -1): Newton below t = 0.45, the bracket from there
+    # double well (lambda = -1): Newton from x below t = 0.45, from the scan
+    # from there
     *[(double_well(), t) for t in (4e-5, 0.01, 0.3, 0.45, 0.8, 3.0)],
     *[(convex_quartic(), t) for t in (1e-3, 0.5)],
-    # lambda = -1.5: Newton below t = 0.3, the bracket up to 1/|lambda|
+    # lambda = -1.5: Newton from x below t = 0.3, from the scan up to 1/|lambda|
     *[(quadratic([[-1.5]], [0.25]), t) for t in (0.1, 0.4)],
-    # no modulus: always the bracket
+    # no modulus: always from the scan
     (discrete_dirichlet(p=4.5, h=0.3, reaction=(0.5, -1.0, 0.25)), 0.05),
 ]
+PROX_IDS = [f"{spec.kind}-t{t}" for spec, t in PROX_CASES]
+PROX_XS = (-1.3, -0.2, 0.0, 0.37, 1.9)
 
 
-@pytest.mark.parametrize("spec, t", PROX_CASES,
-                         ids=[f"{spec.kind}-t{t}" for spec, t in PROX_CASES])
-def test_yosida_1d_is_bitwise_the_array_iteration(spec, t):
-    for x in (-1.3, -0.2, 0.0, 0.37, 1.9):
-        val, arg = yosida(spec, E1, point([x], E1), t)
-        ref_val, ref_arg = array_yosida_1d(spec, x, t)
-        assert type(val) is float
-        assert (val, arg.coords[0]) == (ref_val, ref_arg)
-        assert np.array([val, arg.coords[0]]).tobytes() == np.array([ref_val, ref_arg]).tobytes()
+def best_scan_value(spec, x, t):
+    """The least inner objective over the 257 scanned points around x."""
+    span = 2.0 * (1.0 + abs(x)) * max(1.0, math.sqrt(t))
+    ys = np.linspace(x - span, x + span, 257)
+    return float(np.min((ys - x) ** 2 / (2.0 * t) + eval_many(spec, ys[:, None])))
+
+
+@pytest.mark.parametrize("spec, t", PROX_CASES, ids=PROX_IDS)
+def test_stacked_prox_rows_meet_their_stop_tests(spec, t):
+    X = np.array(PROX_XS)[:, None]
+    values, Y = prox(spec, E1, X, t)
+    for k, x in enumerate(PROX_XS):
+        y = Y[k:k + 1]
+        grad = (y[0] - x) / t + grad_many(spec, y)[0]
+        gtol = 1e-12 * (1.0 + abs(eval_many(spec, X[k:k + 1])[0])) * (1.0 + 1.0 / t)
+        assert np.max(np.abs(grad)) <= gtol
+        assert values[k] == (y[0, 0] - x) ** 2 / (2.0 * t) + eval_many(spec, y)[0]
+
+
+@pytest.mark.parametrize("spec, t", PROX_CASES, ids=PROX_IDS)
+def test_stacked_prox_rows_are_one_row_calls(spec, t):
+    values, Y = prox(spec, E1, np.array(PROX_XS)[:, None], t)
+    for k, x in enumerate(PROX_XS):
+        value, y = prox(spec, E1, np.array([[x]]), t)
+        assert abs(values[k] - value[0]) <= 1e-14 * abs(value[0])
+        assert values[k] <= best_scan_value(spec, x, t)
+
+
+def test_prox_takes_one_time_per_row():
+    # the Yosida quadrature's shape: one state, times from the Newton into
+    # the scan regime of the double well
+    ts = np.geomspace(1e-5, 3.0, 40)
+    values, Y = prox(double_well(), E1, np.full((40, 1), 0.3), ts)
+    for k, t in enumerate(ts.tolist()):
+        value, y = prox(double_well(), E1, np.array([[0.3]]), t)
+        assert abs(values[k] - value[0]) <= 1e-14 * abs(value[0])
+        assert values[k] <= best_scan_value(double_well(), 0.3, t)
+
+
+def test_prox_needs_a_stack_of_rows():
+    with pytest.raises(InvalidInputError, match="stack"):
+        prox(double_well(), E1, np.array([0.3]), 0.1)
+
+
+@pytest.mark.parametrize("x", [2.0, 1.0, 0.5])
+def test_yosida_follows_a_minimizer_outside_the_scanned_window(x):
+    # phi = -0.75 y^2 - 0.25 y at t = 0.6: the inner problem is convex (1/t
+    # > 1.5) with its minimizer (x/t + 1/4) / (1/t - 3/2) far beyond the
+    # scanned x +- 2 (1 + |x|); at x = 2 it is y = 21.5, value -35.1875
+    t = 0.6
+    y = (x / t + 0.25) / (1.0 / t - 1.5)
+    expected = (y - x) ** 2 / (2.0 * t) - 0.75 * y * y - 0.25 * y
+    val, arg = yosida(quadratic([[-1.5]], [0.25]), E1, point([x], E1), t)
+    assert arg.coords[0] == pytest.approx(y, rel=1e-12)
+    assert val == pytest.approx(expected, rel=1e-12)
 
 
 @pytest.mark.parametrize("t", [0.01, 1.0])
 def test_yosida_1d_overflow_gives_inf_as_numpy_does(t):
-    # far out, the bracket's squares overflow: numpy scalars give inf where
-    # Python's ** raises OverflowError
+    # far out the squares overflow to inf, from x (t = 0.01) and from the
+    # scan (t = 1) alike
     with np.errstate(over="ignore", invalid="ignore"):
-        val, arg = yosida(double_well(), E1, point([1e160], E1), t)
-        ref_val, ref_arg = array_yosida_1d(double_well(), 1e160, t)
-    assert val == ref_val == math.inf
-    assert arg.coords[0] == ref_arg
+        val, _ = yosida(double_well(), E1, point([1e160], E1), t)
+    assert val == math.inf
 
 
 def test_local_slope_analytic():

@@ -91,6 +91,8 @@ def run_with(monkeypatch, driver, solve):
 
 
 def bits(v):
+    if isinstance(v, tuple):  # the proximal step's (values, gradients)
+        return tuple(map(bits, v))
     return type(v), np.asarray(v, dtype=float).tobytes()
 
 
@@ -133,7 +135,7 @@ def test_quantile_euler_lagrange_solve(monkeypatch):
 
 @pytest.mark.parametrize("xv, t", [(0.7, 0.01), (-1.3, 4e-5), (2.0, 0.3)])
 def test_float_prox(monkeypatch, xv, t):
-    new, ref, _ = compare(monkeypatch, lambda: prox(double_well(), E1, np.array([xv]), t))
+    new, ref, _ = compare(monkeypatch, lambda: prox(double_well(), E1, np.array([[xv]]), t))
     assert bits(new[0]) == bits(ref[0]) and bits(new[1]) == bits(ref[1])
 
 
@@ -185,7 +187,7 @@ def counting_driver(seen):
 
 @pytest.mark.parametrize("solve", [
     lambda: value_function(double_well(), point([1.5], E1), 0.05, ValueOptions(N=4000)),
-    lambda: prox(double_well(), E1, np.array([0.7]), 0.01),
+    lambda: prox(double_well(), E1, np.array([[0.7]]), 0.01),
     lambda: minimize_wed(WedProblem(epsilon=0.05, T=0.5, N=800, space=Q16, energy=QENT,
                                     x_bar=gaussian_quantiles(Q16, 1.0, 1.5),
                                     solver="euler_lagrange")),
@@ -222,35 +224,36 @@ def test_failed_search_stops_where_the_step_rounds_away(x0, p):
 
 
 def shifts_tried(solve):
-    """levenberg on ``solve`` with g = 1 and fallback -7: (step, rhos tried)."""
+    """levenberg on ``solve`` with g = [1] and fallback [-7]: (step, rhos tried)."""
     seen = []
 
     def recorded(rho):
         seen.append(rho)
         return solve(rho)
 
-    return levenberg(recorded, 1.0, -7.0), seen
+    return levenberg(recorded, np.ones(1), np.array([-7.0])), seen
 
 
 def test_levenberg_shifts_past_a_raise_at_zero():
     def singular_at_zero(rho):
         if rho == 0.0:
             raise np.linalg.LinAlgError("singular")
-        return -1.0
+        return np.array([-1.0])
 
-    assert shifts_tried(singular_at_zero) == (-1.0, [0.0, 1e-8])
+    step, seen = shifts_tried(singular_at_zero)
+    assert step == [-1.0] and seen == [0.0, 1e-8]
 
 
 def test_levenberg_shifts_past_non_descent_steps():
-    # H = -1: ascent below rho = 1, a zero pivot at 1, descent from 10 on
-    step, seen = shifts_tried(lambda rho: -1.0 / (-1.0 + rho))
-    assert step == -1.0 / 9.0
+    # H = -1: ascent below rho = 1, a singular system at 1, descent from 10 on
+    step, seen = shifts_tried(lambda rho: np.linalg.solve([[-1.0 + rho]], [-1.0]))
+    assert step == [-1.0 / 9.0]
     assert seen[0] == 0.0 and seen[-2:] == [1.0, 10.0] and len(seen) == 11
 
 
 def test_levenberg_falls_back_after_1e12():
-    step, seen = shifts_tried(lambda rho: 1.0)  # never a descent step
-    assert step == -7.0
+    step, seen = shifts_tried(lambda rho: np.ones(1))  # never a descent step
+    assert step == [-7.0]
     assert seen[0] == 0.0 and seen[-1] == 1e12 and len(seen) == 22
 
 

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -233,6 +234,57 @@ def test_exact_flow_unregistered_kind():
         exact_flow(double_well(), point([0.3, -0.2], p3), 1.0)
 
 
+def test_quadratic_flow_solves_the_weighted_gradient_equation():
+    # on quantile1d(4) the metric weights are 1/4: 4 u' = -4 (Au - b) / w_i
+    # becomes w_i u_i' = -(Au - b)_i
+    q4 = SpaceSpec.quantile1d(4)
+    A = np.array([[2.0, 0.5, 0.0, 0.0], [0.5, 1.5, 0.2, 0.0],
+                  [0.0, 0.2, 1.0, 0.1], [0.0, 0.0, 0.1, 3.0]])
+    b = np.array([0.3, -0.2, 0.1, 0.4])
+    x = point([-1.0, -0.5, 0.5, 1.0], q4)
+    spec, ts, h = quadratic(A, b), np.linspace(0.1, 1.0, 10), 1e-5
+    U = exact_flows(spec, x, ts)
+    dU = (exact_flows(spec, x, ts + h) - exact_flows(spec, x, ts - h)) / (2 * h)
+    assert np.max(np.abs(q4.metric_weights * dU + (U @ A - b))) <= 1e-8
+    # A = I: each coordinate relaxes to b_i at rate 1/w_i = 4
+    flow = exact_flows(quadratic(np.eye(4), b), x, ts)
+    assert np.allclose(flow, b + np.exp(-4.0 * ts)[:, None] * (x.coords - b), rtol=0, atol=1e-14)
+
+
+def test_convergence_study_quadratic_on_quantiles_converges():
+    # with the flow's rate 1/w_i = 4 the sup error halves with eps (it grew
+    # from 0.336 to 0.353 against the unweighted e^{-t})
+    table = convergence_study(quadratic(np.eye(4)), point([-1.0, -0.5, 0.5, 1.0],
+                              SpaceSpec.quantile1d(4)), [0.05, 0.025], 1.0, StudyOptions(N=2000))
+    errs = table.sup_errors
+    assert errs[1] <= 0.6 * errs[0] and errs[0] <= 0.1, errs
+
+
+@pytest.mark.parametrize("A, space", [
+    ([[1.0, 0.0], [0.0, 0.0]], SpaceSpec.euclidean(2)),
+    ([[2.0, 0.5], [0.5, 1.0]], SpaceSpec.pnorm(2, 3.0)),
+], ids=["singular", "pnorm3"])
+def test_quadratic_flow_registered_exactly_where_it_exists(A, space):
+    assert not has_exact_flow(quadratic(A), space)
+    with pytest.raises(NotAvailableError):
+        exact_flows(quadratic(A), point([0.3, -0.2], space), [0.0, 1.0])
+
+
+def test_convergence_study_falls_back_to_the_chain_on_a_singular_quadratic(monkeypatch):
+    taus = []
+
+    def spy(x_bar, tau, steps, energy, space):
+        taus.append(tau)
+        return minimizing_movements(x_bar, tau, steps, energy, space)
+
+    monkeypatch.setattr(wedflow.reference, "minimizing_movements", spy)
+    E2 = SpaceSpec.euclidean(2)
+    table = convergence_study(quadratic([[1.0, 0.0], [0.0, 0.0]]), point([1.0, 0.5], E2),
+                              [0.1], 0.5, StudyOptions(N=400))
+    assert taus == [0.25 * 0.1**2]
+    assert table.rows[0].sup_err <= 0.1
+
+
 def test_coordinatewise_flows_are_registered_where_the_metric_allows():
     for space in (E1, SpaceSpec.euclidean(3), SpaceSpec.quantile1d(4), SpaceSpec.pnorm(1, 3.0),
                   SpaceSpec.pnorm(3, 2.0)):
@@ -244,24 +296,38 @@ def test_coordinatewise_flows_are_registered_where_the_metric_allows():
     assert np.array_equal(flow, np.tile([-1.0, 0.0, 1.0], (3, 1)))
 
 
-@pytest.mark.parametrize("energy, x0, tol", [
+# the chain the convergence study used as its reference before: tau =
+# 0.0125^2 / 4 on [0, 1], first order in tau.  Flows and proximal steps of
+# these energies go coordinate by coordinate, so one chain per energy carries
+# all its initial values.
+FINE_CHAINS = {"double_well": (double_well(), (0.22, 0.3, 0.6, 1.5)),
+               "quartic": (convex_quartic(), (0.3, 1.5))}
+
+
+@functools.lru_cache(maxsize=None)
+def fine_chain_errors(name):
+    """Per initial value, the chain's largest distance from the exact flow."""
+    energy, x0 = FINE_CHAINS[name]
+    space = SpaceSpec.euclidean(len(x0))
+    x = point(x0, space)
+    tau = 0.0125**2 / 4.0
+    mm = minimizing_movements(x, tau, int(math.ceil(1.0 / tau)), energy, space)
+    flow = exact_flows(energy, x, mm.trajectory.grid.nodes)
+    return dict(zip(x0, np.max(np.abs(flow - mm.trajectory.points), axis=0).tolist()))
+
+
+@pytest.mark.parametrize("chain, x0, tol", [
     # measured 4.4e-6, 2.6e-6, 2.7e-6, 1.3e-5, 1.0e-7 and 2.4e-5
-    (double_well(), 0.22, 5e-6),
-    (double_well(), 0.3, 5e-6),
-    (double_well(), 0.6, 5e-6),
-    (double_well(), 1.5, 2e-5),
-    (convex_quartic(), 0.3, 2e-7),
-    (convex_quartic(), 1.5, 3e-5),
+    ("double_well", 0.22, 5e-6),
+    ("double_well", 0.3, 5e-6),
+    ("double_well", 0.6, 5e-6),
+    ("double_well", 1.5, 2e-5),
+    ("quartic", 0.3, 2e-7),
+    ("quartic", 1.5, 3e-5),
 ], ids=["double_well-0.22", "double_well-0.3", "double_well-0.6", "double_well-1.5",
         "quartic-0.3", "quartic-1.5"])
-def test_exact_flow_matches_a_fine_proximal_chain(energy, x0, tol):
-    # the chain the convergence study used as its reference before: tau =
-    # 0.0125^2 / 4 on [0, 1], first order in tau
-    tau = 0.0125**2 / 4.0
-    x = point([x0], E1)
-    mm = minimizing_movements(x, tau, int(math.ceil(1.0 / tau)), energy, E1)
-    flow = exact_flows(energy, x, mm.trajectory.grid.nodes)
-    assert np.max(np.abs(flow - mm.trajectory.points)) <= tol
+def test_exact_flow_matches_a_fine_proximal_chain(chain, x0, tol):
+    assert fine_chain_errors(chain)[x0] <= tol
 
 
 # -- descent inequality -----------------------------------------------------------------
