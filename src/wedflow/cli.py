@@ -8,11 +8,12 @@ parameters) plus a list of identity suites to run.  Every suite writes a
      "residuals_file": ...}
 
 and its residual vector as CSV.  Suites run one after another in the listed
-order and share one value cache per run.  ``manifest.json`` at the output
-root echoes the config, records wall times, the pass/fail summary and, for a
-run stopped by an error, that error.  Exit codes: 0 all selected suites pass,
-2 at least one suite failed, 1 usage, execution or validation error.
-Progress goes to stderr; data only to files and stdout.
+order.  A run keeps no value cache: every value solve is made afresh and freed
+once its readers are done.  ``manifest.json`` at the output root echoes the
+config, records wall times, the pass/fail summary and, for a run stopped by an
+error, that error.  Exit codes: 0 all selected suites pass, 2 at least one
+suite failed, 1 usage, execution or validation error.  Progress goes to
+stderr; data only to files and stdout.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from .trajectories import (
     GRID_MODES, UNIFORM, g_reparam, metric_speed, poincare_witness, spectral_check,
 )
 from .value import (
-    IdentityReport, ProbeOptions, ValueCache, ValueOptions, check_dpp,
+    IdentityReport, ProbeOptions, ValueOptions, check_dpp,
     check_eps_monotonicity, check_fundamental_identity, check_hj,
     check_yosida_bound, finsler_distance, value_along, value_function,
 )
@@ -127,10 +128,6 @@ class Experiment:
         self.grad_tol = _need(cfg, "grad_tol", float, default=1e-8)
         self.max_iter = _need(cfg, "max_iter", int, default=100)
         self.probe_seed = _need(cfg, "probe_seed", int, default=20240)
-        capacity = _need(cfg, "cache_capacity", int, default=256)
-        if capacity < 0:
-            raise ConfigError("/cache_capacity", "must be nonnegative")
-        self.cache = ValueCache(capacity)
         self._solution = None
 
     def problem(self) -> WedProblem:
@@ -151,12 +148,11 @@ class Experiment:
         return self._solution
 
     def value_opts(self) -> ValueOptions:
-        """The config's ``grad_tol`` and ``max_iter`` and the run's cache; value
-        solves keep ``ValueOptions``' own ``N=4000`` and are ``direct`` solves on
-        the ``exp_graded`` grid over 25 eps, whatever the config's ``N``, ``T``,
+        """The config's ``grad_tol`` and ``max_iter``, and no cache; value solves
+        keep ``ValueOptions``' own ``N=4000`` and are ``direct`` solves on the
+        ``exp_graded`` grid over 25 eps, whatever the config's ``N``, ``T``,
         ``grid_mode``, ``solver``."""
-        return ValueOptions(cache=self.cache, grad_tol=self.grad_tol,
-                            max_iter=self.max_iter)
+        return ValueOptions(grad_tol=self.grad_tol, max_iter=self.max_iter)
 
 
 # -- emission helpers ---------------------------------------------------------

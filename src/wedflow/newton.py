@@ -41,9 +41,10 @@ def damped_newton(x, start, evaluate, residual, done, direction, max_iter):
     lengths t = 1, 1/2, ..., 1e-16 are tried until merit drops by 1e-4 t slope
     or, where that is below roundoff, the residual drops; the search fails at
     the first t where ``x + t*p`` rounds to ``x`` (every smaller t does too).
-    A failed search, or a roundoff-level step that does not halve the
-    residual, is a stall; two stalls stop.  Returns ``(x, merit, g,
-    iterations, trace)``, trace holding (iteration, merit, t).
+    A failed search stops the run: ``direction`` is a function of x and g,
+    which it leaves unchanged, so a repeat would fail alike.  Two accepted
+    roundoff-level steps that do not halve the residual stop it too.  Returns
+    ``(x, merit, g, iterations, trace)``, trace holding (iteration, merit, t).
     """
     f, g = start
     r = residual(g)
@@ -71,11 +72,10 @@ def damped_newton(x, start, evaluate, residual, done, direction, max_iter):
             t *= 0.5
         trace.append((it, f, t))
         if not ok:
-            stalls += 1
-        else:
-            rn = residual(gn)
-            stalls += int(abs(f - fn) <= _EPS_F * (1.0 + abs(f)) and rn >= 0.5 * r)
-            x, f, g, r = xn, fn, gn, rn
+            break
+        rn = residual(gn)
+        stalls += int(abs(f - fn) <= _EPS_F * (1.0 + abs(f)) and rn >= 0.5 * r)
+        x, f, g, r = xn, fn, gn, rn
         if stalls >= 2:
             break
     return x, f, g, it, trace

@@ -36,10 +36,11 @@ class MMSolution:
     tau: float
 
     def at_times(self, ts) -> np.ndarray:
-        """Piecewise-constant-in-time interpolant, one coordinate row per t."""
-        idx = np.clip((np.asarray(ts, dtype=float) / self.tau).astype(int), 0,
-                      self.trajectory.points.shape[0] - 1)
-        return self.trajectory.points[idx]
+        """Piecewise-linear-in-time interpolant, one coordinate row per t: the
+        iterates at the nodes, held past the last one."""
+        ts = np.asarray(ts, dtype=float)
+        nodes, pts = self.trajectory.grid.nodes, self.trajectory.points
+        return np.stack([np.interp(ts, nodes, col) for col in pts.T], axis=-1)
 
 
 def minimizing_movements(x_bar: Point, tau: float, steps: int,

@@ -488,20 +488,20 @@ def finsler_distance(space: SpaceSpec, f, u0: Point, u1: Point,
         return P, mids, 0.5 * float(np.sum(w * dP * dP)), b
 
     def evaluate(V):
-        # the action's gradient at the optimal S, step h = S/K, is the reduced one's
+        # g = (gradient, step h = S/K); the action's gradient at the optimal S is the reduced one's
         P, mids, a, b = parts(V)
         h = math.sqrt(a / b)
         gm = f2_grad_at(mids)
         lap = (2.0 * P[1:-1] - P[:-2] - P[2:]) * w / h
-        return 2.0 * math.sqrt(a * b), lap + 0.25 * h * (gm[:-1] + gm[1:])
+        return 2.0 * math.sqrt(a * b), (lap + 0.25 * h * (gm[:-1] + gm[1:]), h)
 
     def direction(V, g):
-        _, _, a, b = parts(V)
-        step = -math.sqrt(a / b) * (lap_inv @ g) / w
-        return step, float(np.sum(g * step))
+        grad, h = g
+        step = -h * (lap_inv @ grad) / w
+        return step, float(np.sum(grad * step))
 
     V0 = theta[1:-1]
-    sup_norm = lambda g: float(np.max(np.abs(g)))
+    sup_norm = lambda g: float(np.max(np.abs(g[0])))
     # the weight gradient is finite-differenced, so the stationarity tolerance
     # must sit above the ~1e-10 differencing noise floor
     V, value, _, _, _ = damped_newton(

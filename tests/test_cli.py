@@ -198,7 +198,6 @@ def test_task_commands_run_no_suites(tmp_path):
 
 @pytest.mark.parametrize("config, needle", [
     (cfg(N="abc"), "/N"),
-    (cfg(cache_capacity="x"), "/cache_capacity"),
     (cfg(max_iter=True), "/max_iter"),
     (cfg(t_obs=[1]), "/t_obs"),
     (cfg(epsilon="x"), "/epsilon"),
@@ -220,7 +219,7 @@ def test_task_commands_run_no_suites(tmp_path):
     (cfg(energy={"kind": "quadratic", "params": {"A": [[1.0, 0.0], [0.0, 1.0]]}}),
      "config /energy: dimension mismatch"),
     (cfg(energy={"kind": "quadratic", "params": {"A": [[-1.0]]}}), "config /epsilon: well-posed"),
-], ids=["N", "cache_capacity", "max_iter", "t_obs", "epsilon", "eps_list", "grid_mode",
+], ids=["N", "max_iter", "t_obs", "epsilon", "eps_list", "grid_mode",
         "not_an_object", "N_zero", "T_negative", "T_zero", "epsilon_zero", "eps_list_negative",
         "pnorm_space", "x_bar_infinite_energy", "energy_no_coercivity", "energy_of_other_dim",
         "epsilon_too_large"])
@@ -230,6 +229,17 @@ def test_bad_config_values_are_config_errors(tmp_path, config, needle):
                  "--suite", "spectral", "--quiet"])
     assert code == 1
     assert needle in json.loads((out / "manifest.json").read_text())["error"]
+
+
+def test_value_suites_keep_no_cache(tmp_path, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the CLI kept a value solve")
+
+    monkeypatch.setattr("wedflow.value.ValueCache.put", refuse)
+    out = tmp_path / "out"
+    argv = ["check", "--config", str(write_cfg(tmp_path, cfg())), "--out", str(out),
+            "--suite", "yosida", "--suite", "hj", "--quiet"]
+    assert main(argv) == 0
 
 
 def test_finsler_command_runs_the_finsler_suite_only(tmp_path):
