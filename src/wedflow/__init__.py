@@ -26,7 +26,7 @@ from .trajectories import (
     poincare_witness, spectral_check, weighted_ibp_check,
 )
 from .value import (
-    IdentityReport, ProbeOptions, ValueCache, ValueOptions, ValueSample,
+    IdentityReport, ValueCache, ValueOptions, ValueSample,
     check_dpp, check_eps_monotonicity, check_fundamental_identity, check_hj,
     check_yosida_bound, conditioned_slope_estimate, finsler_distance,
     value_along, value_function, wed_slope_compare,

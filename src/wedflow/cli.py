@@ -39,7 +39,7 @@ from .trajectories import (
     GRID_MODES, UNIFORM, g_reparam, metric_speed, poincare_witness, spectral_check,
 )
 from .value import (
-    IdentityReport, ProbeOptions, ValueOptions, check_dpp,
+    IdentityReport, ValueOptions, check_dpp,
     check_eps_monotonicity, check_fundamental_identity, check_hj,
     check_yosida_bound, finsler_distance, value_along, value_function,
 )
@@ -120,6 +120,8 @@ class Experiment:
         if self.T is not None and self.T <= 0.0:
             raise ConfigError("/T", "must be positive")
         self.t_obs = _need(cfg, "t_obs", float, default=self.T if self.T is not None else 1.0)
+        if self.t_obs <= 0.0:
+            raise ConfigError("/t_obs", "must be positive")
         self.grid_mode = _need(cfg, "grid_mode", str, default=UNIFORM)
         self.solver = _need(cfg, "solver", str, default=DIRECT)
         for key, allowed in (("grid_mode", GRID_MODES), ("solver", SOLVERS)):
@@ -287,8 +289,7 @@ def suite_yosida(exp: Experiment, outdir: Path) -> IdentityReport:
 
 
 def suite_hj(exp: Experiment, outdir: Path) -> IdentityReport:
-    probe = ProbeOptions(seed=exp.probe_seed)
-    return check_hj(exp.energy, exp.x_bar, exp.epsilon, probe, exp.value_opts())
+    return check_hj(exp.energy, exp.x_bar, exp.epsilon, exp.value_opts(), exp.probe_seed)
 
 
 def suite_lambda(exp: Experiment, outdir: Path) -> IdentityReport:

@@ -299,33 +299,29 @@ def wed_slope_compare(energy: EnergySpec, x: Point, eps_list,
 # -- conditioned slope of V and the pointwise Hamilton-Jacobi identity ------------
 
 
-@dataclass(frozen=True)
-class ProbeOptions:
-    seed: int = 20240
-    flow_nodes: int = 3
-    # probe solves may run at reduced resolution: slope differences cancel
-    # the discretization bias shared by center and probe values
-    solve_N: int | None = None
-
-
 def conditioned_slope_estimate(energy: EnergySpec, x: Point, epsilon: float,
-                               probe: ProbeOptions, opts: ValueOptions | None = None) -> tuple:
+                               opts: ValueOptions | None = None, seed: int = 20240) -> tuple:
     """Finite-difference estimate of the descending slope of V at x.
 
-    Takes the max of (V(x) - V(x - h e))^+ / h over probe directions e and the
-    ladder h = 0.1 / 2^k, k = 0..5, then removes the O(h) term by one
-    Richardson step.  Probes leaving the monotone cone of quantile coordinates
-    are discarded.
+    Takes the max of (V(x) - V(x - h e))^+ / h over probe directions e (for
+    d > 1 eight random ones drawn from ``seed``) and the ladder
+    h = 0.1 / 2^k, k = 0..5, then removes the O(h) term by one Richardson
+    step on the two finest rungs.
+    Probes leaving the monotone cone of quantile coordinates are discarded.
+    Above four dimensions every solve runs at ``min(opts.N, 1500)``: slope
+    differences cancel the discretization bias shared by center and probes.
     """
+    return _slope_estimate(energy, x, epsilon, opts, seed, range(6))
+
+
+def _slope_estimate(energy, x, epsilon, opts, seed, rungs) -> tuple:
+    # conditioned_slope_estimate on the rungs h = 0.1 / 2^k, k in rungs
     space = x.space
     opts = opts or ValueOptions()
-    solve_n = probe.solve_N if probe.solve_N is not None else (
-        1500 if space.dim > 4 else opts.N
-    )
-    if solve_n != opts.N:
-        opts = dataclasses.replace(opts, N=solve_n)
+    if space.dim > 4 and opts.N > 1500:
+        opts = dataclasses.replace(opts, N=1500)
     center = value_function(energy, x, epsilon, opts)
-    dirs = probe_directions(space, probe.seed, at=x.coords)
+    dirs = probe_directions(space, seed, at=x.coords)
     # the descent of V is steepest along the minimizer itself, so the early
     # movement of the center solve supplies the sharp approach direction
     # (probe points are still fresh solves at perturbed states)
@@ -340,7 +336,7 @@ def conditioned_slope_estimate(energy: EnergySpec, x: Point, epsilon: float,
         if not any(np.array_equal(approach, e) for e in dirs):
             dirs.append(approach)
     ladder = []
-    for k in range(6):
+    for k in rungs:
         h = 0.1 * 2.0**-k
         best = 0.0
         for e in dirs:
@@ -355,19 +351,18 @@ def conditioned_slope_estimate(energy: EnergySpec, x: Point, epsilon: float,
 
 
 def check_hj(energy: EnergySpec, x: Point, epsilon: float,
-             probe: ProbeOptions | None = None,
-             opts: ValueOptions | None = None) -> IdentityReport:
+             opts: ValueOptions | None = None, seed: int = 20240) -> IdentityReport:
     """Pointwise Hamilton-Jacobi identity: the probe slope of V matches G
     within 5% of G.
 
-    Additionally reruns the slope estimate at a few nodes of the minimizer
-    from x and checks the V-descent rate -dV/dt = |u'|^2/2 + slope^2/2 there,
-    within 10% of the right-hand side.
+    Additionally reruns the slope estimate at the nodes n/8, n/4 and n/2 of the
+    minimizer from x, solving only the two rungs its Richardson step reads,
+    and checks the V-descent rate -dV/dt = |u'|^2/2 + slope^2/2 there, within
+    10% of the right-hand side.
     """
     if energy.lam is None:
         raise InvalidInputError("the Hamilton-Jacobi check needs a convexity modulus")
-    probe = probe or ProbeOptions()
-    est, center, ladder = conditioned_slope_estimate(energy, x, epsilon, probe, opts)
+    est, center, ladder = conditioned_slope_estimate(energy, x, epsilon, opts, seed)
     denom = max(center.G, 1e-9)
     slope_resid = abs(est - center.G) / denom
     sol = center.solve_ref
@@ -376,9 +371,9 @@ def check_hj(energy: EnergySpec, x: Point, epsilon: float,
     n = sol.trajectory.grid.n_cells
     flow_resid = []
     flow_detail = []
-    for i in sorted({max(1, n // 8), max(1, n // 4), max(1, n // 2)})[: probe.flow_nodes]:
+    for i in sorted({max(1, n // 8), max(1, n // 4), max(1, n // 2)}):
         xi = sol.trajectory.point_at(i)
-        est_i, _, _ = conditioned_slope_estimate(energy, xi, epsilon, probe, opts)
+        est_i, _, _ = _slope_estimate(energy, xi, epsilon, opts, seed, range(4, 6))
         dvdt = (V[i + 1] - V[i - 1]) / (nodes[i + 1] - nodes[i - 1])
         rhs = 0.5 * sol.speed[i] ** 2 + 0.5 * est_i**2
         scale = max(abs(rhs), 1e-9)

@@ -207,6 +207,8 @@ def test_task_commands_run_no_suites(tmp_path):
     (cfg(N=0), "config /N:"),
     (cfg(T=-1.0), "config /T:"),
     (cfg(T=0.0), "config /T:"),
+    (cfg(t_obs=-1.0), "config /t_obs: must be positive"),
+    (cfg(t_obs=0.0), "config /t_obs: must be positive"),
     (cfg(epsilon=0.0), "config /epsilon:"),
     (cfg(eps_list=[0.1, 0.05, -0.01]), "config /eps_list/2:"),
     (cfg(space={"kind": "pnorm", "dim": 1, "p": 3.0}), "config /space: trajectory solvers"),
@@ -220,7 +222,8 @@ def test_task_commands_run_no_suites(tmp_path):
      "config /energy: dimension mismatch"),
     (cfg(energy={"kind": "quadratic", "params": {"A": [[-1.0]]}}), "config /epsilon: well-posed"),
 ], ids=["N", "max_iter", "t_obs", "epsilon", "eps_list", "grid_mode",
-        "not_an_object", "N_zero", "T_negative", "T_zero", "epsilon_zero", "eps_list_negative",
+        "not_an_object", "N_zero", "T_negative", "T_zero", "t_obs_negative", "t_obs_zero",
+        "epsilon_zero", "eps_list_negative",
         "pnorm_space", "x_bar_infinite_energy", "energy_no_coercivity", "energy_of_other_dim",
         "epsilon_too_large"])
 def test_bad_config_values_are_config_errors(tmp_path, config, needle):

@@ -11,7 +11,7 @@ from wedflow import (
     minimize_wed, point, quadratic, quantile_entropy_potential, value_along,
     value_function, wed_slope_compare,
 )
-from wedflow.value import ProbeOptions, apriori_speed_bound, chain_rule_bound
+from wedflow.value import apriori_speed_bound, chain_rule_bound
 from wedflow.energies import eval_many
 
 E1 = SpaceSpec.euclidean(1)
@@ -244,9 +244,20 @@ def test_yosida_bound_at_minimizer_is_tight():
     assert rep.details["integral"] == pytest.approx(0.0, abs=1e-9)
 
 
-def test_yosida_bound_double_well():
-    rep = check_yosida_bound(DW, point([0.3], E1), 0.05)
-    assert rep.passed
+YOSIDA_MARGIN_FAULT = pytest.mark.xfail(
+    strict=True, reason="ROADMAP item 4: the zero-tolerance Yosida bound fails for x_bar in "
+    "about [0.46, 0.58] at eps 0.05; a mend turns these into XPASS failures")
+
+
+@pytest.mark.parametrize("x", [
+    0.3, 0.45,
+    pytest.param(0.5, marks=YOSIDA_MARGIN_FAULT),
+    pytest.param(0.55, marks=YOSIDA_MARGIN_FAULT),
+    0.6,
+])
+def test_yosida_bound_double_well(x):
+    rep = check_yosida_bound(DW, point([x], E1), 0.05)
+    assert rep.passed, rep.details
     assert rep.details["margin"] > 0.0
 
 
@@ -316,26 +327,70 @@ def test_hj_1d_never_repeats_a_solve():
     assert len(set(cache.asked)) == len(cache.asked)
 
 
+def test_hj_solves_two_rungs_at_each_flow_node(monkeypatch):
+    # the center and its six reported rungs of 2 probes each, then a center and
+    # the two rungs the Richardson step reads at each of 3 flow nodes
+    solves = []
+
+    def counting(problem):
+        solves.append(problem)
+        return minimize_wed(problem)
+
+    monkeypatch.setattr("wedflow.value.minimize_wed", counting)
+    opts = ValueOptions(N=500)
+    x = point([1.0], E1)
+    rep = check_hj(QUAD, x, 0.1, opts=opts)
+    assert len(solves) == 1 + 6 * 2 + 3 * (1 + 2 * 2)  # 28; the full ladders took 52
+    assert len(rep.details["ladder"]) == 6
+    assert len(rep.details["flow"]) == 3
+    traj = value_function(QUAD, x, 0.1, opts).solve_ref.trajectory
+    for f in rep.details["flow"]:
+        (i,) = np.flatnonzero(traj.grid.nodes == f["t"])
+        est, _, ladder = conditioned_slope_estimate(QUAD, traj.point_at(i), 0.1, opts=opts)
+        assert len(ladder) == 6
+        assert f["slope_est"] == est  # bitwise the full-ladder estimate
+
+
+class SolveRequested(Exception):
+    pass
+
+
+Q8 = SpaceSpec.quantile1d(8)
+QENT = quantile_entropy_potential(v2=1.0, v1=0.0)
+
+
+@pytest.mark.parametrize("energy, x, N, solved_at", [
+    (QENT, gaussian_quantiles(Q8, 1.0, 1.5), 4000, 1500),
+    (QENT, gaussian_quantiles(Q8, 1.0, 1.5), 800, 800),
+    (DW, point([0.5], E1), 4000, 4000),
+], ids=["q8-N4000", "q8-N800", "e1-N4000"])
+def test_probe_solves_above_four_dimensions_run_at_most_1500(monkeypatch, energy, x, N, solved_at):
+    seen = []
+
+    def record(problem):
+        seen.append(problem.N)
+        raise SolveRequested
+
+    monkeypatch.setattr("wedflow.value.minimize_wed", record)
+    with pytest.raises(SolveRequested):
+        conditioned_slope_estimate(energy, x, 0.05, opts=ValueOptions(N=N))
+    assert seen == [solved_at]
+
+
 def test_hj_quantile_fixture():
     # 16-dimensional quantile state: the identity needs the flow-direction
     # probe; translation/dilation/random alone undershoot the slope
-    from wedflow import SpaceSpec, ValueCache, gaussian_quantiles, quantile_entropy_potential
-
-    qs = SpaceSpec.quantile1d(16)
-    spec = quantile_entropy_potential(v2=1.0, v1=0.0)
-    x0 = gaussian_quantiles(qs, 1.0, 1.5)
-    rep = check_hj(spec, x0, 0.05, probe=ProbeOptions(flow_nodes=0, solve_N=800),
-                   opts=ValueOptions(N=800, cache=ValueCache(1024)))
-    assert rep.passed, rep.details
-    assert rep.details["slope_residual"] <= 5e-2
+    x0 = gaussian_quantiles(SpaceSpec.quantile1d(16), 1.0, 1.5)
+    est, center, _ = conditioned_slope_estimate(
+        QENT, x0, 0.05, opts=ValueOptions(N=800, cache=ValueCache(1024))
+    )
+    assert abs(est - center.G) / center.G <= 5e-2
 
 
 def test_hj_sandwich_at_small_eps():
     # computed estimate at the smallest swept eps brackets the local slope
     # within the combined probe and solver tolerance
-    est, center, _ = conditioned_slope_estimate(
-        DW, point([0.5], E1), 0.0125, ProbeOptions()
-    )
+    est, center, _ = conditioned_slope_estimate(DW, point([0.5], E1), 0.0125)
     slope = 0.375
     delta = 5e-2
     assert slope - delta <= est <= slope + delta
