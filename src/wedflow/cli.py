@@ -35,16 +35,15 @@ from .reference import (
     StudyOptions, convergence_study, lambda_diagnostics, minimizing_movements,
 )
 from .spaces import EUCLIDEAN, Point, SpaceSpec, distance
-from .trajectories import (
-    GRID_MODES, UNIFORM, g_reparam, metric_speed, poincare_witness, spectral_check,
-)
+from .trajectories import g_reparam, metric_speed, poincare_witness, spectral_check
 from .value import (
     IdentityReport, ValueOptions, check_dpp,
     check_eps_monotonicity, check_fundamental_identity, check_hj,
     check_yosida_bound, finsler_distance, value_along, value_function,
 )
 from .wed import (
-    DIRECT, SOLVERS, WedProblem, check_inner_variation, default_horizon, minimize_wed,
+    DIRECT, GRID_MODES, SOLVERS, UNIFORM, WedProblem, check_inner_variation, default_horizon,
+    minimize_wed,
 )
 
 SUITES = ("spectral", "inner", "dpp", "fundamental", "monotone", "yosida",
@@ -180,24 +179,18 @@ def write_report(outdir: Path, report: IdentityReport) -> dict:
         "tolerance": report.tolerance,
         "pass": report.passed,
         "residuals_file": resid_file.name,
-        "details": _jsonable(report.details),
+        "details": report.details,
     }
-    with open(outdir / f"report_{report.name}.json", "w") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    _write_json(outdir / f"report_{report.name}.json", payload)
     return payload
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    return obj
+def _write_json(path: Path, obj) -> None:
+    """``obj`` as indented JSON with sorted keys; numpy arrays and scalars are
+    written as lists and numbers."""
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=1, sort_keys=True, default=lambda o: o.tolist())
+        fh.write("\n")
 
 
 def write_trajectory_csv(path: Path, sol, resid_fund=None, resid_inner=None) -> None:
@@ -386,9 +379,7 @@ def emit_solve(exp: Experiment, outdir: Path) -> dict:
             "fundamental": fund.max_residual,
         },
     }
-    with open(outdir / "report.json", "w") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    _write_json(outdir / "report.json", payload)
     return payload
 
 
@@ -470,7 +461,7 @@ def run(cfg: dict, out: Path, suites=None, quiet=False, tasks=()) -> int:
     manifest = {
         "tool": "wedflow",
         "version": __version__,
-        "config": _jsonable(cfg),
+        "config": cfg,
         "started_utc": started.isoformat(),
         "finished_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "wall_time_s": time.perf_counter() - t0,
@@ -479,9 +470,7 @@ def run(cfg: dict, out: Path, suites=None, quiet=False, tasks=()) -> int:
         "summary": summary,
         "error": error,
     }
-    with open(out / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    _write_json(out / "manifest.json", manifest)
     if error is not None:
         return 1
     return 0 if all(summary.values()) else 2

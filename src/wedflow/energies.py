@@ -218,17 +218,6 @@ def q_value(spec: EnergySpec, space: SpaceSpec, x: Point) -> float:
 # -- evaluation ---------------------------------------------------------------
 
 
-def _poly(c, u):
-    out = np.zeros_like(u)
-    for ck in c[::-1]:
-        out = out * u + ck
-    return out
-
-
-def _poly_d(c):
-    return np.array([k * c[k] for k in range(1, len(c))]) if len(c) > 1 else np.zeros(1)
-
-
 def _quadratic_params(spec: EnergySpec, U: np.ndarray):
     A, b = spec.params["A"], spec.params["b"]
     if U.shape[1] != A.shape[0]:
@@ -257,7 +246,8 @@ def eval_many(spec: EnergySpec, U: np.ndarray) -> np.ndarray:
         p, h, reac = spec.params["p"], spec.params["h"], spec.params["reaction"]
         Z = np.zeros((U.shape[0], 1))
         g = np.diff(np.hstack([Z, U, Z]), axis=1)  # zero Dirichlet boundary
-        return (h / p) * np.sum(np.abs(g / h) ** p, axis=1) + h * np.sum(_poly(reac, U), axis=1)
+        reaction = np.polyval(reac[::-1], U)  # reac holds ascending powers
+        return (h / p) * np.sum(np.abs(g / h) ** p, axis=1) + h * np.sum(reaction, axis=1)
     if k == QUANTILE_ENTROPY:
         v2, v1 = spec.params["v2"], spec.params["v1"]
         m = U.shape[1]
@@ -292,7 +282,7 @@ def grad_many(spec: EnergySpec, U: np.ndarray) -> np.ndarray:
         Z = np.zeros((U.shape[0], 1))
         g = np.diff(np.hstack([Z, U, Z]), axis=1) / h
         flux = np.abs(g) ** (p - 1.0) * np.sign(g)
-        return flux[:, :-1] - flux[:, 1:] + h * _poly(_poly_d(reac), U)
+        return flux[:, :-1] - flux[:, 1:] + h * np.polyval(np.polyder(reac[::-1]), U)
     if k == QUANTILE_ENTROPY:
         v2, v1 = spec.params["v2"], spec.params["v1"]
         m = U.shape[1]
@@ -327,7 +317,7 @@ def hess_many(spec: EnergySpec, U: np.ndarray) -> np.ndarray:
         p, h, reac = spec.params["p"], spec.params["h"], spec.params["reaction"]
         g = np.diff(U, axis=1, prepend=0.0, append=0.0) / h  # zero Dirichlet boundary
         w = (p - 1.0) * np.abs(g) ** (p - 2.0) / h
-        diag = w[:, :-1] + w[:, 1:] + h * _poly(_poly_d(_poly_d(reac)), U)
+        diag = w[:, :-1] + w[:, 1:] + h * np.polyval(np.polyder(reac[::-1], 2), U)
         off = -w[:, 1:-1]
     elif k == QUANTILE_ENTROPY:
         v2 = spec.params["v2"]

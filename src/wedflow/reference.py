@@ -22,9 +22,9 @@ from .energies import (
 )
 from .errors import InvalidInputError, NotAvailableError
 from .spaces import PNORM, QUANTILE1D, Point, SpaceSpec, normal_quantile, row_distances
-from .trajectories import UNIFORM, TimeGrid, Trajectory, metric_speed
+from .trajectories import TimeGrid, Trajectory, metric_speed
 from .value import IdentityReport
-from .wed import EULER_LAGRANGE, WedProblem, default_horizon, minimize_wed
+from .wed import EULER_LAGRANGE, UNIFORM, WedProblem, default_horizon, minimize_wed
 
 
 @dataclass(frozen=True)
@@ -54,7 +54,7 @@ def minimizing_movements(x_bar: Point, tau: float, steps: int,
     for k in range(steps):
         pts[k + 1] = prox(energy, space, pts[k:k + 1], tau)[1][0]
     movements = row_distances(space, pts[:-1], pts[1:])
-    grid = TimeGrid(np.linspace(0.0, steps * tau, steps + 1), "uniform")
+    grid = TimeGrid(np.linspace(0.0, steps * tau, steps + 1))
     traj = Trajectory(grid, pts, space)
     return MMSolution(trajectory=traj, movements=movements, tau=tau)
 
@@ -253,7 +253,7 @@ def convergence_study(energy: EnergySpec, x_bar: Point, eps_list, t_obs: float,
         sel = nodes <= t_obs + 1e-12
         ts, pts = nodes[sel], sol.trajectory.points[sel]
         ref = exact_flows(energy, x_bar, ts) if mm_ref is None else mm_ref.at_times(ts)
-        sub = Trajectory(TimeGrid(ts, "uniform"), pts, space)
+        sub = Trajectory(TimeGrid(ts), pts, space)
         lsc = check_max_slope(sub, energy, float(sol.phi[0]), tol=math.inf)
         rows.append(ConvergenceRow(
             epsilon=float(eps),

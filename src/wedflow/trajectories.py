@@ -17,18 +17,12 @@ import numpy as np
 from .errors import DegenerateCurveError, DomainError, InvalidInputError
 from .spaces import Point, SpaceSpec, row_distances
 
-UNIFORM = "uniform"
-EXP_GRADED = "exp_graded"
-GRID_MODES = (UNIFORM, EXP_GRADED)
-
 
 @dataclass(frozen=True)
 class TimeGrid:
     """Strictly increasing nodes t_0 = 0 < ... < t_N = T."""
 
     nodes: np.ndarray
-    mode: str
-    eps: float | None = None  # grading parameter for exp_graded
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float)
@@ -37,14 +31,6 @@ class TimeGrid:
             raise InvalidInputError("a time grid needs at least two nodes")
         if nodes[0] != 0.0 or np.any(np.diff(nodes) <= 0.0):
             raise InvalidInputError("grid nodes must start at 0 and increase strictly")
-        if self.mode not in GRID_MODES:
-            raise InvalidInputError(f"unknown grid mode {self.mode!r}")
-        if self.mode == EXP_GRADED:
-            if self.eps is None or self.eps <= 0.0:
-                raise InvalidInputError("exp_graded grids carry their eps")
-            ref = _exp_graded_nodes(self.eps, nodes[-1], nodes.shape[0] - 1)
-            if np.max(np.abs(nodes - ref)) > 1e-12 * max(1.0, nodes[-1]):
-                raise InvalidInputError("nodes do not match the exp_graded formula")
 
     @property
     def T(self) -> float:
@@ -62,19 +48,15 @@ class TimeGrid:
     def uniform(T: float, N: int) -> "TimeGrid":
         if T <= 0.0 or N < 1:
             raise InvalidInputError("uniform grid needs T > 0 and N >= 1")
-        return TimeGrid(np.linspace(0.0, T, N + 1), UNIFORM)
+        return TimeGrid(np.linspace(0.0, T, N + 1))
 
     @staticmethod
     def exp_graded(eps: float, T: float, N: int) -> "TimeGrid":
         if eps <= 0.0 or T <= 0.0 or N < 1:
             raise InvalidInputError("exp_graded grid needs eps, T > 0 and N >= 1")
-        return TimeGrid(_exp_graded_nodes(eps, T, N), EXP_GRADED, eps)
-
-
-def _exp_graded_nodes(eps: float, T: float, N: int) -> np.ndarray:
-    i = np.arange(1, N)
-    interior = -eps * np.log1p(-(i / N) * (1.0 - np.exp(-T / eps)))
-    return np.concatenate([[0.0], interior, [T]])  # exact endpoints
+        i = np.arange(1, N)
+        interior = -eps * np.log1p(-(i / N) * (1.0 - np.exp(-T / eps)))
+        return TimeGrid(np.concatenate([[0.0], interior, [T]]))  # exact endpoints
 
 
 @dataclass(frozen=True)
@@ -180,7 +162,7 @@ def _resample(traj: Trajectory, increments: np.ndarray, total: float) -> Traject
     pts = traj.points[idx - 1] + frac[:, None] * (traj.points[idx] - traj.points[idx - 1])
     pts[0] = traj.points[0]
     pts[-1] = traj.points[-1]
-    return Trajectory(TimeGrid(s_new, UNIFORM), pts, traj.space)
+    return Trajectory(TimeGrid(s_new), pts, traj.space)
 
 
 # -- weighted-measure checks ----------------------------------------------------

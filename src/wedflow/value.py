@@ -25,8 +25,8 @@ from .energies import EnergySpec, analytic_slope, energy_eval, prox, q_value
 from .errors import InvalidInputError, NotAvailableError
 from .newton import damped_newton
 from .spaces import PNORM, QUANTILE1D, Point, SpaceSpec, distance, probe_directions
-from .trajectories import EXP_GRADED, TimeGrid, Trajectory, Weights, row_values
-from .wed import DIRECT, WedProblem, WedSolution, default_horizon, minimize_wed
+from .trajectories import TimeGrid, Trajectory, Weights, row_values
+from .wed import DIRECT, EXP_GRADED, WedProblem, WedSolution, default_horizon, minimize_wed
 
 
 @dataclass(frozen=True)
@@ -253,8 +253,13 @@ def check_yosida_bound(energy: EnergySpec, x: Point, epsilon: float,
     """V(x) dominates the weighted integral of the inf-convolutions.
 
     The time integral runs to a horizon T with 1/(4T) >= B (any T when B = 0)
-    and carries the tail correction -2 Q(x) e^{-T/eps}.  A positive reported
-    margin is a pass; the bound is never asserted with slack.
+    and carries the tail correction -2 Q(x) e^{-T/eps}.  The inf-convolution
+    phi_t(x) is nonincreasing in t, so on the ``exp_graded`` grid the
+    right-endpoint sum sum_i m_i phi_{t_{i+1}}(x) is a lower bound of the
+    integral and the left-endpoint sum an upper one; V is compared with the
+    right sum (``integral``), and the left sum is reported as ``left_sum``.
+    A positive reported margin is a pass; the bound is never asserted with
+    slack.
     """
     co = energy.coercivity
     T = default_horizon(epsilon, 0.0)
@@ -262,11 +267,11 @@ def check_yosida_bound(energy: EnergySpec, x: Point, epsilon: float,
         T = min(T, 1.0 / (4.0 * co.B))
     grid = TimeGrid.exp_graded(epsilon, T, n_quad)
     w = Weights.for_grid(grid, epsilon)
-    phis = np.empty(n_quad)
+    phis = np.empty(n_quad + 1)
     phis[0] = energy_eval(energy, x)  # t -> 0 limit of the inf-convolution
-    rows = np.repeat(x.coords[None], n_quad - 1, axis=0)
-    phis[1:] = prox(energy, x.space, rows, grid.nodes[1:n_quad])[0]
-    quad = float(np.sum(w.masses * phis))
+    rows = np.repeat(x.coords[None], n_quad, axis=0)
+    phis[1:] = prox(energy, x.space, rows, grid.nodes[1:])[0]
+    quad = float(np.sum(w.masses * phis[1:]))
     correction = 2.0 * q_value(energy, x.space, x) * math.exp(-T / epsilon)
     sample = value_function(energy, x, epsilon, opts)
     margin = sample.V - (quad - correction)
@@ -274,7 +279,8 @@ def check_yosida_bound(energy: EnergySpec, x: Point, epsilon: float,
         name="yosida",
         residuals=np.asarray([max(0.0, -margin)]),
         tolerance=0.0,
-        details={"V": sample.V, "integral": quad, "correction": correction, "margin": margin},
+        details={"V": sample.V, "integral": quad, "left_sum": float(np.sum(w.masses * phis[:-1])),
+                 "correction": correction, "margin": margin},
     )
 
 
@@ -507,6 +513,6 @@ def finsler_distance(space: SpaceSpec, f, u0: Point, u1: Point,
         raise InvalidInputError("finsler action fell below the base distance")
     if return_curve:
         P, _, a, b = parts(V)
-        grid = TimeGrid(np.linspace(0.0, K * math.sqrt(a / b), K + 1), "uniform")
+        grid = TimeGrid(np.linspace(0.0, K * math.sqrt(a / b), K + 1))
         return value, Trajectory(grid, P, space)
     return value

@@ -25,13 +25,14 @@ from .energies import EnergySpec, eval_many, grad_many, hess_many
 from .errors import DomainError, InvalidInputError, NonConvergenceError
 from .newton import damped_newton, levenberg
 from .spaces import PNORM, Point, SpaceSpec
-from .trajectories import (
-    EXP_GRADED, GRID_MODES, UNIFORM, TimeGrid, Trajectory, Weights, metric_speed,
-)
+from .trajectories import TimeGrid, Trajectory, Weights, metric_speed
 
 DIRECT = "direct"
 EULER_LAGRANGE = "euler_lagrange"
 SOLVERS = (DIRECT, EULER_LAGRANGE)
+UNIFORM = "uniform"
+EXP_GRADED = "exp_graded"
+GRID_MODES = (UNIFORM, EXP_GRADED)
 
 # With the horizon at least this multiple of eps the tail weight is below
 # 1.4e-11 and the truncated problem is indistinguishable from the
@@ -133,8 +134,7 @@ def solve_tridiag(sub, diag, sup, rhs):
     Every level is a few numpy operations on whole rows (Buzbee, Golub and
     Nielson, SIAM J. Numer. Anal. 7, 1970).  Without pivoting it is stable on
     diagonally dominant systems (Heller, SIAM J. Numer. Anal. 13, 1976).  An
-    exactly zero pivot raises ZeroDivisionError; overflow gives non-finite
-    entries.
+    exactly zero pivot raises LinAlgError; overflow gives non-finite entries.
     """
     n = diag.shape[0]
     # S[:, k] holds row k as x[k] = (S[2, k] + S[0, k] x[k-1] + S[1, k] x[k+1]) / S[3, k]
@@ -148,7 +148,7 @@ def solve_tridiag(sub, diag, sup, rhs):
         while n > 1:
             odd, even = S[:, 1::2], S[:, ::2]
             if not odd[3].all():
-                raise ZeroDivisionError("zero pivot")
+                raise np.linalg.LinAlgError("zero pivot")
             # x[2i+1] = L[2, i] + L[0, i] x[2i] + L[1, i] x[2i+2]
             L = odd[:3] / odd[3]
             levels.append(L)
@@ -166,7 +166,7 @@ def solve_tridiag(sub, diag, sup, rhs):
             S[3, :mo] -= right[0]
             n = me
         if not S[3].all():
-            raise ZeroDivisionError("zero pivot")
+            raise np.linalg.LinAlgError("zero pivot")
         x = S[2] / S[3]
         while levels:
             L = levels.pop()
@@ -221,6 +221,15 @@ def minimize_wed(problem: WedProblem) -> WedSolution:
     nodew = np.concatenate([m[1:], [tail]])  # energy weight per free node
 
     full = lambda V: np.concatenate([problem.x_bar.coords[None, :], V])  # U[0] = x_bar is pinned
+    # the constant parts of the row-scaled Newton matrix: the kinetic coupling
+    # to the cells on both sides of a node (the last node has one), with row k
+    # scaled by its preconditioner weight pw[k] to tame the mass decay
+    W = np.diag(omega)
+    i = np.arange(problem.space.dim)
+    kin = np.append(c[:-1] + c[1:], c[-1])[:, None] * omega
+    sub = -c[1:, None] * omega
+    sup = sub / pw[:-1, None]
+    sub /= pw[1:, None]
 
     def evaluate(V):
         U = full(V)
@@ -247,7 +256,14 @@ def minimize_wed(problem: WedProblem) -> WedSolution:
         return float(np.max(np.abs(g) / omega / pw[:, None]))
 
     def direction(V, g):
-        step = _newton_direction(problem, full(V), g, c, nodew, pw, omega)
+        # row-scaled Newton step with a deterministic Levenberg ladder
+        diag = hess_many(problem.energy, V)
+        diag *= nodew[:, None, None]
+        diag[:, i, i] += kin
+        diag /= pw[:, None, None]
+        rhs = -g / pw[:, None]
+        step = levenberg(lambda rho: solve_block_tridiag(sub, diag + rho * W, sup, rhs),
+                         g, -(g / omega) / pw[:, None])
         return step, float(np.sum(g * step))
 
     V0 = np.tile(problem.x_bar.coords, (N, 1))
@@ -271,36 +287,17 @@ def minimize_wed(problem: WedProblem) -> WedSolution:
             best=U,
             trace=[("iterations", it), ("gradient_norm", gn), ("row_residual", rmax)],
         )
-    traj = Trajectory(grid, U, problem.space)
-    return WedSolution(
-        problem=problem,
-        trajectory=traj,
-        objective=f,
-        speed=metric_speed(traj),
-        phi=eval_many(problem.energy, U),
-        converged=True,
-        iterations=it,
-        gradient_norm=gn,
-    )
+    return _solution(problem, grid, U, f, it, gn)
 
 
-def _newton_direction(problem, U, g, c, nodew, pw, omega):
-    """Row-scaled Newton step with a deterministic Levenberg ladder."""
-    W = np.diag(omega)
-    diag = hess_many(problem.energy, U[1:])
-    diag *= nodew[:, None, None]
-    i = np.arange(U.shape[1])
-    # kinetic coupling to the cells on both sides; the last node has one
-    diag[:, i, i] += np.append(c[:-1] + c[1:], c[-1])[:, None] * omega
-    sub = -c[1:, None] * omega
-    sup = sub.copy()
-    # scale row k by its preconditioner weight to tame the mass decay
-    diag /= pw[:, None, None]
-    sub /= pw[1:, None]
-    sup /= pw[:-1, None]
-    rhs = -g / pw[:, None]
-    return levenberg(lambda rho: solve_block_tridiag(sub, diag + rho * W, sup, rhs),
-                     g, -(g / omega) / pw[:, None])
+def _solution(problem, grid, pts, objective, iterations, gradient_norm) -> WedSolution:
+    """The converged solution with points ``pts`` on ``grid``; an objective of
+    None is the weighted cost of that trajectory."""
+    traj = Trajectory(grid, pts, problem.space)
+    if objective is None:
+        objective = wed_value(problem, traj)
+    return WedSolution(problem, traj, objective, metric_speed(traj),
+                       eval_many(problem.energy, pts), True, iterations, gradient_norm)
 
 
 # -- Euler-Lagrange backend -------------------------------------------------------
@@ -355,7 +352,7 @@ def solve_euler_lagrange(problem: WedProblem) -> WedSolution:
         di[:, i, i] += 2.0 * eps / dt**2
         try:
             step = solve_block_tridiag(lo, di, up, -F)
-        except (ZeroDivisionError, np.linalg.LinAlgError) as exc:
+        except np.linalg.LinAlgError as exc:
             raise NonConvergenceError(f"singular Jacobian: {exc}", best=U)
         return step, -sup_norm(F)
 
@@ -370,28 +367,13 @@ def solve_euler_lagrange(problem: WedProblem) -> WedSolution:
             f"Euler-Lagrange Newton stopped at residual {fn:.3e} after {it} iterations",
             best=U, trace=trace,
         )
-    pts = _restrict(U, dt, grid)
-    traj = Trajectory(grid, pts, problem.space)
-    return WedSolution(
-        problem=problem,
-        trajectory=traj,
-        objective=wed_value(problem, traj),
-        speed=metric_speed(traj),
-        phi=eval_many(problem.energy, pts),
-        converged=True,
-        iterations=it,
-        gradient_norm=fn,
-    )
-
-
-def _restrict(U, dt, grid):
-    t_c = dt * np.arange(U.shape[0])
-    nodes = grid.nodes
-    if grid.mode == UNIFORM:
-        return U[: nodes.shape[0]].copy()
-    idx = np.clip(np.searchsorted(t_c, nodes, side="right") - 1, 0, U.shape[0] - 2)
-    frac = (nodes - t_c[idx]) / dt
-    return U[idx] + frac[:, None] * (U[idx + 1] - U[idx])
+    if problem.grid_mode == UNIFORM:
+        pts = U[: problem.N + 1].copy()
+    else:
+        t_c = dt * np.arange(n_c + 1)
+        idx = np.clip(np.searchsorted(t_c, grid.nodes, side="right") - 1, 0, n_c - 1)
+        pts = U[idx] + ((grid.nodes - t_c[idx]) / dt)[:, None] * (U[idx + 1] - U[idx])
+    return _solution(problem, grid, pts, None, it, fn)
 
 
 # -- inner-variation diagnostics ---------------------------------------------------

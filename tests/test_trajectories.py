@@ -33,6 +33,25 @@ def test_exp_graded_formula():
     assert g.nodes[0] == 0.0 and g.nodes[-1] == T
 
 
+@pytest.mark.parametrize("nodes", [
+    [0.0],  # one node, no cell
+    [[0.0, 1.0]],  # not one-dimensional
+    [0.1, 1.0],  # does not start at 0
+    [0.0, 1.0, 1.0],  # repeats a node
+    [0.0, 2.0, 1.0],  # decreases
+])
+def test_time_grid_rejects_invalid_nodes(nodes):
+    with pytest.raises(InvalidInputError):
+        TimeGrid(np.array(nodes))
+
+
+def test_time_grid_is_its_nodes():
+    grid = TimeGrid([0, 1, 3])
+    assert grid.nodes.dtype == float
+    assert grid.T == 3.0 and grid.n_cells == 2
+    assert np.array_equal(grid.dt, [1.0, 2.0])
+
+
 def test_weights_sum_exactly():
     for mode, grid in (("u", TimeGrid.uniform(3.0, 100)),
                        ("e", TimeGrid.exp_graded(0.25, 3.0, 100))):

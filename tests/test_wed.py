@@ -10,6 +10,7 @@ from wedflow import (
     Trajectory, WedProblem, Weights, check_inner_variation, double_well,
     minimize_wed, point, q_value, quadratic, solve_euler_lagrange, wed_value,
 )
+from wedflow.newton import levenberg
 from wedflow.wed import solve_block_tridiag, solve_tridiag
 
 E1 = SpaceSpec.euclidean(1)
@@ -370,11 +371,23 @@ def test_block_tridiag_matches_dense_solve(n, d):
 ])
 def test_tridiag_zero_pivot_raises(sub, diag, sup):
     args = [np.array(v, dtype=float) for v in (sub, diag, sup)]
-    with pytest.raises(ZeroDivisionError):
+    with pytest.raises(np.linalg.LinAlgError):
         solve_tridiag(*args, np.ones(len(diag)))
-    with pytest.raises(ZeroDivisionError):
+    with pytest.raises(np.linalg.LinAlgError):
         solve_block_tridiag(args[0][:, None], args[1].reshape(-1, 1, 1), args[2][:, None],
                             np.ones((len(diag), 1)))
+
+
+def test_zero_pivot_at_d1_takes_the_next_levenberg_shift():
+    # [[1, 1], [1, 1]] has a zero second pivot: rho = 0 raises and rho = 1e-8
+    # gives the step, as a singular block system at d > 1 does
+    sub, sup = np.ones((1, 1)), np.ones((1, 1))
+    diag = np.ones((2, 1, 1))
+    g = np.array([[-1.0], [0.0]])
+    step = levenberg(lambda rho: solve_block_tridiag(sub, diag + rho, sup, -g), g, None)
+    shifted = np.array([[1.0 + 1e-8, 1.0], [1.0, 1.0 + 1e-8]])
+    assert step is not None
+    assert np.allclose(step[:, 0], np.linalg.solve(shifted, -g[:, 0]), rtol=1e-6, atol=0.0)
 
 
 def solve_banded_ref(sub, diag, sup, rhs):
@@ -426,7 +439,7 @@ def test_tridiag_on_the_double_well_newton_matrix_near_the_hilltop(monkeypatch, 
     # solve_banded: at most 5.4e-12, where the Thomas sweep was at 5.3e-12
     import wedflow.wed as wed
 
-    # the row-scaled systems of a direct solve, as `_newton_direction` hands
+    # the row-scaled systems of a direct solve, as its Newton direction hands
     # them to the solver
     systems, solve = [], wed.solve_block_tridiag
 
@@ -468,5 +481,5 @@ def test_euler_lagrange_interpolates_onto_a_graded_grid():
     uniform = minimize_wed(quad_problem(**kw)).trajectory
     graded = minimize_wed(quad_problem(grid_mode="exp_graded", **kw)).trajectory
     want = np.interp(graded.grid.nodes, uniform.grid.nodes, uniform.points[:, 0])
-    assert graded.grid.mode == "exp_graded"
+    assert np.array_equal(graded.grid.nodes, TimeGrid.exp_graded(0.05, 1.0, 800).nodes)
     assert np.max(np.abs(graded.points[:, 0] - want)) <= 1e-13
