@@ -111,12 +111,16 @@ def wed_value(problem: WedProblem, traj: Trajectory) -> float:
         raise InvalidInputError("trajectory grid does not match the problem grid")
     if not np.array_equal(traj.points[0], problem.x_bar.coords):
         raise InvalidInputError("trajectory must start at x_bar")
-    w = Weights.for_grid(traj.grid, problem.epsilon)
-    v = metric_speed(traj)
-    phis = eval_many(problem.energy, traj.points)
+    return _weighted_cost(problem.epsilon, traj.grid, metric_speed(traj),
+                          eval_many(problem.energy, traj.points))
+
+
+def _weighted_cost(eps, grid, v, phis) -> float:
+    """The discrete cost from a trajectory's cell speeds and node energies."""
     if not np.all(np.isfinite(phis)):
         return math.inf
-    cost = float(np.sum(w.masses * (0.5 * problem.epsilon * v * v + phis[:-1])))
+    w = Weights.for_grid(grid, eps)
+    cost = float(np.sum(w.masses * (0.5 * eps * v * v + phis[:-1])))
     return cost + w.tail * float(phis[-1])
 
 
@@ -179,29 +183,106 @@ def solve_tridiag(sub, diag, sup, rhs):
     return x
 
 
+def _matvec(M, v):
+    return (M @ v[..., None])[..., 0]
+
+
+@np.errstate(over="ignore", invalid="ignore")
 def solve_block_tridiag(sub, diag, sup, rhs):
-    """Block Thomas elimination; diagonal blocks are dense (n, d, d), the off-
-    diagonal blocks are diagonal and given by their diagonals (n - 1, d), rhs
-    is (n, d)."""
+    """Block odd-even cyclic reduction for a block-tridiagonal system.
+
+    The diagonal blocks are dense, ``diag`` (n, d, d); the off-diagonal blocks
+    are diagonal and given by their diagonals, ``sub`` and ``sup`` (n - 1, d);
+    ``rhs`` is (n, d).  Row k reads ``sub[k-1] x[k-1] + diag[k] x[k] + sup[k]
+    x[k+1] = rhs[k]``.  At d = 1 this is ``solve_tridiag``.  ``diag`` is
+    consumed: the solver may overwrite it, so callers hand over an array they
+    do not read again (both Newton backends build a fresh one each call).
+
+    Each level inverts its odd-row pivot blocks B_j in one batched call, keeps
+    the inverses in their slots of ``diag`` and folds the odd rows into the
+    even ones: B_k -= A_k B_j^-1 C_j (left) and C_k B_j^-1 A_j (right), with
+    the new couplings -A_k B_j^-1 A_j and -C_k B_j^-1 C_j, which leaves a
+    block-tridiagonal system of half the size in the even unknowns.  Level 0's
+    couplings are the diagonal bands, so its products are elementwise; the
+    dense couplings of the levels below live in two buffers of ceil(n/2)
+    blocks, where each level writes its even rows' new couplings over their
+    old ones and its odd rows' B^-1 A and B^-1 C, which back substitution
+    reads, over theirs.  Each pivot block is inverted by LAPACK's partially
+    pivoted LU, but rows never swap across blocks: the elimination is stable
+    on block-diagonally dominant systems (Heller, SIAM J. Numer. Anal. 13,
+    1976).  An exactly singular pivot block raises LinAlgError; overflow
+    gives non-finite entries.
+    """
     n, d = rhs.shape
     if d == 1:
         return solve_tridiag(sub[:, 0], diag[:, 0, 0], sup[:, 0], rhs[:, 0])[:, None]
-    cp = np.empty((max(n - 1, 0), d, d))
-    dp = np.empty((n, d))
-    lu = np.linalg.inv(diag[0])
-    if n > 1:
-        cp[0] = lu * sup[0]
-    dp[0] = lu @ rhs[0]
-    for k in range(1, n):
-        den = diag[k] - sub[k - 1][:, None] * cp[k - 1]
-        lu = np.linalg.inv(den)
-        if k < n - 1:
-            cp[k] = lu * sup[k]
-        dp[k] = lu @ (rhs[k] - sub[k - 1] * dp[k - 1])
-    x = np.empty((n, d))
-    x[-1] = dp[-1]
-    for k in range(n - 2, -1, -1):
-        x[k] = dp[k] - cp[k] @ x[k + 1]
+    x = np.array(rhs, dtype=float)  # reduced, then solved, in place
+    levels = []  # each level's (diag, x, A, C) views; A = C = None at level 0
+    D, X, A, C = diag, x, None, None
+    while D.shape[0] > 1:
+        m = D.shape[0]
+        mo = m // 2
+        L = m - mo - 1  # even rows with an odd row on their left
+        levels.append((D, X, A, C))
+        D[1::2] = np.linalg.inv(D[1::2])
+        Bi = D[1::2]
+        X[1::2] = _matvec(Bi, X[1::2])
+        if A is None:
+            # A_k = sub[k-1] and C_k = sup[k] are diagonal: ak, cj pair the
+            # even row k = 2i + 2 with the odd row on its left, ck, aj the
+            # even row k = 2i with the odd row on its right.  Running level 0
+            # through the dense branch below, on couplings built as diagonal
+            # d x d blocks, raised solve-blocks' peak RSS from 51.8 to 57.2
+            # MiB and its round from 0.182 to 0.204 s (medians of 10 pairs)
+            ak, aj, ck, cj = sub[1::2], sub[::2], sup[::2], sup[1::2]
+            X[2::2] -= ak * X[1::2][:L]
+            X[:2 * mo:2] -= ck * X[1::2]
+            A = np.empty((m - mo, d, d))
+            C = np.empty((m - mo, d, d))
+            # each buffer serves as scratch for its side's diagonal update
+            # before it takes the new couplings
+            t = A[1:]
+            np.multiply(Bi[:L], cj[:, None, :], out=t)
+            t *= ak[:, :, None]
+            D[2::2] -= t
+            np.multiply(Bi[:L], aj[:L, None, :], out=t)
+            t *= -ak[:, :, None]
+            t = C[:mo]
+            np.multiply(Bi, aj[:, None, :], out=t)
+            t *= ck[:, :, None]
+            D[:2 * mo:2] -= t
+            np.multiply(Bi[:L], cj[:, None, :], out=C[:L])
+            C[:L] *= -ck[:L, :, None]
+            C[L:] = 0.0  # the last row has no right neighbour
+        else:
+            X[2::2] -= _matvec(A[2::2], X[1::2][:L])
+            X[:2 * mo:2] -= _matvec(C[:2 * mo:2], X[1::2])
+            # one scratch buffer P of half the level takes each product in turn
+            P = Bi @ A[1::2]
+            A[1::2] = P
+            np.matmul(Bi, C[1::2], out=P)
+            C[1::2] = P
+            np.matmul(A[2::2], C[1::2][:L], out=P[:L])
+            D[2::2] -= P[:L]
+            np.matmul(A[2::2], A[1::2][:L], out=P[:L])
+            np.negative(P[:L], out=A[2::2])
+            np.matmul(C[:2 * mo:2], A[1::2], out=P)
+            D[:2 * mo:2] -= P
+            np.matmul(C[:2 * mo:2], C[1::2], out=P)
+            np.negative(P, out=C[:2 * mo:2])
+            A, C = A[::2], C[::2]
+        D, X = D[::2], X[::2]
+    X[0] = np.linalg.solve(D[0], X[0])
+    for D, X, A, C in reversed(levels):
+        mo = D.shape[0] // 2
+        L = D.shape[0] - mo - 1
+        if A is None:
+            t = sub[::2] * X[:2 * mo:2]
+            t[:L] += sup[1::2] * X[2::2]
+            X[1::2] -= _matvec(D[1::2], t)
+        else:
+            X[1::2] -= _matvec(A[1::2], X[:2 * mo:2])
+            X[1::2][:L] -= _matvec(C[1::2][:L], X[2::2])
     return x
 
 
@@ -294,10 +375,10 @@ def _solution(problem, grid, pts, objective, iterations, gradient_norm) -> WedSo
     """The converged solution with points ``pts`` on ``grid``; an objective of
     None is the weighted cost of that trajectory."""
     traj = Trajectory(grid, pts, problem.space)
+    speed, phi = metric_speed(traj), eval_many(problem.energy, pts)
     if objective is None:
-        objective = wed_value(problem, traj)
-    return WedSolution(problem, traj, objective, metric_speed(traj),
-                       eval_many(problem.energy, pts), True, iterations, gradient_norm)
+        objective = _weighted_cost(problem.epsilon, grid, speed, phi)
+    return WedSolution(problem, traj, objective, speed, phi, True, iterations, gradient_norm)
 
 
 # -- Euler-Lagrange backend -------------------------------------------------------

@@ -339,27 +339,37 @@ def test_inner_variation_quadratic_residuals():
     assert reps[4000].boundary_residual <= 1e-3 * abs(sol.objective)
 
 
-def banded_system(rng, n, d):
-    """Random block-diagonally dominant (sub, diag, sup, rhs) and its dense matrix;
-    the off-diagonal blocks are diagonal, given by their (n - 1, d) diagonals."""
-    sub = rng.standard_normal((max(n - 1, 0), d))
-    sup = rng.standard_normal((max(n - 1, 0), d))
-    diag = rng.standard_normal((n, d, d)) + 4.0 * d * np.eye(d)
-    rhs = rng.standard_normal((n, d))
+def block_matrix(sub, diag, sup):
+    """The dense matrix of a block system whose off-diagonal blocks are diagonal."""
+    n, d = diag.shape[:2]
     M = np.zeros((n * d, n * d))
     for k in range(n):
         M[k * d:(k + 1) * d, k * d:(k + 1) * d] = diag[k]
         if k < n - 1:
             M[(k + 1) * d:(k + 2) * d, k * d:(k + 1) * d] = np.diag(sub[k])
             M[k * d:(k + 1) * d, (k + 1) * d:(k + 2) * d] = np.diag(sup[k])
-    return sub, diag, sup, rhs, M
+    return M
+
+
+def banded_system(rng, n, d, tridiagonal_blocks=False):
+    """Random block-diagonally dominant (sub, diag, sup, rhs) and its dense matrix;
+    the off-diagonal blocks are diagonal, given by their (n - 1, d) diagonals.
+    The diagonal blocks are dense, as a quadratic's Hessian, or tridiagonal,
+    as the Dirichlet and quantile Hessians."""
+    sub = rng.standard_normal((max(n - 1, 0), d))
+    sup = rng.standard_normal((max(n - 1, 0), d))
+    diag = rng.standard_normal((n, d, d)) + 4.0 * d * np.eye(d)
+    if tridiagonal_blocks:
+        diag *= np.abs(np.subtract.outer(np.arange(d), np.arange(d))) <= 1
+    rhs = rng.standard_normal((n, d))
+    return sub, diag, sup, rhs, block_matrix(sub, diag, sup)
 
 
 @pytest.mark.parametrize("d", [1, 3])
 @pytest.mark.parametrize("n", [1, 2, 500])
 def test_block_tridiag_matches_dense_solve(n, d):
     sub, diag, sup, rhs, M = banded_system(np.random.default_rng(n + 10 * d), n, d)
-    x = solve_block_tridiag(sub, diag, sup, rhs)
+    x = solve_block_tridiag(sub, diag.copy(), sup, rhs)  # diag is consumed
     ref = np.linalg.solve(M, rhs.ravel()).reshape(n, d)
     assert x.shape == (n, d)
     assert np.max(np.abs(x - ref)) < 1e-12 * max(1.0, np.max(np.abs(ref)))
@@ -388,6 +398,51 @@ def test_zero_pivot_at_d1_takes_the_next_levenberg_shift():
     shifted = np.array([[1.0 + 1e-8, 1.0], [1.0, 1.0 + 1e-8]])
     assert step is not None
     assert np.allclose(step[:, 0], np.linalg.solve(shifted, -g[:, 0]), rtol=1e-6, atol=0.0)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(n=st.integers(1, 130), d=st.sampled_from([2, 3, 16, 24, 25, 32]),
+       tridiagonal_blocks=st.booleans(), seed=st.integers(0, 2**32 - 1))
+@example(n=127, d=2, tridiagonal_blocks=False, seed=0)
+@example(n=128, d=3, tridiagonal_blocks=True, seed=0)
+@example(n=129, d=16, tridiagonal_blocks=False, seed=0)
+@example(n=31, d=24, tridiagonal_blocks=True, seed=0)
+@example(n=32, d=25, tridiagonal_blocks=False, seed=0)
+@example(n=33, d=32, tridiagonal_blocks=True, seed=0)
+def test_block_tridiag_matches_dense_solve_at_every_size(n, d, tridiagonal_blocks, seed):
+    # n = 2^k halves through even sizes only, 2^k + 1 through odd ones.  The
+    # solver overwrites diag at every d > 1 once there is a level to reduce,
+    # so a caller may not read it again; M was built before the call
+    sub, diag, sup, rhs, M = banded_system(np.random.default_rng(seed), n, d,
+                                           tridiagonal_blocks)
+    work = diag.copy()
+    x = solve_block_tridiag(sub, work, sup, rhs)
+    assert rel_err(x, np.linalg.solve(M, rhs.ravel()).reshape(n, d)) <= 1e-12
+    assert n == 1 or not np.array_equal(work, diag)
+
+
+def test_singular_odd_pivot_block_takes_the_next_levenberg_shift():
+    # coordinate 0 of the last row has a zero row and column: the matrix is
+    # singular and its shifted steps there are rhs / rho.  Level 0 of the
+    # reduction inverts row 1's block and folds it into rows 0 and 2, then
+    # level 1 meets row 2's pivot block, singular at rho = 0, and raises.
+    # Each shift of the ladder hands the solver a fresh diag to overwrite.
+    d = 2
+    sub = sup = np.array([[0.5, 0.5], [0.0, 0.5]])
+    diag = np.array([[[4.0, 1.0], [1.0, 4.0]], [[4.0, 1.0], [1.0, 4.0]], [[0.0, 0.0], [0.0, 4.0]]])
+    n, W = diag.shape[0], np.eye(d)
+    g = np.array([[-1.0, 0.0], [0.0, 0.0], [-1.0, 0.0]])
+    work = diag.copy()
+    with pytest.raises(np.linalg.LinAlgError):
+        solve_block_tridiag(sub, work, sup, -g)
+    assert not np.array_equal(work, diag)  # written before it raised
+    kept = diag.copy()
+    step = levenberg(lambda rho: solve_block_tridiag(sub, diag + rho * W, sup, -g), g, None)
+    assert np.array_equal(diag, kept)
+    shifted = block_matrix(sub, diag + 1e-8 * W, sup)
+    assert step is not None
+    assert step[2, 0] == pytest.approx(1e8, rel=1e-12)
+    assert rel_err(step, np.linalg.solve(shifted, -g.ravel()).reshape(n, d)) <= 1e-12
 
 
 def solve_banded_ref(sub, diag, sup, rhs):
@@ -472,6 +527,72 @@ def test_double_well_solve_is_the_same_with_a_banded_lu(monkeypatch, solver):
     ref = minimize_wed(pr)
     assert ours.iterations == ref.iterations
     assert np.max(np.abs(ours.trajectory.points - ref.trajectory.points)) <= 1e-12
+
+
+def solve_block_banded_ref(sub, diag, sup, rhs):
+    """scipy's banded LU with partial pivoting (LAPACK gbsv) on the block
+    system as a matrix of bandwidth (d, d), the reference."""
+    la = pytest.importorskip("scipy.linalg")
+    n, d = rhs.shape
+    ab = np.zeros((2 * d + 1, n * d))
+    a, b = np.meshgrid(np.arange(d), np.arange(d), indexing="ij")
+    ab[d + a - b, np.arange(n)[:, None, None] * d + b] = diag
+    ab[2 * d, :(n - 1) * d] = sub.ravel()
+    ab[0, d:] = sup.ravel()
+    return la.solve_banded((d, d), ab, rhs.ravel()).reshape(n, d)
+
+
+def block_problem(name, solver):
+    """A 16-quantile solve and three non-convex ones in 4 and 8 coordinates.
+    The non-convex ones start where their energy is concave: in every row of
+    their first Newton system but the one next to the pinned node, the
+    smallest singular value of the diagonal block is below the sum of its
+    couplings' norms, so those systems are not block-diagonally dominant."""
+    from wedflow import discrete_dirichlet, gaussian_quantiles, quantile_entropy_potential
+
+    if name == "quantile16":
+        qs = SpaceSpec.quantile1d(16)
+        return WedProblem(epsilon=0.05, T=0.5, N=400, space=qs,
+                          energy=quantile_entropy_potential(v2=1.0, v1=0.0),
+                          x_bar=gaussian_quantiles(qs, 1.0, 1.6), solver=solver)
+    if name == "double_well_4d":
+        E4 = SpaceSpec.euclidean(4)
+        return WedProblem(epsilon=0.05, T=1.25, N=4000, space=E4, energy=double_well(),
+                          x_bar=point([0.05, -0.02, 0.01, 0.03], E4), solver=solver)
+    E8 = SpaceSpec.euclidean(8)
+    if name == "dirichlet_concave_reaction":  # reaction -x^2 / 2
+        return WedProblem(epsilon=0.05, T=1.0, N=1000, space=E8,
+                          energy=discrete_dirichlet(2.0, 1.0, (0.0, 0.0, -0.5)),
+                          x_bar=point(0.1 * np.sin(np.arange(8.0)), E8), solver=solver)
+    # p = 3 with the double-well reaction (x^4 - 2 x^2) / 4
+    return WedProblem(epsilon=0.05, T=1.0, N=1000, space=E8,
+                      energy=discrete_dirichlet(3.0, 1.0, (0.0, 0.0, -0.5, 0.0, 0.25)),
+                      x_bar=point(np.linspace(0.1, 0.8, 8), E8), solver=solver)
+
+
+@pytest.mark.parametrize("solver", ["direct", "euler_lagrange"])
+@pytest.mark.parametrize("name", ["quantile16", "double_well_4d", "dirichlet_concave_reaction",
+                                  "dirichlet_double_well_reaction"])
+def test_block_solve_is_the_same_with_a_banded_lu(monkeypatch, name, solver):
+    # the block cyclic reduction against LAPACK's pivoted banded solve, on
+    # convex and non-convex energies: the Newton steps differ at roundoff only
+    import wedflow.wed as wed
+
+    pr = block_problem(name, solver)
+    ours = minimize_wed(pr)
+    monkeypatch.setattr(wed, "solve_block_tridiag", solve_block_banded_ref)
+    ref = minimize_wed(pr)
+    assert ours.iterations == ref.iterations
+    assert np.max(np.abs(ours.trajectory.points - ref.trajectory.points)) <= 1e-12
+
+
+@pytest.mark.parametrize("grid_mode", ["uniform", "exp_graded"])
+def test_euler_lagrange_objective_is_the_weighted_cost(grid_mode):
+    # the solution's objective comes from its own speed and phi arrays, by
+    # wed_value's formula
+    pr = quad_problem(eps=0.05, T=1.0, N=800, solver="euler_lagrange", grid_mode=grid_mode)
+    sol = minimize_wed(pr)
+    assert sol.objective == wed_value(pr, sol.trajectory)
 
 
 def test_euler_lagrange_interpolates_onto_a_graded_grid():
