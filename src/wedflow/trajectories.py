@@ -206,22 +206,28 @@ def spectral_check(t: np.ndarray, w: np.ndarray, eps: float):
 
     Returns (lhs, rhs, ratio) with lhs the weighted Dirichlet integral, rhs
     the weighted L2 integral scaled by 1/(4 eps^2), and ratio = rhs/lhs
-    (defined as 0.0 for a vanishing lhs).
+    (defined as 0.0 for a vanishing lhs).  On 2-D ``t`` and ``w`` each row
+    is one profile and the three are arrays, one entry a row.  A cell of
+    zero length adds nothing to either integral, so profiles of different
+    lengths share one call when their rows are padded with zeros past their
+    last node, in the time increments and in w.
     """
     t = np.asarray(t, dtype=float)
     w = np.asarray(w, dtype=float)
     if t.shape != w.shape:
         raise InvalidInputError("t and w must have matching shapes")
-    if w[0] != 0.0:
+    if np.any(w[..., 0] != 0.0):
         raise InvalidInputError("spectral check needs w(0) = 0")
     dt = np.diff(t)
-    v = np.diff(w) / dt
+    v = np.divide(np.diff(w), dt, out=np.zeros_like(dt), where=dt != 0.0)
     ew = np.exp(-t / eps)
-    m = ew[:-1] - ew[1:]
-    lhs = float(np.sum(v * v * m))
-    sq = _cell_sq_integral(w[:-1], v, t[:-1], dt, eps)
-    rhs = float(np.sum(sq)) / (4.0 * eps * eps)
-    ratio = rhs / lhs if lhs > 0.0 else 0.0
+    m = ew[..., :-1] - ew[..., 1:]
+    lhs = np.sum(v * v * m, axis=-1)
+    sq = _cell_sq_integral(w[..., :-1], v, t[..., :-1], dt, eps)
+    rhs = np.sum(sq, axis=-1) / (4.0 * eps * eps)
+    ratio = np.divide(rhs, lhs, out=np.zeros_like(lhs), where=lhs > 0.0)
+    if t.ndim == 1:
+        return float(lhs), float(rhs), float(ratio)
     return lhs, rhs, ratio
 
 

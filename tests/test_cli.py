@@ -38,6 +38,29 @@ def test_spectral_only_config_passes(tmp_path):
     assert (tmp_path / "out" / report["residuals_file"]).exists()
 
 
+@pytest.mark.parametrize("seed", [20240, 7])
+def test_spectral_suite_is_the_profile_by_profile_loop(tmp_path, seed):
+    # the suite checks its 1000 random profiles in two stacked calls; one call
+    # a profile, in the same draw order, gives the same residuals and ratio
+    from wedflow import poincare_witness, spectral_check
+    from wedflow.cli import suite_spectral
+
+    rng = np.random.default_rng(seed)
+    ref = []
+    for eps in (0.1, 1.0):
+        for _ in range(500):
+            n = int(rng.integers(8, 64))
+            t = np.concatenate([[0.0], np.cumsum(rng.uniform(0.01, 0.5, n))])
+            w = np.concatenate([[0.0], rng.standard_normal(n)])
+            lhs, rhs, _ = spectral_check(t, w, eps)
+            ref.append(max(0.0, rhs - lhs) / max(lhs, 1e-300))
+    t = np.linspace(0.0, 200.0, 100_001)
+    ratio = spectral_check(t, poincare_witness(50.0, 1.0, t), 1.0)[2]
+    report = suite_spectral(Experiment(cfg(probe_seed=seed)), tmp_path)
+    assert np.array_equal(report.residuals, ref + [max(0.0, 0.9 - ratio)])
+    assert report.details == {"witness_ratio": ratio}
+
+
 def test_quadratic_end_to_end(tmp_path):
     config = cfg(suites=["fundamental", "dpp", "hj", "convergence"],
                  eps_list=[0.1, 0.05], N=2000)

@@ -10,7 +10,8 @@ from wedflow import (
     q_value, quadratic, quantile_entropy_potential, yosida,
 )
 from wedflow.energies import (
-    analytic_slope, analytic_slopes, eval_many, grad_many, hess_many, prox, reference_point,
+    _KINDS, QUADRATIC, analytic_slope, analytic_slopes, eval_many, grad_many, hess_many, prox,
+    reference_point,
 )
 
 E1 = SpaceSpec.euclidean(1)
@@ -428,6 +429,25 @@ def test_hess_many_matches_central_differences(spec, U):
         dn[:, j:j + 1] -= h
         fd[:, :, j] = (grad_many(spec, up) - grad_many(spec, dn)) / (2 * h)
     assert np.max(np.abs(H - fd)) < 1e-5 * max(1.0, np.max(np.abs(H))), spec.kind
+
+
+def test_hess_many_is_zero_off_the_tridiagonal_band():
+    # every built-in kind but the quadratic has tridiagonal Hessians, which
+    # the block solver inverts by Thomas elimination
+    rng = np.random.default_rng(37)
+    U = rng.standard_normal((7, 8))
+    cases = [
+        convex_quartic(), double_well(),
+        discrete_dirichlet(p=2.5, h=0.2, reaction=(0.0, 0.0, 1.0)),
+        discrete_dirichlet(p=3.0, h=1.0 / 9.0, reaction=(0.0, 0.0, -0.5, 0.0, 0.25)),
+    ]
+    rows = [U] * len(cases) + [np.cumsum(rng.uniform(0.05, 0.8, (7, 8)), axis=1) - 2.0]
+    cases.append(quantile_entropy_potential(v2=1.0, v1=0.3))
+    assert {spec.kind for spec in cases} == set(_KINDS) - {QUADRATIC}
+    far = np.abs(np.subtract.outer(np.arange(8), np.arange(8))) > 1
+    for spec, V in zip(cases, rows):
+        H = hess_many(spec, V)
+        assert np.all(H[:, far] == 0.0), spec.kind
 
 
 @pytest.mark.parametrize("row", [0, 3, 6])

@@ -296,6 +296,26 @@ def test_spectral_random_piecewise_linear_never_violates():
             assert ratio <= 1.0 + 1e-12
 
 
+def test_spectral_stack_of_zero_padded_profiles_is_one_call_a_profile():
+    # rows padded with zeros past their last node, in the time increments and
+    # in w: the padding's cells have zero length and add nothing
+    rng = np.random.default_rng(11)
+    dt, w = np.zeros((2, 40, 30))
+    singles = []
+    for k in range(40):
+        n = int(rng.integers(1, 30))
+        dt[k, 1:n + 1] = rng.uniform(0.01, 0.6, n)
+        w[k, 1:n + 1] = rng.standard_normal(n) if k else 0.0
+        singles.append(spectral_check(np.cumsum(dt[k, :n + 1]), w[k, :n + 1], 0.3))
+    stacked = spectral_check(np.cumsum(dt, axis=1), w, 0.3)
+    assert all(a.shape == (40,) for a in stacked)
+    assert np.allclose(np.column_stack(stacked), singles, rtol=1e-13, atol=0.0)
+    assert tuple(a[0] for a in stacked) == (0.0, 0.0, 0.0)
+    w[7, 0] = 1.0
+    with pytest.raises(InvalidInputError):
+        spectral_check(np.cumsum(dt, axis=1), w, 0.3)
+
+
 @given(st.integers(min_value=2, max_value=30), st.floats(min_value=0.05, max_value=2.0),
        st.integers(min_value=0, max_value=2**31 - 1))
 @settings(max_examples=60, deadline=None, derandomize=True)

@@ -409,6 +409,8 @@ def test_zero_pivot_at_d1_takes_the_next_levenberg_shift():
 @example(n=31, d=24, tridiagonal_blocks=True, seed=0)
 @example(n=32, d=25, tridiagonal_blocks=False, seed=0)
 @example(n=33, d=32, tridiagonal_blocks=True, seed=0)
+@example(n=17, d=64, tridiagonal_blocks=True, seed=0)
+@example(n=16, d=64, tridiagonal_blocks=False, seed=0)
 def test_block_tridiag_matches_dense_solve_at_every_size(n, d, tridiagonal_blocks, seed):
     # n = 2^k halves through even sizes only, 2^k + 1 through odd ones.  The
     # solver overwrites diag at every d > 1 once there is a level to reduce,
@@ -419,6 +421,40 @@ def test_block_tridiag_matches_dense_solve_at_every_size(n, d, tridiagonal_block
     x = solve_block_tridiag(sub, work, sup, rhs)
     assert rel_err(x, np.linalg.solve(M, rhs.ravel()).reshape(n, d)) <= 1e-12
     assert n == 1 or not np.array_equal(work, diag)
+
+
+def thomas_routes(monkeypatch):
+    """Whether the block solver inverted each level-0 pivot stack by Thomas
+    elimination, recorded as it runs."""
+    import wedflow.wed as wed
+
+    routes, inverts = [], wed._thomas_inverts
+
+    def record(B):
+        routes.append(inverts(B))
+        return routes[-1]
+
+    monkeypatch.setattr(wed, "_thomas_inverts", record)
+    return routes
+
+
+@pytest.mark.parametrize("blocks", ["dominant", "big_upper_entry", "big_lower_entry", "dense"])
+def test_level0_pivots_take_thomas_only_when_tridiagonal_and_dominant(monkeypatch, blocks):
+    # level 0 inverts its odd-row pivot blocks by Thomas elimination when all
+    # of them are tridiagonal and strictly row diagonally dominant; one row
+    # that is not, or a dense block, sends the whole stack to LAPACK
+    n, d = 65, 6
+    sub, diag, sup, rhs, _ = banded_system(np.random.default_rng(5), n, d,
+                                           tridiagonal_blocks=blocks != "dense")
+    if blocks == "big_upper_entry":
+        diag[1, 0, 1] = 8.0 * d
+    if blocks == "big_lower_entry":
+        diag[1, d - 1, d - 2] = 8.0 * d
+    M = block_matrix(sub, diag, sup)
+    routes = thomas_routes(monkeypatch)
+    x = solve_block_tridiag(sub, diag.copy(), sup, rhs)
+    assert routes == [blocks == "dominant"]
+    assert rel_err(x, np.linalg.solve(M, rhs.ravel()).reshape(n, d)) <= 1e-12
 
 
 def test_singular_odd_pivot_block_takes_the_next_levenberg_shift():
@@ -604,3 +640,21 @@ def test_euler_lagrange_interpolates_onto_a_graded_grid():
     want = np.interp(graded.grid.nodes, uniform.grid.nodes, uniform.points[:, 0])
     assert np.array_equal(graded.grid.nodes, TimeGrid.exp_graded(0.05, 1.0, 800).nodes)
     assert np.max(np.abs(graded.points[:, 0] - want)) <= 1e-13
+
+
+@pytest.mark.parametrize("solver", ["direct", "euler_lagrange"])
+@pytest.mark.parametrize("name", ["quantile16", "dirichlet_concave_reaction",
+                                  "dirichlet_double_well_reaction"])
+def test_block_solve_is_the_same_without_the_thomas_route(monkeypatch, name, solver):
+    # every level-0 pivot stack of these solves is tridiagonal and dominant;
+    # inverting it by LAPACK instead changes the Newton steps at roundoff only
+    import wedflow.wed as wed
+
+    pr = block_problem(name, solver)
+    routes = thomas_routes(monkeypatch)
+    ours = minimize_wed(pr)
+    assert routes and all(routes)
+    monkeypatch.setattr(wed, "_thomas_inverts", lambda B: False)
+    ref = minimize_wed(pr)
+    assert ours.iterations == ref.iterations
+    assert np.max(np.abs(ours.trajectory.points - ref.trajectory.points)) <= 1e-12
