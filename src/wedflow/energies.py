@@ -27,7 +27,9 @@ import numpy as np
 
 from .errors import DomainError, InvalidInputError, NonConvergenceError, NotAvailableError
 from .newton import damped_newton, levenberg
-from .spaces import PNORM, QUANTILE1D, Point, SpaceSpec, normal_quantile, probe_directions
+from .spaces import (
+    PNORM, QUANTILE1D, Point, SpaceSpec, distance, gaussian_quantiles, probe_directions,
+)
 
 QUADRATIC = "quadratic"
 CONVEX_QUARTIC = "convex_quartic"
@@ -55,10 +57,6 @@ class Coercivity:
             raise InvalidInputError("coercivity constants must be nonnegative")
         if self.u_star is not None:
             object.__setattr__(self, "u_star", np.asarray(self.u_star, dtype=float))
-
-    def q_of(self, dist_to_star: float) -> float:
-        """Q(v) = B d^2(v, u_star) + A."""
-        return self.B * dist_to_star**2 + self.A
 
 
 @dataclass(frozen=True)
@@ -128,9 +126,8 @@ class EnergySpec:
 
 
 def quadratic(A, b=None, lam=None) -> EnergySpec:
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    b = np.zeros(A.shape[0]) if b is None else np.atleast_1d(np.asarray(b, dtype=float))
-    return EnergySpec(QUADRATIC, {"A": A, "b": b}, lam=lam)
+    """x'Ax/2 - b'x; ``EnergySpec`` makes A a matrix and b (default 0) a vector."""
+    return EnergySpec(QUADRATIC, {"A": A} if b is None else {"A": A, "b": b}, lam=lam)
 
 
 def convex_quartic() -> EnergySpec:
@@ -199,20 +196,18 @@ def reference_point(spec: EnergySpec, space: SpaceSpec) -> Point:
             mean, std = -v1 / v2, 1.0 / math.sqrt(v2)
         else:
             mean, std = 0.0, 1.0
-        return Point(mean + std * normal_quantile(space.quantile_nodes), space)
+        return gaussian_quantiles(space, mean, std)
     return Point(np.zeros(space.dim), space)
 
 
 def q_value(spec: EnergySpec, space: SpaceSpec, x: Point) -> float:
     """Q(x) = B d^2(x, u_star) + A from the stored coercivity constants."""
-    from .spaces import distance
-
     co = spec.coercivity
     if co is None:
         raise InvalidInputError("energy provides no coercivity constants")
     if co.B == 0.0:
         return co.A
-    return co.q_of(distance(space, x, reference_point(spec, space)))
+    return co.B * distance(space, x, reference_point(spec, space))**2 + co.A
 
 
 # -- evaluation ---------------------------------------------------------------

@@ -208,26 +208,18 @@ class ConvergenceTable:
         return np.array([r.sup_err for r in self.rows])
 
 
-@dataclass(frozen=True)
-class StudyOptions:
-    """Resolution and solver tolerances of the study's Euler-Lagrange solves
-    on uniform grids."""
-
-    N: int = 4000
-    grad_tol: float = 1e-8
-    max_iter: int = 100
-
-
 def convergence_study(energy: EnergySpec, x_bar: Point, eps_list, t_obs: float,
-                      opts: StudyOptions | None = None) -> ConvergenceTable:
+                      N: int = 4000, grad_tol: float = 1e-8,
+                      max_iter: int = 100) -> ConvergenceTable:
     """Sup distance to the reference flow on [0, t_obs], one row per epsilon.
 
-    The reference is the closed-form flow where ``has_exact_flow`` finds one
-    (quadratics, the double well, the convex quartic, the confined quantile
-    flow), otherwise the proximal iteration at the step tau = min(eps)^2 / 4,
-    much finer than every epsilon in the sweep.
+    Each epsilon is an Euler-Lagrange solve on the uniform grid of ``N``
+    cells over ``default_horizon(eps, t_obs)``.  The reference is the
+    closed-form flow where ``has_exact_flow`` finds one (quadratics, the
+    double well, the convex quartic, the confined quantile flow), otherwise
+    the proximal iteration at the step tau = min(eps)^2 / 4, much finer than
+    every epsilon in the sweep.
     """
-    opts = opts or StudyOptions()
     space = x_bar.space
     rows = []
     mm_ref = None
@@ -239,14 +231,14 @@ def convergence_study(energy: EnergySpec, x_bar: Point, eps_list, t_obs: float,
         problem = WedProblem(
             epsilon=eps,
             T=default_horizon(eps, t_obs),
-            N=opts.N,
+            N=N,
             space=space,
             energy=energy,
             x_bar=x_bar,
             grid_mode=UNIFORM,
             solver=EULER_LAGRANGE,
-            grad_tol=opts.grad_tol,
-            max_iter=opts.max_iter,
+            grad_tol=grad_tol,
+            max_iter=max_iter,
         )
         sol = minimize_wed(problem)
         nodes = sol.trajectory.grid.nodes

@@ -79,6 +79,12 @@ class Weights:
         w = np.exp(-grid.nodes / eps)
         return Weights(w[:-1] - w[1:], float(w[-1]), eps)
 
+    def cell_costs(self, speed: np.ndarray, phi: np.ndarray) -> np.ndarray:
+        """The discrete cost's cell terms m_i (eps/2 v_i^2 + phi(u_i)), from the
+        cell speeds and the node energies sampled at each cell's left node.
+        The cost is their sum plus the tail term ``tail * phi[-1]``."""
+        return self.masses * (0.5 * self.epsilon * speed**2 + phi[:-1])
+
 
 @dataclass(frozen=True)
 class Trajectory:

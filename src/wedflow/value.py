@@ -149,11 +149,10 @@ def value_along(sol: WedSolution) -> np.ndarray:
     factor e^{t/eps}; the first entry is the objective exactly.
     """
     w = sol.weights
-    eps = sol.problem.epsilon
-    cell = w.masses * (0.5 * eps * sol.speed**2 + sol.phi[:-1])
+    cell = w.cell_costs(sol.speed, sol.phi)
     suffix = np.concatenate([np.cumsum(cell[::-1])[::-1], [0.0]])
     suffix += w.tail * sol.phi[-1]
-    V = np.exp(sol.trajectory.grid.nodes / eps) * suffix
+    V = np.exp(sol.trajectory.grid.nodes / w.epsilon) * suffix
     V[0] = sol.objective  # same sum up to association order
     return V
 
@@ -168,9 +167,7 @@ def check_dpp(sol: WedSolution, horizons, opts: ValueOptions | None = None) -> I
     V = value_along(sol)
     nodes = sol.trajectory.grid.nodes
     eps = sol.problem.epsilon
-    w = sol.weights
-    cell = w.masses * (0.5 * eps * sol.speed**2 + sol.phi[:-1])
-    prefix = np.concatenate([[0.0], np.cumsum(cell)])
+    prefix = np.concatenate([[0.0], np.cumsum(sol.weights.cell_costs(sol.speed, sol.phi))])
     resid = []
     details = {"horizons": [], "construction": [], "fresh": []}
     for tp in horizons:

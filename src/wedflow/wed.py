@@ -93,7 +93,6 @@ class WedSolution:
     objective: float
     speed: np.ndarray
     phi: np.ndarray
-    converged: bool
     iterations: int
     gradient_norm: float
 
@@ -120,8 +119,7 @@ def _weighted_cost(eps, grid, v, phis) -> float:
     if not np.all(np.isfinite(phis)):
         return math.inf
     w = Weights.for_grid(grid, eps)
-    cost = float(np.sum(w.masses * (0.5 * eps * v * v + phis[:-1])))
-    return cost + w.tail * float(phis[-1])
+    return float(np.sum(w.cell_costs(v, phis))) + w.tail * float(phis[-1])
 
 
 # -- banded linear algebra -------------------------------------------------------
@@ -346,7 +344,7 @@ def minimize_wed(problem: WedProblem) -> WedSolution:
     omega = problem.space.metric_weights
     N = grid.n_cells
     c = eps * m / dt**2  # kinetic coupling per cell
-    pw = np.concatenate([m[:-1] + m[1:], [m[-1] + tail]]) if N > 1 else np.array([m[-1] + tail])
+    pw = np.concatenate([m[:-1] + m[1:], [m[-1] + tail]])
     nodew = np.concatenate([m[1:], [tail]])  # energy weight per free node
 
     full = lambda V: np.concatenate([problem.x_bar.coords[None, :], V])  # U[0] = x_bar is pinned
@@ -426,7 +424,7 @@ def _solution(problem, grid, pts, objective, iterations, gradient_norm) -> WedSo
     speed, phi = metric_speed(traj), eval_many(problem.energy, pts)
     if objective is None:
         objective = _weighted_cost(problem.epsilon, grid, speed, phi)
-    return WedSolution(problem, traj, objective, speed, phi, True, iterations, gradient_norm)
+    return WedSolution(problem, traj, objective, speed, phi, iterations, gradient_norm)
 
 
 # -- Euler-Lagrange backend -------------------------------------------------------
@@ -436,10 +434,12 @@ def solve_euler_lagrange(problem: WedProblem) -> WedSolution:
     """Damped Newton on the finite-difference optimality system.
 
     The computational window extends to max(T + 8 eps, 25 eps) with the
-    problem's node spacing so that the artificial zero-slope end condition
-    sits several boundary-layer widths past the reported horizon; the
-    solution is then restricted (for uniform grids) or linearly interpolated
-    (otherwise) onto the problem grid.
+    uniform spacing T/N so that the artificial zero-slope end condition sits
+    several boundary-layer widths past the reported horizon; the solution is
+    then linearly interpolated onto the problem grid.  The window's nodes on
+    [0, T] are those of ``TimeGrid.uniform(T, N)``, so on a uniform problem
+    grid every node is a window node and keeps the window's solution there
+    bit for bit.
     """
     grid = problem.grid()
     eps = problem.epsilon
@@ -447,15 +447,14 @@ def solve_euler_lagrange(problem: WedProblem) -> WedSolution:
     # clear the reporting window by several boundary-layer widths (the layer
     # of the artificial end condition decays no slower than e^{-(T_ext-t)/eps})
     t_ext = max(default_horizon(eps, problem.T), problem.T + 8.0 * eps)
-    n_c = max(problem.N, int(math.ceil(t_ext / dt - 1e-12)))
+    n_c = max(problem.N + 1, int(math.ceil(t_ext / dt - 1e-12)))
     omega = problem.space.metric_weights
     d = problem.space.dim
     full = lambda V: np.concatenate([problem.x_bar.coords[None, :], V])  # U[0] = x_bar is pinned
     i = np.arange(d)
     lo = np.full((n_c - 1, d), -eps / dt**2 - 1.0 / (2.0 * dt))
     up = np.full((n_c - 1, d), -eps / dt**2 + 1.0 / (2.0 * dt))
-    if n_c >= 2:
-        lo[-1] = -2.0 * eps / dt**2
+    lo[-1] = -2.0 * eps / dt**2
 
     sup_norm = lambda F: float(np.max(np.abs(F)))
 
@@ -496,12 +495,10 @@ def solve_euler_lagrange(problem: WedProblem) -> WedSolution:
             f"Euler-Lagrange Newton stopped at residual {fn:.3e} after {it} iterations",
             best=U, trace=trace,
         )
-    if problem.grid_mode == UNIFORM:
-        pts = U[: problem.N + 1].copy()
-    else:
-        t_c = dt * np.arange(n_c + 1)
-        idx = np.clip(np.searchsorted(t_c, grid.nodes, side="right") - 1, 0, n_c - 1)
-        pts = U[idx] + ((grid.nodes - t_c[idx]) / dt)[:, None] * (U[idx + 1] - U[idx])
+    # every problem node lies in [0, T] = [t_c[0], t_c[N]], so idx <= N < n_c
+    t_c = TimeGrid.uniform(problem.T, problem.N).nodes
+    idx = np.searchsorted(t_c, grid.nodes, side="right") - 1
+    pts = U[idx] + ((grid.nodes - t_c[idx]) / dt)[:, None] * (U[idx + 1] - U[idx])
     return _solution(problem, grid, pts, None, it, fn)
 
 
@@ -518,7 +515,7 @@ class InnerVariationReport:
 
     @property
     def max_residual(self) -> float:
-        return float(np.max(self.residuals)) if self.residuals.size else 0.0
+        return float(np.max(self.residuals))
 
 
 def check_inner_variation(sol: WedSolution) -> InnerVariationReport:
@@ -528,20 +525,14 @@ def check_inner_variation(sol: WedSolution) -> InnerVariationReport:
     phi - eps/2 |u'|^2 at time zero, with the finite-horizon correction
     carried by the tail weight.
     """
-    if not sol.converged:
-        raise InvalidInputError("inner-variation check needs a converged solution")
     eps = sol.problem.epsilon
-    dt = sol.trajectory.grid.dt
     v = sol.speed
     phis = sol.phi
-    N = v.shape[0]
-    calv = np.empty(N + 1)
-    calv[:-1] = phis[:-1] - 0.5 * eps * v * v
-    calv[-1] = phis[-1] - 0.5 * eps * v[-1] * v[-1]
-    resid = np.abs(np.diff(calv) / dt + v * v)
-    tail = float(np.exp(-sol.trajectory.grid.T / eps))
-    boundary = abs(sol.objective - (calv[0] + tail * (phis[-1] - calv[-1])))
-    vmax = float(np.max(v * v)) if N else 0.0
+    vv = np.append(v, v[-1])  # the last node takes the last cell's speed
+    calv = phis - 0.5 * eps * vv * vv
+    resid = np.abs(np.diff(calv) / sol.trajectory.grid.dt + v * v)
+    boundary = abs(sol.objective - (calv[0] + sol.weights.tail * (phis[-1] - calv[-1])))
+    vmax = float(np.max(v * v))
     return InnerVariationReport(
         residuals=resid,
         speed_scale=vmax,

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from wedflow import (
-    SpaceSpec, StudyOptions, WedProblem, check_dpp,
+    SpaceSpec, WedProblem, check_dpp,
     check_eps_monotonicity, check_fundamental_identity, check_hj,
     check_yosida_bound, convergence_study, convex_quartic, distance,
     double_well, exact_flow, finsler_distance, gaussian_quantiles, g_reparam,
@@ -219,7 +219,7 @@ def test_criterion_11_small_parameter_convergence():
                            exact_flow(spec, x0, float(nodes[i]))))
     assert max(w2) <= 2e-2
     dw_small = convergence_study(DW, point([0.3], E1), [0.025, 0.0125], 1.0,
-                                 StudyOptions(N=2000))
+                                 N=2000)
     assert dw_small.rows[-1].lsc_residual <= 5e-2
     ok(11, f"sup-error ratios {['%.2f' % r for r in ratios]} in [1.6, 2.4]; "
            f"quantile fixture W2 errors {w2[0]:.2e}, {w2[1]:.2e} <= 2e-2; "

@@ -133,13 +133,17 @@ ALL_SUITES = ["spectral", "inner", "dpp", "fundamental", "monotone", "yosida", "
 def test_outputs_deterministic_across_runs(tmp_path, config, tasks):
     for sub in ("a", "b"):
         assert run(config, tmp_path / sub, quiet=True, tasks=tasks) == 0
-    skip = {"manifest.json", "convergence.csv"}  # wall-clock content
     names = sorted(p.name for p in (tmp_path / "a").iterdir())
     assert names == sorted(p.name for p in (tmp_path / "b").iterdir())
     for name in names:
-        if name in skip:
+        if name == "manifest.json":  # wall-clock content
             continue
-        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes(), name
+        a, b = ((tmp_path / sub / name).read_text() for sub in ("a", "b"))
+        if name == "convergence.csv":  # every column but the wall-clock runtime_s
+            header = a.splitlines()[0].split(",")
+            assert header[-1] == "runtime_s"
+            a, b = ([row.rsplit(",", 1)[0] for row in text.splitlines()] for text in (a, b))
+        assert a == b, name
 
 
 def test_manifest_references_existing_files(tmp_path):
@@ -157,7 +161,7 @@ def test_manifest_references_existing_files(tmp_path):
 
 
 def test_trajectory_csv_schema(tmp_path):
-    assert run(cfg(), tmp_path / "out", quiet=True, tasks=("solve",)) == 0
+    assert run(cfg(), tmp_path / "out", suites=(), quiet=True, tasks=("solve",)) == 0
     lines = (tmp_path / "out" / "trajectory.csv").read_text().splitlines()
     assert lines[0] == "t,x0,speed,phi,V,resid_fund,resid_inner"
     assert len(lines) == 1 + BASE["N"] + 1
@@ -166,7 +170,7 @@ def test_trajectory_csv_schema(tmp_path):
 
 
 def test_mm_csv_schema(tmp_path):
-    assert run(cfg(mm_tau=0.01, mm_steps=10), tmp_path / "out", quiet=True,
+    assert run(cfg(mm_tau=0.01, mm_steps=10), tmp_path / "out", suites=(), quiet=True,
                tasks=("mm",)) == 0
     lines = (tmp_path / "out" / "mm.csv").read_text().splitlines()
     assert lines[0] == "k,t,x0,phi,movement"
@@ -174,7 +178,7 @@ def test_mm_csv_schema(tmp_path):
 
 
 def test_value_csv_schema(tmp_path):
-    assert run(cfg(eps_list=[0.1, 0.05]), tmp_path / "out", quiet=True,
+    assert run(cfg(eps_list=[0.1, 0.05]), tmp_path / "out", suites=(), quiet=True,
                tasks=("value",)) == 0
     lines = (tmp_path / "out" / "value.csv").read_text().splitlines()
     assert lines[0] == "x0,epsilon,V,G,phi"
@@ -208,6 +212,27 @@ def test_main_usage_error_exits_1(tmp_path, argv, capsys):
 def test_main_help_exits_0(capsys):
     assert main(["--help"]) == 0
     assert "--config" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("suites", [None, [], "fundamental"],
+                         ids=["missing", "empty", "string"])
+def test_check_and_run_resolve_the_suite_list_alike(tmp_path, monkeypatch, suites):
+    # no list and an empty one select every suite, a string is a config error
+    for name in ALL_SUITES:
+        monkeypatch.setitem(_SUITE_FN, name, lambda exp, outdir, name=name: IdentityReport(
+            name=name, residuals=np.zeros(1), tolerance=0.0))
+    config = cfg() if suites is None else cfg(suites=suites)
+    codes = [run(config, tmp_path / "run", quiet=True),
+             main(["check", "--config", str(write_cfg(tmp_path, config)),
+                   "--out", str(tmp_path / "check"), "--quiet"])]
+    run_m, check_m = (json.loads((tmp_path / sub / "manifest.json").read_text())
+                      for sub in ("run", "check"))
+    assert codes[0] == codes[1]
+    assert (run_m["summary"], run_m["error"]) == (check_m["summary"], check_m["error"])
+    if isinstance(suites, str):
+        assert codes[0] == 1 and run_m["error"] == "config /suites: expected list"
+    else:
+        assert codes[0] == 0 and sorted(run_m["summary"]) == sorted(ALL_SUITES)
 
 
 def test_task_commands_run_no_suites(tmp_path):

@@ -6,7 +6,7 @@ import pytest
 
 import wedflow.reference
 from wedflow import (
-    EnergySpec, InvalidInputError, NotAvailableError, Point, SpaceSpec, StudyOptions,
+    EnergySpec, InvalidInputError, NotAvailableError, Point, SpaceSpec,
     TimeGrid, Trajectory, WedProblem, check_max_slope, convergence_study,
     convex_quartic, discrete_dirichlet, distance, double_well, exact_flow, exact_flows,
     gaussian_quantiles, lambda_diagnostics, minimize_wed, minimizing_movements,
@@ -257,7 +257,7 @@ def test_convergence_study_quadratic_on_quantiles_converges():
     # with the flow's rate 1/w_i = 4 the sup error halves with eps (it grew
     # from 0.336 to 0.353 against the unweighted e^{-t})
     table = convergence_study(quadratic(np.eye(4)), point([-1.0, -0.5, 0.5, 1.0],
-                              SpaceSpec.quantile1d(4)), [0.05, 0.025], 1.0, StudyOptions(N=2000))
+                              SpaceSpec.quantile1d(4)), [0.05, 0.025], 1.0, N=2000)
     errs = table.sup_errors
     assert errs[1] <= 0.6 * errs[0] and errs[0] <= 0.1, errs
 
@@ -282,7 +282,7 @@ def test_convergence_study_falls_back_to_the_chain_on_a_singular_quadratic(monke
     monkeypatch.setattr(wedflow.reference, "minimizing_movements", spy)
     E2 = SpaceSpec.euclidean(2)
     table = convergence_study(quadratic([[1.0, 0.0], [0.0, 0.0]]), point([1.0, 0.5], E2),
-                              [0.1], 0.5, StudyOptions(N=400))
+                              [0.1], 0.5, N=400)
     assert taus == [0.25 * 0.1**2]
     assert table.rows[0].sup_err <= 0.1
 
@@ -418,7 +418,7 @@ def test_convergence_study_double_well_with_exact_reference(monkeypatch):
     monkeypatch.setattr(wedflow.reference, "minimizing_movements", no_chain)
     table = convergence_study(double_well(), point([0.3], E1),
                               [0.1, 0.05, 0.025], 1.0,
-                              StudyOptions(N=2000))
+                              N=2000)
     errs = table.sup_errors
     for i in range(len(errs) - 1):
         assert errs[i + 1] <= 1.1 * errs[i]
@@ -450,7 +450,7 @@ def test_convergence_study_falls_back_to_the_proximal_chain(monkeypatch):
         return minimizing_movements(x_bar, tau, steps, energy, space)
 
     monkeypatch.setattr(wedflow.reference, "minimizing_movements", spy)
-    table = convergence_study(spec, point([0.8], E1), [0.1, 0.05], 1.0, StudyOptions(N=2000))
+    table = convergence_study(spec, point([0.8], E1), [0.1, 0.05], 1.0, N=2000)
     assert taus == [0.25 * 0.05**2]
     errs = table.sup_errors
     assert errs[1] <= 0.6 * errs[0], errs
@@ -460,7 +460,7 @@ def test_convergence_study_ou_quantile():
     qs = SpaceSpec.quantile1d(64)
     spec = quantile_entropy_potential(v2=1.0, v1=0.0)
     x0 = gaussian_quantiles(qs, 1.0, 2.0)
-    table = convergence_study(spec, x0, [0.02], 0.5, StudyOptions(N=1000))
+    table = convergence_study(spec, x0, [0.02], 0.5, N=1000)
     assert table.rows[0].sup_err <= 2e-2
     # pointwise W2 error at the probe times of the acceptance gate
     sol = minimize_wed(WedProblem(epsilon=0.02, T=0.5, N=1000, space=qs, energy=spec,

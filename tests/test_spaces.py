@@ -160,7 +160,28 @@ def test_normal_quantile_accuracy():
     p = np.linspace(1e-9, 1.0 - 1e-9, 20001)
     ours = normal_quantile(p)
     ref = scipy_special.ndtri(p)
-    assert np.max(np.abs(ours - ref) / (1.0 + np.abs(ref))) < 2e-9
+    assert np.max(np.abs(ours - ref) / (1.0 + np.abs(ref))) < 1e-14
+
+
+def test_a_euclidean_solve_never_imports_statistics():
+    # normal_quantile imports statistics (and with it decimal and fractions)
+    # on first use only, so runs without quantile coordinates do not load it
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import wedflow
+
+    code = ("import sys, wedflow as wf; e = wf.SpaceSpec.euclidean(1); "
+            "s = wf.minimize_wed(wf.WedProblem(epsilon=0.05, T=1.0, N=50, space=e, "
+            "energy=wf.double_well(), x_bar=wf.point([0.3], e))); "
+            "wf.q_value(s.problem.energy, e, s.problem.x_bar); "
+            "print('statistics' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": str(Path(wedflow.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_space_json_roundtrip():

