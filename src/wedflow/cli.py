@@ -39,13 +39,7 @@ from .value import (
     check_eps_monotonicity, check_fundamental_identity, check_hj,
     check_yosida_bound, finsler_distance, value_along, value_function,
 )
-from .wed import (
-    DIRECT, GRID_MODES, SOLVERS, UNIFORM, WedProblem, check_inner_variation, default_horizon,
-    minimize_wed,
-)
-
-SUITES = ("spectral", "inner", "dpp", "fundamental", "monotone", "yosida",
-          "hj", "lambda", "convergence", "finsler")
+from .wed import DIRECT, UNIFORM, WedProblem, check_inner_variation, default_horizon, minimize_wed
 
 
 class ConfigError(WedflowError):
@@ -80,7 +74,7 @@ def _floats(cfg: dict, key: str, default: list) -> list:
 
 
 class Experiment:
-    """Validated config plus lazily computed shared objects."""
+    """Validated config, its trajectory problem, and the lazily solved minimizer."""
 
     def __init__(self, cfg: dict):
         if not isinstance(cfg, dict):
@@ -101,8 +95,27 @@ class Experiment:
         except WedflowError as exc:
             raise ConfigError("/x_bar", str(exc))
         self.epsilon = _need(cfg, "epsilon", float)
-        if self.epsilon <= 0.0:
-            raise ConfigError("/epsilon", "must be positive")
+        self.N = _need(cfg, "N", int, default=4000)
+        T = _need(cfg, "T", float, default=None)
+        self.t_obs = _need(cfg, "t_obs", float, default=T if T is not None else 1.0)
+        self.grad_tol = _need(cfg, "grad_tol", float, default=1e-8)
+        self.max_iter = _need(cfg, "max_iter", int, default=100)
+        self.probe_seed = _need(cfg, "probe_seed", int, default=20240)
+        grid_mode = _need(cfg, "grid_mode", str, default=UNIFORM)
+        solver = _need(cfg, "solver", str, default=DIRECT)
+        horizon = T if T is not None else default_horizon(self.epsilon, self.t_obs)
+        try:
+            self._problem = WedProblem(
+                epsilon=self.epsilon, T=horizon, N=self.N, space=self.space, energy=self.energy,
+                x_bar=self.x_bar, grid_mode=grid_mode, solver=solver,
+                grad_tol=self.grad_tol, max_iter=self.max_iter,
+            )
+        except WedflowError as exc:
+            field = getattr(exc, "field", None)
+            raise ConfigError(f"/{field}" if field else "", str(exc))
+        # after the problem: with T <= 0 and no t_obs, T is at fault
+        if self.t_obs <= 0.0:
+            raise ConfigError("/t_obs", "must be positive")
         self.eps_list = _floats(cfg, "eps_list",
                                 [self.epsilon, self.epsilon / 2.0, self.epsilon / 4.0])
         for i, e in enumerate(self.eps_list):
@@ -110,40 +123,14 @@ class Experiment:
                 raise ConfigError(f"/eps_list/{i}", "must be positive")
         if any(b >= a for a, b in zip(self.eps_list, self.eps_list[1:])):
             raise ConfigError("/eps_list", "must decrease strictly")
-        self.N = _need(cfg, "N", int, default=4000)
-        if self.N < 1:
-            raise ConfigError("/N", "must be at least 1")
-        self.T = _need(cfg, "T", float, default=None)
-        if self.T is not None and self.T <= 0.0:
-            raise ConfigError("/T", "must be positive")
-        self.t_obs = _need(cfg, "t_obs", float, default=self.T if self.T is not None else 1.0)
-        if self.t_obs <= 0.0:
-            raise ConfigError("/t_obs", "must be positive")
-        self.grid_mode = _need(cfg, "grid_mode", str, default=UNIFORM)
-        self.solver = _need(cfg, "solver", str, default=DIRECT)
-        for key, allowed in (("grid_mode", GRID_MODES), ("solver", SOLVERS)):
-            if getattr(self, key) not in allowed:
-                raise ConfigError(f"/{key}", f"expected one of {', '.join(allowed)}")
-        self.grad_tol = _need(cfg, "grad_tol", float, default=1e-8)
-        self.max_iter = _need(cfg, "max_iter", int, default=100)
-        self.probe_seed = _need(cfg, "probe_seed", int, default=20240)
         self._solution = None
 
     def problem(self) -> WedProblem:
-        horizon = self.T if self.T is not None else default_horizon(self.epsilon, self.t_obs)
-        try:
-            return WedProblem(
-                epsilon=self.epsilon, T=horizon, N=self.N, space=self.space, energy=self.energy,
-                x_bar=self.x_bar, grid_mode=self.grid_mode, solver=self.solver,
-                grad_tol=self.grad_tol, max_iter=self.max_iter,
-            )
-        except WedflowError as exc:
-            field = getattr(exc, "field", None)
-            raise ConfigError(f"/{field}" if field else "", str(exc))
+        return self._problem
 
     def solution(self):
         if self._solution is None:
-            self._solution = minimize_wed(self.problem())
+            self._solution = minimize_wed(self._problem)
         return self._solution
 
     def value_opts(self) -> ValueOptions:
@@ -329,19 +316,19 @@ def suite_finsler(exp: Experiment, outdir: Path) -> IdentityReport:
     b_coords = np.zeros(space.dim)
     b_coords[0] = 1.5
     b = Point(b_coords, space)
-    d_plain = finsler_distance(space, lambda P: np.ones(len(P)), a, b)
+    d_plain = finsler_distance(space, lambda P: np.ones(len(P)), a, b)[0]
     resid = [abs(d_plain - distance(space, a, b)) / 1e-6]
     s1 = SpaceSpec.euclidean(1)
     c_val = 4.0
     da = Point(np.array([0.0]), s1)
     db = Point(np.array([2.0]), s1)
-    d_const = finsler_distance(s1, lambda P: np.full(len(P), math.sqrt(c_val)), da, db)
+    d_const = finsler_distance(s1, lambda P: np.full(len(P), math.sqrt(c_val)), da, db)[0]
     resid.append(abs(d_const - math.sqrt(c_val) * 2.0) / 1e-4)
     if exp.space.dim == 1 and exp.space.kind == EUCLIDEAN:
         f_phi = lambda P: np.sqrt(np.maximum(1.0, eval_many(exp.energy, P)))
     else:
         f_phi = lambda P: np.sqrt(np.maximum(1.0, np.float_power(P[:, 0], 2)))
-    val, curve = finsler_distance(s1, f_phi, da, db, return_curve=True)
+    val, curve = finsler_distance(s1, f_phi, da, db)
     rep_curve = g_reparam(curve, f_phi)
     mids = 0.5 * (rep_curve.points[:-1] + rep_curve.points[1:])
     product = float(np.sum(f_phi(mids) * metric_speed(rep_curve) * rep_curve.grid.dt))
@@ -360,6 +347,7 @@ _SUITE_FN = {
     "yosida": suite_yosida, "hj": suite_hj, "lambda": suite_lambda,
     "convergence": suite_convergence, "finsler": suite_finsler,
 }
+SUITES = tuple(_SUITE_FN)
 
 
 # -- tasks beyond suites ---------------------------------------------------------
@@ -434,7 +422,7 @@ def run(cfg: dict, out: Path, suites=None, quiet=False, tasks=()) -> int:
     t0 = time.perf_counter()
     results = {}
     times = {}
-    error = None
+    error = exp = None
     out.mkdir(parents=True, exist_ok=True)
     try:
         exp = Experiment(cfg)
@@ -443,7 +431,6 @@ def run(cfg: dict, out: Path, suites=None, quiet=False, tasks=()) -> int:
         for s in selected:
             if s not in SUITES:
                 raise ConfigError("/suites", f"unknown suite {s!r}")
-        exp.problem()  # fail configs violating well-posedness before any work
         for task in tasks:
             t = time.perf_counter()
             _TASK_FN[task](exp, out)
@@ -473,7 +460,7 @@ def run(cfg: dict, out: Path, suites=None, quiet=False, tasks=()) -> int:
         "finished_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "wall_time_s": time.perf_counter() - t0,
         "task_wall_times_s": times,
-        "probe_seed": cfg.get("probe_seed", 20240) if isinstance(cfg, dict) else None,
+        "probe_seed": None if exp is None else exp.probe_seed,
         "summary": summary,
         "error": error,
     }

@@ -69,7 +69,8 @@ def exact_flow(energy: EnergySpec, x_bar: Point, t: float) -> Point:
 
 def exact_flows(energy: EnergySpec, x_bar: Point, ts) -> np.ndarray:
     """States of the gradient flow from x_bar at the times ts, one coordinate
-    row per time, for registered kinds (``has_exact_flow``).
+    row per time, where ``has_exact_flow`` holds (``NotAvailableError``
+    elsewhere).
 
     quadratic                  u(t) = x* + W^{-1/2} e^{-Mt} W^{1/2}(x_bar - x*),
                                A x* = b, M = W^{-1/2} A W^{-1/2}
@@ -87,13 +88,10 @@ def exact_flows(energy: EnergySpec, x_bar: Point, ts) -> np.ndarray:
     ts = np.asarray(ts, dtype=float)
     if np.any(ts < 0.0):
         raise InvalidInputError("flow time must be nonnegative")
+    if not has_exact_flow(energy, x_bar.space):
+        raise NotAvailableError(f"no registered flow for {energy.kind!r} on {x_bar.space.kind!r}")
     if energy.kind == QUADRATIC:
-        space = x_bar.space
-        if not _coordinatewise(space):
-            raise NotAvailableError("quadratic flows need p = 2 in more than one dimension")
-        vals, vecs, r = _quadratic_modes(energy, space)
-        if np.any(np.abs(vals) < 1e-14):
-            raise NotAvailableError("singular quadratic has no registered flow")
+        vals, vecs, r = _quadratic_modes(energy, x_bar.space)
         x_star = (vecs @ ((vecs.T @ (energy.params["b"] / r)) / vals)) / r
         z = vecs.T @ (r * (x_bar.coords - x_star))
         # a matrix-vector product per time: one matrix product of all rows may
@@ -101,11 +99,7 @@ def exact_flows(energy: EnergySpec, x_bar: Point, ts) -> np.ndarray:
         W = np.exp(-np.outer(ts, vals)) * z
         return x_star + (vecs @ W[:, :, None])[:, :, 0] / r
     if energy.kind == QUANTILE_ENTROPY:
-        if x_bar.space.kind != QUANTILE1D:
-            raise InvalidInputError("quantile flow needs quantile coordinates")
         v2, v1 = energy.params["v2"], energy.params["v1"]
-        if v2 <= 0.0:
-            raise NotAvailableError("gaussian flow needs a confining v2 > 0")
         z = normal_quantile(x_bar.space.quantile_nodes)
         m0 = float(np.mean(x_bar.coords))
         s0 = float(np.dot(x_bar.coords - m0, z) / np.dot(z, z))
@@ -116,23 +110,15 @@ def exact_flows(energy: EnergySpec, x_bar: Point, ts) -> np.ndarray:
         mt = m_inf + (m0 - m_inf) * decay
         var = 1.0 / v2 + (s0 * s0 - 1.0 / v2) * decay2
         return mt[:, None] + np.sqrt(var)[:, None] * z
-    if energy.kind in (DOUBLE_WELL, CONVEX_QUARTIC):
-        if not _coordinatewise(x_bar.space):
-            raise NotAvailableError("coordinatewise flows need p = 2 in more than one dimension")
-        x, w = x_bar.coords, x_bar.space.metric_weights
-        x2 = x * x
-        if energy.kind == CONVEX_QUARTIC:
-            return x / np.sqrt(1.0 + 2.0 * x2 * ts[:, None] / w)
-        # math.exp per entry, as above; the hilltop x_i = 0 stays at 0, with no
-        # 0/0 once e^{-2t/w_i} underflows
-        decay = np.array([[math.exp(-2.0 * t / wi) for wi in w.tolist()] for t in ts.tolist()])
-        den = x2 + (1.0 - x2) * decay.reshape(len(ts), len(x))
-        return x / np.sqrt(np.where(x == 0.0, 1.0, den))
-    raise NotAvailableError(f"no registered flow for kind {energy.kind!r}")
-
-
-def _coordinatewise(space: SpaceSpec) -> bool:
-    return not (space.kind == PNORM and space.p != 2.0 and space.dim > 1)
+    x, w = x_bar.coords, x_bar.space.metric_weights
+    x2 = x * x
+    if energy.kind == CONVEX_QUARTIC:
+        return x / np.sqrt(1.0 + 2.0 * x2 * ts[:, None] / w)
+    # the double well; math.exp per entry, as above; the hilltop x_i = 0 stays
+    # at 0, with no 0/0 once e^{-2t/w_i} underflows
+    decay = np.array([[math.exp(-2.0 * t / wi) for wi in w.tolist()] for t in ts.tolist()])
+    den = x2 + (1.0 - x2) * decay.reshape(len(ts), len(x))
+    return x / np.sqrt(np.where(x == 0.0, 1.0, den))
 
 
 def _quadratic_modes(energy: EnergySpec, space: SpaceSpec):
@@ -145,12 +131,13 @@ def _quadratic_modes(energy: EnergySpec, space: SpaceSpec):
 
 def has_exact_flow(energy: EnergySpec, space: SpaceSpec) -> bool:
     """Whether ``exact_flows`` has a closed form for ``energy`` on ``space``."""
-    if energy.kind in (DOUBLE_WELL, CONVEX_QUARTIC):
-        return _coordinatewise(space)
+    if energy.kind == QUANTILE_ENTROPY:
+        return space.kind == QUANTILE1D and energy.params["v2"] > 0.0
+    if space.kind == PNORM and space.p != 2.0 and space.dim > 1:
+        return False  # the coordinates are coupled: not a weighted l^2 metric
     if energy.kind == QUADRATIC:
-        return _coordinatewise(space) and bool(
-            np.all(np.abs(_quadratic_modes(energy, space)[0]) >= 1e-14))
-    return energy.kind == QUANTILE_ENTROPY and energy.params["v2"] > 0.0
+        return bool(np.all(np.abs(_quadratic_modes(energy, space)[0]) >= 1e-14))
+    return energy.kind in (DOUBLE_WELL, CONVEX_QUARTIC)
 
 
 # -- descent-inequality check ------------------------------------------------------

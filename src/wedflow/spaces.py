@@ -115,8 +115,7 @@ class Point:
             raise InvalidInputError(
                 f"coords length {coords.shape} does not match space dim {self.space.dim}"
             )
-        if self.space.kind == QUANTILE1D and not np.all(np.diff(coords) > 0.0):
-            # strictly increasing, zero tolerance: reject rather than project
+        if not admissible(self.space, coords):
             raise InvalidInputError("quantile points must be strictly increasing")
 
     def __eq__(self, other):
@@ -125,6 +124,15 @@ class Point:
             and self.space == other.space
             and np.array_equal(self.coords, other.coords)
         )
+
+
+def admissible(space: SpaceSpec, coords: np.ndarray) -> np.ndarray:
+    """Whether coordinate rows lie in the space, as a boolean per row (0-d for
+    one row): quantile vectors must increase strictly, with zero tolerance
+    (rejected, never projected)."""
+    if space.kind != QUANTILE1D:
+        return np.ones(coords.shape[:-1], dtype=bool)
+    return np.all(np.diff(coords) > 0.0, axis=-1)
 
 
 def point(coords, space: SpaceSpec) -> Point:

@@ -24,7 +24,7 @@ import numpy as np
 from .energies import EnergySpec, analytic_slope, energy_eval, prox, q_value
 from .errors import InvalidInputError, NotAvailableError
 from .newton import damped_newton
-from .spaces import PNORM, QUANTILE1D, Point, SpaceSpec, distance, probe_directions
+from .spaces import PNORM, Point, SpaceSpec, admissible, distance, probe_directions
 from .trajectories import TimeGrid, Trajectory, Weights, row_values
 from .wed import DIRECT, EXP_GRADED, WedProblem, WedSolution, default_horizon, minimize_wed
 
@@ -344,7 +344,7 @@ def _slope_estimate(energy, x, epsilon, opts, seed, rungs) -> tuple:
         best = 0.0
         for e in dirs:
             coords = x.coords - h * e
-            if space.kind == QUANTILE1D and not np.all(np.diff(coords) > 0.0):
+            if not admissible(space, coords):
                 continue
             vprobe = value_function(energy, Point(coords, space), epsilon, opts)
             best = max(best, (center.V - vprobe.V) / h)
@@ -431,9 +431,10 @@ def chain_rule_bound(sol: WedSolution) -> IdentityReport:
 # -- energy-induced Finsler distance ----------------------------------------------
 
 
-def finsler_distance(space: SpaceSpec, f, u0: Point, u1: Point,
-                     return_curve: bool = False):
-    """Length distance weighting curve speed by f >= 1, for p = 2.
+def finsler_distance(space: SpaceSpec, f, u0: Point, u1: Point) -> tuple:
+    """Length distance weighting curve speed by f >= 1, for p = 2, and the
+    optimal polyline as a ``Trajectory``: ``(value, curve)``, ``(0.0, None)``
+    when u0 and u1 are the same point.
 
     ``f`` maps an (n, d) array of coordinate rows to n values: one call weighs
     all segment midpoints, or difference stencil points, of a step; f >= 1 is
@@ -454,7 +455,7 @@ def finsler_distance(space: SpaceSpec, f, u0: Point, u1: Point,
         raise InvalidInputError("endpoints must live in the given space")
     d0 = distance(space, u0, u1)
     if d0 == 0.0:
-        return (0.0, None) if return_curve else 0.0
+        return 0.0, None
     fvals = row_values(f, np.stack([u0.coords, u1.coords, 0.5 * (u0.coords + u1.coords)]))
     if np.any(fvals < 1.0 - 1e-12):
         raise InvalidInputError("finsler weight must satisfy f >= 1")
@@ -476,25 +477,22 @@ def finsler_distance(space: SpaceSpec, f, u0: Point, u1: Point,
             out[:, j] = (f2(Pp) - f2(Pm)) / (2.0 * step)
         return out
 
-    def parts(V):
-        # the polyline with the endpoints pinned, its midpoints, a and b (a > 0)
+    def evaluate(V):
+        # g = (gradient, step h = S/K, the polyline P with the endpoints
+        # pinned); the action's gradient at the optimal S is the reduced one's
         P = np.concatenate([theta[:1], V, theta[-1:]])
         dP, mids = np.diff(P, axis=0), 0.5 * (P[:-1] + P[1:])
         b = 0.5 * float(np.sum(f2(mids)))
         if b == 0.0:
             raise InvalidInputError("finsler weight vanishes at every segment midpoint")
-        return P, mids, 0.5 * float(np.sum(w * dP * dP)), b
-
-    def evaluate(V):
-        # g = (gradient, step h = S/K); the action's gradient at the optimal S is the reduced one's
-        P, mids, a, b = parts(V)
+        a = 0.5 * float(np.sum(w * dP * dP))  # > 0
         h = math.sqrt(a / b)
         gm = f2_grad_at(mids)
         lap = (2.0 * P[1:-1] - P[:-2] - P[2:]) * w / h
-        return 2.0 * math.sqrt(a * b), (lap + 0.25 * h * (gm[:-1] + gm[1:]), h)
+        return 2.0 * math.sqrt(a * b), (lap + 0.25 * h * (gm[:-1] + gm[1:]), h, P)
 
     def direction(V, g):
-        grad, h = g
+        grad, h, _ = g
         step = -h * (lap_inv @ grad) / w
         return step, float(np.sum(grad * step))
 
@@ -502,14 +500,10 @@ def finsler_distance(space: SpaceSpec, f, u0: Point, u1: Point,
     sup_norm = lambda g: float(np.max(np.abs(g[0])))
     # the weight gradient is finite-differenced, so the stationarity tolerance
     # must sit above the ~1e-10 differencing noise floor
-    V, value, _, _, _ = damped_newton(
+    _, value, (_, h, P), _, _ = damped_newton(
         V0, evaluate(V0), evaluate, sup_norm,
         lambda g: sup_norm(g) <= 1e-9 * (1.0 + fmax), direction, 50,
     )
     if value < d0 - 1e-9 * (1.0 + d0):
         raise InvalidInputError("finsler action fell below the base distance")
-    if return_curve:
-        P, _, a, b = parts(V)
-        grid = TimeGrid(np.linspace(0.0, K * math.sqrt(a / b), K + 1))
-        return value, Trajectory(grid, P, space)
-    return value
+    return value, Trajectory(TimeGrid(np.linspace(0.0, K * h, K + 1)), P, space)

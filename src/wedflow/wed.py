@@ -58,12 +58,16 @@ class WedProblem:
     max_iter: int = 100
 
     def __post_init__(self):
-        if self.epsilon <= 0.0 or self.T <= 0.0 or self.N < 1:
-            raise InvalidInputError("need epsilon > 0, T > 0, N >= 1")
+        if self.epsilon <= 0.0:
+            raise InvalidInputError("need epsilon > 0", "epsilon")
+        if self.T <= 0.0:
+            raise InvalidInputError("need T > 0", "T")
+        if self.N < 1:
+            raise InvalidInputError("need N >= 1", "N")
         if self.solver not in SOLVERS:
-            raise InvalidInputError(f"unknown solver {self.solver!r}")
+            raise InvalidInputError(f"unknown solver {self.solver!r}", "solver")
         if self.grid_mode not in GRID_MODES:
-            raise InvalidInputError(f"unknown grid mode {self.grid_mode!r}")
+            raise InvalidInputError(f"unknown grid mode {self.grid_mode!r}", "grid_mode")
         if self.space.kind == PNORM and self.space.p != 2.0:
             raise InvalidInputError("trajectory solvers need an inner-product metric (p = 2)",
                                     "space")

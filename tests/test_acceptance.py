@@ -229,17 +229,16 @@ def test_criterion_11_small_parameter_convergence():
 def test_criterion_12_finsler_distance():
     s2 = SpaceSpec.euclidean(2)
     a2, b2 = point([0.0, 0.0], s2), point([1.0, 2.0], s2)
-    plain = finsler_distance(s2, lambda P: np.ones(len(P)), a2, b2)
+    plain = finsler_distance(s2, lambda P: np.ones(len(P)), a2, b2)[0]
     err_plain = abs(plain - distance(s2, a2, b2))
     assert err_plain <= 1e-6
     c = 4.0
     a1, b1 = point([0.0], E1), point([2.0], E1)
-    const = finsler_distance(E1, lambda P: np.full(len(P), math.sqrt(c)), a1, b1)
+    const = finsler_distance(E1, lambda P: np.full(len(P), math.sqrt(c)), a1, b1)[0]
     err_const = abs(const - math.sqrt(c) * 2.0)
     assert err_const <= 1e-4
     f = lambda P: np.sqrt(np.maximum(1.0, eval_many(QUAD, P)))
-    val, curve = finsler_distance(E1, f, point([0.5], E1), point([3.0], E1),
-                                  return_curve=True)
+    val, curve = finsler_distance(E1, f, point([0.5], E1), point([3.0], E1))
     rep = g_reparam(curve, f)
     v = metric_speed(rep)
     mids = 0.5 * (rep.points[:-1] + rep.points[1:])

@@ -108,6 +108,29 @@ def test_missing_key_reports_json_pointer():
         Experiment(config)
 
 
+def test_experiment_builds_its_problem_once():
+    exp = Experiment(cfg())
+    assert exp.problem() is exp.problem()
+    assert (exp.problem().epsilon, exp.problem().T, exp.problem().N) == (0.1, 2.0, 1000)
+
+
+def test_problem_errors_come_before_eps_list_and_suite_errors(tmp_path):
+    # the problem is built, and checked, as the config is read
+    config = cfg(N=0, eps_list=[0.05, 0.1], suites=["nonsense"])
+    assert run(config, tmp_path / "out", quiet=True) == 1
+    assert json.loads((tmp_path / "out" / "manifest.json").read_text())["error"].startswith(
+        "config /N:")
+
+
+@pytest.mark.parametrize("config, seed", [
+    (cfg(probe_seed=7.0), 7), (cfg(probe_seed=None), 20240), (cfg(N=0, probe_seed=7), None),
+], ids=["integral_float", "default", "config_error"])
+def test_manifest_probe_seed_is_the_parsed_one(tmp_path, config, seed):
+    run(config, tmp_path / "out", suites=(), quiet=True)
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["probe_seed"] == seed and type(manifest["probe_seed"]) is type(seed)
+
+
 def test_eps_list_must_decrease():
     with pytest.raises(ConfigError, match="/eps_list"):
         Experiment(cfg(eps_list=[0.05, 0.1]))
@@ -255,6 +278,7 @@ def test_task_commands_run_no_suites(tmp_path):
     (cfg(N=0), "config /N:"),
     (cfg(T=-1.0), "config /T:"),
     (cfg(T=0.0), "config /T:"),
+    (cfg(T=-1.0, t_obs=None), "config /T:"),
     (cfg(t_obs=-1.0), "config /t_obs: must be positive"),
     (cfg(t_obs=0.0), "config /t_obs: must be positive"),
     (cfg(epsilon=0.0), "config /epsilon:"),
@@ -270,7 +294,8 @@ def test_task_commands_run_no_suites(tmp_path):
      "config /energy: dimension mismatch"),
     (cfg(energy={"kind": "quadratic", "params": {"A": [[-1.0]]}}), "config /epsilon: well-posed"),
 ], ids=["N", "max_iter", "t_obs", "epsilon", "eps_list", "grid_mode",
-        "not_an_object", "N_zero", "T_negative", "T_zero", "t_obs_negative", "t_obs_zero",
+        "not_an_object", "N_zero", "T_negative", "T_zero", "T_negative_no_t_obs",
+        "t_obs_negative", "t_obs_zero",
         "epsilon_zero", "eps_list_negative",
         "pnorm_space", "x_bar_infinite_energy", "energy_no_coercivity", "energy_of_other_dim",
         "epsilon_too_large"])

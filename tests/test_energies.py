@@ -13,6 +13,7 @@ from wedflow.energies import (
     _KINDS, QUADRATIC, analytic_slope, analytic_slopes, eval_many, grad_many, hess_many, prox,
     reference_point,
 )
+from wedflow.spaces import probe_directions
 
 E1 = SpaceSpec.euclidean(1)
 
@@ -366,6 +367,46 @@ def test_lambda_representation_stays_below_slope(spec, x):
     est = local_slope(spec, x.space, x, method="lambda_representation")
     assert all(q <= analytic + 1e-12 for _, q in est.diagnostics)
     assert est.value <= analytic + 1e-12
+
+
+def loop_lambda_representation(spec, x):
+    """The lambda-representation slope point by point: every probe x + r e a
+    Point, its distance the weighted l2 or p-norm of r e."""
+    space = x.space
+    phi_x = energy_eval(spec, x)
+    diag = []
+    for k in range(13):
+        r, q_r = 2.0**-k, 0.0
+        for e in probe_directions(space, 20210, at=x.coords):
+            coords = x.coords + r * e
+            if space.kind == "quantile1d" and not np.all(np.diff(coords) > 0.0):
+                continue
+            if space.kind == "pnorm":
+                dv = float(np.sum(np.abs(r * e) ** space.p) ** (1.0 / space.p))
+            else:
+                dv = float(np.sqrt(np.sum(space.metric_weights * (r * e) ** 2)))
+            phi_v = energy_eval(spec, Point(coords, space))
+            if math.isfinite(phi_v):
+                q_r = max(q_r, (phi_x - phi_v) / dv + 0.5 * spec.lam * dv)
+        diag.append((r, q_r))
+    return diag
+
+
+@pytest.mark.parametrize("spec, x", [
+    (double_well(), point([0.5], E1)),
+    (double_well(), point([0.3, -0.8, 1.4], SpaceSpec.euclidean(3))),
+    (convex_quartic(), point([0.3, -0.8], SpaceSpec.pnorm(2, 3.0))),
+    # the shift and dilation probes of a narrow profile leave the cone at
+    # the large radii
+    (quantile_entropy_potential(v2=1.0, v1=0.5),
+     gaussian_quantiles(SpaceSpec.quantile1d(8), 0.4, 0.2)),
+], ids=["dw-1d", "dw-3d", "quartic-pnorm3", "q8-narrow"])
+def test_lambda_representation_on_rows_is_the_probe_loop(spec, x):
+    est = local_slope(spec, x.space, x, method="lambda_representation")
+    ref = loop_lambda_representation(spec, x)
+    assert [r for r, _ in est.diagnostics] == [r for r, _ in ref]
+    assert np.allclose([q for _, q in est.diagnostics], [q for _, q in ref], rtol=1e-12, atol=0)
+    assert est.value == max(q for _, q in est.diagnostics)
 
 
 def test_energy_json_roundtrip():

@@ -234,6 +234,11 @@ def test_exact_flow_unregistered_kind():
     assert not has_exact_flow(double_well(), p3)
     with pytest.raises(NotAvailableError):
         exact_flow(double_well(), point([0.3, -0.2], p3), 1.0)
+    # the Gaussian flow needs quantile coordinates
+    E3 = SpaceSpec.euclidean(3)
+    assert not has_exact_flow(quantile_entropy_potential(), E3)
+    with pytest.raises(NotAvailableError):
+        exact_flow(quantile_entropy_potential(), point([-2.0, 0.0, 0.5], E3), 1.0)
 
 
 def test_quadratic_flow_solves_the_weighted_gradient_equation():
@@ -439,10 +444,10 @@ def test_convergence_study_double_well_finest_pair_is_first_order(monkeypatch):
 
 
 def test_convergence_study_falls_back_to_the_proximal_chain(monkeypatch):
-    # the 1-D Dirichlet energy u^2 + u^4/4 has no registered flow; the study
-    # takes its reference from the chain at tau = 0.05^2 / 4
-    spec = EnergySpec("discrete_dirichlet", {"reaction": [0.0, 0.0, 0.0, 0.0, 0.25]}, lam=2.0)
-    assert not has_exact_flow(spec, E1)
+    # neither energy has a registered flow: the 1-D Dirichlet energy
+    # u^2 + u^4/4, and the quantile energy on R^3, whose Gaussian flow lives in
+    # quantile coordinates only; the study takes its reference from the chain
+    # at tau = 0.05^2 / 4
     taus = []
 
     def spy(x_bar, tau, steps, energy, space):
@@ -450,10 +455,16 @@ def test_convergence_study_falls_back_to_the_proximal_chain(monkeypatch):
         return minimizing_movements(x_bar, tau, steps, energy, space)
 
     monkeypatch.setattr(wedflow.reference, "minimizing_movements", spy)
-    table = convergence_study(spec, point([0.8], E1), [0.1, 0.05], 1.0, N=2000)
-    assert taus == [0.25 * 0.05**2]
-    errs = table.sup_errors
-    assert errs[1] <= 0.6 * errs[0], errs
+    for spec, x_bar, t_obs, N in [
+        (EnergySpec("discrete_dirichlet", {"reaction": [0.0, 0.0, 0.0, 0.0, 0.25]}, lam=2.0),
+         point([0.8], E1), 1.0, 2000),
+        (quantile_entropy_potential(), point([-2.0, 0.0, 0.5], SpaceSpec.euclidean(3)), 0.5, 1000),
+    ]:
+        assert not has_exact_flow(spec, x_bar.space)
+        taus.clear()
+        errs = convergence_study(spec, x_bar, [0.1, 0.05], t_obs, N=N).sup_errors
+        assert taus == [0.25 * 0.05**2]
+        assert errs[1] <= 0.6 * errs[0], errs
 
 
 def test_convergence_study_ou_quantile():

@@ -7,7 +7,7 @@ from wedflow import (
     InvalidInputError, Point, SpaceSpec, distance, gaussian_quantiles,
     geodesic_point, normal_quantile, point,
 )
-from wedflow.spaces import row_distances
+from wedflow.spaces import admissible, row_distances
 
 SPACES = [
     SpaceSpec.euclidean(3),
@@ -153,6 +153,18 @@ def test_invalid_inputs():
         distance(SpaceSpec.euclidean(3), a, b)
     with pytest.raises(InvalidInputError):
         SpaceSpec.pnorm(2, 1.0)
+
+
+def test_admissible_on_a_row_and_on_a_stack():
+    q3 = SpaceSpec.quantile1d(3)
+    rows = np.array([[-1.0, 0.0, 1.0], [-1.0, 1.0, 1.0], [1.0, 0.0, -1.0]])
+    assert np.array_equal(admissible(q3, rows), [True, False, False])
+    assert [bool(admissible(q3, r)) for r in rows] == [True, False, False]
+    # every row of a vector space is admissible
+    assert np.array_equal(admissible(SpaceSpec.euclidean(3), rows), [True] * 3)
+    assert admissible(SpaceSpec.pnorm(3, 3.0), rows[2]).shape == ()
+    with pytest.raises(InvalidInputError, match="strictly increasing"):
+        Point(rows[1], q3)
 
 
 def test_normal_quantile_accuracy():

@@ -415,8 +415,18 @@ def test_hj_sandwich_at_small_eps():
 def test_finsler_unit_weight_recovers_distance():
     s2 = SpaceSpec.euclidean(2)
     a, b = point([0.0, 0.0], s2), point([1.0, 2.0], s2)
-    val = finsler_distance(s2, lambda P: np.ones(len(P)), a, b)
+    val = finsler_distance(s2, lambda P: np.ones(len(P)), a, b)[0]
     assert val == pytest.approx(distance(s2, a, b), abs=1e-6)
+
+
+def test_finsler_returns_value_and_curve():
+    # one return shape: the curve is the optimal polyline from u0 to u1, and a
+    # zero distance has no curve
+    a, b = point([0.0], E1), point([1.5], E1)
+    val, curve = finsler_distance(E1, lambda P: np.ones(len(P)), a, b)
+    assert val == pytest.approx(1.5, abs=1e-6)
+    assert np.array_equal(curve.points[[0, -1]], [a.coords, b.coords])
+    assert finsler_distance(E1, lambda P: np.ones(len(P)), a, point([0.0], E1)) == (0.0, None)
 
 
 def test_finsler_constant_energy_scaling():
@@ -424,7 +434,7 @@ def test_finsler_constant_energy_scaling():
     # random discretized monotone curves can do no better
     c = 4.0
     a, b = point([0.0], E1), point([2.0], E1)
-    val = finsler_distance(E1, lambda P: np.full(len(P), math.sqrt(c)), a, b)
+    val = finsler_distance(E1, lambda P: np.full(len(P), math.sqrt(c)), a, b)[0]
     assert val == pytest.approx(math.sqrt(c) * 2.0, abs=1e-4)
     rng = np.random.default_rng(6)
     best = math.inf
@@ -440,7 +450,7 @@ def test_finsler_lagrangian_equals_product_form():
 
     f = lambda P: np.sqrt(np.maximum(1.0, eval_many(QUAD, P)))
     a, b = point([0.5], E1), point([3.0], E1)
-    val, curve = finsler_distance(E1, f, a, b, return_curve=True)
+    val, curve = finsler_distance(E1, f, a, b)
     rep = g_reparam(curve, f)
     v = metric_speed(rep)
     mids = 0.5 * (rep.points[:-1] + rep.points[1:])
@@ -496,7 +506,7 @@ FINSLER_PINS = {
 @pytest.mark.parametrize("case", list(FINSLER_PINS))
 def test_finsler_pinned_values(case):
     space, f, a, b, ref = FINSLER_PINS[case]
-    val = finsler_distance(space, f, point(a, space), point(b, space))
+    val = finsler_distance(space, f, point(a, space), point(b, space))[0]
     assert val == pytest.approx(ref, rel=1e-12)
 
 
@@ -504,14 +514,14 @@ def test_finsler_pinned_value_of_the_kinked_weight():
     # f = sqrt(max(1, x^2/2)) has a kink at sqrt(2); its solves stop above the
     # stationarity tolerance, so the pin is looser
     f = lambda P: np.sqrt(np.maximum(1.0, eval_many(QUAD, P)))
-    val = finsler_distance(E1, f, point([0.5], E1), point([3.0], E1))
+    val = finsler_distance(E1, f, point([0.5], E1), point([3.0], E1))[0]
     assert val == pytest.approx(3.389011373098585, rel=1e-7)
 
 
 @pytest.mark.parametrize("case", ["double_well", "plane"])
 def test_finsler_parameter_length_is_the_closed_form(case):
     space, f, a, b, _ = FINSLER_PINS[case]
-    val, curve = finsler_distance(space, f, point(a, space), point(b, space), return_curve=True)
+    val, curve = finsler_distance(space, f, point(a, space), point(b, space))
     P, K = curve.points, curve.grid.n_cells
     dP = np.diff(P, axis=0)
     kin = 0.5 * float(np.sum(space.metric_weights * dP * dP))

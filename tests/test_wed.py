@@ -257,6 +257,16 @@ def test_unknown_grid_mode_rejected():
         quad_problem(grid_mode="nope")
 
 
+@pytest.mark.parametrize("field, kw", [
+    ("epsilon", {"eps": 0.0}), ("T", {"T": -1.0}), ("N", {"N": 0}),
+    ("solver", {"solver": "nope"}), ("grid_mode", {"grid_mode": "nope"}),
+], ids=["epsilon", "T", "N", "solver", "grid_mode"])
+def test_problem_checks_name_their_field(field, kw):
+    with pytest.raises(InvalidInputError) as info:
+        quad_problem(**kw)
+    assert info.value.field == field
+
+
 def test_smallness_condition_enforced():
     energy = quadratic([[-0.5]])  # B = 1.5
     with pytest.raises(InvalidInputError):
