@@ -273,7 +273,7 @@ def suite_yosida(exp: Experiment, outdir: Path) -> IdentityReport:
 
 
 def suite_hj(exp: Experiment, outdir: Path) -> IdentityReport:
-    return check_hj(exp.energy, exp.x_bar, exp.epsilon, exp.value_opts(), exp.probe_seed)
+    return check_hj(exp.energy, exp.x_bar, exp.epsilon, exp.value_opts())
 
 
 def suite_lambda(exp: Experiment, outdir: Path) -> IdentityReport:

@@ -503,8 +503,7 @@ def local_slope(spec: EnergySpec, space: SpaceSpec, x: Point, method="analytic")
         # the probes x + r e, r = 2^-k for k < 13, e the probe directions,
         # stacked radius by radius; rows off the quantile cone count as +inf
         radii = 2.0 ** -np.arange(13.0)
-        steps = (radii[:, None, None] * np.array(probe_directions(space, 20210, at=x.coords))
-                 ).reshape(-1, space.dim)
+        steps = (radii[:, None, None] * probe_directions(space, at=x.coords)).reshape(-1, space.dim)
         V = x.coords + steps
         phi_v = np.where(admissible(space, V), eval_many(spec, V), math.inf)
         dv = row_distances(space, steps, 0.0)

@@ -10,7 +10,6 @@ share straight-line constant-speed geodesics.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -183,35 +182,19 @@ def geodesic_point(space: SpaceSpec, a: Point, b: Point, theta: float) -> Point:
     return Point((1.0 - theta) * a.coords + theta * b.coords, space)
 
 
-def probe_directions(space: SpaceSpec, seed: int, at: np.ndarray | None = None) -> list:
-    """Unit-metric-length probe directions: plus and minus each coordinate
-    axis, and for d > 1 eight seeded random directions.  In quantile
-    coordinates with ``at`` given, translation and dilation of ``at`` replace
-    the axes."""
+def probe_directions(space: SpaceSpec, at: np.ndarray | None = None) -> np.ndarray:
+    """Unit-metric-length probe directions, a (2k, d) array of plus and minus
+    each of k directions: the coordinate axes, or, in quantile coordinates
+    with ``at`` given and d > 1, translation and dilation of ``at``."""
     d = space.dim
-    dirs = []
-    rng = np.random.default_rng(seed)
     if space.kind == QUANTILE1D and d > 1 and at is not None:
         # translation and dilation span the directions the confined flows
         # move in; coordinate probes would mostly leave the monotone cone
-        shift = np.ones(d)
-        centered = at - float(np.mean(at))
-        for v in (shift, centered):
-            nv = math.sqrt(float(np.sum(space.metric_weights * v * v)))
-            if nv > 0.0:
-                dirs.extend([v / nv, -v / nv])
+        V = np.stack([np.ones(d), at - float(np.mean(at))])
     else:
-        scale = 1.0 / np.sqrt(space.metric_weights)
-        for i in range(d):
-            e = np.zeros(d)
-            e[i] = scale[i]  # unit metric length
-            dirs.extend([e, -e])
-    if d > 1:
-        for _ in range(8):
-            v = rng.standard_normal(d)
-            v /= math.sqrt(float(np.sum(space.metric_weights * v * v)))
-            dirs.append(v)
-    return dirs
+        V = np.eye(d)
+    V = V / row_distances(space, V, 0.0)[:, None]
+    return np.stack([V, -V], axis=1).reshape(-1, d)
 
 
 # -- standard normal quantile -------------------------------------------------

@@ -24,7 +24,7 @@ import numpy as np
 from .energies import EnergySpec, analytic_slope, energy_eval, prox, q_value
 from .errors import InvalidInputError, NotAvailableError
 from .newton import damped_newton
-from .spaces import PNORM, Point, SpaceSpec, admissible, distance, probe_directions
+from .spaces import PNORM, Point, SpaceSpec, admissible, distance, probe_directions, row_distances
 from .trajectories import TimeGrid, Trajectory, Weights, row_values
 from .wed import DIRECT, EXP_GRADED, WedProblem, WedSolution, default_horizon, minimize_wed
 
@@ -303,41 +303,36 @@ def wed_slope_compare(energy: EnergySpec, x: Point, eps_list,
 
 
 def conditioned_slope_estimate(energy: EnergySpec, x: Point, epsilon: float,
-                               opts: ValueOptions | None = None, seed: int = 20240) -> tuple:
+                               opts: ValueOptions | None = None) -> tuple:
     """Finite-difference estimate of the descending slope of V at x.
 
-    Takes the max of (V(x) - V(x - h e))^+ / h over probe directions e (for
-    d > 1 eight random ones drawn from ``seed``) and the ladder
-    h = 0.1 / 2^k, k = 0..5, then removes the O(h) term by one Richardson
-    step on the two finest rungs.
+    Takes the max of (V(x) - V(x - h e))^+ / h over probe directions e and
+    the ladder h = 0.1 / 2^k, k = 0..5, then removes the O(h) term by one
+    Richardson step on the two finest rungs.  The one direction e is the
+    minimizer's early move from x; where the minimizer does not move (at a
+    critical point), e runs over ``probe_directions(space, at=x.coords)``.
     Probes leaving the monotone cone of quantile coordinates are discarded.
     Above four dimensions every solve runs at ``min(opts.N, 1500)``: slope
     differences cancel the discretization bias shared by center and probes.
     """
-    return _slope_estimate(energy, x, epsilon, opts, seed, range(6))
+    return _slope_estimate(energy, x, epsilon, opts, range(6))
 
 
-def _slope_estimate(energy, x, epsilon, opts, seed, rungs) -> tuple:
+def _slope_estimate(energy, x, epsilon, opts, rungs) -> tuple:
     # conditioned_slope_estimate on the rungs h = 0.1 / 2^k, k in rungs
     space = x.space
     opts = opts or ValueOptions()
     if space.dim > 4 and opts.N > 1500:
         opts = dataclasses.replace(opts, N=1500)
     center = value_function(energy, x, epsilon, opts)
-    dirs = probe_directions(space, seed, at=x.coords)
-    # the descent of V is steepest along the minimizer itself, so the early
-    # movement of the center solve supplies the sharp approach direction
-    # (probe points are still fresh solves at perturbed states)
+    # by the envelope theorem the minimizer's first move is -omega^-1 grad V
+    # to first order: V descends steepest along it, so it is the one probe
+    # direction wherever it is not zero
     traj = center.solve_ref.trajectory
     k = min(max(1, traj.grid.n_cells // 100), traj.grid.n_cells)
-    move = traj.points[k] - x.coords
-    nv = math.sqrt(float(np.sum(space.metric_weights * move * move)))
-    if nv > 0.0:
-        approach = -move / nv
-        # in 1-D it is always one of the coordinate probes; a duplicate
-        # direction would only repeat the same solves
-        if not any(np.array_equal(approach, e) for e in dirs):
-            dirs.append(approach)
+    move = traj.points[k:k + 1] - x.coords
+    nv = row_distances(space, move, 0.0)
+    dirs = -move / nv[:, None] if nv[0] > 0.0 else probe_directions(space, at=x.coords)
     ladder = []
     for k in rungs:
         h = 0.1 * 2.0**-k
@@ -354,18 +349,19 @@ def _slope_estimate(energy, x, epsilon, opts, seed, rungs) -> tuple:
 
 
 def check_hj(energy: EnergySpec, x: Point, epsilon: float,
-             opts: ValueOptions | None = None, seed: int = 20240) -> IdentityReport:
+             opts: ValueOptions | None = None) -> IdentityReport:
     """Pointwise Hamilton-Jacobi identity: the probe slope of V matches G
     within 5% of G.
 
-    Additionally reruns the slope estimate at the nodes n/8, n/4 and n/2 of the
-    minimizer from x, solving only the two rungs its Richardson step reads,
-    and checks the V-descent rate -dV/dt = |u'|^2/2 + slope^2/2 there, within
-    10% of the right-hand side.
+    The slope is ``conditioned_slope_estimate``'s, probed along the
+    minimizer's own first move.  Additionally reruns the slope estimate at the
+    nodes n/8, n/4 and n/2 of the minimizer from x, solving only the two rungs
+    its Richardson step reads, and checks the V-descent rate
+    -dV/dt = |u'|^2/2 + slope^2/2 there, within 10% of the right-hand side.
     """
     if energy.lam is None:
         raise InvalidInputError("the Hamilton-Jacobi check needs a convexity modulus")
-    est, center, ladder = conditioned_slope_estimate(energy, x, epsilon, opts, seed)
+    est, center, ladder = conditioned_slope_estimate(energy, x, epsilon, opts)
     denom = max(center.G, 1e-9)
     slope_resid = abs(est - center.G) / denom
     sol = center.solve_ref
@@ -376,7 +372,7 @@ def check_hj(energy: EnergySpec, x: Point, epsilon: float,
     flow_detail = []
     for i in sorted({max(1, n // 8), max(1, n // 4), max(1, n // 2)}):
         xi = sol.trajectory.point_at(i)
-        est_i, _, _ = _slope_estimate(energy, xi, epsilon, opts, seed, range(4, 6))
+        est_i, _, _ = _slope_estimate(energy, xi, epsilon, opts, range(4, 6))
         dvdt = (V[i + 1] - V[i - 1]) / (nodes[i + 1] - nodes[i - 1])
         rhs = 0.5 * sol.speed[i] ** 2 + 0.5 * est_i**2
         scale = max(abs(rhs), 1e-9)

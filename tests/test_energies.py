@@ -377,7 +377,7 @@ def loop_lambda_representation(spec, x):
     diag = []
     for k in range(13):
         r, q_r = 2.0**-k, 0.0
-        for e in probe_directions(space, 20210, at=x.coords):
+        for e in probe_directions(space, at=x.coords):
             coords = x.coords + r * e
             if space.kind == "quantile1d" and not np.all(np.diff(coords) > 0.0):
                 continue

@@ -341,8 +341,8 @@ def test_hj_1d_never_repeats_a_solve():
 
 
 def test_hj_solves_two_rungs_at_each_flow_node(monkeypatch):
-    # the center and its six reported rungs of 2 probes each, then a center and
-    # the two rungs the Richardson step reads at each of 3 flow nodes
+    # the center and its six reported rungs along the minimizer's move, then a
+    # center and the two rungs the Richardson step reads at each of 3 flow nodes
     solves = []
 
     def counting(problem):
@@ -353,7 +353,7 @@ def test_hj_solves_two_rungs_at_each_flow_node(monkeypatch):
     opts = ValueOptions(N=500)
     x = point([1.0], E1)
     rep = check_hj(QUAD, x, 0.1, opts=opts)
-    assert len(solves) == 1 + 6 * 2 + 3 * (1 + 2 * 2)  # 28; the full ladders took 52
+    assert len(solves) == 1 + 6 + 3 * (1 + 2)  # 16; the full ladders took 52
     assert len(rep.details["ladder"]) == 6
     assert len(rep.details["flow"]) == 3
     traj = value_function(QUAD, x, 0.1, opts).solve_ref.trajectory
@@ -392,12 +392,43 @@ def test_probe_solves_above_four_dimensions_run_at_most_1500(monkeypatch, energy
 
 def test_hj_quantile_fixture():
     # 16-dimensional quantile state: the identity needs the flow-direction
-    # probe; translation/dilation/random alone undershoot the slope
+    # probe; translation and dilation alone undershoot the slope
     x0 = gaussian_quantiles(SpaceSpec.quantile1d(16), 1.0, 1.5)
     est, center, _ = conditioned_slope_estimate(
         QENT, x0, 0.05, opts=ValueOptions(N=800, cache=ValueCache(1024))
     )
     assert abs(est - center.G) / center.G <= 5e-2
+
+
+@pytest.mark.parametrize("energy, x, est, ladder, n_solves", [
+    # the hilltop: the minimizer does not move, so plus and minus the axis
+    (DW, point([0.0], E1), 5.779314804499336e-08,
+     [0.05244101628490233, 0.026338610672108076, 0.013184092387685808,
+      0.006593895336770572, 0.0032971788350799613, 0.0016486183141140032], 1 + 12),
+    (quantile_entropy_potential(1.0, 0.5),
+     gaussian_quantiles(SpaceSpec.quantile1d(8), 0.4, 1.7), 1.2805802589989967,
+     [1.223273338003842, 1.251999995647759, 1.2663077551529418,
+      1.273448152377196, 1.2770150298783778, 1.2787976444386873], 1 + 6),
+    (quadratic([[2.0, 0.5, 0.3], [0.5, 1.5, 0.4], [0.3, 0.4, 1.0]], [0.2, -0.1, 0.3]),
+     point([1.0, -0.5, 0.8], SpaceSpec.euclidean(3)), 1.7269854200321078,
+     [1.629165394299401, 1.67807540716578, 1.702530413598966,
+      1.714757916815568, 1.7208716684238823, 1.723928544227995], 1 + 6),
+], ids=["dw-hilltop", "q8", "dense-e3"])
+def test_slope_estimate_probes_the_minimizers_move(monkeypatch, energy, x, est, ladder, n_solves):
+    # values of the ladder that also probed the axes, or translation and
+    # dilation, and eight random directions: the move alone reproduces them
+    solves = []
+
+    def counting(problem):
+        solves.append(problem)
+        return minimize_wed(problem)
+
+    monkeypatch.setattr("wedflow.value.minimize_wed", counting)
+    got, _, got_ladder = conditioned_slope_estimate(energy, x, 0.05, opts=ValueOptions(N=1000))
+    assert got == pytest.approx(est, rel=1e-12)
+    assert [q for _, q in got_ladder] == pytest.approx(ladder, rel=1e-12)
+    assert [h for h, _ in got_ladder] == [0.1 * 2.0**-k for k in range(6)]
+    assert len(solves) == n_solves
 
 
 def test_hj_sandwich_at_small_eps():
