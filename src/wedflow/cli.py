@@ -149,10 +149,10 @@ def _fmt(x) -> str:
 
 
 def write_residuals_csv(path: Path, residuals) -> None:
+    # tolist() gives Python floats, whose repr is _fmt's: one string, one write
+    rows = np.asarray(residuals, dtype=float).tolist()
     with open(path, "w") as fh:
-        fh.write("index,residual\n")
-        for i, r in enumerate(np.asarray(residuals, dtype=float)):
-            fh.write(f"{i},{_fmt(r)}\n")
+        fh.write("index,residual\n" + "".join(f"{i},{r!r}\n" for i, r in enumerate(rows)))
 
 
 def write_report(outdir: Path, report: IdentityReport) -> dict:

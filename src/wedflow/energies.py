@@ -328,9 +328,9 @@ def hess_many(spec: EnergySpec, U: np.ndarray) -> np.ndarray:
     else:
         raise NotAvailableError(spec.kind)
     H = np.zeros((n, d, d))
-    i = np.arange(d)
-    H[:, i, i] = diag
+    np.einsum("nii->ni", H)[...] = diag  # a strided view of the diagonals
     if off is not None:
+        i = np.arange(d)
         H[:, i[1:], i[:-1]] = off
         H[:, i[:-1], i[1:]] = off
     return H

@@ -39,8 +39,12 @@ def damped_newton(x, start, evaluate, residual, done, direction, max_iter):
     tolerances: the iteration evaluates only trial points, each once, and the
     accepted point's g serves the stall test and the next step.  Step
     lengths t = 1, 1/2, ..., 1e-16 are tried until merit drops by 1e-4 t slope
-    or, where that is below roundoff, the residual drops; the search fails at
-    the first t where ``x + t*p`` rounds to ``x`` (every smaller t does too).
+    or, where that is below the merit's roundoff, the residual drops.  The
+    search fails at the first finite trial whose whole first-order change
+    t slope is below that roundoff and whose residual does not drop: the
+    merit is blind to it and to every smaller step.  Trials where the merit
+    is not finite (off the domain) halve on, and the search also fails at the
+    first t where ``x + t*p`` rounds to ``x`` (every smaller t does too).
     A failed search stops the run: ``direction`` is a function of x and g,
     which it leaves unchanged, so a repeat would fail alike.  Two accepted
     roundoff-level steps that do not halve the residual stop it too.  Returns
@@ -61,14 +65,18 @@ def damped_newton(x, start, evaluate, residual, done, direction, max_iter):
             if np.array_equal(xn, x):
                 break
             fn, gn = evaluate(xn)
-            pred = 1e-4 * t * slope
-            if math.isfinite(fn) and abs(pred) >= _EPS_F * (1.0 + abs(f)):
-                ok = fn <= f + pred
-            else:
-                # merit change below roundoff: accept on residual descent
-                ok = math.isfinite(fn) and residual(gn) < r
-            if ok:
-                break
+            if math.isfinite(fn):
+                pred = 1e-4 * t * slope
+                floor = _EPS_F * (1.0 + abs(f))
+                if abs(pred) >= floor:
+                    ok = fn <= f + pred
+                else:
+                    # merit change below roundoff: accept on residual descent
+                    ok = residual(gn) < r
+                # the merit is blind to the whole first-order change t slope:
+                # smaller steps cannot change the answer
+                if ok or abs(t * slope) < floor:
+                    break
             t *= 0.5
         trace.append((it, f, t))
         if not ok:

@@ -129,18 +129,26 @@ def _weighted_cost(eps, grid, v, phis) -> float:
 # -- banded linear algebra -------------------------------------------------------
 
 
+# the scalar reduction stops at this many unknowns: below it each level costs
+# more in numpy call overhead than one dense LU solve of the whole remainder
+DENSE_CUT = 32
+
+
 def solve_tridiag(sub, diag, sup, rhs):
-    """Odd-even cyclic reduction for a scalar tridiagonal system (no pivoting).
+    """Odd-even cyclic reduction for a scalar tridiagonal system.
 
     Row k reads ``sub[k-1] x[k-1] + diag[k] x[k] + sup[k] x[k+1] = rhs[k]``.
     Each level divides the odd rows by their pivots and eliminates x[1],
     x[3], ... from the even rows, which leaves a tridiagonal system in x[0],
-    x[2], ... of half the size; after about log2(n) levels one unknown is
-    left, and back substitution fills in the odd unknowns level by level.
-    Every level is a few numpy operations on whole rows (Buzbee, Golub and
-    Nielson, SIAM J. Numer. Anal. 7, 1970).  Without pivoting it is stable on
-    diagonally dominant systems (Heller, SIAM J. Numer. Anal. 13, 1976).  An
-    exactly zero pivot raises LinAlgError; overflow gives non-finite entries.
+    x[2], ... of half the size.  Once ``DENSE_CUT`` or fewer unknowns are
+    left, one ``np.linalg.solve`` (LAPACK's partially pivoted LU) solves the
+    remainder as a dense matrix, and back substitution fills in the odd
+    unknowns level by level.  Every level is a few numpy operations on whole
+    rows (Buzbee, Golub and Nielson, SIAM J. Numer. Anal. 7, 1970).  The
+    reduction does not pivot: it is stable on diagonally dominant systems
+    (Heller, SIAM J. Numer. Anal. 13, 1976).  An exactly zero odd pivot of a
+    level, or a singular remainder, raises LinAlgError; overflow gives
+    non-finite entries.
     """
     n = diag.shape[0]
     # S[:, k] holds row k as x[k] = (S[2, k] + S[0, k] x[k-1] + S[1, k] x[k+1]) / S[3, k]
@@ -151,7 +159,7 @@ def solve_tridiag(sub, diag, sup, rhs):
     S[2], S[3] = rhs, diag
     levels = []
     with np.errstate(over="ignore", invalid="ignore"):
-        while n > 1:
+        while n > DENSE_CUT:
             odd, even = S[:, 1::2], S[:, ::2]
             if not odd[3].all():
                 raise np.linalg.LinAlgError("zero pivot")
@@ -171,9 +179,11 @@ def solve_tridiag(sub, diag, sup, rhs):
             S[2, :mo] += right[2]
             S[3, :mo] -= right[0]
             n = me
-        if not S[3].all():
-            raise np.linalg.LinAlgError("zero pivot")
-        x = S[2] / S[3]
+        M = np.zeros((n, n))
+        M.flat[::n + 1] = S[3]
+        M.flat[1::n + 1] = -S[1, :-1]
+        M.flat[n::n + 1] = -S[0, 1:]
+        x = np.linalg.solve(M, S[2])
         while levels:
             L = levels.pop()
             me, mo = x.shape[0], L.shape[1]
@@ -356,7 +366,7 @@ def minimize_wed(problem: WedProblem) -> WedSolution:
     # to the cells on both sides of a node (the last node has one), with row k
     # scaled by its preconditioner weight pw[k] to tame the mass decay
     W = np.diag(omega)
-    i = np.arange(problem.space.dim)
+    opw = omega * pw[:, None]  # the stopping norms' scale
     kin = np.append(c[:-1] + c[1:], c[-1])[:, None] * omega
     sub = -c[1:, None] * omega
     sup = sub / pw[:-1, None]
@@ -378,19 +388,19 @@ def minimize_wed(problem: WedProblem) -> WedSolution:
         return kin + float(np.sum(m * phis[:-1]) + tail * phis[-1]), g[1:]
 
     def dual_norm(g):
-        return float(np.sqrt(np.sum(g * g / omega / pw[:, None])))
+        return float(np.sqrt(np.sum(g * g / opw)))
 
     def row_max(g):
         # per-node stationarity residual in the mass-normalized (EL) scale;
         # keeps the near-zero-mass tail honest even though it cannot move
         # the objective above roundoff
-        return float(np.max(np.abs(g) / omega / pw[:, None]))
+        return float(np.max(np.abs(g) / opw))
 
     def direction(V, g):
         # row-scaled Newton step with a deterministic Levenberg ladder
         diag = hess_many(problem.energy, V)
         diag *= nodew[:, None, None]
-        diag[:, i, i] += kin
+        np.einsum("nii->ni", diag)[...] += kin
         diag /= pw[:, None, None]
         rhs = -g / pw[:, None]
         step = levenberg(lambda rho: solve_block_tridiag(sub, diag + rho * W, sup, rhs),
@@ -455,7 +465,6 @@ def solve_euler_lagrange(problem: WedProblem) -> WedSolution:
     omega = problem.space.metric_weights
     d = problem.space.dim
     full = lambda V: np.concatenate([problem.x_bar.coords[None, :], V])  # U[0] = x_bar is pinned
-    i = np.arange(d)
     lo = np.full((n_c - 1, d), -eps / dt**2 - 1.0 / (2.0 * dt))
     up = np.full((n_c - 1, d), -eps / dt**2 + 1.0 / (2.0 * dt))
     lo[-1] = -2.0 * eps / dt**2
@@ -481,7 +490,7 @@ def solve_euler_lagrange(problem: WedProblem) -> WedSolution:
         U = full(V)
         di = hess_many(problem.energy, U[1:])
         di /= omega[:, None]
-        di[:, i, i] += 2.0 * eps / dt**2
+        np.einsum("nii->ni", di)[...] += 2.0 * eps / dt**2
         try:
             step = solve_block_tridiag(lo, di, up, -F)
         except np.linalg.LinAlgError as exc:

@@ -2,10 +2,11 @@
 
 ``reference_damped_newton`` is that iteration written out: separate merit and
 derivative callbacks, a line search that halves t down to 1e-16 however
-early ``x + t*p`` rounds to ``x``, and a failed search counted as a stall, so
-that a first one is repeated from the same x.  The driver must give the same
-iterates, merits and gradients, bit for bit, on every solver that runs
-through it, and the same iteration counts but for that repeat.
+early ``x + t*p`` rounds to ``x`` or the merit goes blind to the step, and a
+failed search counted as a stall, so that a first one is repeated from the
+same x.  The driver must give the same iterates, merits and gradients, bit
+for bit, on every solver that runs through it, and the same iteration counts
+but for that repeat.
 """
 
 import importlib
@@ -106,7 +107,8 @@ def repeats_a_failed_search(rtrace):
 def assert_same_runs(new, ref):
     """Same x, merit and gradient; the same iterations, except that the driver
     stops at a failed search the reference repeats; traces equal but for the
-    last t of a failed search, which the reference halves below 1e-16."""
+    last t of a failed search, which the driver ends where the merit goes
+    blind or the step rounds away and the reference halves below 1e-16."""
     assert len(new) == len(ref) > 0
     for (x, f, g, it, trace), (rx, rf, rg, rit, rtrace) in zip(new, ref):
         assert bits(x) == bits(rx)
@@ -208,27 +210,69 @@ def test_current_iterate_is_never_evaluated_again(monkeypatch, solve):
     assert seen
 
 
+def run_one_search(x0, p, slope, evaluate):
+    """One damped_newton iteration along ``p`` from ``x0``, residual |g| and
+    never done: (its trace, the points it evaluated after x0)."""
+    points = []
+
+    def recorded(z):
+        points.append(z)
+        return evaluate(z)
+
+    x, f, g, it, trace = damped_newton(x0, evaluate(x0), recorded, abs, lambda g: False,
+                                       lambda z, g: (p, slope), 1)
+    assert not any(np.array_equal(z, x0) for z in points)
+    return trace, points
+
+
 @pytest.mark.parametrize("x0, p", [
     (1.0, 1.0),
     # the second coordinate rounds away from t = 2^-51, the first only at 2^-53
     (np.array([1.0, 4.0]), np.array([1.0, 1.0])),
 ])
 def test_failed_search_stops_where_the_step_rounds_away(x0, p):
-    # an ascent direction claimed as descent: every search fails
-    points = []
+    # an ascent direction claimed as descent with slope -1: every search
+    # fails.  The merit f = sum(x) has roundoff 8 eps (1 + f), 2^-48 at f = 1
+    # and 1.5 * 2^-46 at f = 5; the first t with t * |slope| below it, 2^-49
+    # and 2^-47, is a blind trial whose residual |g| = 1 does not drop: the
+    # search fails there, long before x + t*p rounds to x at 2^-53
+    f0 = float(np.sum(x0))
+    x, f, g, it, trace = damped_newton(x0, (f0, 1.0), lambda z: (float(np.sum(z)), 1.0), abs,
+                                       lambda g: False, lambda z, g: (p, -1.0), 10)
+    assert x is x0 and f == f0 and it == 1  # the failed search ends the run
+    t_end = {1.0: 2.0**-49, 5.0: 2.0**-47}[f0]
+    assert trace == [(1, f, t_end)]
+    trace, points = run_one_search(x0, p, -1.0, lambda z: (float(np.sum(z)), 1.0))
+    assert len(points) == 1 - round(math.log2(t_end))  # t = 1, 1/2, ..., t_end
 
+
+def test_failed_search_stops_where_x_plus_tp_rounds_to_x_before_the_merit_is_blind():
+    # a flat merit claimed to fall steeply: t * |slope| stays far above the
+    # merit's roundoff, but 2^40 + 2^-13 rounds (to even) to 2^40
+    x0 = 2.0**40
+    trace, points = run_one_search(x0, 1.0, -1e6, lambda z: (1.0, 1.0))
+    assert trace == [(1, 1.0, 2.0**-13)]
+    assert len(points) == 13  # t = 1, ..., 2^-12
+
+
+@pytest.mark.parametrize("finite_below", [None, 2.0**-50])
+def test_non_finite_trials_halve_past_the_blind_merit(finite_below):
+    # off the domain (merit inf) a trial says nothing of the merit's
+    # roundoff: the search halves on below 2^-49, where a finite blind trial
+    # would end it, and accepts a finite trial there whose residual drops
     def evaluate(z):
-        points.append(z)
-        return float(np.sum(z)), 1.0
+        if z == 1.0:
+            return 1.0, 1.0
+        if finite_below is None or z - 1.0 > finite_below:
+            return math.inf, None
+        return float(z), 0.5
 
-    x, f, g, it, trace = damped_newton(x0, evaluate(x0), evaluate, abs, lambda g: False,
-                                       lambda z, g: (p, -1.0), 10)
-    assert x is x0 and f == float(np.sum(x0)) and it == 1
-    # trials at t = 1, 1/2, ..., 2^-52; x + 2^-53 p == x ends the search, and
-    # the failed search ends the run
-    assert trace == [(1, f, 2.0**-53)]
-    assert len(points) == 1 + 53
-    assert not any(np.array_equal(z, x0) for z in points[1:])
+    trace, points = run_one_search(1.0, 1.0, -1.0, evaluate)
+    if finite_below is None:
+        # every trial is off the domain: 1 + 2^-53 rounds to 1 and fails
+        assert trace == [(1, 1.0, 2.0**-53)] and len(points) == 53
+    else:
+        assert trace == [(1, 1.0, finite_below)] and len(points) == 51
 
 
 # -- the Levenberg shift ladder ------------------------------------------------------

@@ -502,10 +502,12 @@ def rel_err(x, ref):
     return float(np.max(np.abs(x - ref)) / np.max(np.abs(ref)))
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 63, 500, 4000, 4001])
+@pytest.mark.parametrize("n", [1, 2, 3, 31, 32, 33, 63, 64, 65, 500, 4000, 4001])
 def test_tridiag_matches_solve_banded(n):
     # n = 63 is 2^6 - 1 and 4000 a direct solve at N = 4000;
-    # the reduction meets odd and even sizes on its way down
+    # the reduction meets odd and even sizes on its way down.  Up to
+    # DENSE_CUT = 32 unknowns the dense remainder solve is all there is;
+    # 33, 64 and 65 take one reduction level before it
     sub, diag, sup, rhs, _ = banded_system(np.random.default_rng(7 * n), n, 1)
     bands = (sub[:, 0], diag[:, 0, 0], sup[:, 0], rhs[:, 0])
     x = solve_tridiag(*bands)
@@ -514,6 +516,37 @@ def test_tridiag_matches_solve_banded(n):
     # strided views are read as they are
     wide = [np.repeat(b, 2)[::2] for b in bands]
     assert np.array_equal(solve_tridiag(*wide), x)
+
+
+@pytest.mark.parametrize("n", [32, 64])
+def test_tridiag_zero_odd_pivot_raises_above_the_cut_only(n):
+    # row 1's pivot is zero, though the matrix is regular.  At n = 64 row 1
+    # is an odd row of level 0 and raises before the reduction reaches the
+    # dense remainder; at n = 32 the remainder is the whole system, and its
+    # pivoted LU solves it
+    sub, sup, diag = np.ones(n - 1), np.ones(n - 1), np.full(n, 4.0)
+    diag[1] = 0.0
+    rhs = np.ones(n)
+    assert np.linalg.matrix_rank(block_matrix(sub[:, None], diag.reshape(-1, 1, 1),
+                                              sup[:, None])) == n
+    if n == 64:
+        with pytest.raises(np.linalg.LinAlgError, match="zero pivot"):
+            solve_tridiag(sub, diag, sup, rhs)
+    else:
+        bands = (sub, diag, sup, rhs)
+        assert rel_err(solve_tridiag(*bands), solve_banded_ref(*bands)) <= 1e-13
+
+
+def test_tridiag_singular_remainder_raises():
+    # tridiag(-1, 2, -1) with 1 in both corners (a Neumann Laplacian) is
+    # singular on the constants.  Level 0's odd pivots are all 2; its dyadic
+    # entries reduce exactly to a 32-unknown remainder as singular, whose LU
+    # meets an exactly zero pivot
+    n = 64
+    sub, sup, diag = -np.ones(n - 1), -np.ones(n - 1), np.full(n, 2.0)
+    diag[0] = diag[-1] = 1.0
+    with pytest.raises(np.linalg.LinAlgError, match="[Ss]ingular"):
+        solve_tridiag(sub, diag, sup, np.ones(n))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
