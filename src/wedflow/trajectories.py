@@ -203,6 +203,33 @@ def _cell_sq_integral(a: float, b: float, t0: float, h: float, eps: float) -> fl
     return np.exp(-t0 / eps) / eps * (a * a * i0 + 2.0 * a * b * i1 + b * b * i2)
 
 
+def spectral_terms(t: np.ndarray, w: np.ndarray, eps: float):
+    """Per-cell terms of ``spectral_check``'s two integrals, cells along the
+    last axis: ``(dirichlet, l2)``, the weighted Dirichlet and the weighted L2
+    integral of each cell, l2 not yet scaled by 1/(4 eps^2).
+
+    A cell reads only its two end nodes, so the cells of a long profile can be
+    evaluated a chunk at a time, each chunk of nodes one node longer than its
+    chunk of cells; w(0) = 0 is not checked here.
+    """
+    dt = np.diff(t)
+    v = np.divide(np.diff(w), dt, out=np.zeros_like(dt), where=dt != 0.0)
+    ew = np.exp(-t / eps)
+    dirichlet = v * v * (ew[..., :-1] - ew[..., 1:])
+    return dirichlet, _cell_sq_integral(w[..., :-1], v, t[..., :-1], dt, eps)
+
+
+def spectral_totals(dirichlet: np.ndarray, l2: np.ndarray, eps: float):
+    """``spectral_check``'s (lhs, rhs, ratio) from the per-cell terms of
+    ``spectral_terms``, summed along the last axis."""
+    lhs = np.sum(dirichlet, axis=-1)
+    rhs = np.sum(l2, axis=-1) / (4.0 * eps * eps)
+    ratio = np.divide(rhs, lhs, out=np.zeros_like(lhs), where=lhs > 0.0)
+    if dirichlet.ndim == 1:
+        return float(lhs), float(rhs), float(ratio)
+    return lhs, rhs, ratio
+
+
 def spectral_check(t: np.ndarray, w: np.ndarray, eps: float):
     """Weighted Poincare comparison for w with w(0) = 0.
 
@@ -224,17 +251,7 @@ def spectral_check(t: np.ndarray, w: np.ndarray, eps: float):
         raise InvalidInputError("t and w must have matching shapes")
     if np.any(w[..., 0] != 0.0):
         raise InvalidInputError("spectral check needs w(0) = 0")
-    dt = np.diff(t)
-    v = np.divide(np.diff(w), dt, out=np.zeros_like(dt), where=dt != 0.0)
-    ew = np.exp(-t / eps)
-    m = ew[..., :-1] - ew[..., 1:]
-    lhs = np.sum(v * v * m, axis=-1)
-    sq = _cell_sq_integral(w[..., :-1], v, t[..., :-1], dt, eps)
-    rhs = np.sum(sq, axis=-1) / (4.0 * eps * eps)
-    ratio = np.divide(rhs, lhs, out=np.zeros_like(lhs), where=lhs > 0.0)
-    if t.ndim == 1:
-        return float(lhs), float(rhs), float(ratio)
-    return lhs, rhs, ratio
+    return spectral_totals(*spectral_terms(t, w, eps), eps)
 
 
 def poincare_witness(n: float, eps: float, t: np.ndarray) -> np.ndarray:

@@ -1,4 +1,5 @@
 import json
+import random
 
 import numpy as np
 import pytest
@@ -40,25 +41,90 @@ def test_spectral_only_config_passes(tmp_path):
 
 @pytest.mark.parametrize("seed", [20240, 7])
 def test_spectral_suite_is_the_profile_by_profile_loop(tmp_path, seed):
-    # the suite checks its 1000 random profiles in two stacked calls; one call
-    # a profile, in the same draw order, gives the same residuals and ratio
+    # the suite checks its 1000 random profiles PROFILE_ROWS at a time in
+    # stacked calls, and the witness in chunks; one call a profile, on the
+    # same draws, and one call for the whole witness give the same residuals
+    # and ratio
     from wedflow import poincare_witness, spectral_check
-    from wedflow.cli import suite_spectral
+    from wedflow.cli import PROFILE_ROWS, spectral_profiles, suite_spectral
 
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     ref = []
     for eps in (0.1, 1.0):
-        for _ in range(500):
-            n = int(rng.integers(8, 64))
-            t = np.concatenate([[0.0], np.cumsum(rng.uniform(0.01, 0.5, n))])
-            w = np.concatenate([[0.0], rng.standard_normal(n)])
-            lhs, rhs, _ = spectral_check(t, w, eps)
-            ref.append(max(0.0, rhs - lhs) / max(lhs, 1e-300))
+        for _ in range(500 // PROFILE_ROWS):
+            for t, w in zip(*spectral_profiles(rng, PROFILE_ROWS)):
+                n = np.count_nonzero(np.diff(t))
+                lhs, rhs, _ = spectral_check(t[:n + 1], w[:n + 1], eps)
+                ref.append(max(0.0, rhs - lhs) / max(lhs, 1e-300))
     t = np.linspace(0.0, 200.0, 100_001)
     ratio = spectral_check(t, poincare_witness(50.0, 1.0, t), 1.0)[2]
     report = suite_spectral(Experiment(cfg(probe_seed=seed)), tmp_path)
     assert np.array_equal(report.residuals, ref + [max(0.0, 0.9 - ratio)])
     assert report.details == {"witness_ratio": ratio}
+
+
+def test_spectral_profiles_draw_the_stated_distributions():
+    from wedflow.cli import spectral_profiles
+
+    t, w = spectral_profiles(random.Random(3), 2000)
+    dt = np.diff(t, axis=1)
+    n = np.count_nonzero(dt, axis=1)
+    assert n.min() == 8 and n.max() == 63
+    live = np.arange(63) < n[:, None]
+    assert np.all(dt[live] >= 0.01) and np.all(dt[live] < 0.5)
+    assert np.all(dt[~live] == 0.0) and np.all(w[:, 1:][~live] == 0.0) and np.all(w[:, 0] == 0.0)
+    assert abs(np.mean(dt[live]) - 0.255) < 0.003
+    normals = w[:, 1:][live]
+    assert abs(np.mean(normals)) < 0.01 and abs(np.std(normals) - 1.0) < 0.01
+
+
+def test_spectral_profiles_never_violate_for_seeds_1_to_200():
+    from wedflow import spectral_check
+    from wedflow.cli import PROFILE_ROWS, spectral_profiles
+
+    # each seed's draws as the suite makes them, each eps's 500 rows in one call
+    for seed in range(1, 201):
+        rng = random.Random(seed)
+        for eps in (0.1, 1.0):
+            chunks = [spectral_profiles(rng, PROFILE_ROWS) for _ in range(500 // PROFILE_ROWS)]
+            lhs, rhs, _ = spectral_check(*map(np.concatenate, zip(*chunks)), eps)
+            assert np.all(np.maximum(0.0, rhs - lhs) / np.maximum(lhs, 1e-300) == 0.0), seed
+
+
+def test_spectral_suite_traced_peak_stays_below_4_mib(tmp_path):
+    # tracemalloc sees numpy's buffers; the whole-witness suite peaked at
+    # 9.9 MiB, the chunked one at 2.7 MiB
+    import tracemalloc
+
+    from wedflow.cli import suite_spectral
+
+    exp = Experiment(cfg())
+    tracemalloc.start()
+    try:
+        suite_spectral(exp, tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
+def test_check_never_imports_numpy_random(tmp_path):
+    # the import alone costs 4.4-5.3 MiB of a check's peak memory
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import wedflow
+
+    argv = ["check", "--config", str(write_cfg(tmp_path, cfg())), "--out", str(tmp_path / "out"),
+            "--suite", "spectral", "--quiet"]
+    code = ("import sys; from wedflow.cli import main; code = main(sys.argv[1:]); "
+            "print(code, 'numpy.random' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": str(Path(wedflow.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
+                         env=env, check=True)
+    assert out.stdout.split() == ["0", "False"]
 
 
 def test_quadratic_end_to_end(tmp_path):

@@ -10,6 +10,7 @@ from wedflow import (
     poincare_witness, quadratic, spectral_check, weighted_ibp_check,
 )
 from wedflow.energies import eval_many
+from wedflow.trajectories import spectral_terms, spectral_totals
 
 E1 = SpaceSpec.euclidean(1)
 E2 = SpaceSpec.euclidean(2)
@@ -314,6 +315,24 @@ def test_spectral_stack_of_zero_padded_profiles_is_one_call_a_profile():
     w[7, 0] = 1.0
     with pytest.raises(InvalidInputError):
         spectral_check(np.cumsum(dt, axis=1), w, 0.3)
+
+
+def test_spectral_terms_in_chunks_are_the_terms_of_one_call():
+    # the spectral suite's witness is evaluated WITNESS_CELLS cells at a time;
+    # here the chunk size does not divide the cell count
+    from wedflow.cli import WITNESS_CELLS
+
+    rng = np.random.default_rng(5)
+    cells = 2 * WITNESS_CELLS + 123
+    t = np.concatenate([[0.0], np.cumsum(rng.uniform(0.001, 0.02, cells))])
+    w = np.concatenate([[0.0], rng.standard_normal(cells)])
+    whole = spectral_terms(t, w, 0.7)
+    chunked = np.empty((2, cells))
+    for a in range(0, cells, WITNESS_CELLS):
+        chunked[:, a:a + WITNESS_CELLS] = spectral_terms(t[a:a + WITNESS_CELLS + 1],
+                                                         w[a:a + WITNESS_CELLS + 1], 0.7)
+    assert np.array_equal(chunked, whole)
+    assert spectral_totals(*chunked, 0.7) == spectral_check(t, w, 0.7)
 
 
 @given(st.integers(min_value=2, max_value=30), st.floats(min_value=0.05, max_value=2.0),

@@ -549,6 +549,17 @@ def test_finsler_pinned_value_of_the_kinked_weight():
     assert val == pytest.approx(3.389011373098585, rel=1e-7)
 
 
+@pytest.mark.parametrize("energy, exact", [(QUAD, 1.5 * math.sqrt(2.0)),
+                                           (DW, math.sqrt(3.0) + 1.0 / 3.0)])
+def test_finsler_1d_distance_is_the_weight_integral(energy, exact):
+    # in 1-D the distance from 0 to 2 is the integral of f over [0, 2]; the
+    # README weight's descent stops at the iteration cap (residual 7.9e-4),
+    # 3.65e-5 relative below it, the double well's converges 2.15e-5 below
+    f = lambda P: np.sqrt(np.maximum(1.0, eval_many(energy, P)))
+    val = finsler_distance(E1, f, point([0.0], E1), point([2.0], E1))[0]
+    assert val == pytest.approx(exact, rel=5e-5)
+
+
 @pytest.mark.parametrize("case", ["double_well", "plane"])
 def test_finsler_parameter_length_is_the_closed_form(case):
     space, f, a, b, _ = FINSLER_PINS[case]
