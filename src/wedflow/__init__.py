@@ -28,10 +28,10 @@ from .trajectories import (
 from .value import (
     IdentityReport, ValueCache, ValueOptions, ValueSample,
     check_dpp, check_eps_monotonicity, check_fundamental_identity, check_hj,
-    check_yosida_bound, conditioned_slope_estimate, finsler_distance,
+    check_inner_variation, check_yosida_bound, conditioned_slope_estimate, finsler_distance,
     value_along, value_function, wed_slope_compare,
 )
 from .wed import (
-    WedProblem, WedSolution, check_inner_variation, default_horizon,
+    WedProblem, WedSolution, default_horizon,
     minimize_wed, solve_euler_lagrange, wed_value,
 )

@@ -38,11 +38,11 @@ from .trajectories import (
     g_reparam, metric_speed, poincare_witness, spectral_check, spectral_terms, spectral_totals,
 )
 from .value import (
-    IdentityReport, ValueOptions, check_dpp,
-    check_eps_monotonicity, check_fundamental_identity, check_hj,
-    check_yosida_bound, finsler_distance, value_along, value_function,
+    IdentityReport, ValueOptions, check_dpp, check_eps_monotonicity, check_fundamental_identity,
+    check_hj, check_inner_variation, check_yosida_bound, finsler_distance, value_along,
+    value_function,
 )
-from .wed import DIRECT, UNIFORM, WedProblem, check_inner_variation, default_horizon, minimize_wed
+from .wed import DIRECT, UNIFORM, WedProblem, default_horizon, minimize_wed
 
 
 class ConfigError(WedflowError):
@@ -147,20 +147,22 @@ class Experiment:
 # -- emission helpers ---------------------------------------------------------
 
 
-def _fmt(x) -> str:
-    return repr(float(x))
-
-
-def write_residuals_csv(path: Path, residuals) -> None:
-    # tolist() gives Python floats, whose repr is _fmt's: one string, one write
-    rows = np.asarray(residuals, dtype=float).tolist()
+def write_csv(path: Path, header, rows) -> None:
+    """``header`` and ``rows``, tuples of Python numbers or None, as CSV in
+    one string and one write: a float cell is its repr (the shortest string
+    that reads back to it), an int its digits, None an empty cell.  Callers
+    pass numpy data through ``tolist()``."""
+    line = ",".join(["%r"] * len(header)) + "\n"
+    # None's repr is the only cell text that spells "None"
+    body = "".join([line % row for row in rows]).replace("None", "")
     with open(path, "w") as fh:
-        fh.write("index,residual\n" + "".join(f"{i},{r!r}\n" for i, r in enumerate(rows)))
+        fh.write(",".join(header) + "\n" + body)
 
 
 def write_report(outdir: Path, report: IdentityReport) -> dict:
     resid_file = outdir / f"residuals_{report.name}.csv"
-    write_residuals_csv(resid_file, report.residuals)
+    write_csv(resid_file, ("index", "residual"),
+              enumerate(np.asarray(report.residuals, dtype=float).tolist()))
     payload = {
         "identity": report.name,
         "max_residual": report.max_residual,
@@ -179,28 +181,6 @@ def _write_json(path: Path, obj) -> None:
     with open(path, "w") as fh:
         json.dump(obj, fh, indent=1, sort_keys=True, default=lambda o: o.tolist())
         fh.write("\n")
-
-
-def write_trajectory_csv(path: Path, sol, resid_fund, resid_inner) -> None:
-    """One row per node; per-cell quantities (speed, residuals) at the cell's
-    left node, blank on the final row."""
-    pts = sol.trajectory.points
-    nodes = sol.trajectory.grid.nodes
-    d = pts.shape[1]
-    V = value_along(sol)
-    with open(path, "w") as fh:
-        cols = ["t"] + [f"x{j}" for j in range(d)] + ["speed", "phi", "V",
-                                                      "resid_fund", "resid_inner"]
-        fh.write(",".join(cols) + "\n")
-        n_cell = len(nodes) - 1
-        for i, t in enumerate(nodes):
-            row = [_fmt(t)] + [_fmt(c) for c in pts[i]]
-            row.append(_fmt(sol.speed[i]) if i < n_cell else "")
-            row.append(_fmt(sol.phi[i]))
-            row.append(_fmt(V[i]))
-            row.append(_fmt(resid_fund[i]) if i < len(resid_fund) else "")
-            row.append(_fmt(resid_inner[i]) if i < len(resid_inner) else "")
-            fh.write(",".join(row) + "\n")
 
 
 # -- suites --------------------------------------------------------------------
@@ -253,15 +233,7 @@ def suite_spectral(exp: Experiment, outdir: Path) -> IdentityReport:
 
 
 def suite_inner(exp: Experiment, outdir: Path) -> IdentityReport:
-    sol = exp.solution()
-    rep = check_inner_variation(sol)
-    scale = max(rep.speed_scale, 1e-12)
-    resid = np.append(rep.residuals / scale, rep.boundary_residual / max(abs(sol.objective), 1e-9))
-    return IdentityReport(
-        name="inner", residuals=resid,
-        tolerance=5e-2,
-        details={"boundary_residual": rep.boundary_residual, "speed_scale": rep.speed_scale},
-    )
+    return check_inner_variation(exp.solution())
 
 
 def suite_dpp(exp: Experiment, outdir: Path) -> IdentityReport:
@@ -310,11 +282,8 @@ def suite_lambda(exp: Experiment, outdir: Path) -> IdentityReport:
 def suite_convergence(exp: Experiment, outdir: Path) -> IdentityReport:
     table = convergence_study(exp.energy, exp.x_bar, exp.eps_list, exp.t_obs,
                               exp.N, exp.grad_tol, exp.max_iter)
-    with open(outdir / "convergence.csv", "w") as fh:
-        fh.write("epsilon,sup_err,lsc_residual,runtime_s\n")
-        for r in table.rows:
-            fh.write(f"{_fmt(r.epsilon)},{_fmt(r.sup_err)},{_fmt(r.lsc_residual)},"
-                     f"{_fmt(r.runtime_s)}\n")
+    write_csv(outdir / "convergence.csv", ("epsilon", "sup_err", "lsc_residual", "runtime_s"),
+              [(r.epsilon, r.sup_err, r.lsc_residual, r.runtime_s) for r in table.rows])
     errs = table.sup_errors
     resid = [max(0.0, errs[i + 1] - 1.1 * errs[i]) for i in range(len(errs) - 1)]
     resid.append(max(0.0, table.rows[-1].lsc_residual - 5e-2))
@@ -380,10 +349,17 @@ def emit_solve(exp: Experiment, outdir: Path) -> dict:
     sol = exp.solution()
     fund = check_fundamental_identity(sol)
     inner = check_inner_variation(sol)
-    n_rate = sol.speed.shape[0]
-    write_trajectory_csv(outdir / "trajectory.csv", sol,
-                         resid_fund=fund.residuals[:n_rate],
-                         resid_inner=inner.residuals)
+    pts = sol.trajectory.points
+    # one row per node; per-cell quantities on the cell's left-node row, blank
+    # past the last cell, and the rate residuals (fund's first third) blank
+    # past the five-eps cut
+    column = lambda a: a.tolist() + [None] * (len(pts) - len(a))
+    write_csv(outdir / "trajectory.csv",
+              ["t", *(f"x{j}" for j in range(pts.shape[1])), "speed", "phi", "V", "resid_fund",
+               "resid_inner"],
+              zip(sol.trajectory.grid.nodes.tolist(), *pts.T.tolist(), column(sol.speed),
+                  sol.phi.tolist(), value_along(sol).tolist(),
+                  column(fund.residuals[:fund.residuals.size // 3]), column(inner.residuals[:-1])))
     payload = {
         "objective": sol.objective,
         "iterations": sol.iterations,
@@ -399,15 +375,13 @@ def emit_solve(exp: Experiment, outdir: Path) -> dict:
 
 
 def emit_value(exp: Experiment, outdir: Path, xs=None) -> None:
-    xs = [exp.x_bar] if xs is None else xs
-    with open(outdir / "value.csv", "w") as fh:
-        d = exp.space.dim
-        fh.write(",".join([f"x{j}" for j in range(d)] + ["epsilon", "V", "G", "phi"]) + "\n")
-        for x in xs:
-            for eps in exp.eps_list:
-                s = value_function(exp.energy, x, eps, exp.value_opts())
-                row = [_fmt(c) for c in x.coords] + [_fmt(eps), _fmt(s.V), _fmt(s.G), _fmt(s.phi)]
-                fh.write(",".join(row) + "\n")
+    rows = []
+    for x in [exp.x_bar] if xs is None else xs:
+        for eps in exp.eps_list:
+            s = value_function(exp.energy, x, eps, exp.value_opts())
+            rows.append((*x.coords.tolist(), *map(float, (eps, s.V, s.G, s.phi))))
+    write_csv(outdir / "value.csv",
+              [*(f"x{j}" for j in range(exp.space.dim)), "epsilon", "V", "G", "phi"], rows)
 
 
 def emit_sweep(exp: Experiment, outdir: Path) -> None:
@@ -420,15 +394,11 @@ def emit_mm(exp: Experiment, outdir: Path) -> None:
     tau = _need(exp.cfg, "mm_tau", float, default=exp.epsilon**2 / 4.0)
     steps = _need(exp.cfg, "mm_steps", int, default=math.ceil(exp.t_obs / tau))
     mm = minimizing_movements(exp.x_bar, tau, steps, exp.energy, exp.space)
-    phis = eval_many(exp.energy, mm.trajectory.points)
-    with open(outdir / "mm.csv", "w") as fh:
-        d = exp.space.dim
-        fh.write(",".join(["k", "t"] + [f"x{j}" for j in range(d)] + ["phi", "movement"]) + "\n")
-        for k, t in enumerate(mm.trajectory.grid.nodes):
-            row = [str(k), _fmt(t)] + [_fmt(c) for c in mm.trajectory.points[k]]
-            row.append(_fmt(phis[k]))
-            row.append(_fmt(mm.movements[k - 1]) if k >= 1 else "")
-            fh.write(",".join(row) + "\n")
+    pts = mm.trajectory.points
+    write_csv(outdir / "mm.csv",
+              ["k", "t", *(f"x{j}" for j in range(pts.shape[1])), "phi", "movement"],
+              zip(range(len(pts)), mm.trajectory.grid.nodes.tolist(), *pts.T.tolist(),
+                  eval_many(exp.energy, pts).tolist(), [None, *mm.movements.tolist()]))
 
 
 _TASK_FN = {"solve": emit_solve, "value": emit_value, "sweep": emit_sweep, "mm": emit_mm}

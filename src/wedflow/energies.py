@@ -409,10 +409,7 @@ def prox(spec: EnergySpec, space: SpaceSpec, coords: np.ndarray, t):
         return F, G, np.where(R <= gtol, 0.0, R)
 
     def evaluate(Y):
-        try:
-            F, G = objective(Y)
-        except DomainError:  # off the quantile cone
-            return math.inf, None
+        F, G = objective(Y)
         return float(F.sum()), state(F, G)
 
     def direction(Y, g):

@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 
+from .errors import DomainError
+
 _EPS_F = 8.0 * np.finfo(float).eps
 
 
@@ -33,8 +35,10 @@ def damped_newton(x, start, evaluate, residual, done, direction, max_iter):
 
     ``evaluate(x)`` returns ``(merit, g)``, g the gradient or residual vector
     (with whatever else the callbacks need: the proximal step's g also holds
-    each row's value), or None where it cannot be formed (the merit is then
-    inf); ``residual(g)`` is its size and ``done(g)`` the stop test.
+    each row's value); ``residual(g)`` is its size and ``done(g)`` the stop
+    test.  A trial where ``evaluate`` raises DomainError (off the domain, as
+    off the quantile cone) is a trial of merit inf and no g; every other
+    exception propagates.
     ``start`` is ``evaluate(x)``, which the caller has formed for its own
     tolerances: the iteration evaluates only trial points, each once, and the
     accepted point's g serves the stall test and the next step.  Step
@@ -64,7 +68,10 @@ def damped_newton(x, start, evaluate, residual, done, direction, max_iter):
             xn = x + t * p
             if np.array_equal(xn, x):
                 break
-            fn, gn = evaluate(xn)
+            try:
+                fn, gn = evaluate(xn)
+            except DomainError:
+                fn, gn = math.inf, None
             if math.isfinite(fn):
                 pred = 1e-4 * t * slope
                 floor = _EPS_F * (1.0 + abs(f))

@@ -183,9 +183,6 @@ class ConvergenceTable:
     rows: tuple
 
     def __post_init__(self):
-        eps = [r.epsilon for r in self.rows]
-        if any(e1 >= e0 for e0, e1 in zip(eps, eps[1:])):
-            raise InvalidInputError("epsilons must decrease strictly")
         for r in self.rows:
             if not all(map(math.isfinite, (r.epsilon, r.sup_err, r.lsc_residual, r.runtime_s))):
                 raise InvalidInputError("table entries must be finite")
@@ -205,8 +202,10 @@ def convergence_study(energy: EnergySpec, x_bar: Point, eps_list, t_obs: float,
     closed-form flow where ``has_exact_flow`` finds one (quadratics, the
     double well, the convex quartic, the confined quantile flow), otherwise
     the proximal iteration at the step tau = min(eps)^2 / 4, much finer than
-    every epsilon in the sweep.
+    every epsilon in the sweep.  ``eps_list`` must decrease strictly.
     """
+    if any(e1 >= e0 for e0, e1 in zip(eps_list, eps_list[1:])):
+        raise InvalidInputError("epsilons must decrease strictly")
     space = x_bar.space
     rows = []
     mm_ref = None

@@ -182,12 +182,12 @@ def geodesic_point(space: SpaceSpec, a: Point, b: Point, theta: float) -> Point:
     return Point((1.0 - theta) * a.coords + theta * b.coords, space)
 
 
-def probe_directions(space: SpaceSpec, at: np.ndarray | None = None) -> np.ndarray:
-    """Unit-metric-length probe directions, a (2k, d) array of plus and minus
-    each of k directions: the coordinate axes, or, in quantile coordinates
-    with ``at`` given and d > 1, translation and dilation of ``at``."""
+def probe_directions(space: SpaceSpec, at: np.ndarray) -> np.ndarray:
+    """Unit-metric-length probe directions at the state ``at``, a (2k, d)
+    array of plus and minus each of k directions: the coordinate axes, or, in
+    quantile coordinates with d > 1, translation and dilation of ``at``."""
     d = space.dim
-    if space.kind == QUANTILE1D and d > 1 and at is not None:
+    if space.kind == QUANTILE1D and d > 1:
         # translation and dilation span the directions the confined flows
         # move in; coordinate probes would mostly leave the monotone cone
         V = np.stack([np.ones(d), at - float(np.mean(at))])

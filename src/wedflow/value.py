@@ -225,6 +225,30 @@ def check_fundamental_identity(sol: WedSolution) -> IdentityReport:
     )
 
 
+def check_inner_variation(sol: WedSolution) -> IdentityReport:
+    """Residuals of d/dt(phi - eps/2 |u'|^2) = -|u'|^2 along the solution.
+
+    One residual per cell, normalized by max |u'|^2 (``speed_scale``), then
+    the boundary identity tying the objective to the value of phi - eps/2
+    |u'|^2 at time zero, with the finite-horizon correction carried by the
+    tail weight, relative to the objective.  Tolerance 5%.
+    """
+    eps = sol.problem.epsilon
+    v = sol.speed
+    phis = sol.phi
+    vv = np.append(v, v[-1])  # the last node takes the last cell's speed
+    calv = phis - 0.5 * eps * vv * vv
+    resid = np.abs(np.diff(calv) / sol.trajectory.grid.dt + v * v)
+    boundary = abs(sol.objective - (calv[0] + sol.weights.tail * (phis[-1] - calv[-1])))
+    vmax = float(np.max(v * v))
+    return IdentityReport(
+        name="inner",
+        residuals=np.append(resid / max(vmax, 1e-12), boundary / max(abs(sol.objective), 1e-9)),
+        tolerance=5e-2,
+        details={"boundary_residual": boundary, "speed_scale": vmax},
+    )
+
+
 def check_eps_monotonicity(energy: EnergySpec, x: Point, eps_list,
                            opts: ValueOptions | None = None) -> IdentityReport:
     """V is nonincreasing in eps and increases to phi(x) as eps decreases."""

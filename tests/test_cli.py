@@ -258,6 +258,26 @@ def test_trajectory_csv_schema(tmp_path):
     assert last[2] == ""  # no cell speed on the final node row
 
 
+def test_trajectory_csv_residual_columns(tmp_path):
+    # resid_fund: each kept cell's rate residual on its own row, blank past
+    # the five-eps cut (here t >= 1.5); resid_inner: the per-cell residuals
+    # the inner suite grades, blank on the final node row
+    from wedflow import check_fundamental_identity, check_inner_variation
+
+    assert run(cfg(), tmp_path / "out", suites=(), quiet=True, tasks=("solve",)) == 0
+    out = tmp_path / "out"
+    rows = [line.split(",") for line in (out / "trajectory.csv").read_text().splitlines()[1:]]
+    sol = Experiment(cfg()).solution()
+    fund, inner = check_fundamental_identity(sol), check_inner_variation(sol)
+    rate = fund.residuals[:fund.residuals.size // 3].tolist()
+    assert 0 < len(rate) < BASE["N"]
+    assert [r[5] for r in rows] == [repr(x) for x in rate] + [""] * (len(rows) - len(rate))
+    assert max(map(float, filter(None, (r[5] for r in rows)))) == fund.details["rate_max"]
+    assert [r[6] for r in rows] == [repr(x) for x in inner.residuals[:-1].tolist()] + [""]
+    report = json.loads((out / "report.json").read_text())
+    assert report["residuals"]["inner_variation"] == inner.max_residual
+
+
 def test_mm_csv_schema(tmp_path):
     assert run(cfg(mm_tau=0.01, mm_steps=10), tmp_path / "out", suites=(), quiet=True,
                tasks=("mm",)) == 0

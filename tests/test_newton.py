@@ -16,8 +16,9 @@ import numpy as np
 import pytest
 
 from wedflow import (
-    NonConvergenceError, SpaceSpec, ValueOptions, WedProblem, double_well, finsler_distance,
-    gaussian_quantiles, minimize_wed, point, quantile_entropy_potential, value_function, yosida,
+    DomainError, NonConvergenceError, SpaceSpec, ValueOptions, WedProblem, double_well,
+    finsler_distance, gaussian_quantiles, minimize_wed, point, quantile_entropy_potential,
+    value_function, yosida,
 )
 from wedflow.energies import eval_many, grad_many, prox
 from wedflow.newton import damped_newton, levenberg
@@ -67,8 +68,15 @@ def reference_damped_newton(x, merit, derivs, residual, done, direction, max_ite
 
 
 def reference_driver(x, start, evaluate, residual, done, direction, max_iter):
-    # evaluates x itself, as the iteration it replaced did
-    return reference_damped_newton(x, lambda z: evaluate(z)[0], lambda z: evaluate(z)[1],
+    # evaluates x itself, as the iteration it replaced did; a point off the
+    # domain (DomainError) has merit inf and no derivatives
+    def total(z):
+        try:
+            return evaluate(z)
+        except DomainError:
+            return math.inf, None
+
+    return reference_damped_newton(x, lambda z: total(z)[0], lambda z: total(z)[1],
                                    residual, done, direction, max_iter)
 
 
@@ -273,6 +281,22 @@ def test_non_finite_trials_halve_past_the_blind_merit(finite_below):
         assert trace == [(1, 1.0, 2.0**-53)] and len(points) == 53
     else:
         assert trace == [(1, 1.0, finite_below)] and len(points) == 51
+
+
+@pytest.mark.parametrize("off_domain", ["raises", "inf"])
+def test_domain_error_trials_halve_back_inside(off_domain):
+    # past z = 1.5 evaluate cannot form the merit: raising DomainError there
+    # is a trial of merit inf, so t = 1 and 1/2 fail and t = 1/4 lands inside
+    def evaluate(z):
+        if z > 1.5:
+            if off_domain == "raises":
+                raise DomainError("off the domain")
+            return math.inf, None
+        return -float(z), 1.0
+
+    trace, points = run_one_search(0.0, 4.0, -4.0, evaluate)
+    assert trace == [(1, 0.0, 0.25)]
+    assert points == [4.0, 2.0, 1.0]
 
 
 # -- the Levenberg shift ladder ------------------------------------------------------

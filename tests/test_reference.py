@@ -522,6 +522,22 @@ def test_lambda_diagnostics_threshold_guard():
 def test_convergence_table_validation():
     from wedflow.reference import ConvergenceRow, ConvergenceTable
 
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(InvalidInputError, match="finite"):
         ConvergenceTable((ConvergenceRow(0.1, 1.0, 0.0, 0.1),
-                          ConvergenceRow(0.2, 1.0, 0.0, 0.1)))
+                          ConvergenceRow(0.05, math.inf, 0.0, 0.1)))
+
+
+@pytest.mark.parametrize("energy, x_bar", [
+    (double_well(), point([0.3], E1)),
+    (quantile_entropy_potential(v2=1.0, v1=0.0), point([-2.0, 0.0, 0.5], SpaceSpec.euclidean(3))),
+], ids=["double_well", "quantile_on_R3"])
+def test_convergence_study_checks_the_eps_order_before_any_solve(monkeypatch, energy, x_bar):
+    # the quantile energy on R^3 has no closed-form flow: its study would run
+    # the proximal chain first
+    calls = []
+    for name in ("minimize_wed", "minimizing_movements"):
+        monkeypatch.setattr(wedflow.reference, name,
+                            lambda *args, name=name, **kw: calls.append(name))
+    with pytest.raises(InvalidInputError, match="decrease strictly"):
+        convergence_study(energy, x_bar, [0.025, 0.05], 1.0, N=400)
+    assert calls == []

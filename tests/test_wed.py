@@ -10,6 +10,7 @@ from wedflow import (
     Trajectory, WedProblem, Weights, check_inner_variation, double_well,
     minimize_wed, point, q_value, quadratic, solve_euler_lagrange, wed_value,
 )
+from wedflow import energies, wed
 from wedflow.newton import levenberg
 from wedflow.wed import solve_block_tridiag, solve_tridiag
 
@@ -232,24 +233,34 @@ def test_nonconvergence_carries_best_iterate(solver):
     assert len(info.value.trace) > 0
 
 
-def test_euler_lagrange_passes_on_errors_other_than_domain(monkeypatch):
-    # only DomainError means "no gradient here"; a bug must not read as an
-    # infinite merit and a stalled search
-    import wedflow.wed as wed
+def _dw_solve(solver):
+    return lambda: minimize_wed(WedProblem(epsilon=0.05, T=1.0, N=400, space=E1,
+                                           energy=double_well(), x_bar=point([0.3], E1),
+                                           solver=solver))
 
+
+@pytest.mark.parametrize("module, solve, trial_call", [
+    (wed, _dw_solve("euler_lagrange"), 2),
+    (wed, _dw_solve("direct"), 3),
+    (energies, lambda: energies.prox(double_well(), E1, np.array([[0.7]]), 0.01), 2),
+], ids=["euler_lagrange", "direct", "prox"])
+def test_solvers_pass_on_errors_other_than_domain(monkeypatch, module, solve, trial_call):
+    # only DomainError means "no gradient here"; a bug at a trial point must
+    # not read as an infinite merit and a stalled search.  The start point
+    # takes the first trial_call - 1 gradient calls (two per evaluation on
+    # the direct backend)
     calls = []
 
     def grad_many(spec, U):
         calls.append(1)
-        if len(calls) == 2:
+        if len(calls) == trial_call:
             raise RuntimeError("bug in the gradient")
         return np.asarray(U) ** 3 - np.asarray(U)
 
-    monkeypatch.setattr(wed, "grad_many", grad_many)
-    pr = WedProblem(epsilon=0.05, T=1.0, N=400, space=E1, energy=double_well(),
-                    x_bar=point([0.3], E1), solver="euler_lagrange")
+    monkeypatch.setattr(module, "grad_many", grad_many)
     with pytest.raises(RuntimeError, match="bug in the gradient"):
-        minimize_wed(pr)
+        solve()
+    assert len(calls) == trial_call
 
 
 def test_unknown_grid_mode_rejected():
@@ -330,22 +341,27 @@ def test_inner_variation_constant_minimizer():
     pr = WedProblem(epsilon=0.1, T=2.0, N=500, space=E1, energy=double_well(),
                     x_bar=point([1.0], E1))
     rep = check_inner_variation(minimize_wed(pr))
+    assert rep.name == "inner" and rep.details["speed_scale"] == 0.0
     assert rep.max_residual <= 1e-10
-    assert rep.boundary_residual <= 1e-12
+    assert rep.details["boundary_residual"] <= 1e-12
 
 
 def test_inner_variation_quadratic_residuals():
+    # per-cell residuals relative to max |u'|^2, then the boundary identity
+    # relative to the objective
     eps = 0.1
     reps = {}
     for N in (2000, 4000):
         sol = minimize_wed(quad_problem(eps=eps, N=N))
         reps[N] = check_inner_variation(sol)
     for N, rep in reps.items():
-        assert rep.max_residual <= 5e-2 * rep.speed_scale
-    ratio = reps[2000].max_residual / reps[4000].max_residual
+        assert rep.residuals.size == N + 1 and rep.passed and rep.tolerance == 5e-2
+    ratio = np.max(reps[2000].residuals[:-1]) / np.max(reps[4000].residuals[:-1])
     assert 1.4 <= ratio <= 2.6  # first order, +-30% around halving
     sol = minimize_wed(quad_problem(eps=eps, N=4000))
-    assert reps[4000].boundary_residual <= 1e-3 * abs(sol.objective)
+    assert reps[4000].residuals[-1] <= 1e-3
+    assert reps[4000].details["boundary_residual"] == pytest.approx(
+        reps[4000].residuals[-1] * abs(sol.objective), rel=1e-12)
 
 
 def block_matrix(sub, diag, sup):
@@ -435,8 +451,6 @@ def test_block_tridiag_matches_dense_solve_at_every_size(n, d, tridiagonal_block
 def thomas_routes(monkeypatch):
     """Whether the block solver inverted each level-0 pivot stack by Thomas
     elimination, recorded as it runs."""
-    import wedflow.wed as wed
-
     routes, inverts = [], wed._thomas_inverts
 
     def record(B):
@@ -570,8 +584,6 @@ def test_tridiag_on_the_double_well_newton_matrix_near_the_hilltop(monkeypatch, 
     # number about 2.7e6; rho is a Levenberg shift (omega = 1).  The bound
     # sits below condition number x unit roundoff, 3e-10; measured against
     # solve_banded: at most 5.4e-12, where the Thomas sweep was at 5.3e-12
-    import wedflow.wed as wed
-
     # the row-scaled systems of a direct solve, as its Newton direction hands
     # them to the solver
     systems, solve = [], wed.solve_block_tridiag
@@ -596,8 +608,6 @@ def test_tridiag_on_the_double_well_newton_matrix_near_the_hilltop(monkeypatch, 
 def test_double_well_solve_is_the_same_with_a_banded_lu(monkeypatch, solver):
     # swapping the reduction for LAPACK's pivoted banded solve changes the
     # Newton steps at roundoff only
-    import wedflow.wed as wed
-
     pr = WedProblem(epsilon=0.05, T=1.25, N=4000, space=E1, energy=double_well(),
                     x_bar=point([0.25], E1), solver=solver)
     ours = minimize_wed(pr)
@@ -654,8 +664,6 @@ def block_problem(name, solver):
 def test_block_solve_is_the_same_with_a_banded_lu(monkeypatch, name, solver):
     # the block cyclic reduction against LAPACK's pivoted banded solve, on
     # convex and non-convex energies: the Newton steps differ at roundoff only
-    import wedflow.wed as wed
-
     pr = block_problem(name, solver)
     ours = minimize_wed(pr)
     monkeypatch.setattr(wed, "solve_block_tridiag", solve_block_banded_ref)
@@ -677,8 +685,6 @@ def test_euler_lagrange_objective_is_the_weighted_cost(grid_mode):
 def test_euler_lagrange_on_a_uniform_grid_is_its_window_bitwise(monkeypatch, d):
     # the solution interpolated onto the uniform problem grid is the first N+1
     # nodes of the computational window, also where (T/N) N != T (T = 1, N = 49)
-    import wedflow.wed as wed
-
     newton, windows = wed.damped_newton, []
 
     def spy(*args):
@@ -716,8 +722,6 @@ def test_euler_lagrange_interpolates_onto_a_graded_grid():
 def test_block_solve_is_the_same_without_the_thomas_route(monkeypatch, name, solver):
     # every level-0 pivot stack of these solves is tridiagonal and dominant;
     # inverting it by LAPACK instead changes the Newton steps at roundoff only
-    import wedflow.wed as wed
-
     pr = block_problem(name, solver)
     routes = thomas_routes(monkeypatch)
     ours = minimize_wed(pr)
