@@ -1,7 +1,8 @@
 """Experiment orchestration: config parsing, suites, artifact emission.
 
 A config JSON fixes one fixture (space, energy, initial point, solver
-parameters) plus a list of identity suites to run.  Every suite writes a
+parameters) plus a list of identity suites to run; a key outside ``KEYS`` is
+a config error.  Every suite writes a
 ``report_<name>.json`` with the schema
 
     {"identity": ..., "max_residual": ..., "tolerance": ..., "pass": ...,
@@ -38,11 +39,11 @@ from .trajectories import (
     g_reparam, metric_speed, poincare_witness, spectral_check, spectral_terms, spectral_totals,
 )
 from .value import (
-    IdentityReport, ValueOptions, check_dpp, check_eps_monotonicity, check_fundamental_identity,
+    IdentityReport, check_dpp, check_eps_monotonicity, check_fundamental_identity,
     check_hj, check_inner_variation, check_yosida_bound, finsler_distance, value_along,
     value_function,
 )
-from .wed import DIRECT, UNIFORM, WedProblem, default_horizon, minimize_wed
+from .wed import DIRECT, WedProblem, default_horizon, minimize_wed
 
 
 class ConfigError(WedflowError):
@@ -56,7 +57,8 @@ _REQUIRED = object()
 
 def _need(cfg: dict, key, typ, pointer: str = "", default=_REQUIRED):
     """``cfg[key]`` as a ``typ``, or ``default`` (if given) when it is absent or
-    null; ints pass as floats, integral floats as ints, booleans as neither."""
+    null; ints pass as floats, integral floats as ints, booleans as neither,
+    and a float must be finite."""
     val = cfg.get(key)
     if val is None:
         if default is _REQUIRED:
@@ -68,6 +70,8 @@ def _need(cfg: dict, key, typ, pointer: str = "", default=_REQUIRED):
         val = int(val)
     if not isinstance(val, typ) or isinstance(val, bool):
         raise ConfigError(f"{pointer}/{key}", f"expected {typ.__name__}")
+    if typ is float and not math.isfinite(val):
+        raise ConfigError(f"{pointer}/{key}", "must be finite")
     return val
 
 
@@ -76,13 +80,20 @@ def _floats(cfg: dict, key: str, default: list) -> list:
     return [_need(dict(enumerate(vals)), i, float, f"/{key}") for i in range(len(vals))]
 
 
+# every key a config may set; ``run`` reads ``suites``, ``Experiment`` the rest
+KEYS = ("space", "energy", "x_bar", "epsilon", "eps_list", "T", "t_obs", "N", "grid_mode",
+        "solver", "probe_seed", "suites")
+
+
 class Experiment:
     """Validated config, its trajectory problem, and the lazily solved minimizer."""
 
     def __init__(self, cfg: dict):
         if not isinstance(cfg, dict):
             raise ConfigError("", "expected a JSON object")
-        self.cfg = cfg
+        for key in cfg:
+            if key not in KEYS:
+                raise ConfigError(f"/{key}", "unknown key")
         space, energy = _need(cfg, "space", dict), _need(cfg, "energy", dict)
         x_bar = np.asarray(_floats(cfg, "x_bar", _REQUIRED))
         try:
@@ -101,18 +112,15 @@ class Experiment:
         self.N = _need(cfg, "N", int, default=4000)
         T = _need(cfg, "T", float, default=None)
         self.t_obs = _need(cfg, "t_obs", float, default=T if T is not None else 1.0)
-        self.grad_tol = _need(cfg, "grad_tol", float, default=1e-8)
-        self.max_iter = _need(cfg, "max_iter", int, default=100)
         self.probe_seed = _need(cfg, "probe_seed", int, default=20240)
-        grid_mode = _need(cfg, "grid_mode", str, default=UNIFORM)
+        # the one problem grid; the key stays for configs that name it
+        if _need(cfg, "grid_mode", str, default="uniform") != "uniform":
+            raise ConfigError("/grid_mode", 'must be "uniform"')
         solver = _need(cfg, "solver", str, default=DIRECT)
         horizon = T if T is not None else default_horizon(self.epsilon, self.t_obs)
         try:
-            self._problem = WedProblem(
-                epsilon=self.epsilon, T=horizon, N=self.N, space=self.space, energy=self.energy,
-                x_bar=self.x_bar, grid_mode=grid_mode, solver=solver,
-                grad_tol=self.grad_tol, max_iter=self.max_iter,
-            )
+            self._problem = WedProblem(epsilon=self.epsilon, T=horizon, N=self.N, space=self.space,
+                                       energy=self.energy, x_bar=self.x_bar, solver=solver)
         except WedflowError as exc:
             field = getattr(exc, "field", None)
             raise ConfigError(f"/{field}" if field else "", str(exc))
@@ -135,13 +143,6 @@ class Experiment:
         if self._solution is None:
             self._solution = minimize_wed(self._problem)
         return self._solution
-
-    def value_opts(self) -> ValueOptions:
-        """The config's ``grad_tol`` and ``max_iter``, and no cache; value solves
-        keep ``ValueOptions``' own ``N=4000`` and are ``direct`` solves on the
-        ``exp_graded`` grid over 25 eps, whatever the config's ``N``, ``T``,
-        ``grid_mode``, ``solver``."""
-        return ValueOptions(grad_tol=self.grad_tol, max_iter=self.max_iter)
 
 
 # -- emission helpers ---------------------------------------------------------
@@ -238,8 +239,7 @@ def suite_inner(exp: Experiment, outdir: Path) -> IdentityReport:
 
 def suite_dpp(exp: Experiment, outdir: Path) -> IdentityReport:
     eps = exp.epsilon
-    horizons = _floats(exp.cfg, "horizons", [eps, 2 * eps, 5 * eps])
-    return check_dpp(exp.solution(), horizons, exp.value_opts())
+    return check_dpp(exp.solution(), [eps, 2 * eps, 5 * eps])
 
 
 def suite_fundamental(exp: Experiment, outdir: Path) -> IdentityReport:
@@ -254,34 +254,32 @@ def _sweep_points(exp: Experiment) -> list:
 
 def suite_monotone(exp: Experiment, outdir: Path) -> IdentityReport:
     if exp.space.dim != 1:
-        return check_eps_monotonicity(exp.energy, exp.x_bar, exp.eps_list, exp.value_opts())
+        return check_eps_monotonicity(exp.energy, exp.x_bar, exp.eps_list)
     worst = None
     for x in _sweep_points(exp):
-        rep = check_eps_monotonicity(exp.energy, x, exp.eps_list, exp.value_opts())
+        rep = check_eps_monotonicity(exp.energy, x, exp.eps_list)
         if worst is None or rep.max_residual > worst.max_residual:
             worst = rep
     return worst
 
 
 def suite_yosida(exp: Experiment, outdir: Path) -> IdentityReport:
-    return check_yosida_bound(exp.energy, exp.x_bar, exp.epsilon, opts=exp.value_opts())
+    return check_yosida_bound(exp.energy, exp.x_bar, exp.epsilon)
 
 
 def suite_hj(exp: Experiment, outdir: Path) -> IdentityReport:
-    return check_hj(exp.energy, exp.x_bar, exp.epsilon, exp.value_opts())
+    return check_hj(exp.energy, exp.x_bar, exp.epsilon)
 
 
 def suite_lambda(exp: Experiment, outdir: Path) -> IdentityReport:
     lam = exp.energy.lam
     if lam is None:
         raise ConfigError("/energy/lambda", "lambda suite needs a convexity modulus")
-    lam_prime = _need(exp.cfg, "lambda_prime", float, default=lam - 0.25 if lam < 0 else None)
-    return lambda_diagnostics(exp.solution(), lam, lam_prime)
+    return lambda_diagnostics(exp.solution(), lam, lam - 0.25 if lam < 0 else None)
 
 
 def suite_convergence(exp: Experiment, outdir: Path) -> IdentityReport:
-    table = convergence_study(exp.energy, exp.x_bar, exp.eps_list, exp.t_obs,
-                              exp.N, exp.grad_tol, exp.max_iter)
+    table = convergence_study(exp.energy, exp.x_bar, exp.eps_list, exp.t_obs, exp.N)
     write_csv(outdir / "convergence.csv", ("epsilon", "sup_err", "lsc_residual", "runtime_s"),
               [(r.epsilon, r.sup_err, r.lsc_residual, r.runtime_s) for r in table.rows])
     errs = table.sup_errors
@@ -378,7 +376,7 @@ def emit_value(exp: Experiment, outdir: Path, xs=None) -> None:
     rows = []
     for x in [exp.x_bar] if xs is None else xs:
         for eps in exp.eps_list:
-            s = value_function(exp.energy, x, eps, exp.value_opts())
+            s = value_function(exp.energy, x, eps)
             rows.append((*x.coords.tolist(), *map(float, (eps, s.V, s.G, s.phi))))
     write_csv(outdir / "value.csv",
               [*(f"x{j}" for j in range(exp.space.dim)), "epsilon", "V", "G", "phi"], rows)
@@ -391,9 +389,8 @@ def emit_sweep(exp: Experiment, outdir: Path) -> None:
 
 
 def emit_mm(exp: Experiment, outdir: Path) -> None:
-    tau = _need(exp.cfg, "mm_tau", float, default=exp.epsilon**2 / 4.0)
-    steps = _need(exp.cfg, "mm_steps", int, default=math.ceil(exp.t_obs / tau))
-    mm = minimizing_movements(exp.x_bar, tau, steps, exp.energy, exp.space)
+    tau = exp.epsilon**2 / 4.0
+    mm = minimizing_movements(exp.x_bar, tau, math.ceil(exp.t_obs / tau), exp.energy, exp.space)
     pts = mm.trajectory.points
     write_csv(outdir / "mm.csv",
               ["k", "t", *(f"x{j}" for j in range(pts.shape[1])), "phi", "movement"],

@@ -54,8 +54,8 @@ class Coercivity:
     u_star: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.A < 0 or self.B < 0:
-            raise InvalidInputError("coercivity constants must be nonnegative")
+        if not (0 <= self.A < math.inf and 0 <= self.B < math.inf):
+            raise InvalidInputError("coercivity constants must be finite and nonnegative")
         if self.u_star is not None:
             object.__setattr__(self, "u_star", np.asarray(self.u_star, dtype=float))
 
@@ -89,6 +89,9 @@ class EnergySpec:
             v2 = float(self.params.get("v2", 1.0))
             v1 = float(self.params.get("v1", 0.0))
             object.__setattr__(self, "params", {"v2": v2, "v1": v1})
+        if not all(np.all(np.isfinite(v)) for v in [*self.params.values(), self.lam]
+                   if isinstance(v, (float, np.ndarray))):
+            raise InvalidInputError("energy parameters must be finite")
         if self.lam is None:
             object.__setattr__(self, "lam", _default_lambda(self))
         if self.coercivity is None:

@@ -24,7 +24,7 @@ from .errors import InvalidInputError, NotAvailableError
 from .spaces import PNORM, QUANTILE1D, Point, SpaceSpec, normal_quantile, row_distances
 from .trajectories import TimeGrid, Trajectory, metric_speed
 from .value import IdentityReport
-from .wed import EULER_LAGRANGE, UNIFORM, WedProblem, default_horizon, minimize_wed
+from .wed import EULER_LAGRANGE, WedProblem, default_horizon, minimize_wed
 
 
 @dataclass(frozen=True)
@@ -193,8 +193,7 @@ class ConvergenceTable:
 
 
 def convergence_study(energy: EnergySpec, x_bar: Point, eps_list, t_obs: float,
-                      N: int = 4000, grad_tol: float = 1e-8,
-                      max_iter: int = 100) -> ConvergenceTable:
+                      N: int = 4000) -> ConvergenceTable:
     """Sup distance to the reference flow on [0, t_obs], one row per epsilon.
 
     Each epsilon is an Euler-Lagrange solve on the uniform grid of ``N``
@@ -214,19 +213,9 @@ def convergence_study(energy: EnergySpec, x_bar: Point, eps_list, t_obs: float,
         mm_ref = minimizing_movements(x_bar, tau, int(math.ceil(t_obs / tau)), energy, space)
     for eps in eps_list:
         start = time.perf_counter()
-        problem = WedProblem(
-            epsilon=eps,
-            T=default_horizon(eps, t_obs),
-            N=N,
-            space=space,
-            energy=energy,
-            x_bar=x_bar,
-            grid_mode=UNIFORM,
-            solver=EULER_LAGRANGE,
-            grad_tol=grad_tol,
-            max_iter=max_iter,
-        )
-        sol = minimize_wed(problem)
+        sol = minimize_wed(WedProblem(epsilon=eps, T=default_horizon(eps, t_obs), N=N,
+                                      space=space, energy=energy, x_bar=x_bar,
+                                      solver=EULER_LAGRANGE))
         nodes = sol.trajectory.grid.nodes
         sel = nodes <= t_obs + 1e-12
         ts, pts = nodes[sel], sol.trajectory.points[sel]

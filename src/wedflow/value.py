@@ -26,7 +26,7 @@ from .errors import InvalidInputError, NotAvailableError
 from .newton import damped_newton
 from .spaces import PNORM, Point, SpaceSpec, admissible, distance, probe_directions, row_distances
 from .trajectories import TimeGrid, Trajectory, Weights, row_values
-from .wed import DIRECT, EXP_GRADED, WedProblem, WedSolution, default_horizon, minimize_wed
+from .wed import WedProblem, WedSolution, default_horizon, minimize_wed
 
 
 @dataclass(frozen=True)
@@ -61,17 +61,22 @@ class IdentityReport:
 
 @dataclass(frozen=True)
 class ValueOptions:
-    """Resolution, solver tolerances and caching of value samples.
+    """Resolution and caching of value samples.
 
     Every value solve is a ``direct`` solve on the ``exp_graded`` grid over the
-    horizon ``default_horizon(eps, 0)`` = 25 eps.  With ``cache=None`` every
-    request is solved afresh and nothing is kept.
+    horizon ``default_horizon(eps, 0)`` = 25 eps (``_ValueProblem``).  With
+    ``cache=None`` every request is solved afresh and nothing is kept.
     """
 
     N: int = 4000
-    grad_tol: float = 1e-8
-    max_iter: int = 100
     cache: "ValueCache | None" = None
+
+
+class _ValueProblem(WedProblem):
+    """A value solve's problem: its grid has cells of equal weighted mass."""
+
+    def grid(self) -> TimeGrid:
+        return TimeGrid.exp_graded(self.epsilon, self.T, self.N)
 
 
 class ValueCache:
@@ -89,7 +94,7 @@ class ValueCache:
     def key(energy: EnergySpec, x: Point, eps: float, opts: ValueOptions):
         space = x.space
         return (energy.key(), space.kind, space.dim, space.p, float(eps),
-                opts.N, opts.grad_tol, opts.max_iter, x.coords.tobytes())
+                opts.N, x.coords.tobytes())
 
     def get(self, key):
         if key in self._data:
@@ -116,19 +121,8 @@ def value_function(energy: EnergySpec, x: Point, epsilon: float,
     key = None if opts.cache is None else ValueCache.key(energy, x, epsilon, opts)
     sol = None if key is None else opts.cache.get(key)
     if sol is None:
-        problem = WedProblem(
-            epsilon=epsilon,
-            T=default_horizon(epsilon, 0.0),
-            N=opts.N,
-            space=space,
-            energy=energy,
-            x_bar=x,
-            grid_mode=EXP_GRADED,
-            solver=DIRECT,
-            grad_tol=opts.grad_tol,
-            max_iter=opts.max_iter,
-        )
-        sol = minimize_wed(problem)
+        sol = minimize_wed(_ValueProblem(epsilon=epsilon, T=default_horizon(epsilon, 0.0),
+                                         N=opts.N, space=space, energy=energy, x_bar=x))
         if key is not None:
             opts.cache.put(key, sol)
     phi = float(sol.phi[0])

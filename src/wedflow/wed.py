@@ -30,9 +30,6 @@ from .trajectories import TimeGrid, Trajectory, Weights, metric_speed
 DIRECT = "direct"
 EULER_LAGRANGE = "euler_lagrange"
 SOLVERS = (DIRECT, EULER_LAGRANGE)
-UNIFORM = "uniform"
-EXP_GRADED = "exp_graded"
-GRID_MODES = (UNIFORM, EXP_GRADED)
 
 # With the horizon at least this multiple of eps the tail weight is below
 # 1.4e-11 and the truncated problem is indistinguishable from the
@@ -52,7 +49,6 @@ class WedProblem:
     space: SpaceSpec
     energy: EnergySpec
     x_bar: Point
-    grid_mode: str = UNIFORM
     solver: str = DIRECT
     grad_tol: float = 1e-8
     max_iter: int = 100
@@ -66,8 +62,6 @@ class WedProblem:
             raise InvalidInputError("need N >= 1", "N")
         if self.solver not in SOLVERS:
             raise InvalidInputError(f"unknown solver {self.solver!r}", "solver")
-        if self.grid_mode not in GRID_MODES:
-            raise InvalidInputError(f"unknown grid mode {self.grid_mode!r}", "grid_mode")
         if self.space.kind == PNORM and self.space.p != 2.0:
             raise InvalidInputError("trajectory solvers need an inner-product metric (p = 2)",
                                     "space")
@@ -85,8 +79,6 @@ class WedProblem:
             raise InvalidInputError("x_bar must have finite energy", "x_bar")
 
     def grid(self) -> TimeGrid:
-        if self.grid_mode == EXP_GRADED:
-            return TimeGrid.exp_graded(self.epsilon, self.T, self.N)
         return TimeGrid.uniform(self.T, self.N)
 
 
@@ -447,13 +439,10 @@ def solve_euler_lagrange(problem: WedProblem) -> WedSolution:
 
     The computational window extends to max(T + 8 eps, 25 eps) with the
     uniform spacing T/N so that the artificial zero-slope end condition sits
-    several boundary-layer widths past the reported horizon; the solution is
-    then linearly interpolated onto the problem grid.  The window's nodes on
-    [0, T] are those of ``TimeGrid.uniform(T, N)``, so on a uniform problem
-    grid every node is a window node and keeps the window's solution there
-    bit for bit.
+    several boundary-layer widths past the reported horizon.  The solution
+    is the window's first N + 1 nodes, on the problem grid
+    ``TimeGrid.uniform(T, N)``.
     """
-    grid = problem.grid()
     eps = problem.epsilon
     dt = problem.T / problem.N
     # clear the reporting window by several boundary-layer widths (the layer
@@ -502,8 +491,4 @@ def solve_euler_lagrange(problem: WedProblem) -> WedSolution:
             f"Euler-Lagrange Newton stopped at residual {fn:.3e} after {it} iterations",
             best=U, trace=trace,
         )
-    # every problem node lies in [0, T] = [t_c[0], t_c[N]], so idx <= N < n_c
-    t_c = TimeGrid.uniform(problem.T, problem.N).nodes
-    idx = np.searchsorted(t_c, grid.nodes, side="right") - 1
-    pts = U[idx] + ((grid.nodes - t_c[idx]) / dt)[:, None] * (U[idx + 1] - U[idx])
-    return _solution(problem, grid, pts, None, it, fn)
+    return _solution(problem, problem.grid(), U[:problem.N + 1], None, it, fn)

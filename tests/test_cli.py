@@ -279,11 +279,11 @@ def test_trajectory_csv_residual_columns(tmp_path):
 
 
 def test_mm_csv_schema(tmp_path):
-    assert run(cfg(mm_tau=0.01, mm_steps=10), tmp_path / "out", suites=(), quiet=True,
-               tasks=("mm",)) == 0
+    # tau = eps^2 / 4 = 0.0025 over t_obs = 1: 400 steps, 401 rows
+    assert run(cfg(), tmp_path / "out", suites=(), quiet=True, tasks=("mm",)) == 0
     lines = (tmp_path / "out" / "mm.csv").read_text().splitlines()
     assert lines[0] == "k,t,x0,phi,movement"
-    assert len(lines) == 12
+    assert len(lines) == 1 + 401
 
 
 def test_value_csv_schema(tmp_path):
@@ -379,18 +379,47 @@ def test_task_commands_run_no_suites(tmp_path):
     (cfg(energy={"kind": "quadratic", "params": {"A": [[1.0, 0.0], [0.0, 1.0]]}}),
      "config /energy: dimension mismatch"),
     (cfg(energy={"kind": "quadratic", "params": {"A": [[-1.0]]}}), "config /epsilon: well-posed"),
+    (cfg(epsilon=float("nan")), "config /epsilon: must be finite"),
+    (cfg(eps_list=[0.1, float("nan")]), "config /eps_list/1: must be finite"),
+    (cfg(T=float("inf")), "config /T: must be finite"),
+    (cfg(energy={"kind": "quadratic", "params": {"A": [[float("nan")]]}}),
+     "config /energy: energy parameters must be finite"),
+    (cfg(energy={"kind": "quadratic", "params": {"A": [[1.0]]}, "lambda": float("inf")}),
+     "config /energy: energy parameters must be finite"),
+    (cfg(energy={"kind": "quadratic", "params": {"A": [[1.0]]},
+                 "coercivity": {"A": 0.0, "B": float("nan")}}),
+     "config /energy: coercivity constants must be finite"),
 ], ids=["N", "max_iter", "t_obs", "epsilon", "eps_list", "grid_mode",
         "not_an_object", "N_zero", "T_negative", "T_zero", "T_negative_no_t_obs",
         "t_obs_negative", "t_obs_zero",
         "epsilon_zero", "eps_list_negative",
         "pnorm_space", "x_bar_infinite_energy", "energy_no_coercivity", "energy_of_other_dim",
-        "epsilon_too_large"])
+        "epsilon_too_large", "epsilon_nan", "eps_list_nan", "T_infinite", "energy_nan",
+        "lambda_infinite", "coercivity_nan"])
 def test_bad_config_values_are_config_errors(tmp_path, config, needle):
     out = tmp_path / "out"
     code = main(["check", "--config", str(write_cfg(tmp_path, config)), "--out", str(out),
                  "--suite", "spectral", "--quiet"])
     assert code == 1
     assert needle in json.loads((out / "manifest.json").read_text())["error"]
+
+
+@pytest.mark.parametrize("key, value", [
+    ("grad_tol", 1e-8), ("max_iter", 100), ("horizons", [0.1]), ("lambda_prime", -1.25),
+    ("mm_tau", 0.01), ("mm_steps", 10), ("epsilom", 0.1), ("grid_mode", "exp_graded"),
+], ids=["grad_tol", "max_iter", "horizons", "lambda_prime", "mm_tau", "mm_steps", "misspelled",
+        "graded_grid"])
+def test_keys_no_run_reads_are_config_errors(tmp_path, capsys, key, value):
+    # every key a run reads is in cli.KEYS; any other key, and a graded
+    # problem grid, stop the run before a suite
+    out = tmp_path / "out"
+    argv = ["check", "--config", str(write_cfg(tmp_path, cfg(**{key: value}))), "--out", str(out),
+            "--quiet"]
+    assert main(argv) == 1
+    assert f"config /{key}: " in capsys.readouterr().err
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["error"].startswith(f"config /{key}: ") and manifest["summary"] == {}
+    assert not list(out.glob("report_*.json"))
 
 
 def test_value_suites_keep_no_cache(tmp_path, monkeypatch):

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from wedflow import (
-    InvalidInputError, NotAvailableError, SpaceSpec, ValueCache, ValueOptions, WedProblem,
-    check_dpp, check_eps_monotonicity, check_fundamental_identity, check_hj,
+    InvalidInputError, NotAvailableError, SpaceSpec, TimeGrid, ValueCache, ValueOptions,
+    WedProblem, check_dpp, check_eps_monotonicity, check_fundamental_identity, check_hj,
     check_yosida_bound, conditioned_slope_estimate, convex_quartic, distance,
     discrete_dirichlet, double_well, energy_eval, finsler_distance, gaussian_quantiles,
     minimize_wed, point, quadratic, quantile_entropy_potential, value_along,
@@ -43,6 +43,13 @@ def test_value_matches_closed_form_coefficient():
         # the numeric coefficient satisfies the defining algebra
         k_num = s.V
         assert abs(2 * eps * k_num**2 + k_num - 0.5) <= 1e-3
+
+
+@pytest.mark.parametrize("eps, N", [(0.1, 4000), (0.05, 300)])
+def test_value_solves_run_on_the_graded_grid_over_25_eps(eps, N):
+    s = value_function(DW, point([0.3], E1), eps, ValueOptions(N=N))
+    nodes = s.solve_ref.trajectory.grid.nodes
+    assert np.array_equal(nodes, TimeGrid.exp_graded(eps, 25 * eps, N).nodes)
 
 
 def test_value_at_global_minimizer_is_phi():

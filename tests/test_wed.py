@@ -27,10 +27,10 @@ def r_minus(eps, a=1.0):
     return (1.0 - math.sqrt(1.0 + 4.0 * eps * a)) / (2.0 * eps)
 
 
-def quad_problem(eps=0.1, T=2.0, N=4000, solver="direct", grid_mode="uniform", **kw):
+def quad_problem(eps=0.1, T=2.0, N=4000, solver="direct", **kw):
     return WedProblem(
         epsilon=eps, T=T, N=N, space=E1, energy=quadratic([[1.0]]),
-        x_bar=point([1.0], E1), solver=solver, grid_mode=grid_mode, **kw,
+        x_bar=point([1.0], E1), solver=solver, **kw,
     )
 
 
@@ -162,8 +162,7 @@ def test_objective_monotone_in_epsilon_double_well():
     objs = {}
     for eps in (0.1, 0.05):
         pr = WedProblem(epsilon=eps, T=25 * eps, N=4000, space=E1,
-                        energy=double_well(), x_bar=point([0.3], E1),
-                        grid_mode="exp_graded")
+                        energy=double_well(), x_bar=point([0.3], E1))
         objs[eps] = minimize_wed(pr).objective
     assert objs[0.05] >= objs[0.1] - 1e-10
 
@@ -263,15 +262,10 @@ def test_solvers_pass_on_errors_other_than_domain(monkeypatch, module, solve, tr
     assert len(calls) == trial_call
 
 
-def test_unknown_grid_mode_rejected():
-    with pytest.raises(InvalidInputError, match="grid mode"):
-        quad_problem(grid_mode="nope")
-
-
 @pytest.mark.parametrize("field, kw", [
     ("epsilon", {"eps": 0.0}), ("T", {"T": -1.0}), ("N", {"N": 0}),
-    ("solver", {"solver": "nope"}), ("grid_mode", {"grid_mode": "nope"}),
-], ids=["epsilon", "T", "N", "solver", "grid_mode"])
+    ("solver", {"solver": "nope"}),
+], ids=["epsilon", "T", "N", "solver"])
 def test_problem_checks_name_their_field(field, kw):
     with pytest.raises(InvalidInputError) as info:
         quad_problem(**kw)
@@ -672,19 +666,18 @@ def test_block_solve_is_the_same_with_a_banded_lu(monkeypatch, name, solver):
     assert np.max(np.abs(ours.trajectory.points - ref.trajectory.points)) <= 1e-12
 
 
-@pytest.mark.parametrize("grid_mode", ["uniform", "exp_graded"])
-def test_euler_lagrange_objective_is_the_weighted_cost(grid_mode):
+def test_euler_lagrange_objective_is_the_weighted_cost():
     # the solution's objective comes from its own speed and phi arrays, by
     # wed_value's formula
-    pr = quad_problem(eps=0.05, T=1.0, N=800, solver="euler_lagrange", grid_mode=grid_mode)
+    pr = quad_problem(eps=0.05, T=1.0, N=800, solver="euler_lagrange")
     sol = minimize_wed(pr)
     assert sol.objective == wed_value(pr, sol.trajectory)
 
 
 @pytest.mark.parametrize("d", [1, 3])
 def test_euler_lagrange_on_a_uniform_grid_is_its_window_bitwise(monkeypatch, d):
-    # the solution interpolated onto the uniform problem grid is the first N+1
-    # nodes of the computational window, also where (T/N) N != T (T = 1, N = 49)
+    # the solution on the problem grid is the first N+1 nodes of the
+    # computational window, also where (T/N) N != T (T = 1, N = 49)
     newton, windows = wed.damped_newton, []
 
     def spy(*args):
@@ -703,17 +696,6 @@ def test_euler_lagrange_on_a_uniform_grid_is_its_window_bitwise(monkeypatch, d):
     (V,) = windows
     assert V.shape[0] > pr.N
     assert np.array_equal(sol.trajectory.points, np.vstack([x_bar.coords, V[:pr.N]]))
-
-
-def test_euler_lagrange_interpolates_onto_a_graded_grid():
-    # both solves run on the same uniform computational grid, dt = T/N; the
-    # graded one interpolates it linearly at its own nodes
-    kw = dict(eps=0.05, T=1.0, N=800, solver="euler_lagrange")
-    uniform = minimize_wed(quad_problem(**kw)).trajectory
-    graded = minimize_wed(quad_problem(grid_mode="exp_graded", **kw)).trajectory
-    want = np.interp(graded.grid.nodes, uniform.grid.nodes, uniform.points[:, 0])
-    assert np.array_equal(graded.grid.nodes, TimeGrid.exp_graded(0.05, 1.0, 800).nodes)
-    assert np.max(np.abs(graded.points[:, 0] - want)) <= 1e-13
 
 
 @pytest.mark.parametrize("solver", ["direct", "euler_lagrange"])
