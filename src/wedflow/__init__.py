@@ -5,9 +5,8 @@ and a battery of identity checks."""
 __version__ = "0.1.0"
 
 from .energies import (
-    Coercivity, EnergySpec, SlopeEstimate, analytic_slope, analytic_slopes, convex_quartic,
-    discrete_dirichlet, double_well, energy_eval, energy_grad, local_slope,
-    quadratic, quantile_entropy_potential, q_value, yosida,
+    Coercivity, EnergySpec, analytic_slope, analytic_slopes, convex_quartic, discrete_dirichlet,
+    double_well, energy_eval, quadratic, quantile_entropy_potential, q_value,
 )
 from .errors import (
     DegenerateCurveError, DomainError, InvalidInputError, NonConvergenceError,
@@ -17,13 +16,9 @@ from .reference import (
     ConvergenceTable, MMSolution, check_max_slope,
     convergence_study, exact_flow, exact_flows, lambda_diagnostics, minimizing_movements,
 )
-from .spaces import (
-    Point, SpaceSpec, distance, gaussian_quantiles, geodesic_point,
-    normal_quantile, point,
-)
+from .spaces import Point, SpaceSpec, distance, gaussian_quantiles, normal_quantile, point
 from .trajectories import (
-    TimeGrid, Trajectory, Weights, arclength_reparam, g_reparam, metric_speed,
-    poincare_witness, spectral_check, weighted_ibp_check,
+    TimeGrid, Trajectory, Weights, g_reparam, metric_speed, poincare_witness, spectral_check,
 )
 from .value import (
     IdentityReport, ValueCache, ValueOptions, ValueSample,

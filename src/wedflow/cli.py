@@ -1,8 +1,9 @@
 """Experiment orchestration: config parsing, suites, artifact emission.
 
 A config JSON fixes one fixture (space, energy, initial point, solver
-parameters) plus a list of identity suites to run; a key outside ``KEYS`` is
-a config error.  Every suite writes a
+parameters) plus a list of identity suites to run; a key outside ``KEYS``, or
+outside its kind's keys in ``space`` and ``energy``, is a config error at its
+JSON pointer.  Every suite writes a
 ``report_<name>.json`` with the schema
 
     {"identity": ..., "max_residual": ..., "tolerance": ..., "pass": ...,
@@ -12,9 +13,10 @@ and its residual vector as CSV.  Suites run one after another in the listed
 order.  A run keeps no value cache: every value solve is made afresh and freed
 once its readers are done.  ``manifest.json`` at the output root echoes the
 config, records wall times, the pass/fail summary and, for a run stopped by an
-error, that error.  Exit codes: 0 all selected suites pass, 2 at least one
-suite failed, 1 usage, execution or validation error.  Progress goes to
-stderr; data only to files and stdout.
+error, that error; a solve that did not converge adds its trace there and
+writes its best iterate to ``best.csv``.  Exit codes: 0 all selected suites
+pass, 2 at least one suite failed, 1 usage, execution or validation error.
+Progress goes to stderr; data only to files and stdout.
 """
 
 from __future__ import annotations
@@ -31,10 +33,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .energies import EnergySpec, eval_many
-from .errors import WedflowError
+from .energies import PARAMS, Coercivity, EnergySpec, eval_many
+from .errors import NonConvergenceError, WedflowError
 from .reference import convergence_study, lambda_diagnostics, minimizing_movements
-from .spaces import EUCLIDEAN, Point, SpaceSpec, distance
+from .spaces import EUCLIDEAN, PNORM, QUANTILE1D, Point, SpaceSpec, distance
 from .trajectories import (
     g_reparam, metric_speed, poincare_witness, spectral_check, spectral_terms, spectral_totals,
 )
@@ -55,6 +57,14 @@ class ConfigError(WedflowError):
 _REQUIRED = object()
 
 
+def _real(v) -> float:
+    """A JSON number as a float: an int past the float range is inf, as a
+    float literal past it reads."""
+    if isinstance(v, int) and abs(v) > sys.float_info.max:
+        return math.inf if v > 0 else -math.inf
+    return float(v)
+
+
 def _need(cfg: dict, key, typ, pointer: str = "", default=_REQUIRED):
     """``cfg[key]`` as a ``typ``, or ``default`` (if given) when it is absent or
     null; ints pass as floats, integral floats as ints, booleans as neither,
@@ -65,7 +75,7 @@ def _need(cfg: dict, key, typ, pointer: str = "", default=_REQUIRED):
             raise ConfigError(f"{pointer}/{key}", "missing required key")
         return default
     if typ is float and isinstance(val, int) and not isinstance(val, bool):
-        val = float(val)
+        val = _real(val)
     elif typ is int and isinstance(val, float) and val.is_integer():
         val = int(val)
     if not isinstance(val, typ) or isinstance(val, bool):
@@ -80,9 +90,72 @@ def _floats(cfg: dict, key: str, default: list) -> list:
     return [_need(dict(enumerate(vals)), i, float, f"/{key}") for i in range(len(vals))]
 
 
+def _numbers(obj: dict, key: str, pointer: str, ndim: int, default=_REQUIRED):
+    """``obj[key]`` as a float (``ndim`` 0) or a float array of ``ndim`` list
+    levels, or ``default`` (if given) when it is absent or null.  NaN and inf
+    pass: the energy that reads them rejects them."""
+    if obj.get(key) is None:
+        return _need(obj, key, float, pointer, default)  # the missing-key error, or default
+    val = np.array(obj[key], dtype=object)
+    leaves = val.ravel().tolist()
+    if val.ndim != ndim or any(type(v) not in (int, float) for v in leaves):
+        raise ConfigError(f"{pointer}/{key}", "expected " + (
+            "a number", "a list of numbers", "a list of lists of numbers")[ndim])
+    vals = np.array(list(map(_real, leaves))).reshape(val.shape)
+    return vals if ndim else float(vals)
+
+
+def _known(obj: dict, keys, pointer: str = "") -> None:
+    for key in obj:
+        if key not in keys:
+            raise ConfigError(f"{pointer}/{key}", "unknown key")
+
+
 # every key a config may set; ``run`` reads ``suites``, ``Experiment`` the rest
 KEYS = ("space", "energy", "x_bar", "epsilon", "eps_list", "T", "t_obs", "N", "grid_mode",
         "solver", "probe_seed", "suites")
+# the keys of each space kind's object; an energy's are in ``energies.PARAMS``
+SPACE_KEYS = {EUCLIDEAN: ("dim",), PNORM: ("dim", "p"), QUANTILE1D: ("m",)}
+
+
+def _space(obj: dict) -> SpaceSpec:
+    """The config's ``space`` object as a space."""
+    kind = _need(obj, "kind", str, "/space")
+    if kind not in SPACE_KEYS:
+        raise ConfigError("/space/kind", f"unknown space kind {kind!r}")
+    _known(obj, ("kind", *SPACE_KEYS[kind]), "/space")
+    p = _need(obj, "p", float, "/space") if kind == PNORM else None
+    return SpaceSpec(kind, _need(obj, SPACE_KEYS[kind][0], int, "/space"), p)
+
+
+def _energy(obj: dict) -> EnergySpec:
+    """The config's ``energy`` object as an energy."""
+    kind = _need(obj, "kind", str, "/energy")
+    if kind not in PARAMS:
+        raise ConfigError("/energy/kind", f"unknown energy kind {kind!r}")
+    _known(obj, ("kind", "params", "lambda", "coercivity"), "/energy")
+    raw = _need(obj, "params", dict, "/energy", {})
+    _known(raw, PARAMS[kind], "/energy/params")
+    params = {k: _numbers(raw, k, "/energy/params", ndim)
+              for k, ndim in PARAMS[kind].items() if raw.get(k) is not None or k == "A"}
+    co = _need(obj, "coercivity", dict, "/energy", None)
+    if co is not None:
+        _known(co, ("A", "B", "u_star"), "/energy/coercivity")
+        co = Coercivity(_numbers(co, "A", "/energy/coercivity", 0),
+                        _numbers(co, "B", "/energy/coercivity", 0),
+                        _numbers(co, "u_star", "/energy/coercivity", 1, None))
+    return EnergySpec(kind, params, _numbers(obj, "lambda", "/energy", 0, None), co)
+
+
+def _at(pointer: str, build, *args):
+    """``build(*args)``, with a package error raised in it as a config error
+    at ``pointer``, unless it is one already."""
+    try:
+        return build(*args)
+    except ConfigError:
+        raise
+    except WedflowError as exc:
+        raise ConfigError(pointer, str(exc))
 
 
 class Experiment:
@@ -91,23 +164,12 @@ class Experiment:
     def __init__(self, cfg: dict):
         if not isinstance(cfg, dict):
             raise ConfigError("", "expected a JSON object")
-        for key in cfg:
-            if key not in KEYS:
-                raise ConfigError(f"/{key}", "unknown key")
+        _known(cfg, KEYS)
         space, energy = _need(cfg, "space", dict), _need(cfg, "energy", dict)
         x_bar = np.asarray(_floats(cfg, "x_bar", _REQUIRED))
-        try:
-            self.space = SpaceSpec.from_json(space)
-        except WedflowError as exc:
-            raise ConfigError("/space", str(exc))
-        try:
-            self.energy = EnergySpec.from_json(energy)
-        except WedflowError as exc:
-            raise ConfigError("/energy", str(exc))
-        try:
-            self.x_bar = Point(x_bar, self.space)
-        except WedflowError as exc:
-            raise ConfigError("/x_bar", str(exc))
+        self.space = _at("/space", _space, space)
+        self.energy = _at("/energy", _energy, energy)
+        self.x_bar = _at("/x_bar", Point, x_bar, self.space)
         self.epsilon = _need(cfg, "epsilon", float)
         self.N = _need(cfg, "N", int, default=4000)
         T = _need(cfg, "T", float, default=None)
@@ -412,7 +474,7 @@ def run(cfg: dict, out: Path, suites=None, quiet=False, tasks=()) -> int:
     t0 = time.perf_counter()
     results = {}
     times = {}
-    error = exp = None
+    error = exp = trace = None
     out.mkdir(parents=True, exist_ok=True)
     try:
         exp = Experiment(cfg)
@@ -440,6 +502,12 @@ def run(cfg: dict, out: Path, suites=None, quiet=False, tasks=()) -> int:
     except WedflowError as exc:
         print(f"error: {exc}", file=sys.stderr)
         error = str(exc)
+        if isinstance(exc, NonConvergenceError):
+            trace = exc.trace
+            if exc.best is not None:  # coordinate rows
+                best = np.atleast_2d(exc.best)
+                write_csv(out / "best.csv", [f"x{j}" for j in range(best.shape[1])],
+                          map(tuple, best.tolist()))
 
     summary = {name: rep.passed for name, rep in results.items()}
     manifest = {
@@ -453,6 +521,7 @@ def run(cfg: dict, out: Path, suites=None, quiet=False, tasks=()) -> int:
         "probe_seed": None if exp is None else exp.probe_seed,
         "summary": summary,
         "error": error,
+        "trace": trace,  # a non-converged solve's, whose best iterate is best.csv
     }
     _write_json(out / "manifest.json", manifest)
     if error is not None:

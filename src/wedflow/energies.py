@@ -27,10 +27,7 @@ import numpy as np
 
 from .errors import DomainError, InvalidInputError, NonConvergenceError, NotAvailableError
 from .newton import damped_newton, levenberg
-from .spaces import (
-    PNORM, QUANTILE1D, Point, SpaceSpec, admissible, distance, gaussian_quantiles,
-    probe_directions, row_distances,
-)
+from .spaces import PNORM, QUANTILE1D, Point, SpaceSpec, distance, gaussian_quantiles
 
 QUADRATIC = "quadratic"
 CONVEX_QUARTIC = "convex_quartic"
@@ -38,7 +35,11 @@ DOUBLE_WELL = "double_well"
 DISCRETE_DIRICHLET = "discrete_dirichlet"
 QUANTILE_ENTROPY = "quantile_entropy_potential"
 
-_KINDS = (QUADRATIC, CONVEX_QUARTIC, DOUBLE_WELL, DISCRETE_DIRICHLET, QUANTILE_ENTROPY)
+# each kind's parameters, with the list levels a config gives each (0 a
+# number, 1 a vector, 2 a matrix); only the quadratic's A has no default
+PARAMS = {QUADRATIC: {"A": 2, "b": 1}, CONVEX_QUARTIC: {}, DOUBLE_WELL: {},
+          DISCRETE_DIRICHLET: {"p": 0, "h": 0, "reaction": 1},
+          QUANTILE_ENTROPY: {"v2": 0, "v1": 0}}
 
 
 @dataclass(frozen=True)
@@ -68,15 +69,13 @@ class EnergySpec:
     coercivity: Coercivity | None = None
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
+        if self.kind not in PARAMS:
             raise InvalidInputError(f"unknown energy kind {self.kind!r}")
         if self.kind == QUADRATIC:
             A = np.atleast_2d(np.asarray(self.params["A"], dtype=float))
             b = np.atleast_1d(np.asarray(self.params.get("b", np.zeros(A.shape[0])), dtype=float))
             if A.shape[0] != A.shape[1] or A.shape[0] != b.shape[0]:
                 raise InvalidInputError("quadratic needs square A and matching b")
-            if np.max(np.abs(A - A.T)) > 1e-12:
-                raise InvalidInputError("quadratic A must be symmetric (1e-12)")
             object.__setattr__(self, "params", {"A": A, "b": b})
         elif self.kind == DISCRETE_DIRICHLET:
             p = float(self.params.get("p", 2.0))
@@ -92,6 +91,10 @@ class EnergySpec:
         if not all(np.all(np.isfinite(v)) for v in [*self.params.values(), self.lam]
                    if isinstance(v, (float, np.ndarray))):
             raise InvalidInputError("energy parameters must be finite")
+        # after the finiteness test, where inf - inf cannot warn
+        A = self.params.get("A")
+        if self.kind == QUADRATIC and np.max(np.abs(A - A.T)) > 1e-12:
+            raise InvalidInputError("quadratic A must be symmetric (1e-12)")
         if self.lam is None:
             object.__setattr__(self, "lam", _default_lambda(self))
         if self.coercivity is None:
@@ -104,29 +107,6 @@ class EnergySpec:
             v = self.params[k]
             items.append((k, v.tobytes() if isinstance(v, np.ndarray) else v))
         return (self.kind, tuple(items), self.lam)
-
-    def to_json(self) -> dict:
-        params = {
-            k: (v.tolist() if isinstance(v, np.ndarray) else v) for k, v in self.params.items()
-        }
-        co = self.coercivity
-        u_star = None if co is None or co.u_star is None else co.u_star.tolist()
-        codict = None if co is None else {"A": co.A, "B": co.B, "u_star": u_star}
-        return {"kind": self.kind, "params": params, "lambda": self.lam, "coercivity": codict}
-
-    @staticmethod
-    def from_json(obj: dict) -> "EnergySpec":
-        co = obj.get("coercivity")
-        coercivity = None
-        if co is not None:
-            u_star = None if co.get("u_star") is None else np.asarray(co["u_star"], dtype=float)
-            coercivity = Coercivity(float(co["A"]), float(co["B"]), u_star)
-        return EnergySpec(
-            kind=obj["kind"],
-            params=dict(obj.get("params", {})),
-            lam=obj.get("lambda"),
-            coercivity=coercivity,
-        )
 
 
 def quadratic(A, b=None, lam=None) -> EnergySpec:
@@ -258,12 +238,6 @@ def eval_many(spec: EnergySpec, U: np.ndarray) -> np.ndarray:
             out[ok] = pot[ok] - np.sum(np.log(gaps[ok] * m), axis=1) / m
         return out
     raise NotAvailableError(spec.kind)
-
-
-def energy_grad(spec: EnergySpec, x: Point) -> np.ndarray:
-    """Coordinate gradient of phi (the L^2 gradient in quantile coordinates).
-    ``grad_many`` on one row."""
-    return grad_many(spec, x.coords[None, :])[0]
 
 
 def grad_many(spec: EnergySpec, U: np.ndarray) -> np.ndarray:
@@ -462,64 +436,3 @@ def _scan_starts(spec, x, t):
     vals = (grid - x[:, None]) ** 2 / (2.0 * t[:, None]) \
         + eval_many(spec, grid.reshape(-1, 1)).reshape(grid.shape)
     return grid[np.arange(len(x)), np.argmin(vals, axis=1)]
-
-
-def yosida(spec: EnergySpec, space: SpaceSpec, x: Point, t: float):
-    """phi_t(x) = inf_y d^2(y,x)/(2t) + phi(y); returns (value, argmin Point).
-    ``prox`` on the one row of ``x``."""
-    values, Y = prox(spec, space, x.coords[None], t)
-    return float(values[0]), Point(Y[0], space)
-
-
-# -- local slope ---------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SlopeEstimate:
-    value: float
-    method: str
-    diagnostics: tuple = ()
-
-    def __post_init__(self):
-        if not (math.isfinite(self.value) and self.value >= 0.0):
-            raise InvalidInputError("slope estimate must be finite and nonnegative")
-        if self.method != "analytic" and len(self.diagnostics) == 0:
-            raise InvalidInputError("non-analytic slope estimates carry diagnostics")
-
-
-def local_slope(spec: EnergySpec, space: SpaceSpec, x: Point, method="analytic") -> SlopeEstimate:
-    """Descending slope of phi at x.
-
-    analytic              metric norm of the gradient
-    lambda_representation sup over sampled v of ((phi(x)-phi(v))/d + lam/2 d)^+
-                          on concentric geodesic spheres
-    yosida_duality        sqrt(2 L), L the Richardson limit of (phi-phi_t)/t
-    """
-    if method == "analytic":
-        return SlopeEstimate(analytic_slope(spec, space, x), "analytic")
-    if method == "lambda_representation":
-        if spec.lam is None:
-            raise InvalidInputError("lambda_representation needs the convexity modulus")
-        # the probes x + r e, r = 2^-k for k < 13, e the probe directions,
-        # stacked radius by radius; rows off the quantile cone count as +inf
-        radii = 2.0 ** -np.arange(13.0)
-        steps = (radii[:, None, None] * probe_directions(space, at=x.coords)).reshape(-1, space.dim)
-        V = x.coords + steps
-        phi_v = np.where(admissible(space, V), eval_many(spec, V), math.inf)
-        dv = row_distances(space, steps, 0.0)
-        q = (energy_eval(spec, x) - phi_v) / dv + 0.5 * spec.lam * dv
-        q_r = np.maximum(q.reshape(13, -1).max(axis=1), 0.0)
-        diag = tuple(zip(radii.tolist(), q_r.tolist()))
-        return SlopeEstimate(float(q_r.max()), "lambda_representation", diag)
-    if method == "yosida_duality":
-        phi_x = energy_eval(spec, x)
-        ts = [0.1 * 2.0**-k for k in range(9)]
-        vals = prox(spec, space, np.repeat(x.coords[None], 9, axis=0), np.array(ts))[0]
-        quotients = [(t, (phi_x - val) / t) for t, val in zip(ts, vals.tolist())]
-        # quotient is L - C t + O(t^2); one Richardson step removes the O(t)
-        richardson = 2.0 * quotients[-1][1] - quotients[-2][1]
-        diag = tuple(quotients) + ((0.0, richardson),)
-        if not math.isfinite(richardson):
-            raise NonConvergenceError("divergent yosida quotient sequence", trace=list(diag))
-        return SlopeEstimate(math.sqrt(2.0 * max(richardson, 0.0)), "yosida_duality", diag)
-    raise InvalidInputError(f"unknown slope method {method!r}")

@@ -104,9 +104,7 @@ def exact_flows(energy: EnergySpec, x_bar: Point, ts) -> np.ndarray:
         m0 = float(np.mean(x_bar.coords))
         s0 = float(np.dot(x_bar.coords - m0, z) / np.dot(z, z))
         m_inf = -v1 / v2
-        # math.exp per time: numpy's vectorized exp need not round like libm's
-        decay = np.array([math.exp(-v2 * t) for t in ts.tolist()])
-        decay2 = np.array([math.exp(-2.0 * v2 * t) for t in ts.tolist()])
+        decay, decay2 = _libm_exp(np.stack([-v2 * ts, -2.0 * v2 * ts]))
         mt = m_inf + (m0 - m_inf) * decay
         var = 1.0 / v2 + (s0 * s0 - 1.0 / v2) * decay2
         return mt[:, None] + np.sqrt(var)[:, None] * z
@@ -114,11 +112,16 @@ def exact_flows(energy: EnergySpec, x_bar: Point, ts) -> np.ndarray:
     x2 = x * x
     if energy.kind == CONVEX_QUARTIC:
         return x / np.sqrt(1.0 + 2.0 * x2 * ts[:, None] / w)
-    # the double well; math.exp per entry, as above; the hilltop x_i = 0 stays
-    # at 0, with no 0/0 once e^{-2t/w_i} underflows
-    decay = np.array([[math.exp(-2.0 * t / wi) for wi in w.tolist()] for t in ts.tolist()])
-    den = x2 + (1.0 - x2) * decay.reshape(len(ts), len(x))
+    # the double well; the hilltop x_i = 0 stays at 0, with no 0/0 once
+    # e^{-2t/w_i} underflows
+    den = x2 + (1.0 - x2) * _libm_exp(-2.0 * ts[:, None] / w)
     return x / np.sqrt(np.where(x == 0.0, 1.0, den))
+
+
+def _libm_exp(a: np.ndarray) -> np.ndarray:
+    """e^a entry by entry with math.exp: numpy's vectorized exp need not round
+    like libm's."""
+    return np.array(list(map(math.exp, a.ravel().tolist()))).reshape(a.shape)
 
 
 def _quadratic_modes(energy: EnergySpec, space: SpaceSpec):

@@ -81,24 +81,6 @@ class SpaceSpec:
             raise InvalidInputError("quantile_nodes only defined for quantile1d")
         return (np.arange(self.dim) + 0.5) / self.dim
 
-    def to_json(self) -> dict:
-        if self.kind == QUANTILE1D:
-            return {"kind": QUANTILE1D, "m": self.dim}
-        if self.kind == PNORM:
-            return {"kind": PNORM, "dim": self.dim, "p": self.p}
-        return {"kind": EUCLIDEAN, "dim": self.dim}
-
-    @staticmethod
-    def from_json(obj: dict) -> "SpaceSpec":
-        kind = obj.get("kind")
-        if kind == QUANTILE1D:
-            return SpaceSpec.quantile1d(int(obj["m"]))
-        if kind == PNORM:
-            return SpaceSpec.pnorm(int(obj["dim"]), float(obj["p"]))
-        if kind == EUCLIDEAN:
-            return SpaceSpec.euclidean(int(obj["dim"]))
-        raise InvalidInputError(f"unknown space kind in config: {kind!r}")
-
 
 @dataclass(frozen=True)
 class Point:
@@ -163,23 +145,6 @@ def row_distances(space: SpaceSpec, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     if space.kind == QUANTILE1D:
         return np.sqrt(np.sum(diff * diff, axis=1) / space.dim)
     return np.sqrt(np.sum(diff * diff, axis=1))
-
-
-def geodesic_point(space: SpaceSpec, a: Point, b: Point, theta: float) -> Point:
-    """Point at parameter theta on the constant-speed segment from a to b.
-
-    Straight segments are geodesics for every supported kind (norms, and
-    displacement interpolation in quantile coordinates).  Endpoints are
-    returned exactly.
-    """
-    _check_same_space(a, b)
-    if not 0.0 <= theta <= 1.0:
-        raise InvalidInputError(f"theta={theta} outside [0, 1]")
-    if theta == 0.0:
-        return Point(a.coords.copy(), space)
-    if theta == 1.0:
-        return Point(b.coords.copy(), space)
-    return Point((1.0 - theta) * a.coords + theta * b.coords, space)
 
 
 def probe_directions(space: SpaceSpec, at: np.ndarray) -> np.ndarray:

@@ -111,15 +111,6 @@ def metric_speed(traj: Trajectory) -> np.ndarray:
     return row_distances(traj.space, traj.points[:-1], traj.points[1:]) / traj.grid.dt
 
 
-def arclength_reparam(traj: Trajectory) -> Trajectory:
-    """Unit-speed reparameterization onto a uniform grid over [0, L]."""
-    seg = row_distances(traj.space, traj.points[:-1], traj.points[1:])
-    L = float(np.sum(seg))
-    if L <= 0.0:
-        raise DegenerateCurveError("arclength reparameterization of a constant curve")
-    return _resample(traj, seg, L)
-
-
 def row_values(f, P: np.ndarray) -> np.ndarray:
     """``f(P)``, checked to be one value per row of the (n, d) array P."""
     vals = np.asarray(f(P), dtype=float)
@@ -169,29 +160,6 @@ def _resample(traj: Trajectory, increments: np.ndarray, total: float) -> Traject
     pts[0] = traj.points[0]
     pts[-1] = traj.points[-1]
     return Trajectory(TimeGrid(s_new), pts, traj.space)
-
-
-# -- weighted-measure checks ----------------------------------------------------
-
-
-def weighted_ibp_check(t: np.ndarray, w: np.ndarray, eps: float) -> float:
-    """Residual of the weighted integration-by-parts identity on [0, T].
-
-    Both integrals use the standard first-order quadrature (exact masses,
-    left-node sampling; the derivative is the forward difference), so the
-    residual decreases like O(1/N) under refinement.
-    """
-    t = np.asarray(t, dtype=float)
-    w = np.asarray(w, dtype=float)
-    if t.shape != w.shape:
-        raise InvalidInputError("t and w must have matching shapes")
-    T = float(t[-1])
-    ew = np.exp(-t / eps)
-    m = ew[:-1] - ew[1:]
-    dw = np.diff(w) / np.diff(t)
-    lhs = w[0] + eps * float(np.sum(dw * m))
-    rhs = w[-1] * np.exp(-T / eps) + float(np.sum(w[:-1] * m))
-    return abs(lhs - rhs)
 
 
 def _cell_sq_integral(a: float, b: float, t0: float, h: float, eps: float) -> float:

@@ -411,37 +411,6 @@ def check_hj(energy: EnergySpec, x: Point, epsilon: float,
     )
 
 
-# -- a-priori bounds asserted on solutions ----------------------------------------
-
-
-def apriori_speed_bound(sol: WedSolution) -> tuple:
-    """(lhs, rhs) of the dissipation bound int |u'|^2 <= 2 (V + Q) e^{2BT}."""
-    pr = sol.problem
-    lhs = float(np.sum(sol.speed**2 * sol.trajectory.grid.dt))
-    q = q_value(pr.energy, pr.space, pr.x_bar)
-    rhs = 2.0 * (sol.objective + q) * math.exp(
-        2.0 * (pr.energy.coercivity.B if pr.energy.coercivity else 0.0) * pr.T
-    )
-    return lhs, rhs
-
-
-def chain_rule_bound(sol: WedSolution) -> IdentityReport:
-    """|V(u_s) - V(u_t)| <= int (G^2 + |u'|^2)/2 along the solution itself."""
-    eps = sol.problem.epsilon
-    V = value_along(sol)
-    dt = sol.trajectory.grid.dt
-    g2 = 2.0 * np.maximum(sol.phi[:-1] - V[:-1], 0.0) / eps
-    budget = np.concatenate([[0.0], np.cumsum(0.5 * (g2 + sol.speed**2) * dt)])
-    scale = max(float(np.max(np.abs(V - V[0]))), 1e-12)
-    resid = (np.abs(V - V[0]) - budget) / scale
-    return IdentityReport(
-        name="chain_rule",
-        residuals=np.maximum(resid, 0.0),
-        tolerance=0.05,
-        details={},
-    )
-
-
 # -- energy-induced Finsler distance ----------------------------------------------
 
 

@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from wedflow import IdentityReport
+from wedflow import IdentityReport, NonConvergenceError
 from wedflow.cli import ConfigError, Experiment, _SUITE_FN, main, run
 
 BASE = {
@@ -165,6 +165,35 @@ def test_error_inside_suite_leaves_manifest(tmp_path, monkeypatch):
     assert "broken suite" in manifest["error"]
     assert manifest["summary"] == {"spectral": True}
     assert (out / "report_spectral.json").exists()
+
+
+@pytest.mark.parametrize("best", [np.array([[1.0, -0.5], [0.1, 1e-17], [2.0 / 3.0, 7.0]]), None],
+                         ids=["best", "no_best"])
+def test_non_convergence_leaves_best_iterate_and_trace(tmp_path, monkeypatch, best):
+    trace = [[1, 2.5, 1.0], [2, 2.25, 0.5]]
+
+    def stalled(exp, outdir):
+        raise NonConvergenceError("solve stalled", best=best, trace=trace)
+
+    monkeypatch.setitem(_SUITE_FN, "fundamental", stalled)
+    out = tmp_path / "out"
+    assert run(cfg(suites=["spectral", "fundamental"]), out, quiet=True) == 1
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert (manifest["error"], manifest["trace"]) == ("solve stalled", trace)
+    assert manifest["summary"] == {"spectral": True}
+    if best is None:
+        assert not (out / "best.csv").exists()
+    else:
+        header, *rows = (out / "best.csv").read_text().splitlines()
+        assert header == "x0,x1"
+        assert [[float(v) for v in row.split(",")] for row in rows] == best.tolist()
+
+
+def test_runs_that_converge_leave_no_trace(tmp_path):
+    out = tmp_path / "out"
+    assert run(cfg(suites=["fundamental"]), out, quiet=True) == 0
+    assert json.loads((out / "manifest.json").read_text())["trace"] is None
+    assert not (out / "best.csv").exists()
 
 
 def test_missing_key_reports_json_pointer():
@@ -382,6 +411,7 @@ def test_task_commands_run_no_suites(tmp_path):
     (cfg(epsilon=float("nan")), "config /epsilon: must be finite"),
     (cfg(eps_list=[0.1, float("nan")]), "config /eps_list/1: must be finite"),
     (cfg(T=float("inf")), "config /T: must be finite"),
+    (cfg(T=10**400), "config /T: must be finite"),  # an int past the float range
     (cfg(energy={"kind": "quadratic", "params": {"A": [[float("nan")]]}}),
      "config /energy: energy parameters must be finite"),
     (cfg(energy={"kind": "quadratic", "params": {"A": [[1.0]]}, "lambda": float("inf")}),
@@ -394,8 +424,8 @@ def test_task_commands_run_no_suites(tmp_path):
         "t_obs_negative", "t_obs_zero",
         "epsilon_zero", "eps_list_negative",
         "pnorm_space", "x_bar_infinite_energy", "energy_no_coercivity", "energy_of_other_dim",
-        "epsilon_too_large", "epsilon_nan", "eps_list_nan", "T_infinite", "energy_nan",
-        "lambda_infinite", "coercivity_nan"])
+        "epsilon_too_large", "epsilon_nan", "eps_list_nan", "T_infinite", "T_huge_int",
+        "energy_nan", "lambda_infinite", "coercivity_nan"])
 def test_bad_config_values_are_config_errors(tmp_path, config, needle):
     out = tmp_path / "out"
     code = main(["check", "--config", str(write_cfg(tmp_path, config)), "--out", str(out),
@@ -419,6 +449,58 @@ def test_keys_no_run_reads_are_config_errors(tmp_path, capsys, key, value):
     assert f"config /{key}: " in capsys.readouterr().err
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["error"].startswith(f"config /{key}: ") and manifest["summary"] == {}
+    assert not list(out.glob("report_*.json"))
+
+
+QUAD_A = {"kind": "quadratic", "params": {"A": [[1.0]]}}
+
+
+@pytest.mark.parametrize("key, value, pointer", [
+    ("space", {"kind": "euclidean"}, "/space/dim"),
+    ("space", {"kind": "euclidean", "dim": 1.7}, "/space/dim"),
+    ("space", {"kind": "euclidean", "dim": 1, "extra": 1}, "/space/extra"),
+    ("space", {"kind": "quantile1d", "dim": 1}, "/space/dim"),
+    ("space", {"kind": "quantile1d"}, "/space/m"),
+    ("space", {"kind": "pnorm", "dim": 1, "p": "2"}, "/space/p"),
+    ("space", {"dim": 1}, "/space/kind"),
+    ("space", {"kind": "sphere", "dim": 1}, "/space/kind"),
+    ("energy", {"kind": "quadratic", "params": {"A": "x"}}, "/energy/params/A"),
+    ("energy", {"kind": "quadratic", "params": {"A": [[1.0], [1.0, 2.0]]}}, "/energy/params/A"),
+    ("energy", {"kind": "quadratic", "params": {"A": [1.0]}}, "/energy/params/A"),
+    # an int past the float range is inf, which the energy rejects
+    ("energy", {"kind": "quadratic", "params": {"A": [[-10**400]]}}, "/energy"),
+    ("energy", {"kind": "quadratic", "params": {"b": [0.0]}}, "/energy/params/A"),
+    ("energy", {"kind": "quadratic", "params": {"A": [[1.0]], "b": [True]}}, "/energy/params/b"),
+    ("energy", {"kind": "quadratic", "params": {"A": [[1.0]], "bogus": 1}},
+     "/energy/params/bogus"),
+    ("energy", {"kind": "discrete_dirichlet", "params": {"p": [3.0]}}, "/energy/params/p"),
+    ("energy", {"kind": "double_well", "params": {"v2": 1.0}}, "/energy/params/v2"),
+    ("energy", {**QUAD_A, "extra": 1}, "/energy/extra"),
+    ("energy", {**QUAD_A, "lambda": "1"}, "/energy/lambda"),
+    ("energy", {**QUAD_A, "coercivity": {"A": 0.0}}, "/energy/coercivity/B"),
+    ("energy", {**QUAD_A, "coercivity": {"A": 0.0, "B": [1.0]}}, "/energy/coercivity/B"),
+    ("energy", {**QUAD_A, "coercivity": {"A": 0.0, "B": 0.0, "u_star": 0.0}},
+     "/energy/coercivity/u_star"),
+    ("energy", {**QUAD_A, "coercivity": {"A": 0.0, "B": 0.0, "bogus": 1}},
+     "/energy/coercivity/bogus"),
+    ("energy", {"params": {"A": [[1.0]]}}, "/energy/kind"),
+    ("energy", {"kind": "sextic"}, "/energy/kind"),
+], ids=["space_no_dim", "space_fractional_dim", "space_extra", "quantile_dim", "quantile_no_m",
+        "pnorm_p_string", "space_no_kind", "space_unknown_kind", "params_A_string",
+        "params_A_ragged", "params_A_vector", "params_A_huge_int", "params_no_A", "params_b_bool",
+        "params_bogus", "params_p_list", "params_of_another_kind", "energy_extra", "lambda_string",
+        "coercivity_no_B", "coercivity_B_list", "coercivity_u_star_number", "coercivity_bogus",
+        "energy_no_kind", "energy_unknown_kind"])
+def test_nested_config_errors_carry_their_pointer(tmp_path, capsys, key, value, pointer):
+    # a malformed space or energy stops the run with its JSON pointer, on
+    # stderr and in the manifest, before any suite
+    out = tmp_path / "out"
+    argv = ["check", "--config", str(write_cfg(tmp_path, cfg(**{key: value}))), "--out", str(out),
+            "--quiet"]
+    assert main(argv) == 1
+    assert f"config {pointer}: " in capsys.readouterr().err
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["error"].startswith(f"config {pointer}: ") and manifest["summary"] == {}
     assert not list(out.glob("report_*.json"))
 
 

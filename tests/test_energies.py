@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from wedflow import (
-    DomainError, InvalidInputError, Point, SpaceSpec, convex_quartic,
-    discrete_dirichlet, distance, double_well, energy_eval, energy_grad,
-    gaussian_quantiles, geodesic_point, local_slope, normal_quantile, point,
-    q_value, quadratic, quantile_entropy_potential, yosida,
+    DomainError, InvalidInputError, Point, SpaceSpec, convex_quartic, discrete_dirichlet,
+    distance, double_well, energy_eval, gaussian_quantiles, normal_quantile, point, q_value,
+    quadratic, quantile_entropy_potential,
 )
+from wedflow.cli import _energy
 from wedflow.energies import (
-    _KINDS, QUADRATIC, analytic_slope, analytic_slopes, eval_many, grad_many, hess_many, prox,
+    PARAMS, QUADRATIC, analytic_slope, analytic_slopes, eval_many, grad_many, hess_many, prox,
     reference_point,
 )
 from wedflow.spaces import probe_directions
@@ -44,7 +44,7 @@ def test_quadratic_eval_and_grad():
     spec = quadratic([[1.0]])
     assert energy_eval(spec, point([2.0], E1)) == pytest.approx(2.0, abs=1e-15)
     spec2 = quadratic([[2.0]], [1.0])
-    assert energy_grad(spec2, point([3.0], E1))[0] == pytest.approx(5.0, abs=1e-15)
+    assert grad_many(spec2, point([3.0], E1).coords[None])[0][0] == pytest.approx(5.0, abs=1e-15)
 
 
 def test_double_well_values():
@@ -52,7 +52,7 @@ def test_double_well_values():
     assert energy_eval(dw, point([1.0], E1)) == 0.0
     assert energy_eval(dw, point([-1.0], E1)) == 0.0
     assert energy_eval(dw, point([0.0], E1)) == pytest.approx(0.25, abs=1e-15)
-    assert energy_grad(dw, point([2.0], E1))[0] == pytest.approx(6.0, abs=1e-14)
+    assert grad_many(dw, point([2.0], E1).coords[None])[0][0] == pytest.approx(6.0, abs=1e-14)
 
 
 def test_quantile_entropy_matches_fine_resolution():
@@ -87,7 +87,7 @@ def test_gradients_match_finite_differences():
         worst = 0.0
         for _ in range(200):
             x = sample(rng)
-            g = energy_grad(spec, x)
+            g = grad_many(spec, x.coords[None])[0]
             fd = np.empty_like(g)
             for j in range(len(fd)):
                 h = 1e-6 * (1.0 + abs(x.coords[j]))
@@ -145,7 +145,7 @@ def test_lambda_convexity_along_geodesics():
             d2 = distance(space, a, b) ** 2
             pa, pb = energy_eval(spec, a), energy_eval(spec, b)
             for th in (0.25, 0.5, 0.75):
-                g = geodesic_point(space, a, b, th)
+                g = Point(a.coords + th * (b.coords - a.coords), space)  # the segment
                 bound = (1 - th) * pa + th * pb - 0.5 * spec.lam * th * (1 - th) * d2
                 assert energy_eval(spec, g) <= bound + 1e-10
 
@@ -153,9 +153,9 @@ def test_lambda_convexity_along_geodesics():
 def test_yosida_quadratic_closed_form():
     # resolvent of a u^2/2: value a x^2 / (2 (1 + a t))
     spec = quadratic([[1.0]])
-    val, arg = yosida(spec, E1, point([2.0], E1), 0.5)
+    (val,), (arg,) = prox(spec, E1, point([2.0], E1).coords[None], 0.5)
     assert val == pytest.approx(4.0 / 3.0, abs=1e-9)
-    assert arg.coords[0] == pytest.approx(2.0 / 1.5, abs=1e-7)
+    assert arg[0] == pytest.approx(2.0 / 1.5, abs=1e-7)
     # grid-search oracle
     ys = np.linspace(-1.0, 3.0, 400001)
     brute = np.min((ys - 2.0) ** 2 / (2 * 0.5) + ys**2 / 2.0)
@@ -169,7 +169,7 @@ def test_yosida_below_phi_and_monotone_in_t():
     prev = -np.inf
     for k in range(9):  # t = 0.1 * 2^-k decreasing, values climb toward phi
         t = 0.1 * 2.0**-k
-        val, _ = yosida(dw, E1, x, t)
+        (val,), _ = prox(dw, E1, x.coords[None], t)
         assert val <= phi + 1e-12
         assert val >= prev - 1e-12
         ys = np.linspace(-2.0, 2.0, 200001)
@@ -183,15 +183,15 @@ def test_yosida_lower_bound_from_coercivity():
     co = spec.coercivity
     x = point([1.3], E1)
     t = 0.4 / co.B / 2.0  # 1/(2t) >= B
-    val, _ = yosida(spec, E1, x, t)
+    (val,), _ = prox(spec, E1, x.coords[None], t)
     assert val >= -q_value(spec, E1, x) - 1e-10
 
 
 def test_yosida_rejects_noncoercive_inner_problem():
     spec = quadratic([[-0.5]])
-    yosida(spec, E1, point([0.4], E1), 1.0)  # 1/t + lam > 0: fine
+    prox(spec, E1, point([0.4], E1).coords[None], 1.0)  # 1/t + lam > 0: fine
     with pytest.raises(InvalidInputError):
-        yosida(spec, E1, point([0.4], E1), 2.5)  # unbounded below
+        prox(spec, E1, point([0.4], E1).coords[None], 2.5)  # unbounded below
 
 
 def test_yosida_multidimensional_newton():
@@ -200,10 +200,10 @@ def test_yosida_multidimensional_newton():
     s2 = SpaceSpec.euclidean(2)
     x = point([1.0, -2.0], s2)
     t = 0.7
-    val, arg = yosida(spec, s2, x, t)
+    (val,), (arg,) = prox(spec, s2, x.coords[None], t)
     # closed form: argmin solves (I/t + A) y = x/t
     y = np.linalg.solve(np.eye(2) / t + A, x.coords / t)
-    assert np.allclose(arg.coords, y, atol=1e-9)
+    assert np.allclose(arg, y, atol=1e-9)
     assert val == pytest.approx(np.sum((y - x.coords) ** 2) / (2 * t) + 0.5 * y @ A @ y, abs=1e-10)
 
 
@@ -273,8 +273,8 @@ def test_yosida_follows_a_minimizer_outside_the_scanned_window(x):
     t = 0.6
     y = (x / t + 0.25) / (1.0 / t - 1.5)
     expected = (y - x) ** 2 / (2.0 * t) - 0.75 * y * y - 0.25 * y
-    val, arg = yosida(quadratic([[-1.5]], [0.25]), E1, point([x], E1), t)
-    assert arg.coords[0] == pytest.approx(y, rel=1e-12)
+    (val,), (arg,) = prox(quadratic([[-1.5]], [0.25]), E1, point([x], E1).coords[None], t)
+    assert arg[0] == pytest.approx(y, rel=1e-12)
     assert val == pytest.approx(expected, rel=1e-12)
 
 
@@ -283,20 +283,20 @@ def test_yosida_1d_overflow_gives_inf_as_numpy_does(t):
     # far out the squares overflow to inf, from x (t = 0.01) and from the
     # scan (t = 1) alike
     with np.errstate(over="ignore", invalid="ignore"):
-        val, _ = yosida(double_well(), E1, point([1e160], E1), t)
+        (val,), _ = prox(double_well(), E1, point([1e160], E1).coords[None], t)
     assert val == math.inf
 
 
 def test_local_slope_analytic():
     spec = quadratic([[1.0]])
-    assert local_slope(spec, E1, point([2.0], E1)).value == pytest.approx(2.0, abs=1e-14)
+    assert analytic_slope(spec, E1, point([2.0], E1)) == pytest.approx(2.0, abs=1e-14)
     dw = double_well()
-    assert local_slope(dw, E1, point([1.0], E1)).value == 0.0
+    assert analytic_slope(dw, E1, point([1.0], E1)) == 0.0
 
 
 def numpy_scalar_slope(spec, space, x):
     """|dphi|(x) from the gradient of one point, on numpy scalars."""
-    g = energy_grad(spec, x)
+    g = grad_many(spec, x.coords[None])[0]
     if space.kind == "pnorm":
         q = space.p / (space.p - 1.0)
         return float(np.sum(np.abs(g) ** q) ** (1.0 / q))
@@ -327,51 +327,35 @@ def test_analytic_slopes_are_bitwise_one_point_slopes(spec, space, U):
     assert all(analytic_slope(spec, space, Point(u, space)) == w for u, w in zip(U[:50], want))
 
 
+def yosida_duality(spec, space, x):
+    """The Yosida quotients (phi(x) - phi_t(x)) / t at t = 0.1 / 2^k, k < 9,
+    from one ``prox`` call, and the slope sqrt(2 L) by the duality
+    |dphi|^2 / 2 = lim (phi - phi_t) / t, L their limit by one Richardson
+    step on the two smallest t (the quotients are L - C t + O(t^2))."""
+    ts = 0.1 * 2.0 ** -np.arange(9.0)
+    q = (energy_eval(spec, x) - prox(spec, space, np.repeat(x.coords[None], 9, axis=0), ts)[0]) / ts
+    return ts, q, math.sqrt(2.0 * max(2.0 * q[-1] - q[-2], 0.0))
+
+
 def test_local_slope_yosida_duality():
-    dw = double_well()
-    est = local_slope(dw, E1, point([0.5], E1), method="yosida_duality")
-    assert est.value == pytest.approx(0.375, abs=1e-3)
-    assert len(est.diagnostics) == 10  # nine quotients plus the extrapolate
+    _, _, slope = yosida_duality(double_well(), E1, point([0.5], E1))
+    assert slope == pytest.approx(0.375, abs=1e-3)
 
 
 def test_local_slope_duality_quotient_closed_form():
     # (phi - phi_t)/t = a^2 x^2 / (2 (1 + a t)) for the quadratic
-    spec = quadratic([[1.0]])
-    x = point([2.0], E1)
-    est = local_slope(spec, E1, x, method="yosida_duality")
-    for t, q in est.diagnostics:
-        if t > 0.0:
-            assert q == pytest.approx(4.0 / (2.0 * (1.0 + t)), abs=1e-7)
-    assert est.value == pytest.approx(2.0, abs=1e-4)
-
-
-def test_local_slope_lambda_representation():
-    dw = double_well()
-    x = point([0.5], E1)
-    analytic = local_slope(dw, E1, x).value
-    est = local_slope(dw, E1, x, method="lambda_representation")
-    assert est.value >= analytic - 1e-3
-    assert est.value <= analytic + 5e-2
-    # quotients at shrinking radii approach the analytic slope
-    assert abs(est.diagnostics[-1][1] - analytic) < 1e-3
-
-
-@pytest.mark.parametrize("spec, x", [
-    (double_well(), point([0.3, -0.8, 1.4], SpaceSpec.euclidean(3))),
-    (quantile_entropy_potential(v2=1.0, v1=0.5),
-     gaussian_quantiles(SpaceSpec.quantile1d(8), 0.4, 1.7)),
-], ids=["dw-3d", "q8"])
-def test_lambda_representation_stays_below_slope(spec, x):
-    # lambda-convexity bounds every probe quotient by the slope
-    analytic = analytic_slope(spec, x.space, x)
-    est = local_slope(spec, x.space, x, method="lambda_representation")
-    assert all(q <= analytic + 1e-12 for _, q in est.diagnostics)
-    assert est.value <= analytic + 1e-12
+    ts, qs, slope = yosida_duality(quadratic([[1.0]]), E1, point([2.0], E1))
+    for t, q in zip(ts, qs):
+        assert q == pytest.approx(4.0 / (2.0 * (1.0 + t)), abs=1e-7)
+    assert slope == pytest.approx(2.0, abs=1e-4)
 
 
 def loop_lambda_representation(spec, x):
-    """The lambda-representation slope point by point: every probe x + r e a
-    Point, its distance the weighted l2 or p-norm of r e."""
+    """The lambda-representation slope sup over v of ((phi(x) - phi(v)) / d +
+    lambda/2 d)^+ on the probes v = x + r e, r = 2^-k for k < 13 and e the
+    ``probe_directions``, one radius at a time: (r, that radius's sup) pairs.
+    Probes off the quantile cone are skipped; d is the weighted l2 or p-norm
+    of r e."""
     space = x.space
     phi_x = energy_eval(spec, x)
     diag = []
@@ -392,27 +376,44 @@ def loop_lambda_representation(spec, x):
     return diag
 
 
+def test_local_slope_lambda_representation():
+    dw = double_well()
+    x = point([0.5], E1)
+    analytic = analytic_slope(dw, E1, x)
+    diag = loop_lambda_representation(dw, x)
+    est = max(q for _, q in diag)
+    assert est >= analytic - 1e-3
+    assert est <= analytic + 5e-2
+    # quotients at shrinking radii approach the analytic slope
+    assert abs(diag[-1][1] - analytic) < 1e-3
+
+
 @pytest.mark.parametrize("spec, x", [
-    (double_well(), point([0.5], E1)),
     (double_well(), point([0.3, -0.8, 1.4], SpaceSpec.euclidean(3))),
-    (convex_quartic(), point([0.3, -0.8], SpaceSpec.pnorm(2, 3.0))),
-    # the shift and dilation probes of a narrow profile leave the cone at
-    # the large radii
     (quantile_entropy_potential(v2=1.0, v1=0.5),
-     gaussian_quantiles(SpaceSpec.quantile1d(8), 0.4, 0.2)),
-], ids=["dw-1d", "dw-3d", "quartic-pnorm3", "q8-narrow"])
-def test_lambda_representation_on_rows_is_the_probe_loop(spec, x):
-    est = local_slope(spec, x.space, x, method="lambda_representation")
-    ref = loop_lambda_representation(spec, x)
-    assert [r for r, _ in est.diagnostics] == [r for r, _ in ref]
-    assert np.allclose([q for _, q in est.diagnostics], [q for _, q in ref], rtol=1e-12, atol=0)
-    assert est.value == max(q for _, q in est.diagnostics)
+     gaussian_quantiles(SpaceSpec.quantile1d(8), 0.4, 1.7)),
+], ids=["dw-3d", "q8"])
+def test_lambda_representation_stays_below_slope(spec, x):
+    # lambda-convexity bounds every probe quotient by the slope
+    analytic = analytic_slope(spec, x.space, x)
+    diag = loop_lambda_representation(spec, x)
+    assert all(q <= analytic + 1e-12 for _, q in diag)
+    assert max(q for _, q in diag) <= analytic + 1e-12
+
+
+def config_object(spec):
+    """``spec`` as the ``energy`` object of a config."""
+    co = spec.coercivity
+    return {"kind": spec.kind, "lambda": spec.lam,
+            "params": {k: np.asarray(v).tolist() for k, v in spec.params.items()},
+            "coercivity": None if co is None else {
+                "A": co.A, "B": co.B, "u_star": None if co.u_star is None else co.u_star.tolist()}}
 
 
 def test_energy_json_roundtrip():
     rng = np.random.default_rng(23)
     for spec, _, _ in kind_fixtures(rng):
-        back = type(spec).from_json(spec.to_json())
+        back = _energy(config_object(spec))
         assert back.kind == spec.kind
         assert back.lam == pytest.approx(spec.lam)
         x = np.abs(rng.standard_normal(3)) if spec.kind == "quadratic" else None
@@ -484,7 +485,7 @@ def test_hess_many_is_zero_off_the_tridiagonal_band():
     ]
     rows = [U] * len(cases) + [np.cumsum(rng.uniform(0.05, 0.8, (7, 8)), axis=1) - 2.0]
     cases.append(quantile_entropy_potential(v2=1.0, v1=0.3))
-    assert {spec.kind for spec in cases} == set(_KINDS) - {QUADRATIC}
+    assert {spec.kind for spec in cases} == set(PARAMS) - {QUADRATIC}
     far = np.abs(np.subtract.outer(np.arange(8), np.arange(8))) > 1
     for spec, V in zip(cases, rows):
         H = hess_many(spec, V)

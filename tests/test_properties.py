@@ -18,8 +18,9 @@ from hypothesis import strategies as st
 
 from wedflow import (
     InvalidInputError, SpaceSpec, ValueOptions, WedProblem, convex_quartic, double_well,
-    energy_eval, energy_grad, minimize_wed, point, quadratic, value_function,
+    energy_eval, minimize_wed, point, quadratic, value_function,
 )
+from wedflow.energies import grad_many
 
 E1 = SpaceSpec.euclidean(1)
 ENERGIES = {"convex_quartic": convex_quartic(), "double_well": double_well()}
@@ -61,7 +62,8 @@ def test_backends_agree_to_first_order(kind, x, eps, N):
     assert gap <= (T / N) / eps * travel
 
 
-@pytest.mark.parametrize("fn", [energy_eval, energy_grad])
+@pytest.mark.parametrize("fn", [energy_eval, lambda spec, x: grad_many(spec, x.coords[None])[0]],
+                         ids=["energy_eval", "energy_grad"])
 def test_quadratic_of_another_size_raises(fn):
     with pytest.raises(InvalidInputError, match="dimension mismatch"):
         fn(quadratic(np.eye(2)), point([1.0], E1))

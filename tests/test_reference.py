@@ -10,9 +10,9 @@ from wedflow import (
     TimeGrid, Trajectory, WedProblem, check_max_slope, convergence_study,
     convex_quartic, discrete_dirichlet, distance, double_well, exact_flow, exact_flows,
     gaussian_quantiles, lambda_diagnostics, minimize_wed, minimizing_movements,
-    normal_quantile, point, quadratic, quantile_entropy_potential, yosida,
+    normal_quantile, point, quadratic, quantile_entropy_potential,
 )
-from wedflow.energies import eval_many
+from wedflow.energies import eval_many, prox
 from wedflow.reference import has_exact_flow
 
 E1 = SpaceSpec.euclidean(1)
@@ -93,7 +93,7 @@ def test_mm_steps_are_yosida_and_movements_are_distances(space, energy, x0, tau)
     mm = minimizing_movements(x, tau, 40, energy, space)
     P = mm.trajectory.points
     for k in range(40):
-        step = yosida(energy, space, Point(P[k], space), tau)[1].coords
+        step = prox(energy, space, P[k:k + 1], tau)[1][0]
         assert P[k + 1].tobytes() == step.tobytes()
     dists = [distance(space, Point(P[k], space), Point(P[k + 1], space)) for k in range(40)]
     assert mm.movements.tobytes() == np.array(dists).tobytes()

@@ -6,14 +6,14 @@ from hypothesis import strategies as st
 
 from wedflow import (
     DegenerateCurveError, DomainError, InvalidInputError, Point, SpaceSpec, TimeGrid, Trajectory,
-    Weights, arclength_reparam, g_reparam, geodesic_point, metric_speed,
-    poincare_witness, quadratic, spectral_check, weighted_ibp_check,
+    Weights, g_reparam, metric_speed, poincare_witness, quadratic, spectral_check,
 )
 from wedflow.energies import eval_many
 from wedflow.trajectories import spectral_terms, spectral_totals
 
 E1 = SpaceSpec.euclidean(1)
 E2 = SpaceSpec.euclidean(2)
+ONE = lambda P: np.ones(len(P))  # g_reparam's unit weight: the arclength reparameterization
 
 
 def line_traj(f, T, N, space=E1):
@@ -92,7 +92,7 @@ def test_speed_of_geodesic_interpolation_is_constant():
         else:
             a, b = Point(rng.standard_normal(2), space), Point(rng.standard_normal(2), space)
         grid = TimeGrid.uniform(1.0, 37)
-        pts = np.array([geodesic_point(space, a, b, t).coords for t in grid.nodes])
+        pts = a.coords + grid.nodes[:, None] * (b.coords - a.coords)  # the segment
         v = metric_speed(Trajectory(grid, pts, space))
         assert np.max(np.abs(v - v[0])) < 1e-12
 
@@ -130,7 +130,7 @@ def test_speeds_are_the_weighted_segment_lengths(space, bitwise):
 
 def test_arclength_straight_segment():
     traj = line_traj(lambda t: np.array([2.0 * t, 0.0]), 1.0, 100, E2)
-    out = arclength_reparam(traj)
+    out = g_reparam(traj, ONE)
     assert out.grid.T == pytest.approx(2.0, abs=1e-12)
     assert np.allclose(metric_speed(out), 1.0, atol=1e-9)
     assert np.allclose(out.points[0], traj.points[0])
@@ -139,7 +139,7 @@ def test_arclength_straight_segment():
 
 def test_arclength_quadratic_curve():
     traj = line_traj(lambda t: np.array([t * t, 0.0]), 1.0, 2000, E2)
-    out = arclength_reparam(traj)
+    out = g_reparam(traj, ONE)
     v = metric_speed(out)
     assert np.max(np.abs(v - 1.0)) < 1e-4
     # total length preserved
@@ -148,33 +148,34 @@ def test_arclength_quadratic_curve():
 
 def test_arclength_idempotent():
     traj = line_traj(lambda t: np.array([t, 0.0]), 1.5, 64, E2)
-    once = arclength_reparam(traj)
-    twice = arclength_reparam(once)
+    once = g_reparam(traj, ONE)
+    twice = g_reparam(once, ONE)
     assert np.max(np.abs(once.grid.nodes - twice.grid.nodes)) < 1e-10
     assert np.max(np.abs(once.points - twice.points)) < 1e-10
 
 
 def test_arclength_rejects_constant_curve():
     with pytest.raises(DegenerateCurveError):
-        arclength_reparam(line_traj(lambda t: 1.0, 1.0, 8))
+        g_reparam(line_traj(lambda t: 1.0, 1.0, 8), ONE)
 
 
 def test_unit_reparam_of_unit_speed_curve_is_identity():
     # arclength first, then unit-weight reparameterization: nothing moves
     # (a straight segment with nonuniform speed keeps the resampling exact)
     traj = line_traj(lambda t: np.array([2.0 * t * t, t * t]), 1.0, 500, E2)
-    unit = arclength_reparam(traj)
-    again = g_reparam(unit, lambda P: np.ones(len(P)))
+    unit = g_reparam(traj, ONE)
+    again = g_reparam(unit, ONE)
     assert np.max(np.abs(unit.grid.nodes - again.grid.nodes)) < 1e-8
     assert np.max(np.abs(unit.points - again.points)) < 1e-8
 
 
 def test_g_reparam_unit_g_is_arclength():
+    # unit speed (the resampled chords cut the corners by 2.6e-6) over the
+    # curve's length
     traj = line_traj(lambda t: np.array([t * t, t]), 1.0, 500, E2)
-    a = arclength_reparam(traj)
-    b = g_reparam(traj, lambda P: np.ones(len(P)))
-    assert np.max(np.abs(a.grid.nodes - b.grid.nodes)) < 1e-12
-    assert np.max(np.abs(a.points - b.points)) < 1e-8
+    b = g_reparam(traj, ONE)
+    assert np.max(np.abs(metric_speed(b) - 1.0)) < 1e-5
+    assert b.grid.T == pytest.approx(np.sum(metric_speed(traj) * traj.grid.dt), abs=1e-12)
 
 
 def test_g_reparam_constant_scaling():
@@ -249,14 +250,24 @@ def test_g_reparam_rejects_nonpositive_g():
 # -- weighted integration by parts ------------------------------------------------
 
 
+def ibp_residual(t, w, eps):
+    """Residual of the weighted integration by parts
+    w(0) + eps int w' dmu = w(T) e^{-T/eps} + int w dmu on the grid t, with the
+    exact cell masses and tail of ``Weights.for_grid``, w sampled at left
+    nodes and w' the forward difference: first order in the grid width."""
+    wts = Weights.for_grid(TimeGrid(t), eps)
+    lhs = w[0] + eps * float(np.sum(np.diff(w) / np.diff(t) * wts.masses))
+    return abs(lhs - (w[-1] * wts.tail + float(np.sum(w[:-1] * wts.masses))))
+
+
 def test_ibp_zero_function():
     t = TimeGrid.exp_graded(0.5, 5.0, 100).nodes
-    assert weighted_ibp_check(t, np.zeros_like(t), 0.5) == 0.0
+    assert ibp_residual(t, np.zeros_like(t), 0.5) == 0.0
 
 
 def test_ibp_linear_function():
     t = TimeGrid.exp_graded(0.5, 5.0, 4000).nodes
-    resid = weighted_ibp_check(t, t.copy(), 0.5)
+    resid = ibp_residual(t, t.copy(), 0.5)
     assert resid <= 1e-3
     # analytic check of the continuum identity for w(t) = t:
     # eps (1 - e^{-T/eps}) = T e^{-T/eps} + [eps - (T + eps) e^{-T/eps}]
@@ -271,7 +282,7 @@ def test_ibp_first_order_refinement():
     resid = {}
     for N in (2000, 4000):
         t = TimeGrid.exp_graded(eps, T, N).nodes
-        resid[N] = weighted_ibp_check(t, np.sin(t), eps)
+        resid[N] = ibp_residual(t, np.sin(t), eps)
     ratio = resid[2000] / resid[4000]
     assert 1.7 <= ratio <= 2.3
 
