@@ -36,7 +36,7 @@ from . import __version__
 from .energies import PARAMS, Coercivity, EnergySpec, eval_many
 from .errors import NonConvergenceError, WedflowError
 from .reference import convergence_study, lambda_diagnostics, minimizing_movements
-from .spaces import EUCLIDEAN, PNORM, QUANTILE1D, Point, SpaceSpec, distance
+from .spaces import EUCLIDEAN, QUANTILE1D, Point, SpaceSpec, distance
 from .trajectories import (
     g_reparam, metric_speed, poincare_witness, spectral_check, spectral_terms, spectral_totals,
 )
@@ -115,7 +115,7 @@ def _known(obj: dict, keys, pointer: str = "") -> None:
 KEYS = ("space", "energy", "x_bar", "epsilon", "eps_list", "T", "t_obs", "N", "grid_mode",
         "solver", "probe_seed", "suites")
 # the keys of each space kind's object; an energy's are in ``energies.PARAMS``
-SPACE_KEYS = {EUCLIDEAN: ("dim",), PNORM: ("dim", "p"), QUANTILE1D: ("m",)}
+SPACE_KEYS = {EUCLIDEAN: ("dim",), QUANTILE1D: ("m",)}
 
 
 def _space(obj: dict) -> SpaceSpec:
@@ -124,8 +124,7 @@ def _space(obj: dict) -> SpaceSpec:
     if kind not in SPACE_KEYS:
         raise ConfigError("/space/kind", f"unknown space kind {kind!r}")
     _known(obj, ("kind", *SPACE_KEYS[kind]), "/space")
-    p = _need(obj, "p", float, "/space") if kind == PNORM else None
-    return SpaceSpec(kind, _need(obj, SPACE_KEYS[kind][0], int, "/space"), p)
+    return SpaceSpec(kind, _need(obj, SPACE_KEYS[kind][0], int, "/space"))
 
 
 def _energy(obj: dict) -> EnergySpec:

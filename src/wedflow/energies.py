@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import DomainError, InvalidInputError, NonConvergenceError, NotAvailableError
 from .newton import damped_newton, levenberg
-from .spaces import PNORM, QUANTILE1D, Point, SpaceSpec, distance, gaussian_quantiles
+from .spaces import QUANTILE1D, Point, SpaceSpec, distance, gaussian_quantiles
 
 QUADRATIC = "quadratic"
 CONVEX_QUARTIC = "convex_quartic"
@@ -317,14 +317,11 @@ def hess_many(spec: EnergySpec, U: np.ndarray) -> np.ndarray:
 
 
 def analytic_slopes(spec: EnergySpec, space: SpaceSpec, U: np.ndarray) -> np.ndarray:
-    """|dphi| row-wise on an (n, d) array: the metric (dual) norm of each row's
-    gradient, from one ``grad_many`` call.  Bitwise ``analytic_slope`` per row
-    but for quadratics with d > 1, whose matrix product may round differently
-    on many rows.  The p-norm root is float_power's, the libm pow of ``**``."""
+    """|dphi| row-wise on an (n, d) array: the dual norm of each row's
+    gradient under the weighted l^2 metric, sqrt(sum g^2 / w), from one
+    ``grad_many`` call.  Bitwise ``analytic_slope`` per row but for quadratics
+    with d > 1, whose matrix product may round differently on many rows."""
     G = grad_many(spec, U)
-    if space.kind == PNORM:
-        q = space.p / (space.p - 1.0)
-        return np.float_power(np.sum(np.abs(G) ** q, axis=1), 1.0 / q)
     if space.kind == QUANTILE1D:
         # metric gradient m*g measured in the (1/m)-weighted l2 norm
         return np.sqrt(space.dim * np.sum(G * G, axis=1))
@@ -368,8 +365,6 @@ def prox(spec: EnergySpec, space: SpaceSpec, coords: np.ndarray, t):
         # quadratics have no growth beyond their curvature: the inner problem
         # is unbounded below once 1/t + lambda_min <= 0
         raise InvalidInputError("inner problem not coercive: need t < 1/|lambda|")
-    if space.kind == PNORM and space.p != 2.0 and d > 1:
-        raise NotAvailableError("yosida in pnorm spaces needs p = 2")
     w = space.metric_weights
     tc = t[:, None]
     S = (w / tc)[:, :, None] * np.eye(d)  # the proximal curvature diag(w)/t_r

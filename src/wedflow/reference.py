@@ -21,7 +21,7 @@ from .energies import (
     eval_many, prox,
 )
 from .errors import InvalidInputError, NotAvailableError
-from .spaces import PNORM, QUANTILE1D, Point, SpaceSpec, normal_quantile, row_distances
+from .spaces import QUANTILE1D, Point, SpaceSpec, normal_quantile, row_distances
 from .trajectories import TimeGrid, Trajectory, metric_speed
 from .value import IdentityReport
 from .wed import EULER_LAGRANGE, WedProblem, default_horizon, minimize_wed
@@ -82,8 +82,8 @@ def exact_flows(energy: EnergySpec, x_bar: Point, ts) -> np.ndarray:
     convex_quartic             u_i(t) = x_i / sqrt(1 + 2 x_i^2 t / w_i)
 
     W = diag(w_i) holds the space's metric weights: every flow but the
-    quantile one solves w_i u_i' = -dphi/du_i, which needs a weighted l^2
-    metric (not a p-norm with p != 2 in more than one dimension).
+    quantile one solves w_i u_i' = -dphi/du_i, the gradient flow of the
+    space's weighted l^2 metric.
     """
     ts = np.asarray(ts, dtype=float)
     if np.any(ts < 0.0):
@@ -136,8 +136,6 @@ def has_exact_flow(energy: EnergySpec, space: SpaceSpec) -> bool:
     """Whether ``exact_flows`` has a closed form for ``energy`` on ``space``."""
     if energy.kind == QUANTILE_ENTROPY:
         return space.kind == QUANTILE1D and energy.params["v2"] > 0.0
-    if space.kind == PNORM and space.p != 2.0 and space.dim > 1:
-        return False  # the coordinates are coupled: not a weighted l^2 metric
     if energy.kind == QUADRATIC:
         return bool(np.all(np.abs(_quadratic_modes(energy, space)[0]) >= 1e-14))
     return energy.kind in (DOUBLE_WELL, CONVEX_QUARTIC)

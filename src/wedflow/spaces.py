@@ -1,11 +1,11 @@
 """Finite-dimensional metric state spaces.
 
-Three space kinds are supported: Euclidean R^n, R^n with an l^p norm
-(1 < p < infinity), and the set of one-dimensional probability measures
-represented by m quantile values sampled at the midpoints s_j = (j - 1/2)/m.
-In quantile coordinates the 2-Wasserstein distance is the L^2([0,1]) distance
-of quantile functions, so all three kinds reduce to weighted vector norms and
-share straight-line constant-speed geodesics.
+Two space kinds are supported: Euclidean R^n, and the set of one-dimensional
+probability measures represented by m quantile values sampled at the
+midpoints s_j = (j - 1/2)/m.  In quantile coordinates the 2-Wasserstein
+distance is the L^2([0,1]) distance of quantile functions, so every space is
+R^n with a diagonal weighted l^2 norm, given by ``SpaceSpec.metric_weights``,
+and has straight-line constant-speed geodesics.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import numpy as np
 from .errors import InvalidInputError
 
 EUCLIDEAN = "euclidean"
-PNORM = "pnorm"
 QUANTILE1D = "quantile1d"
 
 
@@ -26,33 +25,23 @@ class SpaceSpec:
     """Descriptor of a metric state space.
 
     ``dim`` is the length of coordinate vectors; for ``quantile1d`` it is the
-    number of quantile nodes m.  ``p`` is only meaningful for ``pnorm``.
+    number of quantile nodes m.
     """
 
     kind: str
     dim: int
-    p: float | None = None
 
     def __post_init__(self):
-        if self.kind not in (EUCLIDEAN, PNORM, QUANTILE1D):
+        if self.kind not in (EUCLIDEAN, QUANTILE1D):
             raise InvalidInputError(f"unknown space kind {self.kind!r}")
         if self.dim < 1:
             raise InvalidInputError("space dimension must be >= 1")
-        if self.kind == PNORM:
-            if self.p is None or not (1.0 < self.p < np.inf):
-                raise InvalidInputError("pnorm requires 1 < p < inf")
-        elif self.p is not None:
-            raise InvalidInputError("p is only valid for pnorm spaces")
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def euclidean(dim: int) -> "SpaceSpec":
         return SpaceSpec(EUCLIDEAN, dim)
-
-    @staticmethod
-    def pnorm(dim: int, p: float) -> "SpaceSpec":
-        return SpaceSpec(PNORM, dim, float(p))
 
     @staticmethod
     def quantile1d(m: int) -> "SpaceSpec":
@@ -62,13 +51,12 @@ class SpaceSpec:
 
     @property
     def metric_weights(self) -> np.ndarray:
-        """Diagonal of the metric tensor in coordinates.
+        """Diagonal w of the metric tensor in coordinates: the norm of a
+        displacement v is sqrt(sum w v^2), and solvers take ``w`` as their
+        kinetic quadratic form.
 
         Uniform weights 1/m for quantile vectors make the coordinate l^2
-        norm coincide with the L^2([0,1]) (= W_2) distance.  For pnorm the
-        distance is not induced by an inner product; the weights are still
-        used by solvers as the kinetic quadratic form (only p = 2 is accepted
-        there).
+        norm coincide with the L^2([0,1]) (= W_2) distance.
         """
         if self.kind == QUANTILE1D:
             return np.full(self.dim, 1.0 / self.dim)
@@ -136,12 +124,9 @@ def distance(space: SpaceSpec, a: Point, b: Point) -> float:
 
 
 def row_distances(space: SpaceSpec, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """The distances of the rows of A and B, pair by pair.  Each is bitwise
-    the distance of its pair on numpy scalars: float_power takes the p-norm
-    root with the libm pow of numpy's scalar ``**``."""
+    """The distances of the rows of A and B, pair by pair, each bitwise the
+    distance of its pair on numpy scalars."""
     diff = A - B
-    if space.kind == PNORM:
-        return np.float_power(np.sum(np.abs(diff) ** space.p, axis=1), 1.0 / space.p)
     if space.kind == QUANTILE1D:
         return np.sqrt(np.sum(diff * diff, axis=1) / space.dim)
     return np.sqrt(np.sum(diff * diff, axis=1))

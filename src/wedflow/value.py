@@ -22,9 +22,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .energies import EnergySpec, analytic_slope, energy_eval, prox, q_value
-from .errors import InvalidInputError, NotAvailableError
+from .errors import InvalidInputError
 from .newton import damped_newton
-from .spaces import PNORM, Point, SpaceSpec, admissible, distance, probe_directions, row_distances
+from .spaces import Point, SpaceSpec, admissible, distance, probe_directions, row_distances
 from .trajectories import TimeGrid, Trajectory, Weights, row_values
 from .wed import WedProblem, WedSolution, default_horizon, minimize_wed
 
@@ -93,7 +93,7 @@ class ValueCache:
     @staticmethod
     def key(energy: EnergySpec, x: Point, eps: float, opts: ValueOptions):
         space = x.space
-        return (energy.key(), space.kind, space.dim, space.p, float(eps),
+        return (energy.key(), space.kind, space.dim, float(eps),
                 opts.N, x.coords.tobytes())
 
     def get(self, key):
@@ -415,8 +415,8 @@ def check_hj(energy: EnergySpec, x: Point, epsilon: float,
 
 
 def finsler_distance(space: SpaceSpec, f, u0: Point, u1: Point) -> tuple:
-    """Length distance weighting curve speed by f >= 1, for p = 2, and the
-    optimal polyline as a ``Trajectory``: ``(value, curve)``, ``(0.0, None)``
+    """Length distance weighting curve speed by f >= 1, and the optimal
+    polyline as a ``Trajectory``: ``(value, curve)``, ``(0.0, None)``
     when u0 and u1 are the same point.
 
     ``f`` maps an (n, d) array of coordinate rows to n values: one call weighs
@@ -432,8 +432,6 @@ def finsler_distance(space: SpaceSpec, f, u0: Point, u1: Point) -> tuple:
     by descent preconditioned with the exact kinetic operator at that S.
     Weights are squared with float_power, the libm pow of Python's float ``**``.
     """
-    if space.kind == PNORM and space.p != 2.0:
-        raise NotAvailableError("finsler distance in pnorm spaces needs p = 2")
     if u0.space != space or u1.space != space:
         raise InvalidInputError("endpoints must live in the given space")
     d0 = distance(space, u0, u1)

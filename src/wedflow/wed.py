@@ -24,7 +24,7 @@ import numpy as np
 from .energies import EnergySpec, eval_many, grad_many, hess_many
 from .errors import InvalidInputError, NonConvergenceError
 from .newton import damped_newton, levenberg
-from .spaces import PNORM, Point, SpaceSpec
+from .spaces import Point, SpaceSpec
 from .trajectories import TimeGrid, Trajectory, Weights, metric_speed
 
 DIRECT = "direct"
@@ -35,6 +35,11 @@ SOLVERS = (DIRECT, EULER_LAGRANGE)
 # 1.4e-11 and the truncated problem is indistinguishable from the
 # infinite-horizon one at solver tolerance.
 HORIZON_FACTOR = 25.0
+
+# Both backends stop once their stationarity residual is below GRAD_TOL, and
+# fail after MAX_ITER Newton iterations.
+GRAD_TOL = 1e-8
+MAX_ITER = 100
 
 
 def default_horizon(eps: float, t_obs: float) -> float:
@@ -50,8 +55,6 @@ class WedProblem:
     energy: EnergySpec
     x_bar: Point
     solver: str = DIRECT
-    grad_tol: float = 1e-8
-    max_iter: int = 100
 
     def __post_init__(self):
         if self.epsilon <= 0.0:
@@ -62,9 +65,6 @@ class WedProblem:
             raise InvalidInputError("need N >= 1", "N")
         if self.solver not in SOLVERS:
             raise InvalidInputError(f"unknown solver {self.solver!r}", "solver")
-        if self.space.kind == PNORM and self.space.p != 2.0:
-            raise InvalidInputError("trajectory solvers need an inner-product metric (p = 2)",
-                                    "space")
         co = self.energy.coercivity
         if co is None:
             raise InvalidInputError("energy provides no coercivity constants", "energy")
@@ -403,12 +403,12 @@ def minimize_wed(problem: WedProblem) -> WedSolution:
     row_tol = 1e-6 * (1.0 + rmax0)
     V, f, g, it, _ = damped_newton(
         V0, start, evaluate, row_max,
-        lambda g: dual_norm(g) <= problem.grad_tol and row_max(g) <= row_tol,
-        direction, problem.max_iter,
+        lambda g: dual_norm(g) <= GRAD_TOL and row_max(g) <= row_tol,
+        direction, MAX_ITER,
     )
     U = full(V)
     gn, rmax = dual_norm(g), row_max(g)
-    converged = gn <= max(problem.grad_tol, 1e-7 * (1.0 + gn0)) and rmax <= max(
+    converged = gn <= max(GRAD_TOL, 1e-7 * (1.0 + gn0)) and rmax <= max(
         row_tol, 1e-4 * (1.0 + rmax0)
     )
     if not converged:
@@ -483,10 +483,10 @@ def solve_euler_lagrange(problem: WedProblem) -> WedSolution:
     V0 = np.tile(problem.x_bar.coords, (n_c, 1))
     V, fn, _, it, trace = damped_newton(
         V0, evaluate(V0), evaluate, sup_norm,
-        lambda F: sup_norm(F) <= problem.grad_tol, direction, problem.max_iter,
+        lambda F: sup_norm(F) <= GRAD_TOL, direction, MAX_ITER,
     )
     U = full(V)
-    if fn > problem.grad_tol:
+    if fn > GRAD_TOL:
         raise NonConvergenceError(
             f"Euler-Lagrange Newton stopped at residual {fn:.3e} after {it} iterations",
             best=U, trace=trace,

@@ -175,8 +175,14 @@ def test_finsler_inner_solves(monkeypatch):
 @pytest.mark.parametrize("solver", ["direct", "euler_lagrange"])
 def test_one_iteration_failure_and_its_best(monkeypatch, solver):
     pr = WedProblem(epsilon=0.05, T=1.0, N=4000, space=E1, energy=double_well(),
-                    x_bar=point([0.3], E1), max_iter=1, solver=solver)
-    new, ref, _ = compare(monkeypatch, lambda: minimize_wed(pr))
+                    x_bar=point([0.3], E1), solver=solver)
+
+    def solve():
+        # set in each run: run_with undoes every patch after its run
+        monkeypatch.setattr("wedflow.wed.MAX_ITER", 1)
+        return minimize_wed(pr)
+
+    new, ref, _ = compare(monkeypatch, solve)
     assert isinstance(new, NonConvergenceError) and isinstance(ref, NonConvergenceError)
     assert str(new) == str(ref)
     assert np.array_equal(new.best, ref.best)

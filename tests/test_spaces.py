@@ -11,7 +11,6 @@ from wedflow.spaces import admissible, row_distances
 
 SPACES = [
     SpaceSpec.euclidean(3),
-    SpaceSpec.pnorm(3, 3.0),
     SpaceSpec.quantile1d(8),
 ]
 
@@ -69,8 +68,7 @@ def test_distance_symmetry_and_triangle():
 
 
 @pytest.mark.parametrize("space", SPACES + [
-    SpaceSpec.euclidean(1), SpaceSpec.pnorm(1, 4.5), SpaceSpec.quantile1d(16),
-    SpaceSpec.euclidean(17),
+    SpaceSpec.euclidean(1), SpaceSpec.quantile1d(16), SpaceSpec.euclidean(17),
 ], ids=lambda s: f"{s.kind}{s.dim}")
 def test_row_distances_are_bitwise_distance(space):
     rng = np.random.default_rng(13)
@@ -84,15 +82,13 @@ def test_row_distances_are_bitwise_distance(space):
 def numpy_scalar_distance(space, a, b):
     """d(a, b) of one pair on numpy scalars."""
     diff = a.coords - b.coords
-    if space.kind == "pnorm":
-        return float(np.sum(np.abs(diff) ** space.p) ** (1.0 / space.p))
     if space.kind == "quantile1d":
         return float(np.sqrt(np.sum(diff * diff) / space.dim))
     return float(np.sqrt(np.sum(diff * diff)))
 
 
 @pytest.mark.parametrize("space", SPACES + [
-    SpaceSpec.euclidean(1), SpaceSpec.pnorm(1, 4.5), SpaceSpec.quantile1d(10),
+    SpaceSpec.euclidean(1), SpaceSpec.quantile1d(10),
 ], ids=lambda s: f"{s.kind}{s.dim}")
 def test_distance_is_bitwise_the_numpy_scalar_formula(space):
     rng = np.random.default_rng(17)
@@ -137,7 +133,7 @@ def test_invalid_inputs():
     with pytest.raises(InvalidInputError):
         distance(SpaceSpec.euclidean(3), a, b)
     with pytest.raises(InvalidInputError):
-        SpaceSpec.pnorm(2, 1.0)
+        SpaceSpec("pnorm", 2)
 
 
 def test_admissible_on_a_row_and_on_a_stack():
@@ -147,7 +143,7 @@ def test_admissible_on_a_row_and_on_a_stack():
     assert [bool(admissible(q3, r)) for r in rows] == [True, False, False]
     # every row of a vector space is admissible
     assert np.array_equal(admissible(SpaceSpec.euclidean(3), rows), [True] * 3)
-    assert admissible(SpaceSpec.pnorm(3, 3.0), rows[2]).shape == ()
+    assert admissible(SpaceSpec.euclidean(3), rows[2]).shape == ()
     with pytest.raises(InvalidInputError, match="strictly increasing"):
         Point(rows[1], q3)
 
@@ -183,7 +179,6 @@ def test_a_euclidean_solve_never_imports_statistics():
 
 def test_space_json_roundtrip():
     # each space's config object reads back to the space
-    objs = [{"kind": "euclidean", "dim": 3}, {"kind": "pnorm", "dim": 3, "p": 3.0},
-            {"kind": "quantile1d", "m": 8}]
+    objs = [{"kind": "euclidean", "dim": 3}, {"kind": "quantile1d", "m": 8}]
     for space, obj in zip(SPACES, objs):
         assert _space(obj) == space

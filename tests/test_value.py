@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from wedflow import (
-    InvalidInputError, NotAvailableError, SpaceSpec, TimeGrid, ValueCache, ValueOptions,
+    InvalidInputError, SpaceSpec, TimeGrid, ValueCache, ValueOptions,
     WedProblem, check_dpp, check_eps_monotonicity, check_fundamental_identity, check_hj,
     check_yosida_bound, conditioned_slope_estimate, convex_quartic, distance,
     discrete_dirichlet, double_well, energy_eval, finsler_distance, gaussian_quantiles,
@@ -588,15 +588,6 @@ def test_finsler_parameter_length_is_the_closed_form(case):
     assert val == pytest.approx(2.0 * math.sqrt(kin * pot), rel=1e-14)
     for s in (S * (1.0 - 1e-3), S * (1.0 + 1e-3)):
         assert val < K * kin / s + s * pot / K
-
-
-@pytest.mark.parametrize("p", [3.0, 1.5])
-def test_finsler_needs_an_inner_product_metric(p):
-    # the kinetic form is the l2 one; with it p = 3 gave sqrt(2), not 2^(1/3)
-    sp = SpaceSpec.pnorm(2, p)
-    with pytest.raises(NotAvailableError, match="p = 2"):
-        finsler_distance(sp, lambda P: np.ones(len(P)), point([0.0, 0.0], sp),
-                         point([1.0, 1.0], sp))
 
 
 def test_finsler_weight_vanishing_at_every_midpoint_raises():
