@@ -13,8 +13,8 @@ from .errors import (
     NotAvailableError, WedflowError,
 )
 from .reference import (
-    ConvergenceTable, MMSolution, check_max_slope,
-    convergence_study, exact_flow, exact_flows, lambda_diagnostics, minimizing_movements,
+    ConvergenceTable, MMSolution, convergence_study, exact_flow, exact_flows,
+    lambda_diagnostics, max_slope_residuals, minimizing_movements,
 )
 from .spaces import Point, SpaceSpec, distance, gaussian_quantiles, normal_quantile, point
 from .trajectories import (

@@ -333,10 +333,9 @@ def suite_hj(exp: Experiment, outdir: Path) -> IdentityReport:
 
 
 def suite_lambda(exp: Experiment, outdir: Path) -> IdentityReport:
-    lam = exp.energy.lam
-    if lam is None:
+    if exp.energy.lam is None:  # before the solve
         raise ConfigError("/energy/lambda", "lambda suite needs a convexity modulus")
-    return lambda_diagnostics(exp.solution(), lam, lam - 0.25 if lam < 0 else None)
+    return lambda_diagnostics(exp.solution())
 
 
 def suite_convergence(exp: Experiment, outdir: Path) -> IdentityReport:
@@ -367,19 +366,19 @@ def suite_finsler(exp: Experiment, outdir: Path) -> IdentityReport:
     b_coords = np.zeros(space.dim)
     b_coords[0] = 1.5
     b = Point(b_coords, space)
-    d_plain = finsler_distance(space, lambda P: np.ones(len(P)), a, b)[0]
-    resid = [abs(d_plain - distance(space, a, b)) / 1e-6]
+    d_plain = finsler_distance(lambda P: np.ones(len(P)), a, b)[0]
+    resid = [abs(d_plain - distance(a, b)) / 1e-6]
     s1 = SpaceSpec.euclidean(1)
     c_val = 4.0
     da = Point(np.array([0.0]), s1)
     db = Point(np.array([2.0]), s1)
-    d_const = finsler_distance(s1, lambda P: np.full(len(P), math.sqrt(c_val)), da, db)[0]
+    d_const = finsler_distance(lambda P: np.full(len(P), math.sqrt(c_val)), da, db)[0]
     resid.append(abs(d_const - math.sqrt(c_val) * 2.0) / 1e-4)
     if exp.space.dim == 1 and exp.space.kind == EUCLIDEAN:
         f_phi = lambda P: np.sqrt(np.maximum(1.0, eval_many(exp.energy, P)))
     else:
         f_phi = lambda P: np.sqrt(np.maximum(1.0, np.float_power(P[:, 0], 2)))
-    val, curve = finsler_distance(s1, f_phi, da, db)
+    val, curve = finsler_distance(f_phi, da, db)
     rep_curve = g_reparam(curve, f_phi)
     mids = 0.5 * (rep_curve.points[:-1] + rep_curve.points[1:])
     product = float(np.sum(f_phi(mids) * metric_speed(rep_curve) * rep_curve.grid.dt))
@@ -451,7 +450,7 @@ def emit_sweep(exp: Experiment, outdir: Path) -> None:
 
 def emit_mm(exp: Experiment, outdir: Path) -> None:
     tau = exp.epsilon**2 / 4.0
-    mm = minimizing_movements(exp.x_bar, tau, math.ceil(exp.t_obs / tau), exp.energy, exp.space)
+    mm = minimizing_movements(exp.x_bar, tau, math.ceil(exp.t_obs / tau), exp.energy)
     pts = mm.trajectory.points
     write_csv(outdir / "mm.csv",
               ["k", "t", *(f"x{j}" for j in range(pts.shape[1])), "phi", "movement"],

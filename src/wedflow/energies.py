@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, InvalidInputError, NonConvergenceError, NotAvailableError
+from .errors import DomainError, InvalidInputError, NonConvergenceError
 from .newton import damped_newton, levenberg
 from .spaces import QUANTILE1D, Point, SpaceSpec, distance, gaussian_quantiles
 
@@ -163,16 +163,15 @@ def _default_coercivity(spec: EnergySpec) -> Coercivity | None:
         if v2 > 0.0:
             return Coercivity(1.0 + (abs(v1) + 64.0) ** 2 / v2, 0.0)
         return None
-    if spec.kind == DISCRETE_DIRICHLET:
-        # valid when the reaction is bounded below by 0; otherwise supply constants
-        return Coercivity(0.0, 0.0)
-    return None
+    # the discrete Dirichlet energy: valid when the reaction is bounded below
+    # by 0; otherwise supply constants
+    return Coercivity(0.0, 0.0)
 
 
 def reference_point(spec: EnergySpec, space: SpaceSpec) -> Point:
     """Materialize the coercivity reference point u_star inside a space."""
     co = spec.coercivity
-    if co is not None and co.u_star is not None and co.u_star.shape[0] == space.dim:
+    if co is not None and co.u_star is not None:
         return Point(co.u_star, space)
     if space.kind == QUANTILE1D:
         if spec.kind == QUANTILE_ENTROPY and spec.params["v2"] > 0.0:
@@ -184,14 +183,14 @@ def reference_point(spec: EnergySpec, space: SpaceSpec) -> Point:
     return Point(np.zeros(space.dim), space)
 
 
-def q_value(spec: EnergySpec, space: SpaceSpec, x: Point) -> float:
+def q_value(spec: EnergySpec, x: Point) -> float:
     """Q(x) = B d^2(x, u_star) + A from the stored coercivity constants."""
     co = spec.coercivity
     if co is None:
         raise InvalidInputError("energy provides no coercivity constants")
     if co.B == 0.0:
         return co.A
-    return co.B * distance(space, x, reference_point(spec, space))**2 + co.A
+    return co.B * distance(x, reference_point(spec, x.space))**2 + co.A
 
 
 # -- evaluation ---------------------------------------------------------------
@@ -215,7 +214,8 @@ def eval_many(spec: EnergySpec, U: np.ndarray) -> np.ndarray:
     k = spec.kind
     if k == QUADRATIC:
         A, b = _quadratic_params(spec, U)
-        return 0.5 * np.einsum("ni,ij,nj->n", U, A, U) - U @ b
+        return 0.5 * np.einsum("ni,ni->n", np.einsum("ij,nj->ni", A, U), U) \
+            - np.einsum("nj,j->n", U, b)
     if k == CONVEX_QUARTIC:
         S = U * U
         return np.sum(S * S, axis=1) / 4.0
@@ -227,17 +227,16 @@ def eval_many(spec: EnergySpec, U: np.ndarray) -> np.ndarray:
         g = np.diff(np.hstack([Z, U, Z]), axis=1)  # zero Dirichlet boundary
         reaction = np.polyval(reac[::-1], U)  # reac holds ascending powers
         return (h / p) * np.sum(np.abs(g / h) ** p, axis=1) + h * np.sum(reaction, axis=1)
-    if k == QUANTILE_ENTROPY:
-        v2, v1 = spec.params["v2"], spec.params["v1"]
-        m = U.shape[1]
-        gaps = np.diff(U, axis=1)
-        pot = np.mean(0.5 * v2 * U**2 + v1 * U, axis=1)
-        out = np.full(U.shape[0], math.inf)
-        ok = np.all(gaps > 0.0, axis=1)
-        if np.any(ok):
-            out[ok] = pot[ok] - np.sum(np.log(gaps[ok] * m), axis=1) / m
-        return out
-    raise NotAvailableError(spec.kind)
+    # the quantile entropy potential
+    v2, v1 = spec.params["v2"], spec.params["v1"]
+    m = U.shape[1]
+    gaps = np.diff(U, axis=1)
+    pot = np.mean(0.5 * v2 * U**2 + v1 * U, axis=1)
+    out = np.full(U.shape[0], math.inf)
+    ok = np.all(gaps > 0.0, axis=1)
+    if np.any(ok):
+        out[ok] = pot[ok] - np.sum(np.log(gaps[ok] * m), axis=1) / m
+    return out
 
 
 def grad_many(spec: EnergySpec, U: np.ndarray) -> np.ndarray:
@@ -245,7 +244,7 @@ def grad_many(spec: EnergySpec, U: np.ndarray) -> np.ndarray:
     k = spec.kind
     if k == QUADRATIC:
         A, b = _quadratic_params(spec, U)
-        return U @ A.T - b
+        return np.einsum("ij,nj->ni", A, U) - b
     if k == CONVEX_QUARTIC:
         return U * U * U
     if k == DOUBLE_WELL:
@@ -256,18 +255,17 @@ def grad_many(spec: EnergySpec, U: np.ndarray) -> np.ndarray:
         g = np.diff(np.hstack([Z, U, Z]), axis=1) / h
         flux = np.abs(g) ** (p - 1.0) * np.sign(g)
         return flux[:, :-1] - flux[:, 1:] + h * np.polyval(np.polyder(reac[::-1]), U)
-    if k == QUANTILE_ENTROPY:
-        v2, v1 = spec.params["v2"], spec.params["v1"]
-        m = U.shape[1]
-        gaps = np.diff(U, axis=1)
-        if np.any(gaps <= 0.0):
-            raise DomainError("non-monotone quantile point has no gradient")
-        inv = 1.0 / gaps
-        out = (v2 * U + v1) / m
-        out[:, :-1] += inv / m
-        out[:, 1:] -= inv / m
-        return out
-    raise NotAvailableError(spec.kind)
+    # the quantile entropy potential
+    v2, v1 = spec.params["v2"], spec.params["v1"]
+    m = U.shape[1]
+    gaps = np.diff(U, axis=1)
+    if np.any(gaps <= 0.0):
+        raise DomainError("non-monotone quantile point has no gradient")
+    inv = 1.0 / gaps
+    out = (v2 * U + v1) / m
+    out[:, :-1] += inv / m
+    out[:, 1:] -= inv / m
+    return out
 
 
 def hess_many(spec: EnergySpec, U: np.ndarray) -> np.ndarray:
@@ -292,7 +290,7 @@ def hess_many(spec: EnergySpec, U: np.ndarray) -> np.ndarray:
         w = (p - 1.0) * np.abs(g) ** (p - 2.0) / h
         diag = w[:, :-1] + w[:, 1:] + h * np.polyval(np.polyder(reac[::-1], 2), U)
         off = -w[:, 1:-1]
-    elif k == QUANTILE_ENTROPY:
+    else:  # the quantile entropy potential
         v2 = spec.params["v2"]
         gaps = np.diff(U, axis=1)
         if np.any(gaps <= 0.0):
@@ -302,8 +300,6 @@ def hess_many(spec: EnergySpec, U: np.ndarray) -> np.ndarray:
         diag[:, :-1] += w
         diag[:, 1:] += w
         off = -w
-    else:
-        raise NotAvailableError(spec.kind)
     H = np.zeros((n, d, d))
     np.einsum("nii->ni", H)[...] = diag  # a strided view of the diagonals
     if off is not None:
@@ -319,8 +315,7 @@ def hess_many(spec: EnergySpec, U: np.ndarray) -> np.ndarray:
 def analytic_slopes(spec: EnergySpec, space: SpaceSpec, U: np.ndarray) -> np.ndarray:
     """|dphi| row-wise on an (n, d) array: the dual norm of each row's
     gradient under the weighted l^2 metric, sqrt(sum g^2 / w), from one
-    ``grad_many`` call.  Bitwise ``analytic_slope`` per row but for quadratics
-    with d > 1, whose matrix product may round differently on many rows."""
+    ``grad_many`` call, bitwise ``analytic_slope`` per row."""
     G = grad_many(spec, U)
     if space.kind == QUANTILE1D:
         # metric gradient m*g measured in the (1/m)-weighted l2 norm
@@ -328,9 +323,9 @@ def analytic_slopes(spec: EnergySpec, space: SpaceSpec, U: np.ndarray) -> np.nda
     return np.sqrt(np.sum(G * G, axis=1))
 
 
-def analytic_slope(spec: EnergySpec, space: SpaceSpec, x: Point) -> float:
-    """|dphi|(x): ``analytic_slopes`` on one row."""
-    return float(analytic_slopes(spec, space, x.coords[None])[0])
+def analytic_slope(spec: EnergySpec, x: Point) -> float:
+    """|dphi|(x) in x's space: ``analytic_slopes`` on one row."""
+    return float(analytic_slopes(spec, x.space, x.coords[None])[0])
 
 
 # -- Moreau-Yosida regularization ---------------------------------------------

@@ -109,18 +109,12 @@ def point(coords, space: SpaceSpec) -> Point:
     return Point(np.asarray(coords, dtype=float), space)
 
 
-def _check_same_space(a: Point, b: Point):
+def distance(a: Point, b: Point) -> float:
+    """Metric distance d(a, b) in the points' space; W_2 for quantile vectors
+    (``row_distances`` on one row)."""
     if a.space != b.space:
         raise InvalidInputError("points live in different spaces")
-
-
-def distance(space: SpaceSpec, a: Point, b: Point) -> float:
-    """Metric distance d(a, b); W_2 for quantile vectors (``row_distances``
-    on one row)."""
-    _check_same_space(a, b)
-    if a.space != space:
-        raise InvalidInputError("points do not belong to the given space")
-    return float(row_distances(space, a.coords[None], b.coords[None])[0])
+    return float(row_distances(a.space, a.coords[None], b.coords[None])[0])
 
 
 def row_distances(space: SpaceSpec, A: np.ndarray, B: np.ndarray) -> np.ndarray:

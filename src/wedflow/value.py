@@ -24,15 +24,15 @@ import numpy as np
 from .energies import EnergySpec, analytic_slope, energy_eval, prox, q_value
 from .errors import InvalidInputError
 from .newton import damped_newton
-from .spaces import Point, SpaceSpec, admissible, distance, probe_directions, row_distances
+from .spaces import Point, admissible, distance, probe_directions, row_distances
 from .trajectories import TimeGrid, Trajectory, Weights, row_values
 from .wed import WedProblem, WedSolution, default_horizon, minimize_wed
 
 
 @dataclass(frozen=True)
 class ValueSample:
-    x: Point
-    epsilon: float
+    """V, G and phi at one point and eps, which ``solve_ref.problem`` holds."""
+
     V: float
     G: float
     phi: float
@@ -117,23 +117,22 @@ def value_function(energy: EnergySpec, x: Point, epsilon: float,
     value its objective used at x, so a cached sample evaluates no energy.
     """
     opts = opts or ValueOptions()
-    space = x.space
     key = None if opts.cache is None else ValueCache.key(energy, x, epsilon, opts)
     sol = None if key is None else opts.cache.get(key)
     if sol is None:
         sol = minimize_wed(_ValueProblem(epsilon=epsilon, T=default_horizon(epsilon, 0.0),
-                                         N=opts.N, space=space, energy=energy, x_bar=x))
+                                         N=opts.N, space=x.space, energy=energy, x_bar=x))
         if key is not None:
             opts.cache.put(key, sol)
     phi = float(sol.phi[0])
     V = sol.objective
     slack = 1e-8 * (1.0 + abs(phi))
-    if V > phi + slack or V < -q_value(energy, space, x) - slack:
+    if V > phi + slack or V < -q_value(energy, x) - slack:
         raise InvalidInputError(
             f"value sample violates phi(x) >= V >= -Q(x): phi={phi}, V={V}"
         )
     G = math.sqrt(2.0 * max(0.0, phi - V) / epsilon)
-    return ValueSample(x=x, epsilon=epsilon, V=min(V, phi), G=G, phi=phi, solve_ref=sol)
+    return ValueSample(V=min(V, phi), G=G, phi=phi, solve_ref=sol)
 
 
 def value_along(sol: WedSolution) -> np.ndarray:
@@ -263,8 +262,12 @@ def check_eps_monotonicity(energy: EnergySpec, x: Point, eps_list,
     )
 
 
+# nodes of the Yosida bound's time quadrature
+YOSIDA_NODES = 2000
+
+
 def check_yosida_bound(energy: EnergySpec, x: Point, epsilon: float,
-                       n_quad: int = 2000, opts: ValueOptions | None = None) -> IdentityReport:
+                       opts: ValueOptions | None = None) -> IdentityReport:
     """V(x) dominates the weighted integral of the inf-convolutions.
 
     The time integral runs to a horizon T with 1/(4T) >= B (any T when B = 0)
@@ -280,14 +283,14 @@ def check_yosida_bound(energy: EnergySpec, x: Point, epsilon: float,
     T = default_horizon(epsilon, 0.0)
     if co is not None and co.B > 0.0:
         T = min(T, 1.0 / (4.0 * co.B))
-    grid = TimeGrid.exp_graded(epsilon, T, n_quad)
+    grid = TimeGrid.exp_graded(epsilon, T, YOSIDA_NODES)
     w = Weights.for_grid(grid, epsilon)
-    phis = np.empty(n_quad + 1)
+    phis = np.empty(YOSIDA_NODES + 1)
     phis[0] = energy_eval(energy, x)  # t -> 0 limit of the inf-convolution
-    rows = np.repeat(x.coords[None], n_quad, axis=0)
+    rows = np.repeat(x.coords[None], YOSIDA_NODES, axis=0)
     phis[1:] = prox(energy, x.space, rows, grid.nodes[1:])[0]
     quad = float(np.sum(w.masses * phis[1:]))
-    correction = 2.0 * q_value(energy, x.space, x) * math.exp(-T / epsilon)
+    correction = 2.0 * q_value(energy, x) * math.exp(-T / epsilon)
     sample = value_function(energy, x, epsilon, opts)
     margin = sample.V - (quad - correction)
     return IdentityReport(
@@ -304,7 +307,7 @@ def wed_slope_compare(energy: EnergySpec, x: Point, eps_list,
     """G(x) stays below the local slope (up to 1e-2) and approaches it as eps
     shrinks (within 5e-2 at the smallest eps)."""
     eps_sorted = sorted(eps_list, reverse=True)
-    slope = analytic_slope(energy, x.space, x)
+    slope = analytic_slope(energy, x)
     gs = [value_function(energy, x, e, opts).G for e in eps_sorted]
     over = [max(0.0, g - slope - 1e-2) for g in gs]
     final_gap = abs(gs[-1] - slope)
@@ -414,10 +417,10 @@ def check_hj(energy: EnergySpec, x: Point, epsilon: float,
 # -- energy-induced Finsler distance ----------------------------------------------
 
 
-def finsler_distance(space: SpaceSpec, f, u0: Point, u1: Point) -> tuple:
-    """Length distance weighting curve speed by f >= 1, and the optimal
-    polyline as a ``Trajectory``: ``(value, curve)``, ``(0.0, None)``
-    when u0 and u1 are the same point.
+def finsler_distance(f, u0: Point, u1: Point) -> tuple:
+    """Length distance weighting curve speed by f >= 1 in the endpoints'
+    space, and the optimal polyline as a ``Trajectory``: ``(value, curve)``,
+    ``(0.0, None)`` when u0 and u1 are the same point.
 
     ``f`` maps an (n, d) array of coordinate rows to n values: one call weighs
     all segment midpoints, or difference stencil points, of a step; f >= 1 is
@@ -432,9 +435,7 @@ def finsler_distance(space: SpaceSpec, f, u0: Point, u1: Point) -> tuple:
     by descent preconditioned with the exact kinetic operator at that S.
     Weights are squared with float_power, the libm pow of Python's float ``**``.
     """
-    if u0.space != space or u1.space != space:
-        raise InvalidInputError("endpoints must live in the given space")
-    d0 = distance(space, u0, u1)
+    d0 = distance(u0, u1)
     if d0 == 0.0:
         return 0.0, None
     fvals = row_values(f, np.stack([u0.coords, u1.coords, 0.5 * (u0.coords + u1.coords)]))
@@ -443,6 +444,7 @@ def finsler_distance(space: SpaceSpec, f, u0: Point, u1: Point) -> tuple:
     fmax = float(np.max(fvals))
     f2 = lambda P: np.float_power(row_values(f, P), 2)
     K = 64
+    space = u0.space
     w = space.metric_weights
     theta = np.linspace(0.0, 1.0, K + 1)[:, None] * (u1.coords - u0.coords) + u0.coords
     i = np.arange(1, K)

@@ -77,6 +77,9 @@ class WedProblem:
             raise InvalidInputError("x_bar does not live in the problem space", "x_bar")
         if not math.isfinite(float(eval_many(self.energy, self.x_bar.coords[None, :])[0])):
             raise InvalidInputError("x_bar must have finite energy", "x_bar")
+        if co.u_star is not None and co.u_star.shape != (self.space.dim,):
+            raise InvalidInputError(f"coercivity u_star of shape {co.u_star.shape} is not a point "
+                                    f"of the {self.space.dim}-dimensional space", "energy")
 
     def grid(self) -> TimeGrid:
         return TimeGrid.uniform(self.T, self.N)

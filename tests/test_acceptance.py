@@ -174,13 +174,13 @@ def test_criterion_09_lambda_diagnostics():
     quartic_sol = minimize_wed(WedProblem(epsilon=0.05, T=2.0, N=4000, space=E1,
                                           energy=convex_quartic(),
                                           x_bar=point([1.5], E1)))
-    rep0 = lambda_diagnostics(quartic_sol, lam=0.0)
+    rep0 = lambda_diagnostics(quartic_sol)
     assert rep0.passed, rep0.details
     eps = 0.02
     assert 1.0 + 8.0 * (-1.0) * eps > 0.5
     dw_small = minimize_wed(WedProblem(epsilon=eps, T=1.0, N=4000, space=E1,
                                        energy=DW, x_bar=point([0.3], E1)))
-    rep1 = lambda_diagnostics(dw_small, lam=-1.0, lam_prime=-1.25)
+    rep1 = lambda_diagnostics(dw_small)
     assert rep1.passed, rep1.details
     ok(9, f"convex-modulus suite (quartic) and weighted-speed suite (double well, "
           f"lam'=-1.25, eps=0.02) pass; worst normalized violations "
@@ -215,7 +215,7 @@ def test_criterion_11_small_parameter_convergence():
     w2 = []
     for tq in (0.1, 0.5):
         i = int(np.argmin(np.abs(nodes - tq)))
-        w2.append(distance(qs, sol.trajectory.point_at(i),
+        w2.append(distance(sol.trajectory.point_at(i),
                            exact_flow(spec, x0, float(nodes[i]))))
     assert max(w2) <= 2e-2
     dw_small = convergence_study(DW, point([0.3], E1), [0.025, 0.0125], 1.0,
@@ -229,16 +229,16 @@ def test_criterion_11_small_parameter_convergence():
 def test_criterion_12_finsler_distance():
     s2 = SpaceSpec.euclidean(2)
     a2, b2 = point([0.0, 0.0], s2), point([1.0, 2.0], s2)
-    plain = finsler_distance(s2, lambda P: np.ones(len(P)), a2, b2)[0]
-    err_plain = abs(plain - distance(s2, a2, b2))
+    plain = finsler_distance(lambda P: np.ones(len(P)), a2, b2)[0]
+    err_plain = abs(plain - distance(a2, b2))
     assert err_plain <= 1e-6
     c = 4.0
     a1, b1 = point([0.0], E1), point([2.0], E1)
-    const = finsler_distance(E1, lambda P: np.full(len(P), math.sqrt(c)), a1, b1)[0]
+    const = finsler_distance(lambda P: np.full(len(P), math.sqrt(c)), a1, b1)[0]
     err_const = abs(const - math.sqrt(c) * 2.0)
     assert err_const <= 1e-4
     f = lambda P: np.sqrt(np.maximum(1.0, eval_many(QUAD, P)))
-    val, curve = finsler_distance(E1, f, point([0.5], E1), point([3.0], E1))
+    val, curve = finsler_distance(f, point([0.5], E1), point([3.0], E1))
     rep = g_reparam(curve, f)
     v = metric_speed(rep)
     mids = 0.5 * (rep.points[:-1] + rep.points[1:])

@@ -483,6 +483,9 @@ QUAD_A = {"kind": "quadratic", "params": {"A": [[1.0]]}}
      "/energy/coercivity/u_star"),
     ("energy", {**QUAD_A, "coercivity": {"A": 0.0, "B": 0.0, "bogus": 1}},
      "/energy/coercivity/bogus"),
+    # a u_star of another dimension than the space's is an error of the energy
+    ("energy", {**QUAD_A, "coercivity": {"A": 0.0, "B": 0.5, "u_star": [5.0, 6.0, 7.0]}},
+     "/energy"),
     ("energy", {"params": {"A": [[1.0]]}}, "/energy/kind"),
     ("energy", {"kind": "sextic"}, "/energy/kind"),
 ], ids=["space_no_dim", "space_fractional_dim", "space_extra", "quantile_dim", "quantile_no_m",
@@ -490,6 +493,7 @@ QUAD_A = {"kind": "quadratic", "params": {"A": [[1.0]]}}
         "params_A_ragged", "params_A_vector", "params_A_huge_int", "params_no_A", "params_b_bool",
         "params_bogus", "params_p_list", "params_of_another_kind", "energy_extra", "lambda_string",
         "coercivity_no_B", "coercivity_B_list", "coercivity_u_star_number", "coercivity_bogus",
+        "coercivity_u_star_other_dim",
         "energy_no_kind", "energy_unknown_kind"])
 def test_nested_config_errors_carry_their_pointer(tmp_path, capsys, key, value, pointer):
     # a malformed space or energy stops the run with its JSON pointer, on

@@ -121,7 +121,7 @@ def test_coercivity_bound_on_random_samples():
         co = spec.coercivity
         for _ in range(1000):
             x = sample(rng)
-            lower = -co.B * distance(space, x, u_star) ** 2 - co.A
+            lower = -co.B * distance(x, u_star) ** 2 - co.A
             assert energy_eval(spec, x) >= lower - 1e-12
 
 
@@ -132,7 +132,7 @@ def test_coercivity_of_indefinite_quadratic():
     rng = np.random.default_rng(5)
     for _ in range(1000):
         x = point(rng.standard_normal(1) * 5.0, E1)
-        assert energy_eval(spec, x) >= -co.B * distance(E1, x, reference_point(spec, E1)) ** 2 - co.A
+        assert energy_eval(spec, x) >= -co.B * distance(x, reference_point(spec, E1)) ** 2 - co.A
 
 
 def test_lambda_convexity_along_geodesics():
@@ -142,7 +142,7 @@ def test_lambda_convexity_along_geodesics():
             continue
         for _ in range(50):
             a, b = sample(rng), sample(rng)
-            d2 = distance(space, a, b) ** 2
+            d2 = distance(a, b) ** 2
             pa, pb = energy_eval(spec, a), energy_eval(spec, b)
             for th in (0.25, 0.5, 0.75):
                 g = Point(a.coords + th * (b.coords - a.coords), space)  # the segment
@@ -184,7 +184,7 @@ def test_yosida_lower_bound_from_coercivity():
     x = point([1.3], E1)
     t = 0.4 / co.B / 2.0  # 1/(2t) >= B
     (val,), _ = prox(spec, E1, x.coords[None], t)
-    assert val >= -q_value(spec, E1, x) - 1e-10
+    assert val >= -q_value(spec, x) - 1e-10
 
 
 def test_yosida_rejects_noncoercive_inner_problem():
@@ -289,9 +289,9 @@ def test_yosida_1d_overflow_gives_inf_as_numpy_does(t):
 
 def test_local_slope_analytic():
     spec = quadratic([[1.0]])
-    assert analytic_slope(spec, E1, point([2.0], E1)) == pytest.approx(2.0, abs=1e-14)
+    assert analytic_slope(spec, point([2.0], E1)) == pytest.approx(2.0, abs=1e-14)
     dw = double_well()
-    assert analytic_slope(dw, E1, point([1.0], E1)) == 0.0
+    assert analytic_slope(dw, point([1.0], E1)) == 0.0
 
 
 def numpy_scalar_slope(spec, space, x):
@@ -303,8 +303,6 @@ def numpy_scalar_slope(spec, space, x):
 
 
 def slope_cases():
-    # no quadratic in d > 1: its gradient is a matrix product, which may
-    # round differently on many rows than on one
     rng = np.random.default_rng(31)
     return [
         (double_well(), E1, rng.uniform(-3.0, 3.0, (2000, 1))),
@@ -312,15 +310,29 @@ def slope_cases():
          rng.standard_normal((2000, 3))),
         (quantile_entropy_potential(v2=1.0, v1=0.3), SpaceSpec.quantile1d(10),
          np.cumsum(rng.uniform(0.05, 0.8, (2000, 10)), axis=1) - 2.0),
+        # dense quadratics: a matrix product of all rows would round some
+        # rows differently than one row alone
+        (quadratic([[2.0, 0.5, 0.3], [0.5, 1.5, 0.4], [0.3, 0.4, 1.0]], [0.2, -0.1, 0.3]),
+         SpaceSpec.euclidean(3), rng.standard_normal((2000, 3))),
+        (quadratic([[2.0, 0.7], [0.7, 1.0]], [0.3, -0.4]), SpaceSpec.euclidean(2),
+         rng.standard_normal((2000, 2))),
     ]
 
 
-@pytest.mark.parametrize("spec, space, U", slope_cases(),
-                         ids=["euclidean1", "euclidean3", "quantile10"])
+SLOPE_IDS = ["euclidean1", "euclidean3", "quantile10", "quadratic3", "quadratic2"]
+
+
+@pytest.mark.parametrize("spec, space, U", slope_cases(), ids=SLOPE_IDS)
 def test_analytic_slopes_are_bitwise_one_point_slopes(spec, space, U):
     want = np.array([numpy_scalar_slope(spec, space, Point(u, space)) for u in U])
     assert analytic_slopes(spec, space, U).tobytes() == want.tobytes()
-    assert all(analytic_slope(spec, space, Point(u, space)) == w for u, w in zip(U[:50], want))
+    assert all(analytic_slope(spec, Point(u, space)) == w for u, w in zip(U[:50], want))
+
+
+@pytest.mark.parametrize("spec, space, U", slope_cases(), ids=SLOPE_IDS)
+def test_eval_many_rows_are_one_point_values(spec, space, U):
+    want = np.array([energy_eval(spec, Point(u, space)) for u in U])
+    assert eval_many(spec, U).tobytes() == want.tobytes()
 
 
 def yosida_duality(spec, space, x):
@@ -372,7 +384,7 @@ def loop_lambda_representation(spec, x):
 def test_local_slope_lambda_representation():
     dw = double_well()
     x = point([0.5], E1)
-    analytic = analytic_slope(dw, E1, x)
+    analytic = analytic_slope(dw, x)
     diag = loop_lambda_representation(dw, x)
     est = max(q for _, q in diag)
     assert est >= analytic - 1e-3
@@ -388,7 +400,7 @@ def test_local_slope_lambda_representation():
 ], ids=["dw-3d", "q8"])
 def test_lambda_representation_stays_below_slope(spec, x):
     # lambda-convexity bounds every probe quotient by the slope
-    analytic = analytic_slope(spec, x.space, x)
+    analytic = analytic_slope(spec, x)
     diag = loop_lambda_representation(spec, x)
     assert all(q <= analytic + 1e-12 for _, q in diag)
     assert max(q for _, q in diag) <= analytic + 1e-12

@@ -168,7 +168,7 @@ def test_quantile_prox(monkeypatch):
 def test_finsler_inner_solves(monkeypatch):
     f = lambda P: 1.0 + np.sum(P * P, axis=1)
     new, ref, _ = compare(monkeypatch, lambda: finsler_distance(
-        E1, f, point([-0.5], E1), point([0.8], E1)))
+        f, point([-0.5], E1), point([0.8], E1)))
     assert bits(new[0]) == bits(ref[0]) and bits(new[1].points) == bits(ref[1].points)
 
 

@@ -7,10 +7,10 @@ import pytest
 import wedflow.reference
 from wedflow import (
     EnergySpec, InvalidInputError, NotAvailableError, Point, SpaceSpec,
-    TimeGrid, Trajectory, WedProblem, check_max_slope, convergence_study,
+    TimeGrid, Trajectory, WedProblem, convergence_study,
     convex_quartic, discrete_dirichlet, distance, double_well, exact_flow, exact_flows,
-    gaussian_quantiles, lambda_diagnostics, minimize_wed, minimizing_movements,
-    normal_quantile, point, quadratic, quantile_entropy_potential,
+    gaussian_quantiles, lambda_diagnostics, max_slope_residuals, minimize_wed,
+    minimizing_movements, normal_quantile, point, quadratic, quantile_entropy_potential,
 )
 from wedflow.energies import eval_many, prox
 from wedflow.reference import has_exact_flow
@@ -23,7 +23,7 @@ E1 = SpaceSpec.euclidean(1)
 
 def test_mm_quadratic_matches_resolvent_power():
     a, tau = 1.0, 0.01
-    mm = minimizing_movements(point([1.0], E1), tau, 100, quadratic([[a]]), E1)
+    mm = minimizing_movements(point([1.0], E1), tau, 100, quadratic([[a]]))
     iterates = mm.trajectory.points[:, 0]
     for k in (1, 10, 50, 100):
         assert iterates[k] == pytest.approx((1.0 + a * tau) ** -k, abs=1e-10)
@@ -32,7 +32,7 @@ def test_mm_quadratic_matches_resolvent_power():
 
 
 def test_mm_constant_energy_is_stationary():
-    mm = minimizing_movements(point([0.3], E1), 0.05, 20, quadratic([[0.0]]), E1)
+    mm = minimizing_movements(point([0.3], E1), 0.05, 20, quadratic([[0.0]]))
     assert np.all(mm.trajectory.points == 0.3)
     assert np.all(mm.movements == 0.0)
 
@@ -40,7 +40,7 @@ def test_mm_constant_energy_is_stationary():
 def test_mm_double_well_follows_the_flow():
     tau = 0.005
     steps = 600
-    mm = minimizing_movements(point([0.3], E1), tau, steps, double_well(), E1)
+    mm = minimizing_movements(point([0.3], E1), tau, steps, double_well())
     phis = eval_many(double_well(), mm.trajectory.points)
     assert np.all(np.diff(phis) <= 1e-12)
     # RK4 oracle for u' = u - u^3
@@ -68,10 +68,10 @@ def test_mm_energy_dissipation_equality_first_order():
     resid = {}
     for tau in (0.02, 0.01):
         steps = int(round(1.0 / tau))
-        mm = minimizing_movements(point([1.0], E1), tau, steps, spec, E1)
+        mm = minimizing_movements(point([1.0], E1), tau, steps, spec)
         phis = eval_many(spec, mm.trajectory.points)
         slopes = np.array([
-            analytic_slope(spec, E1, mm.trajectory.point_at(k + 1)) for k in range(steps)
+            analytic_slope(spec, mm.trajectory.point_at(k + 1)) for k in range(steps)
         ])
         resid[tau] = abs(0.5 * np.sum(mm.movements**2 / tau)
                          + 0.5 * np.sum(tau * slopes**2) + phis[-1] - phis[0])
@@ -90,22 +90,22 @@ def test_mm_energy_dissipation_equality_first_order():
         "euclidean3", "quantile8"])
 def test_mm_steps_are_yosida_and_movements_are_distances(space, energy, x0, tau):
     x = gaussian_quantiles(space, 0.5, 2.0) if x0 is None else point(x0, space)
-    mm = minimizing_movements(x, tau, 40, energy, space)
+    mm = minimizing_movements(x, tau, 40, energy)
     P = mm.trajectory.points
     for k in range(40):
         step = prox(energy, space, P[k:k + 1], tau)[1][0]
         assert P[k + 1].tobytes() == step.tobytes()
-    dists = [distance(space, Point(P[k], space), Point(P[k + 1], space)) for k in range(40)]
+    dists = [distance(Point(P[k], space), Point(P[k + 1], space)) for k in range(40)]
     assert mm.movements.tobytes() == np.array(dists).tobytes()
 
 
 def test_mm_rejects_too_large_step():
     with pytest.raises(InvalidInputError):
-        minimizing_movements(point([0.3], E1), 0.6, 5, double_well(), E1)  # 1/(2|lam|) = 0.5
+        minimizing_movements(point([0.3], E1), 0.6, 5, double_well())  # 1/(2|lam|) = 0.5
 
 
 def test_mm_piecewise_linear_interpolation():
-    mm = minimizing_movements(point([1.0], E1), 0.1, 5, quadratic([[1.0]]), E1)
+    mm = minimizing_movements(point([1.0], E1), 0.1, 5, quadratic([[1.0]]))
     P = mm.trajectory.points[:, 0]
     vals = mm.at_times([0.0, 0.05, 0.1, 0.35, 0.5, 0.7])
     assert vals.shape == (6, 1)
@@ -173,7 +173,7 @@ def test_exact_flow_ou_against_rk4_moment_oracle():
         y = y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
     z = normal_quantile(qs.quantile_nodes)
     oracle = Point(y[0] + math.sqrt(y[1]) * z, qs)
-    assert distance(qs, got, oracle) <= 1e-6
+    assert distance(got, oracle) <= 1e-6
 
 
 def per_time_flow(energy, x_bar, t):
@@ -273,9 +273,9 @@ def test_quadratic_flow_registered_exactly_where_it_exists(A, space):
 def test_convergence_study_falls_back_to_the_chain_on_a_singular_quadratic(monkeypatch):
     taus = []
 
-    def spy(x_bar, tau, steps, energy, space):
+    def spy(x_bar, tau, steps, energy):
         taus.append(tau)
-        return minimizing_movements(x_bar, tau, steps, energy, space)
+        return minimizing_movements(x_bar, tau, steps, energy)
 
     monkeypatch.setattr(wedflow.reference, "minimizing_movements", spy)
     E2 = SpaceSpec.euclidean(2)
@@ -309,7 +309,7 @@ def fine_chain(name):
     space = SpaceSpec.euclidean(len(x0))
     x = point(x0, space)
     tau = 0.0125**2 / 4.0
-    return x, minimizing_movements(x, tau, int(math.ceil(1.0 / tau)), energy, space)
+    return x, minimizing_movements(x, tau, int(math.ceil(1.0 / tau)), energy)
 
 
 def fine_chain_errors(name, ts=None):
@@ -353,9 +353,7 @@ def test_chain_read_between_its_nodes_keeps_its_nodal_error():
 def test_max_slope_stationary_point():
     grid = TimeGrid.uniform(1.0, 50)
     traj = Trajectory(grid, np.ones((51, 1)), E1)
-    rep = check_max_slope(traj, double_well(), 0.0, tol=1e-14, equality=True)
-    assert rep.passed
-    assert rep.max_residual == 0.0
+    assert np.max(np.abs(max_slope_residuals(traj, double_well()))) == 0.0
 
 
 def test_max_slope_equality_on_exact_flow():
@@ -363,8 +361,8 @@ def test_max_slope_equality_on_exact_flow():
     grid = TimeGrid.uniform(1.0, 2000)
     pts = np.array([exact_flow(spec, point([1.0], E1), float(t)).coords for t in grid.nodes])
     traj = Trajectory(grid, pts, E1)
-    rep = check_max_slope(traj, spec, 0.5, tol=2e-3, equality=True)
-    assert rep.passed, rep.max_residual
+    resid = np.abs(max_slope_residuals(traj, spec))
+    assert np.max(resid) <= 2e-3, np.max(resid)
 
 
 @pytest.mark.parametrize("energy, x0", [
@@ -376,9 +374,8 @@ def test_max_slope_equality_on_coordinatewise_flows(energy, x0):
     x = point(x0, space)
     grid = TimeGrid.uniform(1.0, 2000)
     traj = Trajectory(grid, exact_flows(energy, x, grid.nodes), space)
-    rep = check_max_slope(traj, energy, float(eval_many(energy, x.coords)[0]), tol=2e-3,
-                          equality=True)
-    assert rep.passed, rep.max_residual
+    resid = np.abs(max_slope_residuals(traj, energy))
+    assert np.max(resid) <= 2e-3, np.max(resid)
 
 
 def test_max_slope_positive_part_on_small_eps_minimizer():
@@ -386,8 +383,8 @@ def test_max_slope_positive_part_on_small_eps_minimizer():
     sol = minimize_wed(WedProblem(epsilon=eps, T=1.0, N=4000, space=E1,
                                   energy=double_well(), x_bar=point([0.3], E1),
                                   solver="euler_lagrange"))
-    rep = check_max_slope(sol.trajectory, double_well(), float(sol.phi[0]), tol=5e-2)
-    assert rep.passed, rep.max_residual
+    resid = max_slope_residuals(sol.trajectory, double_well())
+    assert np.max(resid) <= 5e-2, np.max(resid)
 
 
 # -- parameter sweep ----------------------------------------------------------------------
@@ -442,9 +439,9 @@ def test_convergence_study_falls_back_to_the_proximal_chain(monkeypatch):
     # at tau = 0.05^2 / 4
     taus = []
 
-    def spy(x_bar, tau, steps, energy, space):
+    def spy(x_bar, tau, steps, energy):
         taus.append(tau)
-        return minimizing_movements(x_bar, tau, steps, energy, space)
+        return minimizing_movements(x_bar, tau, steps, energy)
 
     monkeypatch.setattr(wedflow.reference, "minimizing_movements", spy)
     for spec, x_bar, t_obs, N in [
@@ -472,7 +469,7 @@ def test_convergence_study_ou_quantile():
     for tq in (0.1, 0.5):
         i = int(np.argmin(np.abs(nodes - tq)))
         ref = exact_flow(spec, x0, float(nodes[i]))
-        assert distance(qs, sol.trajectory.point_at(i), ref) <= 2e-2
+        assert distance(sol.trajectory.point_at(i), ref) <= 2e-2
 
 
 # -- convexity diagnostics ------------------------------------------------------------------
@@ -481,7 +478,7 @@ def test_convergence_study_ou_quantile():
 def test_lambda_diagnostics_convex_quartic():
     sol = minimize_wed(WedProblem(epsilon=0.05, T=2.0, N=4000, space=E1,
                                   energy=convex_quartic(), x_bar=point([1.5], E1)))
-    rep = lambda_diagnostics(sol, lam=0.0)
+    rep = lambda_diagnostics(sol)
     assert rep.passed, rep.details
     assert rep.details["phi_nonincreasing"] <= 1.0
     assert rep.details["phi_convex"] <= 1.0
@@ -491,7 +488,7 @@ def test_lambda_diagnostics_convex_quartic():
 def test_lambda_diagnostics_constant_minimizer():
     sol = minimize_wed(WedProblem(epsilon=0.05, T=1.0, N=500, space=E1,
                                   energy=double_well(), x_bar=point([1.0], E1)))
-    rep = lambda_diagnostics(sol, lam=-1.0, lam_prime=-1.25)
+    rep = lambda_diagnostics(sol)
     assert rep.passed
 
 
@@ -500,7 +497,7 @@ def test_lambda_diagnostics_double_well_weighted_speed():
     assert 1.0 + 8.0 * (-1.0) * eps > 0.5
     sol = minimize_wed(WedProblem(epsilon=eps, T=1.0, N=4000, space=E1,
                                   energy=double_well(), x_bar=point([0.3], E1)))
-    rep = lambda_diagnostics(sol, lam=-1.0, lam_prime=-1.25)
+    rep = lambda_diagnostics(sol)
     assert rep.passed, rep.details
 
 
@@ -508,7 +505,15 @@ def test_lambda_diagnostics_threshold_guard():
     sol = minimize_wed(WedProblem(epsilon=0.2, T=2.0, N=500, space=E1,
                                   energy=double_well(), x_bar=point([0.3], E1)))
     with pytest.raises(InvalidInputError):
-        lambda_diagnostics(sol, lam=-1.0, lam_prime=-1.25)  # 1 + 8 lam eps = -0.6
+        lambda_diagnostics(sol)  # 1 + 8 lam eps = -0.6
+
+
+def test_lambda_diagnostics_need_a_convexity_modulus():
+    sol = minimize_wed(WedProblem(epsilon=0.05, T=1.0, N=100, space=E1,
+                                  energy=discrete_dirichlet(), x_bar=point([0.3], E1)))
+    assert sol.problem.energy.lam is None
+    with pytest.raises(InvalidInputError, match="convexity modulus"):
+        lambda_diagnostics(sol)
 
 
 def test_convergence_table_validation():

@@ -223,7 +223,7 @@ def test_chain_rule_and_apriori_bounds():
     # of V's range
     for sol in (solve_quad(N=2000), solve_dw(N=2000)):
         pr, dt = sol.problem, sol.trajectory.grid.dt
-        q = q_value(pr.energy, pr.space, pr.x_bar)
+        q = q_value(pr.energy, pr.x_bar)
         bound = 2.0 * (sol.objective + q) * math.exp(2.0 * pr.energy.coercivity.B * pr.T)
         assert float(np.sum(sol.speed**2 * dt)) <= bound
         V = value_along(sol)
@@ -273,7 +273,7 @@ def test_yosida_bound_quadratic_closed_form_margin():
 
 
 def test_yosida_bound_at_minimizer_is_tight():
-    rep = check_yosida_bound(DW, point([1.0], E1), 0.1, n_quad=500)
+    rep = check_yosida_bound(DW, point([1.0], E1), 0.1)
     assert rep.passed
     assert rep.details["V"] == pytest.approx(0.0, abs=1e-9)
     assert rep.details["integral"] == pytest.approx(0.0, abs=1e-9)
@@ -282,7 +282,7 @@ def test_yosida_bound_at_minimizer_is_tight():
 @pytest.mark.parametrize("x", np.round(np.arange(0.20, 0.601, 0.05), 2))
 def test_yosida_bound_double_well(x):
     # the compared right-endpoint sum stays below the left one, which V
-    # undercuts by up to 3.6e-7 near x = 0.5 (eps 0.05, n_quad 2000)
+    # undercuts by up to 3.6e-7 near x = 0.5 (eps 0.05, 2000 quadrature nodes)
     rep = check_yosida_bound(DW, point([x], E1), 0.05)
     assert rep.passed, rep.details
     assert rep.details["margin"] > 0.0
@@ -461,18 +461,18 @@ def test_hj_sandwich_at_small_eps():
 def test_finsler_unit_weight_recovers_distance():
     s2 = SpaceSpec.euclidean(2)
     a, b = point([0.0, 0.0], s2), point([1.0, 2.0], s2)
-    val = finsler_distance(s2, lambda P: np.ones(len(P)), a, b)[0]
-    assert val == pytest.approx(distance(s2, a, b), abs=1e-6)
+    val = finsler_distance(lambda P: np.ones(len(P)), a, b)[0]
+    assert val == pytest.approx(distance(a, b), abs=1e-6)
 
 
 def test_finsler_returns_value_and_curve():
     # one return shape: the curve is the optimal polyline from u0 to u1, and a
     # zero distance has no curve
     a, b = point([0.0], E1), point([1.5], E1)
-    val, curve = finsler_distance(E1, lambda P: np.ones(len(P)), a, b)
+    val, curve = finsler_distance(lambda P: np.ones(len(P)), a, b)
     assert val == pytest.approx(1.5, abs=1e-6)
     assert np.array_equal(curve.points[[0, -1]], [a.coords, b.coords])
-    assert finsler_distance(E1, lambda P: np.ones(len(P)), a, point([0.0], E1)) == (0.0, None)
+    assert finsler_distance(lambda P: np.ones(len(P)), a, point([0.0], E1)) == (0.0, None)
 
 
 def test_finsler_constant_energy_scaling():
@@ -480,7 +480,7 @@ def test_finsler_constant_energy_scaling():
     # random discretized monotone curves can do no better
     c = 4.0
     a, b = point([0.0], E1), point([2.0], E1)
-    val = finsler_distance(E1, lambda P: np.full(len(P), math.sqrt(c)), a, b)[0]
+    val = finsler_distance(lambda P: np.full(len(P), math.sqrt(c)), a, b)[0]
     assert val == pytest.approx(math.sqrt(c) * 2.0, abs=1e-4)
     rng = np.random.default_rng(6)
     best = math.inf
@@ -496,19 +496,19 @@ def test_finsler_lagrangian_equals_product_form():
 
     f = lambda P: np.sqrt(np.maximum(1.0, eval_many(QUAD, P)))
     a, b = point([0.5], E1), point([3.0], E1)
-    val, curve = finsler_distance(E1, f, a, b)
+    val, curve = finsler_distance(f, a, b)
     rep = g_reparam(curve, f)
     v = metric_speed(rep)
     mids = 0.5 * (rep.points[:-1] + rep.points[1:])
     fv = f(mids)
     product = float(np.sum(fv * v * rep.grid.dt))
     assert product == pytest.approx(val, rel=1e-3)
-    assert val >= distance(E1, a, b) - 1e-9
+    assert val >= distance(a, b) - 1e-9
 
 
 def test_finsler_rejects_weight_below_one():
     with pytest.raises(InvalidInputError):
-        finsler_distance(E1, lambda P: np.full(len(P), 0.5), point([0.0], E1), point([1.0], E1))
+        finsler_distance(lambda P: np.full(len(P), 0.5), point([0.0], E1), point([1.0], E1))
 
 
 def test_finsler_weight_gets_float_row_arrays():
@@ -520,7 +520,7 @@ def test_finsler_weight_gets_float_row_arrays():
         shapes.append(P.shape)
         return np.sqrt(1.0 + P[:, 0] ** 2)
 
-    finsler_distance(s2, f, point([0.0, 0.0], s2), point([1.0, 2.0], s2))
+    finsler_distance(f, point([0.0, 0.0], s2), point([1.0, 2.0], s2))
     assert shapes[0] == (3, 2)  # u0, u1 and their midpoint
     # then the 64 segment midpoints, or their difference stencils, per call
     assert len(shapes) > 1 and set(shapes[1:]) == {(64, 2)}
@@ -534,7 +534,7 @@ def test_finsler_weight_gets_float_row_arrays():
 ], ids=["scalar", "too_long", "column", "fixed_length"])
 def test_finsler_weight_of_wrong_shape_raises(f):
     with pytest.raises(InvalidInputError, match="one value per row"):
-        finsler_distance(E1, f, point([0.0], E1), point([1.0], E1))
+        finsler_distance(f, point([0.0], E1), point([1.0], E1))
 
 
 # reference distances, from the golden-section search over S that the closed form replaced
@@ -552,7 +552,7 @@ FINSLER_PINS = {
 @pytest.mark.parametrize("case", list(FINSLER_PINS))
 def test_finsler_pinned_values(case):
     space, f, a, b, ref = FINSLER_PINS[case]
-    val = finsler_distance(space, f, point(a, space), point(b, space))[0]
+    val = finsler_distance(f, point(a, space), point(b, space))[0]
     assert val == pytest.approx(ref, rel=1e-12)
 
 
@@ -560,7 +560,7 @@ def test_finsler_pinned_value_of_the_kinked_weight():
     # f = sqrt(max(1, x^2/2)) has a kink at sqrt(2); its solves stop above the
     # stationarity tolerance, so the pin is looser
     f = lambda P: np.sqrt(np.maximum(1.0, eval_many(QUAD, P)))
-    val = finsler_distance(E1, f, point([0.5], E1), point([3.0], E1))[0]
+    val = finsler_distance(f, point([0.5], E1), point([3.0], E1))[0]
     assert val == pytest.approx(3.389011373098585, rel=1e-7)
 
 
@@ -571,14 +571,14 @@ def test_finsler_1d_distance_is_the_weight_integral(energy, exact):
     # README weight's descent stops at the iteration cap (residual 7.9e-4),
     # 3.65e-5 relative below it, the double well's converges 2.15e-5 below
     f = lambda P: np.sqrt(np.maximum(1.0, eval_many(energy, P)))
-    val = finsler_distance(E1, f, point([0.0], E1), point([2.0], E1))[0]
+    val = finsler_distance(f, point([0.0], E1), point([2.0], E1))[0]
     assert val == pytest.approx(exact, rel=5e-5)
 
 
 @pytest.mark.parametrize("case", ["double_well", "plane"])
 def test_finsler_parameter_length_is_the_closed_form(case):
     space, f, a, b, _ = FINSLER_PINS[case]
-    val, curve = finsler_distance(space, f, point(a, space), point(b, space))
+    val, curve = finsler_distance(f, point(a, space), point(b, space))
     P, K = curve.points, curve.grid.n_cells
     dP = np.diff(P, axis=0)
     kin = 0.5 * float(np.sum(space.metric_weights * dP * dP))
@@ -595,4 +595,4 @@ def test_finsler_weight_vanishing_at_every_midpoint_raises():
     # at all 64 segment midpoints of the starting line
     f = lambda P: np.isin(P[:, 0], [0.0, 0.5, 1.0]).astype(float)
     with pytest.raises(InvalidInputError, match="vanishes"):
-        finsler_distance(E1, f, point([0.0], E1), point([1.0], E1))
+        finsler_distance(f, point([0.0], E1), point([1.0], E1))

@@ -94,7 +94,7 @@ def test_coercive_lower_bound_on_random_trajectories():
         phis = 0.5 * -0.5 * pts**2
         lhs = float(np.sum(w.masses * (eps / 4 * v**2 + np.maximum(phis[:-1], 0.0))))
         lhs += w.tail * max(phis[-1], 0.0)
-        rhs = wed_value(pr, traj) + q_value(energy, E1, pr.x_bar)
+        rhs = wed_value(pr, traj) + q_value(energy, pr.x_bar)
         assert lhs <= rhs + 1e-10 * max(1.0, abs(rhs))
 
 
