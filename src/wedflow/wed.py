@@ -8,7 +8,7 @@ Two backends produce the same minimizer by different routes:
   exponentially decaying weights);
 * ``solve_euler_lagrange`` discretizes the second-order optimality system
   -eps u'' + u' + grad phi(u) = 0 with an initial value at 0 and a zero-slope
-  condition at the far end of the computational window.
+  condition at the far end of the computational window, T + 8 eps.
 
 Both initialize at the constant trajectory, which always has finite cost
 equal to phi of the initial point.
@@ -24,7 +24,7 @@ import numpy as np
 from .energies import EnergySpec, eval_many, grad_many, hess_many
 from .errors import InvalidInputError, NonConvergenceError
 from .newton import damped_newton, levenberg
-from .spaces import Point, SpaceSpec
+from .spaces import Point, SpaceSpec, admissible
 from .trajectories import TimeGrid, Trajectory, Weights, metric_speed
 
 DIRECT = "direct"
@@ -80,6 +80,9 @@ class WedProblem:
         if co.u_star is not None and co.u_star.shape != (self.space.dim,):
             raise InvalidInputError(f"coercivity u_star of shape {co.u_star.shape} is not a point "
                                     f"of the {self.space.dim}-dimensional space", "energy")
+        # q_value reads u_star only where B > 0; there it must be a point of the space
+        if co.B > 0.0 and co.u_star is not None and not admissible(self.space, co.u_star):
+            raise InvalidInputError("coercivity u_star lies off the quantile cone", "energy")
 
     def grid(self) -> TimeGrid:
         return TimeGrid.uniform(self.T, self.N)
@@ -440,18 +443,18 @@ def _solution(problem, grid, pts, objective, iterations, gradient_norm) -> WedSo
 def solve_euler_lagrange(problem: WedProblem) -> WedSolution:
     """Damped Newton on the finite-difference optimality system.
 
-    The computational window extends to max(T + 8 eps, 25 eps) with the
-    uniform spacing T/N so that the artificial zero-slope end condition sits
-    several boundary-layer widths past the reported horizon.  The solution
+    The computational window extends to T + 8 eps with the uniform spacing
+    T/N, so that the artificial zero-slope end condition sits eight
+    boundary-layer widths past the reported horizon.  The solution
     is the window's first N + 1 nodes, on the problem grid
     ``TimeGrid.uniform(T, N)``.
     """
     eps = problem.epsilon
     dt = problem.T / problem.N
-    # clear the reporting window by several boundary-layer widths (the layer
+    # clear the reporting window by eight boundary-layer widths (the layer
     # of the artificial end condition decays no slower than e^{-(T_ext-t)/eps})
-    t_ext = max(default_horizon(eps, problem.T), problem.T + 8.0 * eps)
-    n_c = max(problem.N + 1, int(math.ceil(t_ext / dt - 1e-12)))
+    t_ext = problem.T + 8.0 * eps
+    n_c = int(math.ceil(t_ext / dt - 1e-12))
     omega = problem.space.metric_weights
     d = problem.space.dim
     full = lambda V: np.concatenate([problem.x_bar.coords[None, :], V])  # U[0] = x_bar is pinned

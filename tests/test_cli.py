@@ -456,50 +456,55 @@ def test_keys_no_run_reads_are_config_errors(tmp_path, capsys, key, value):
 QUAD_A = {"kind": "quadratic", "params": {"A": [[1.0]]}}
 
 
-@pytest.mark.parametrize("key, value, pointer", [
-    ("space", {"kind": "euclidean"}, "/space/dim"),
-    ("space", {"kind": "euclidean", "dim": 1.7}, "/space/dim"),
-    ("space", {"kind": "euclidean", "dim": 1, "extra": 1}, "/space/extra"),
-    ("space", {"kind": "quantile1d", "dim": 1}, "/space/dim"),
-    ("space", {"kind": "quantile1d"}, "/space/m"),
-    ("space", {"dim": 1}, "/space/kind"),
-    ("space", {"kind": "sphere", "dim": 1}, "/space/kind"),
-    ("energy", {"kind": "quadratic", "params": {"A": "x"}}, "/energy/params/A"),
-    ("energy", {"kind": "quadratic", "params": {"A": [[1.0], [1.0, 2.0]]}}, "/energy/params/A"),
-    ("energy", {"kind": "quadratic", "params": {"A": [1.0]}}, "/energy/params/A"),
+@pytest.mark.parametrize("overrides, pointer", [
+    ({"space": {"kind": "euclidean"}}, "/space/dim"),
+    ({"space": {"kind": "euclidean", "dim": 1.7}}, "/space/dim"),
+    ({"space": {"kind": "euclidean", "dim": 1, "extra": 1}}, "/space/extra"),
+    ({"space": {"kind": "quantile1d", "dim": 1}}, "/space/dim"),
+    ({"space": {"kind": "quantile1d"}}, "/space/m"),
+    ({"space": {"dim": 1}}, "/space/kind"),
+    ({"space": {"kind": "sphere", "dim": 1}}, "/space/kind"),
+    ({"energy": {"kind": "quadratic", "params": {"A": "x"}}}, "/energy/params/A"),
+    ({"energy": {"kind": "quadratic", "params": {"A": [[1.0], [1.0, 2.0]]}}}, "/energy/params/A"),
+    ({"energy": {"kind": "quadratic", "params": {"A": [1.0]}}}, "/energy/params/A"),
     # an int past the float range is inf, which the energy rejects
-    ("energy", {"kind": "quadratic", "params": {"A": [[-10**400]]}}, "/energy"),
-    ("energy", {"kind": "quadratic", "params": {"b": [0.0]}}, "/energy/params/A"),
-    ("energy", {"kind": "quadratic", "params": {"A": [[1.0]], "b": [True]}}, "/energy/params/b"),
-    ("energy", {"kind": "quadratic", "params": {"A": [[1.0]], "bogus": 1}},
+    ({"energy": {"kind": "quadratic", "params": {"A": [[-10**400]]}}}, "/energy"),
+    ({"energy": {"kind": "quadratic", "params": {"b": [0.0]}}}, "/energy/params/A"),
+    ({"energy": {"kind": "quadratic", "params": {"A": [[1.0]], "b": [True]}}}, "/energy/params/b"),
+    ({"energy": {"kind": "quadratic", "params": {"A": [[1.0]], "bogus": 1}}},
      "/energy/params/bogus"),
-    ("energy", {"kind": "discrete_dirichlet", "params": {"p": [3.0]}}, "/energy/params/p"),
-    ("energy", {"kind": "double_well", "params": {"v2": 1.0}}, "/energy/params/v2"),
-    ("energy", {**QUAD_A, "extra": 1}, "/energy/extra"),
-    ("energy", {**QUAD_A, "lambda": "1"}, "/energy/lambda"),
-    ("energy", {**QUAD_A, "coercivity": {"A": 0.0}}, "/energy/coercivity/B"),
-    ("energy", {**QUAD_A, "coercivity": {"A": 0.0, "B": [1.0]}}, "/energy/coercivity/B"),
-    ("energy", {**QUAD_A, "coercivity": {"A": 0.0, "B": 0.0, "u_star": 0.0}},
+    ({"energy": {"kind": "discrete_dirichlet", "params": {"p": [3.0]}}}, "/energy/params/p"),
+    ({"energy": {"kind": "double_well", "params": {"v2": 1.0}}}, "/energy/params/v2"),
+    ({"energy": {**QUAD_A, "extra": 1}}, "/energy/extra"),
+    ({"energy": {**QUAD_A, "lambda": "1"}}, "/energy/lambda"),
+    ({"energy": {**QUAD_A, "coercivity": {"A": 0.0}}}, "/energy/coercivity/B"),
+    ({"energy": {**QUAD_A, "coercivity": {"A": 0.0, "B": [1.0]}}}, "/energy/coercivity/B"),
+    ({"energy": {**QUAD_A, "coercivity": {"A": 0.0, "B": 0.0, "u_star": 0.0}}},
      "/energy/coercivity/u_star"),
-    ("energy", {**QUAD_A, "coercivity": {"A": 0.0, "B": 0.0, "bogus": 1}},
+    ({"energy": {**QUAD_A, "coercivity": {"A": 0.0, "B": 0.0, "bogus": 1}}},
      "/energy/coercivity/bogus"),
     # a u_star of another dimension than the space's is an error of the energy
-    ("energy", {**QUAD_A, "coercivity": {"A": 0.0, "B": 0.5, "u_star": [5.0, 6.0, 7.0]}},
+    ({"energy": {**QUAD_A, "coercivity": {"A": 0.0, "B": 0.5, "u_star": [5.0, 6.0, 7.0]}}},
      "/energy"),
-    ("energy", {"params": {"A": [[1.0]]}}, "/energy/kind"),
-    ("energy", {"kind": "sextic"}, "/energy/kind"),
+    # so is a u_star off the quantile cone, where B > 0 makes Q read it
+    ({"space": {"kind": "quantile1d", "m": 3}, "x_bar": [-1.0, 0.0, 1.0],
+      "energy": {"kind": "quantile_entropy_potential", "params": {"v2": 1.0, "v1": 0.0},
+                 "coercivity": {"A": 0.0, "B": 0.5, "u_star": [3.0, 2.0, 1.0]}}},
+     "/energy"),
+    ({"energy": {"params": {"A": [[1.0]]}}}, "/energy/kind"),
+    ({"energy": {"kind": "sextic"}}, "/energy/kind"),
 ], ids=["space_no_dim", "space_fractional_dim", "space_extra", "quantile_dim", "quantile_no_m",
         "space_no_kind", "space_unknown_kind", "params_A_string",
         "params_A_ragged", "params_A_vector", "params_A_huge_int", "params_no_A", "params_b_bool",
         "params_bogus", "params_p_list", "params_of_another_kind", "energy_extra", "lambda_string",
         "coercivity_no_B", "coercivity_B_list", "coercivity_u_star_number", "coercivity_bogus",
-        "coercivity_u_star_other_dim",
+        "coercivity_u_star_other_dim", "coercivity_u_star_off_the_cone",
         "energy_no_kind", "energy_unknown_kind"])
-def test_nested_config_errors_carry_their_pointer(tmp_path, capsys, key, value, pointer):
+def test_nested_config_errors_carry_their_pointer(tmp_path, capsys, overrides, pointer):
     # a malformed space or energy stops the run with its JSON pointer, on
     # stderr and in the manifest, before any suite
     out = tmp_path / "out"
-    argv = ["check", "--config", str(write_cfg(tmp_path, cfg(**{key: value}))), "--out", str(out),
+    argv = ["check", "--config", str(write_cfg(tmp_path, cfg(**overrides))), "--out", str(out),
             "--quiet"]
     assert main(argv) == 1
     assert f"config {pointer}: " in capsys.readouterr().err

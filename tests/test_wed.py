@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,11 +7,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wedflow import (
-    InvalidInputError, NonConvergenceError, Point, SpaceSpec, TimeGrid,
+    Coercivity, EnergySpec, InvalidInputError, NonConvergenceError, Point, SpaceSpec, TimeGrid,
     Trajectory, WedProblem, Weights, check_inner_variation, double_well,
     minimize_wed, point, q_value, quadratic, solve_euler_lagrange, wed_value,
 )
 from wedflow import energies, wed
+from wedflow.energies import QUANTILE_ENTROPY
 from wedflow.newton import levenberg
 from wedflow.wed import solve_block_tridiag, solve_tridiag
 
@@ -270,6 +272,24 @@ def test_problem_checks_name_their_field(field, kw):
     with pytest.raises(InvalidInputError) as info:
         quad_problem(**kw)
     assert info.value.field == field
+
+
+def test_u_star_off_the_quantile_cone_is_an_error_of_the_energy_where_B_is_positive():
+    qs = SpaceSpec.quantile1d(3)
+    x_bar = point([-1.0, 0.0, 1.0], qs)
+    energy = lambda B, u_star: EnergySpec(QUANTILE_ENTROPY, {"v2": 1.0, "v1": 0.0},
+                                          coercivity=Coercivity(0.0, B, u_star))
+    problem = lambda spec: WedProblem(epsilon=0.05, T=0.5, N=10, space=qs, energy=spec,
+                                      x_bar=x_bar)
+    with pytest.raises(InvalidInputError, match="quantile cone") as info:
+        problem(energy(0.5, [3.0, 2.0, 1.0]))
+    assert info.value.field == "energy"
+    problem(energy(0.5, [1.0, 2.0, 3.0]))
+    # with B = 0, Q is A and never reads u_star: a quadratic's default u_star
+    # 0, off the cone, passes
+    problem(energy(0.0, [3.0, 2.0, 1.0]))
+    assert np.array_equal(quadratic(np.eye(3)).coercivity.u_star, np.zeros(3))
+    problem(quadratic(np.eye(3)))
 
 
 def test_smallness_condition_enforced():
@@ -663,7 +683,9 @@ def test_euler_lagrange_objective_is_the_weighted_cost():
 @pytest.mark.parametrize("d", [1, 3])
 def test_euler_lagrange_on_a_uniform_grid_is_its_window_bitwise(monkeypatch, d):
     # the solution on the problem grid is the first N+1 nodes of the
-    # computational window, also where (T/N) N != T (T = 1, N = 49)
+    # computational window, also where (T/N) N != T (T = 1, N = 49); the
+    # window ends at T + 8 eps, so it has ceil(N (T + 8 eps) / T) free nodes,
+    # also where T + 8 eps < 25 eps (T = 0.5)
     newton, windows = wed.damped_newton, []
 
     def spy(*args):
@@ -675,13 +697,44 @@ def test_euler_lagrange_on_a_uniform_grid_is_its_window_bitwise(monkeypatch, d):
     space = SpaceSpec.euclidean(d)
     A = np.eye(d) if d == 1 else [[2.0, 0.5, 0.3], [0.5, 1.5, 0.4], [0.3, 0.4, 1.0]]
     x_bar = point(np.linspace(1.0, 0.5, d), space)
-    pr = WedProblem(epsilon=0.05, T=1.0, N=49, space=space, energy=quadratic(A),
-                    x_bar=x_bar, solver="euler_lagrange")
     assert (1.0 / 49) * 49 != 1.0
-    sol = minimize_wed(pr)
-    (V,) = windows
-    assert V.shape[0] > pr.N
-    assert np.array_equal(sol.trajectory.points, np.vstack([x_bar.coords, V[:pr.N]]))
+    for T, N, free in ((1.0, 49, 69), (0.5, 800, 1440)):
+        pr = WedProblem(epsilon=0.05, T=T, N=N, space=space, energy=quadratic(A),
+                        x_bar=x_bar, solver="euler_lagrange")
+        sol = minimize_wed(pr)
+        V = windows.pop()
+        assert V.shape[0] == free == math.ceil(N * (T + 8 * 0.05) / T)
+        assert np.array_equal(sol.trajectory.points, np.vstack([x_bar.coords, V[:N]]))
+
+
+@pytest.mark.parametrize("name", ["quantile16", "double_well", "quadratic", "dirichlet8"])
+def test_euler_lagrange_solution_does_not_see_the_window_past_8_eps(name):
+    # at T = 10 eps, the solve over (T, N) and the first N + 1 nodes of the
+    # solve over (2T, 2N), whose end condition sits T further out, share
+    # their nodes bit for bit and differ by at most 1e-5 in metric distance
+    # (measured 3.7e-6 to 6.8e-6; the end layer is down by e^{-8} = 3.4e-4
+    # at T)
+    from wedflow import discrete_dirichlet
+    from wedflow.spaces import row_distances
+
+    if name == "quantile16":
+        pr = block_problem(name, "euler_lagrange")
+    else:
+        space, energy, x_bar, N = {
+            "double_well": (E1, double_well(), [0.3], 1000),
+            "quadratic": (E1, quadratic([[1.0]]), [1.0], 1000),
+            "dirichlet8": (SpaceSpec.euclidean(8),
+                           discrete_dirichlet(3.0, 1.0 / 9.0, (0.0, 0.0, 1.0)),
+                           np.sin(np.pi * np.arange(1, 9) / 9.0), 300),
+        }[name]
+        pr = WedProblem(epsilon=0.05, T=0.5, N=N, space=space, energy=energy,
+                        x_bar=point(x_bar, space), solver="euler_lagrange")
+    assert pr.T == 10 * pr.epsilon
+    short = minimize_wed(pr).trajectory
+    long = minimize_wed(replace(pr, T=2 * pr.T, N=2 * pr.N)).trajectory
+    assert np.array_equal(short.grid.nodes, long.grid.nodes[:pr.N + 1])
+    gap = row_distances(pr.space, short.points, long.points[:pr.N + 1])
+    assert np.max(gap) <= 1e-5
 
 
 @pytest.mark.parametrize("solver", ["direct", "euler_lagrange"])
