@@ -93,8 +93,13 @@ class EnergySpec:
             raise InvalidInputError("energy parameters must be finite")
         # after the finiteness test, where inf - inf cannot warn
         A = self.params.get("A")
-        if self.kind == QUADRATIC and np.max(np.abs(A - A.T)) > 1e-12:
-            raise InvalidInputError("quadratic A must be symmetric (1e-12)")
+        if self.kind == QUADRATIC:
+            if np.max(np.abs(A - A.T)) > 1e-12:
+                raise InvalidInputError("quadratic A must be symmetric (1e-12)")
+            # phi = x'Ax/2 has gradient (A + A')x/2, and the Newton steps'
+            # eigh reads one triangle: store that part, bitwise A where A is
+            # exactly symmetric
+            self.params["A"] = (A + A.T) / 2.0
         if self.lam is None:
             object.__setattr__(self, "lam", _default_lambda(self))
         if self.coercivity is None:

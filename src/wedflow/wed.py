@@ -11,7 +11,10 @@ Two backends produce the same minimizer by different routes:
   condition at the far end of the computational window, T + 8 eps.
 
 Both initialize at the constant trajectory, which always has finite cost
-equal to phi of the initial point.
+equal to phi of the initial point.  There every free node has the one
+Hessian of phi at the initial point, and with d > 1 the first Newton step is
+taken in its eigenbasis as d scalar tridiagonal systems; every later step
+solves the block system.
 """
 
 from __future__ import annotations
@@ -133,9 +136,12 @@ DENSE_CUT = 32
 
 
 def solve_tridiag(sub, diag, sup, rhs):
-    """Odd-even cyclic reduction for a scalar tridiagonal system.
+    """Odd-even cyclic reduction for scalar tridiagonal systems.
 
     Row k reads ``sub[k-1] x[k-1] + diag[k] x[k] + sup[k] x[k+1] = rhs[k]``.
+    ``rhs`` is (n,), one system, or (n, c), c independent systems in its
+    columns, all reduced at once; each band then has c columns or one, which
+    every system shares.
     Each level divides the odd rows by their pivots and eliminates x[1],
     x[3], ... from the even rows, which leaves a tridiagonal system in x[0],
     x[2], ... of half the size.  Once ``DENSE_CUT`` or fewer unknowns are
@@ -148,9 +154,9 @@ def solve_tridiag(sub, diag, sup, rhs):
     level, or a singular remainder, raises LinAlgError; overflow gives
     non-finite entries.
     """
-    n = diag.shape[0]
+    n = rhs.shape[0]
     # S[:, k] holds row k as x[k] = (S[2, k] + S[0, k] x[k-1] + S[1, k] x[k+1]) / S[3, k]
-    S = np.empty((4, n))
+    S = np.empty((4,) + rhs.shape)
     S[0, :1] = S[1, -1:] = 0.0
     np.negative(sub, out=S[0, 1:])
     np.negative(sup, out=S[1, :-1])
@@ -177,17 +183,19 @@ def solve_tridiag(sub, diag, sup, rhs):
             S[2, :mo] += right[2]
             S[3, :mo] -= right[0]
             n = me
-        M = np.zeros((n, n))
-        M.flat[::n + 1] = S[3]
-        M.flat[1::n + 1] = -S[1, :-1]
-        M.flat[n::n + 1] = -S[0, 1:]
-        x = np.linalg.solve(M, S[2])
+        # one dense matrix per system, flat; the transposes put each
+        # system's rows last
+        M = np.zeros(S.shape[2:] + (n * n,))
+        M[..., ::n + 1] = S[3].T
+        M[..., 1::n + 1] = -S[1, :-1].T
+        M[..., n::n + 1] = -S[0, 1:].T
+        x = np.linalg.solve(M.reshape(M.shape[:-1] + (n, n)), S[2].T[..., None])[..., 0].T
         while levels:
             L = levels.pop()
             me, mo = x.shape[0], L.shape[1]
             odd = L[2] + L[0] * x[:mo]
             odd[:me - 1] += L[1, :me - 1] * x[1:]
-            out = np.empty(me + mo)
+            out = np.empty((me + mo,) + x.shape[1:])
             out[::2], out[1::2] = x, odd
             x = out
     return x
@@ -344,6 +352,36 @@ def solve_block_tridiag(sub, diag, sup, rhs):
     return x
 
 
+def _shared_hessian(energy, V, omega):
+    """The eigendecomposition (lam, Q) of the one Hessian of phi at the free
+    nodes V, where d > 1, all of them coincide (as at the constant start),
+    the metric weights are uniform and the Hessian is exactly symmetric;
+    None otherwise, and the Newton step takes the block solve."""
+    if V.shape[1] == 1 or not (omega == omega[0]).all() or not (V == V[0]).all():
+        return None
+    H = hess_many(energy, V[:1])[0]
+    if not (H == H.T).all():
+        return None
+    return np.linalg.eigh(H)
+
+
+def _eigenbasis_solve(sub, a, b, sup, rhs, eig):
+    """The block-tridiagonal system with diagonal blocks a[k] H + b[k] I and
+    couplings sub[k] I and sup[k] I, solved in H's eigenbasis.
+
+    With H = Q diag(lam) Q', the unknowns y = x Q (rows of the (n, d) array
+    x) decouple into d scalar tridiagonal systems, column j with diagonal
+    a[k] lam[j] + b[k], and one ``solve_tridiag`` call reduces all of them:
+    the fast diagonalization of a Kronecker sum (Lynch, Rice and Thomas,
+    Numer. Math. 6, 1964), O(n d) plus one d x d eigendecomposition where
+    the block reduction costs O(n d^3).  ``a`` and ``b`` are (n,) arrays or
+    scalars, ``sub`` and ``sup`` (n - 1,) arrays, ``eig`` is (lam, Q).
+    """
+    lam, Q = eig
+    diag = np.multiply.outer(a, lam) + np.expand_dims(b, -1)
+    return solve_tridiag(sub[:, None], diag, sup[:, None], rhs @ Q) @ Q.T
+
+
 # -- direct minimization ---------------------------------------------------------
 
 
@@ -394,13 +432,21 @@ def minimize_wed(problem: WedProblem) -> WedSolution:
 
     def direction(V, g):
         # row-scaled Newton step with a deterministic Levenberg ladder
-        diag = hess_many(problem.energy, V)
-        diag *= nodew[:, None, None]
-        np.einsum("nii->ni", diag)[...] += kin
-        diag /= pw[:, None, None]
         rhs = -g / pw[:, None]
-        step = levenberg(lambda rho: solve_block_tridiag(sub, diag + rho * W, sup, rhs),
-                         g, -(g / omega) / pw[:, None])
+        eig = _shared_hessian(problem.energy, V, omega)
+        if eig is not None:
+            # the blocks are (nodew H + kin)/pw + rho W, with kin and W
+            # multiples of the identity
+            a, b = nodew / pw, kin[:, 0] / pw
+            solve = lambda rho: _eigenbasis_solve(sub[:, 0], a, b + rho * omega[0], sup[:, 0],
+                                                  rhs, eig)
+        else:
+            diag = hess_many(problem.energy, V)
+            diag *= nodew[:, None, None]
+            np.einsum("nii->ni", diag)[...] += kin
+            diag /= pw[:, None, None]
+            solve = lambda rho: solve_block_tridiag(sub, diag + rho * W, sup, rhs)
+        step = levenberg(solve, g, -(g / omega) / pw[:, None])
         return step, float(np.sum(g * step))
 
     V0 = np.tile(problem.x_bar.coords, (N, 1))
@@ -476,14 +522,18 @@ def solve_euler_lagrange(problem: WedProblem) -> WedSolution:
         return sup_norm(F), F
 
     def direction(V, F):
-        U = full(V)
-        di = hess_many(problem.energy, U[1:])
-        di /= omega[:, None]
-        np.einsum("nii->ni", di)[...] += 2.0 * eps / dt**2
+        eig = _shared_hessian(problem.energy, V, omega)
         try:
-            step = solve_block_tridiag(lo, di, up, -F)
+            if eig is not None:
+                step = _eigenbasis_solve(lo[:, 0], 1.0 / omega[0], 2.0 * eps / dt**2, up[:, 0],
+                                         -F, eig)
+            else:
+                di = hess_many(problem.energy, V)
+                di /= omega[:, None]
+                np.einsum("nii->ni", di)[...] += 2.0 * eps / dt**2
+                step = solve_block_tridiag(lo, di, up, -F)
         except np.linalg.LinAlgError as exc:
-            raise NonConvergenceError(f"singular Jacobian: {exc}", best=U)
+            raise NonConvergenceError(f"singular Jacobian: {exc}", best=full(V))
         return step, -sup_norm(F)
 
     V0 = np.tile(problem.x_bar.coords, (n_c, 1))

@@ -13,7 +13,7 @@ from wedflow.energies import (
     PARAMS, QUADRATIC, analytic_slope, analytic_slopes, eval_many, grad_many, hess_many, prox,
     reference_point,
 )
-from wedflow.spaces import probe_directions
+from wedflow.spaces import EUCLIDEAN, QUANTILE1D, probe_directions
 
 E1 = SpaceSpec.euclidean(1)
 
@@ -476,6 +476,45 @@ def test_hess_many_matches_central_differences(spec, U):
         dn[:, j:j + 1] -= h
         fd[:, :, j] = (grad_many(spec, up) - grad_many(spec, dn)) / (2 * h)
     assert np.max(np.abs(H - fd)) < 1e-5 * max(1.0, np.max(np.abs(H))), spec.kind
+
+
+@pytest.mark.parametrize("spec, U", hess_fixtures(), ids=HESS_IDS)
+def test_hess_many_blocks_are_bitwise_symmetric(spec, U):
+    # the Newton step at the constant start diagonalizes one block with
+    # eigh, which reads one triangle; it falls back to the block solve where
+    # a block is not exactly symmetric.  The fixtures hold every kind
+    assert {s.kind for s, _U in hess_fixtures()} == set(PARAMS)
+    H = hess_many(spec, U)
+    assert np.array_equal(H, np.swapaxes(H, 1, 2)), spec.kind
+
+
+@pytest.mark.parametrize("kind", [EUCLIDEAN, QUANTILE1D])
+def test_metric_weights_are_uniform_in_every_space_kind(kind):
+    # the same invariant of the constant-start Newton step: each coupling of
+    # its block system is then a multiple of the identity
+    for dim in range(1, 33):
+        w = SpaceSpec(kind, dim).metric_weights
+        assert w.shape == (dim,) and np.all(w == w[0]) and w[0] > 0.0
+
+
+def test_quadratic_a_is_stored_symmetric():
+    # an A asymmetric at 1e-13 is accepted and stored as (A + A')/2, the
+    # part phi = x'Ax/2 sees: its gradient is (A + A')x/2
+    rng = np.random.default_rng(43)
+    S = rng.standard_normal((4, 4))
+    S = S + S.T
+    A = S + 1e-13 * np.triu(np.ones((4, 4)), 1)
+    assert 0.0 < np.max(np.abs(A - A.T)) <= 1e-12
+    spec = quadratic(A)
+    stored = spec.params["A"]
+    assert np.array_equal(stored, (A + A.T) / 2.0)
+    assert np.array_equal(stored, stored.T)
+    X = rng.standard_normal((5, 4))
+    assert np.allclose(grad_many(spec, X), X @ ((A + A.T) / 2.0).T, rtol=0.0, atol=1e-14)
+    H = hess_many(spec, X)
+    assert np.array_equal(H, np.swapaxes(H, 1, 2))
+    # an exactly symmetric A is stored bit for bit
+    assert np.array_equal(quadratic(S).params["A"], S)
 
 
 def test_hess_many_is_zero_off_the_tridiagonal_band():

@@ -737,17 +737,111 @@ def test_euler_lagrange_solution_does_not_see_the_window_past_8_eps(name):
     assert np.max(gap) <= 1e-5
 
 
+def block_solves(monkeypatch):
+    """The block systems' sizes (n, d), recorded as the solver gets them."""
+    sizes, solve = [], wed.solve_block_tridiag
+
+    def record(sub, diag, sup, rhs):
+        sizes.append(rhs.shape)
+        return solve(sub, diag, sup, rhs)
+
+    monkeypatch.setattr(wed, "solve_block_tridiag", record)
+    return sizes
+
+
 @pytest.mark.parametrize("solver", ["direct", "euler_lagrange"])
 @pytest.mark.parametrize("name", ["quantile16", "dirichlet_concave_reaction",
                                   "dirichlet_double_well_reaction"])
 def test_block_solve_is_the_same_without_the_thomas_route(monkeypatch, name, solver):
     # every level-0 pivot stack of these solves is tridiagonal and dominant;
-    # inverting it by LAPACK instead changes the Newton steps at roundoff only
+    # inverting it by LAPACK instead changes the Newton steps at roundoff only.
+    # The concave reaction's Hessian is constant: the first step, taken in its
+    # eigenbasis, is exact, and the solve makes no block solve at all
     pr = block_problem(name, solver)
-    routes = thomas_routes(monkeypatch)
+    routes, sizes = thomas_routes(monkeypatch), block_solves(monkeypatch)
     ours = minimize_wed(pr)
-    assert routes and all(routes)
+    if name == "dirichlet_concave_reaction":
+        assert not sizes and not routes and ours.iterations == 2
+    else:
+        assert len(sizes) == ours.iterations - 2 and routes and all(routes)
     monkeypatch.setattr(wed, "_thomas_inverts", lambda B: False)
     ref = minimize_wed(pr)
     assert ours.iterations == ref.iterations
     assert np.max(np.abs(ours.trajectory.points - ref.trajectory.points)) <= 1e-12
+
+
+class FirstStep(Exception):
+    pass
+
+
+@pytest.mark.parametrize("solver", ["direct", "euler_lagrange"])
+@pytest.mark.parametrize("name", ["quantile16", "double_well_4d", "dirichlet_concave_reaction",
+                                  "dirichlet_double_well_reaction"])
+def test_first_newton_step_is_the_banded_lu_step(monkeypatch, name, solver):
+    # every solve starts at the constant trajectory, where all free nodes
+    # share one Hessian: the first step is taken in its eigenbasis, with no
+    # block solve, and matches LAPACK's pivoted banded LU on the assembled
+    # block system within 1e-10 relative (measured 6.4e-13 to 2.8e-11; block
+    # cyclic reduction 2.2e-13 to 6.6e-11).  The Euler-Lagrange system at
+    # the double well's hilltop has condition number about 1e7, so unit
+    # roundoff allows 1.1e-9 there: measured 1.09e-10, bounded by 2e-10
+    steps = []
+
+    def no_block_solve(*args):
+        raise AssertionError("a block solve at the constant start")
+
+    def first_step(x, start, evaluate, residual, done, direction, max_iter):
+        steps.append(direction(x, start[1])[0])
+        monkeypatch.setattr(wed, "_shared_hessian", lambda *args: None)
+        monkeypatch.setattr(wed, "solve_block_tridiag", solve_block_banded_ref)
+        steps.append(direction(x, start[1])[0])
+        raise FirstStep
+
+    monkeypatch.setattr(wed, "solve_block_tridiag", no_block_solve)
+    monkeypatch.setattr(wed, "damped_newton", first_step)
+    with pytest.raises(FirstStep):
+        minimize_wed(block_problem(name, solver))
+    ours, ref = steps
+    assert rel_err(ours, ref) <= (2e-10 if (name, solver) == ("double_well_4d", "euler_lagrange")
+                                  else 1e-10)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(n=st.integers(1, 130), d=st.integers(2, 16), seed=st.integers(0, 2**32 - 1))
+@example(n=33, d=16, seed=0)
+@example(n=128, d=2, seed=1)
+def test_eigenbasis_solve_is_the_block_solve(n, d, seed):
+    # blocks a_k H + b_k I with one symmetric H, indefinite in general, and
+    # couplings that are multiples of the identity: the d scalar systems in
+    # H's eigenbasis give the block solve's x.  b_k outweighs a_k |H| and the
+    # couplings, so both eliminations are stable
+    rng = np.random.default_rng(seed)
+    H = rng.standard_normal((d, d))
+    H += H.T
+    sub, sup = rng.uniform(-1.0, 1.0, n - 1), rng.uniform(-1.0, 1.0, n - 1)
+    a = rng.uniform(0.1, 2.0, n)
+    couplings = np.append(0.0, np.abs(sub)) + np.append(np.abs(sup), 0.0)
+    b = a * np.max(np.abs(np.linalg.eigvalsh(H))) + couplings + rng.uniform(0.5, 2.0, n)
+    rhs = rng.standard_normal((n, d))
+    blocks = a[:, None, None] * H + b[:, None, None] * np.eye(d)
+    ref = solve_block_tridiag(np.repeat(sub[:, None], d, axis=1), blocks,
+                              np.repeat(sup[:, None], d, axis=1), rhs)
+    x = wed._eigenbasis_solve(sub, a, b, sup, rhs, np.linalg.eigh(H))
+    assert x.shape == (n, d)
+    assert rel_err(x, ref) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2, 31, 32, 33, 64, 65, 500, 4001])
+def test_tridiag_columns_are_their_one_column_solves_bitwise(n):
+    # one reduction solves the systems in rhs's columns, each bitwise as a
+    # call with that system alone; bands of one column are shared
+    rng = np.random.default_rng(3 * n)
+    sub, diag, sup, rhs, _ = banded_system(rng, n, 1)
+    bands = (sub[:, 0], diag[:, 0, 0], sup[:, 0], rhs[:, 0])
+    x = solve_tridiag(*bands)
+    assert np.array_equal(solve_tridiag(sub, diag[:, :, 0], sup, rhs), x[:, None])
+    diags = diag[:, :, 0] + rng.uniform(0.0, 1.0, (n, 5))
+    rhss = rng.standard_normal((n, 5))
+    X = solve_tridiag(sub, diags, sup, rhss)
+    for j in range(5):
+        assert np.array_equal(X[:, j], solve_tridiag(sub[:, 0], diags[:, j], sup[:, 0], rhss[:, j]))
