@@ -14,7 +14,11 @@ Both initialize at the constant trajectory, which always has finite cost
 equal to phi of the initial point.  There every free node has the one
 Hessian of phi at the initial point, and with d > 1 the first Newton step is
 taken in its eigenbasis as d scalar tridiagonal systems; every later step
-solves the block system.
+solves the block system, from ``KRYLOV_MIN_DIM`` coordinates on by GMRES
+preconditioned with that eigenbasis solve fitted to the step's blocks, and
+below it (or where GMRES misses its tolerance) by block cyclic reduction.  A
+residual gate refuses a d > 1 block solution that stays inexact after one
+refinement.
 """
 
 from __future__ import annotations
@@ -134,6 +138,19 @@ def _weighted_cost(eps, grid, v, phis) -> float:
 # more in numpy call overhead than one dense LU solve of the whole remainder
 DENSE_CUT = 32
 
+# block systems with this many coordinates or more go to preconditioned GMRES
+# first.  On Gaussian quantile solves GMRES is faster from d = 9 on and 30-40 %
+# faster at d = 16; at d = 8 it ties, and on the p = 3 Dirichlet fixture of
+# d = 8, whose Hessians vary more along the trajectory, it is 1.7-1.8x slower
+KRYLOV_MIN_DIM = 12
+# GMRES stops at this relative residual, and gives up after KRYLOV_BUDGET
+# iterations for the block reduction
+KRYLOV_TOL = 1e-10
+KRYLOV_BUDGET = 30
+# a d > 1 Newton step whose relative residual stays above this after one
+# refinement is refused, and the Levenberg ladder takes the next shift
+RESIDUAL_GATE = 1e-8
+
 
 def solve_tridiag(sub, diag, sup, rhs):
     """Odd-even cyclic reduction for scalar tridiagonal systems.
@@ -248,14 +265,135 @@ def _thomas_inverse(B):
 
 @np.errstate(over="ignore", invalid="ignore")
 def solve_block_tridiag(sub, diag, sup, rhs):
-    """Block odd-even cyclic reduction for a block-tridiagonal system.
+    """Solve a block-tridiagonal system.
 
     The diagonal blocks are dense, ``diag`` (n, d, d); the off-diagonal blocks
     are diagonal and given by their diagonals, ``sub`` and ``sup`` (n - 1, d);
     ``rhs`` is (n, d).  Row k reads ``sub[k-1] x[k-1] + diag[k] x[k] + sup[k]
-    x[k+1] = rhs[k]``.  At d = 1 this is ``solve_tridiag``.  ``diag`` is
-    consumed: the solver may overwrite it, so callers hand over an array they
-    do not read again (both Newton backends build a fresh one each call).
+    x[k+1] = rhs[k]``.  At d = 1 this is ``solve_tridiag``.  From
+    ``KRYLOV_MIN_DIM`` coordinates on, preconditioned GMRES (``_krylov_solve``)
+    solves it to relative residual ``KRYLOV_TOL``; where it misses that within
+    its budget, and at every other d > 1, the block cyclic reduction
+    (``_block_reduction``) solves it, on a copy of ``diag``, which it
+    overwrites.  ``diag`` is never written.
+
+    At d > 1 a residual gate checks the answer: the reduction does not pivot
+    across blocks and loses accuracy on a nearly singular pivot block, and
+    GMRES stops at a tolerance.  A solution whose residual exceeds
+    ``RESIDUAL_GATE`` |rhs| (2-norms) is refined once, and one still above
+    it comes back as NaN, a step the Levenberg ladder refuses.  An exactly
+    singular pivot raises LinAlgError; overflow gives non-finite entries.
+    """
+    d = rhs.shape[1]
+    if d == 1:
+        return solve_tridiag(sub[:, 0], diag[:, 0, 0], sup[:, 0], rhs[:, 0])[:, None]
+
+    def solve(r):
+        x = _krylov_solve(sub, diag, sup, r) if d >= KRYLOV_MIN_DIM else None
+        return _block_reduction(sub, diag.copy(), sup, r) if x is None else x
+
+    residual = lambda x: rhs - _block_matvec(sub, diag, sup, x)
+    bound = RESIDUAL_GATE * np.linalg.norm(rhs)
+    x = solve(rhs)
+    r = residual(x)
+    if np.linalg.norm(r) <= bound:
+        return x
+    x = x + solve(r)
+    return x if np.linalg.norm(residual(x)) <= bound else np.full_like(x, np.nan)
+
+
+def _block_matvec(sub, diag, sup, x):
+    """The block-tridiagonal product, row k ``sub[k-1] x[k-1] + diag[k] x[k] +
+    sup[k] x[k+1]``, with ``solve_block_tridiag``'s layout."""
+    y = _matvec(diag, x)
+    y[1:] += sub * x[:-1]
+    y[:-1] += sup * x[1:]
+    return y
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _krylov_solve(sub, diag, sup, rhs):
+    """GMRES on the block system, preconditioned by its fit in one eigenbasis;
+    None where it misses ``KRYLOV_TOL`` within ``KRYLOV_BUDGET`` iterations.
+
+    Each block B_k is fitted to a_k H + b_k I by least squares in the
+    Frobenius norm, H the traceless part of the blocks' symmetrized mean (so
+    the fit spans that mean and I): b_k is the block's mean diagonal entry
+    and a_k = <B_k, H>/<H, H>.  The preconditioner is the fitted system with
+    the couplings' first columns, which are the couplings wherever every
+    space's metric weights are uniform; ``_eigenbasis_solve`` solves it in
+    H's eigenbasis with one ``solve_tridiag`` call on d columns, O(n d) a
+    call where the block reduction costs O(n d^3).  Newton blocks that stay
+    close to one Hessian up to scale and shift take a few iterations.
+    """
+    n, d = rhs.shape
+    H = diag.mean(axis=0)
+    H = 0.5 * (H + H.T)
+    np.einsum("ii->i", H)[...] -= np.trace(H) / d
+    hh = float(np.sum(H * H))
+    b = np.einsum("kii->k", diag) / d
+    a = np.einsum("kij,ij->k", diag, H) / hh if hh > 0.0 else np.zeros(n)
+    try:
+        eig = np.linalg.eigh(H)
+        x = _gmres(lambda v: _block_matvec(sub, diag, sup, v.reshape(n, d)).ravel(),
+                   lambda v: _eigenbasis_solve(sub[:, 0], a, b, sup[:, 0], v.reshape(n, d),
+                                               eig).ravel(),
+                   rhs.ravel())
+    except np.linalg.LinAlgError:
+        return None
+    return None if x is None else x.reshape(n, d)
+
+
+def _gmres(matvec, precond, rhs):
+    """Right-preconditioned GMRES from 0 (Saad and Schultz, SIAM J. Sci. Stat.
+    Comput. 7, 1986) on flat vectors: x = M^-1 V y, where the orthonormal
+    columns of V span the Krylov space of A M^-1 and rhs, and y leaves the
+    least residual.  Each new basis vector is orthogonalized by classical
+    Gram-Schmidt, twice (CGS2), and Givens rotations reduce each Hessenberg
+    column as it comes, so that |g[j + 1]| is the residual's norm after
+    iteration j.  Basis vectors are allocated as the iterations need them.
+    Returns None where that norm misses ``KRYLOV_TOL`` |rhs| after
+    ``KRYLOV_BUDGET`` iterations, or stops being finite.
+    """
+    beta = float(np.linalg.norm(rhs))
+    if beta == 0.0:
+        return np.zeros_like(rhs)
+    m = KRYLOV_BUDGET
+    V = [rhs / beta]
+    R = np.zeros((m, m))
+    cs, sn = np.zeros(m), np.zeros(m)
+    g = np.zeros(m + 1)
+    g[0] = beta
+    for j in range(m):
+        w = matvec(precond(V[j]))
+        h = np.zeros(j + 1)
+        for _ in range(2):
+            c = np.array([v @ w for v in V])
+            for ci, v in zip(c, V):
+                w -= ci * v
+            h += c
+        hn = float(np.linalg.norm(w))
+        for i in range(j):
+            h[i], h[i + 1] = cs[i] * h[i] + sn[i] * h[i + 1], cs[i] * h[i + 1] - sn[i] * h[i]
+        r = math.hypot(h[j], hn)
+        if not 0.0 < r < math.inf:
+            return None
+        cs[j], sn[j] = h[j] / r, hn / r
+        h[j] = r
+        R[:j + 1, j] = h
+        g[j + 1] = -sn[j] * g[j]
+        g[j] *= cs[j]
+        if abs(g[j + 1]) <= KRYLOV_TOL * beta or hn == 0.0:
+            y = np.linalg.solve(R[:j + 1, :j + 1], g[:j + 1])
+            return precond(sum(yi * v for yi, v in zip(y, V)))
+        V.append(w / hn)
+    return None
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _block_reduction(sub, diag, sup, rhs):
+    """Block odd-even cyclic reduction for ``solve_block_tridiag``'s system at
+    d > 1.  It overwrites ``diag``.
 
     Each level inverts its odd-row pivot blocks B_j in one batched call, keeps
     the inverses in their slots of ``diag`` and folds the odd rows into the
@@ -275,8 +413,6 @@ def solve_block_tridiag(sub, diag, sup, rhs):
     pivot block raises LinAlgError; overflow gives non-finite entries.
     """
     n, d = rhs.shape
-    if d == 1:
-        return solve_tridiag(sub[:, 0], diag[:, 0, 0], sup[:, 0], rhs[:, 0])[:, None]
     x = np.array(rhs, dtype=float)  # reduced, then solved, in place
     levels = []  # each level's (diag, x, A, C) views; A = C = None at level 0
     D, X, A, C = diag, x, None, None
@@ -534,6 +670,8 @@ def solve_euler_lagrange(problem: WedProblem) -> WedSolution:
                 step = solve_block_tridiag(lo, di, up, -F)
         except np.linalg.LinAlgError as exc:
             raise NonConvergenceError(f"singular Jacobian: {exc}", best=full(V))
+        if np.isnan(step).all():
+            raise NonConvergenceError("Jacobian solve above the residual gate", best=full(V))
         return step, -sup_norm(F)
 
     V0 = np.tile(problem.x_bar.coords, (n_c, 1))

@@ -394,7 +394,7 @@ def banded_system(rng, n, d, tridiagonal_blocks=False):
 @pytest.mark.parametrize("n", [1, 2, 500])
 def test_block_tridiag_matches_dense_solve(n, d):
     sub, diag, sup, rhs, M = banded_system(np.random.default_rng(n + 10 * d), n, d)
-    x = solve_block_tridiag(sub, diag.copy(), sup, rhs)  # diag is consumed
+    x = solve_block_tridiag(sub, diag, sup, rhs)
     ref = np.linalg.solve(M, rhs.ravel()).reshape(n, d)
     assert x.shape == (n, d)
     assert np.max(np.abs(x - ref)) < 1e-12 * max(1.0, np.max(np.abs(ref)))
@@ -437,15 +437,20 @@ def test_zero_pivot_at_d1_takes_the_next_levenberg_shift():
 @example(n=17, d=64, tridiagonal_blocks=True, seed=0)
 @example(n=16, d=64, tridiagonal_blocks=False, seed=0)
 def test_block_tridiag_matches_dense_solve_at_every_size(n, d, tridiagonal_blocks, seed):
-    # n = 2^k halves through even sizes only, 2^k + 1 through odd ones.  The
-    # solver overwrites diag at every d > 1 once there is a level to reduce,
-    # so a caller may not read it again; M was built before the call
+    # the block cyclic reduction: n = 2^k halves through even sizes only,
+    # 2^k + 1 through odd ones.  It overwrites diag at every d > 1 once there
+    # is a level to reduce; solve_block_tridiag hands it a copy and never
+    # writes diag, and below KRYLOV_MIN_DIM its answer is the reduction's
     sub, diag, sup, rhs, M = banded_system(np.random.default_rng(seed), n, d,
                                            tridiagonal_blocks)
     work = diag.copy()
-    x = solve_block_tridiag(sub, work, sup, rhs)
+    x = wed._block_reduction(sub, work, sup, rhs)
     assert rel_err(x, np.linalg.solve(M, rhs.ravel()).reshape(n, d)) <= 1e-12
     assert n == 1 or not np.array_equal(work, diag)
+    work = diag.copy()
+    y = solve_block_tridiag(sub, work, sup, rhs)
+    assert np.array_equal(work, diag)
+    assert d >= wed.KRYLOV_MIN_DIM or np.array_equal(y, x)
 
 
 def thomas_routes(monkeypatch):
@@ -485,7 +490,7 @@ def test_singular_odd_pivot_block_takes_the_next_levenberg_shift():
     # singular and its shifted steps there are rhs / rho.  Level 0 of the
     # reduction inverts row 1's block and folds it into rows 0 and 2, then
     # level 1 meets row 2's pivot block, singular at rho = 0, and raises.
-    # Each shift of the ladder hands the solver a fresh diag to overwrite.
+    # The reduction has written its copy of diag by then; diag stays as it was
     d = 2
     sub = sup = np.array([[0.5, 0.5], [0.0, 0.5]])
     diag = np.array([[[4.0, 1.0], [1.0, 4.0]], [[4.0, 1.0], [1.0, 4.0]], [[0.0, 0.0], [0.0, 4.0]]])
@@ -493,8 +498,12 @@ def test_singular_odd_pivot_block_takes_the_next_levenberg_shift():
     g = np.array([[-1.0, 0.0], [0.0, 0.0], [-1.0, 0.0]])
     work = diag.copy()
     with pytest.raises(np.linalg.LinAlgError):
-        solve_block_tridiag(sub, work, sup, -g)
+        wed._block_reduction(sub, work, sup, -g)
     assert not np.array_equal(work, diag)  # written before it raised
+    work = diag.copy()
+    with pytest.raises(np.linalg.LinAlgError):
+        solve_block_tridiag(sub, work, sup, -g)
+    assert np.array_equal(work, diag)
     kept = diag.copy()
     step = levenberg(lambda rho: solve_block_tridiag(sub, diag + rho * W, sup, -g), g, None)
     assert np.array_equal(diag, kept)
@@ -737,16 +746,16 @@ def test_euler_lagrange_solution_does_not_see_the_window_past_8_eps(name):
     assert np.max(gap) <= 1e-5
 
 
-def block_solves(monkeypatch):
-    """The block systems' sizes (n, d), recorded as the solver gets them."""
-    sizes, solve = [], wed.solve_block_tridiag
+def block_systems(monkeypatch):
+    """The block systems (sub, diag, sup, rhs), copied as the solver gets them."""
+    systems, solve = [], wed.solve_block_tridiag
 
     def record(sub, diag, sup, rhs):
-        sizes.append(rhs.shape)
+        systems.append(tuple(a.copy() for a in (sub, diag, sup, rhs)))
         return solve(sub, diag, sup, rhs)
 
     monkeypatch.setattr(wed, "solve_block_tridiag", record)
-    return sizes
+    return systems
 
 
 @pytest.mark.parametrize("solver", ["direct", "euler_lagrange"])
@@ -756,14 +765,17 @@ def test_block_solve_is_the_same_without_the_thomas_route(monkeypatch, name, sol
     # every level-0 pivot stack of these solves is tridiagonal and dominant;
     # inverting it by LAPACK instead changes the Newton steps at roundoff only.
     # The concave reaction's Hessian is constant: the first step, taken in its
-    # eigenbasis, is exact, and the solve makes no block solve at all
+    # eigenbasis, is exact, and the solve makes no block solve at all.  The
+    # 16-quantile blocks would go to GMRES: the threshold is raised past them,
+    # so that the reduction solves them
+    monkeypatch.setattr(wed, "KRYLOV_MIN_DIM", 17)
     pr = block_problem(name, solver)
-    routes, sizes = thomas_routes(monkeypatch), block_solves(monkeypatch)
+    routes, systems = thomas_routes(monkeypatch), block_systems(monkeypatch)
     ours = minimize_wed(pr)
     if name == "dirichlet_concave_reaction":
-        assert not sizes and not routes and ours.iterations == 2
+        assert not systems and not routes and ours.iterations == 2
     else:
-        assert len(sizes) == ours.iterations - 2 and routes and all(routes)
+        assert len(systems) == ours.iterations - 2 and routes and all(routes)
     monkeypatch.setattr(wed, "_thomas_inverts", lambda B: False)
     ref = minimize_wed(pr)
     assert ours.iterations == ref.iterations
@@ -845,3 +857,103 @@ def test_tridiag_columns_are_their_one_column_solves_bitwise(n):
     X = solve_tridiag(sub, diags, sup, rhss)
     for j in range(5):
         assert np.array_equal(X[:, j], solve_tridiag(sub[:, 0], diags[:, j], sup[:, 0], rhss[:, j]))
+
+
+def quantile64_problem(solver, N=1000):
+    """The acceptance gate's Ornstein-Uhlenbeck solve in 64 quantiles."""
+    from wedflow import gaussian_quantiles, quantile_entropy_potential
+
+    qs = SpaceSpec.quantile1d(64)
+    return WedProblem(epsilon=0.02, T=0.5, N=N, space=qs,
+                      energy=quantile_entropy_potential(v2=1.0, v1=0.0),
+                      x_bar=gaussian_quantiles(qs, 1.0, 2.0), solver=solver)
+
+
+@pytest.mark.parametrize("solver", ["direct", "euler_lagrange"])
+@pytest.mark.parametrize("d", [16, 64])
+def test_krylov_step_is_the_banded_lu_step(monkeypatch, d, solver):
+    # every Newton system of a 16- and a 64-quantile solve after the first
+    # step: GMRES, preconditioned in the eigenbasis of the blocks' mean,
+    # reaches its tolerance and matches LAPACK's pivoted banded LU within
+    # 1e-10 relative (measured 1.2e-13 to 2.2e-11; the block reduction 3.1e-15
+    # to 1.7e-13).  The 64-quantile solve runs at N = 100, where the banded
+    # LU of its (n d)-unknown systems takes about 10 MB
+    pr = block_problem("quantile16", solver) if d == 16 else quantile64_problem(solver, N=100)
+    systems = block_systems(monkeypatch)
+    minimize_wed(pr)
+    assert systems and all(s[3].shape[1] == d for s in systems)
+    for sub, diag, sup, rhs in systems:
+        x = wed._krylov_solve(sub, diag, sup, rhs)
+        assert x is not None
+        assert rel_err(x, solve_block_banded_ref(sub, diag, sup, rhs)) <= 1e-10
+
+
+def test_system_gmres_cannot_reach_takes_the_block_reduction_bitwise():
+    # Euler-Lagrange-like blocks at a coarse step, with the Hessians of a
+    # p = 3 Dirichlet energy at scattered states: the blocks spread far from
+    # any a_k H + b_k I, GMRES misses its tolerance within its budget, and
+    # the solve is the reduction's, bit for bit
+    from wedflow import discrete_dirichlet
+
+    d, n, eps, dt = 16, 200, 0.05, 1.0 / 50
+    rng = np.random.default_rng(1)
+    energy = discrete_dirichlet(3.0, 1.0 / (d + 1), (0.0, 0.0, -0.5, 0.0, 0.25))
+    diag = energies.hess_many(energy, 3.0 * rng.standard_normal((n, d)))
+    np.einsum("nii->ni", diag)[...] += 2.0 * eps / dt**2
+    sub = np.full((n - 1, d), -eps / dt**2 - 0.5 / dt)
+    sup = np.full((n - 1, d), -eps / dt**2 + 0.5 / dt)
+    rhs = rng.standard_normal((n, d))
+    assert d >= wed.KRYLOV_MIN_DIM
+    assert wed._krylov_solve(sub, diag, sup, rhs) is None
+    x = solve_block_tridiag(sub, diag, sup, rhs)
+    assert np.array_equal(x, wed._block_reduction(sub, diag.copy(), sup, rhs))
+
+
+@pytest.mark.parametrize("solver, iterations", [("direct", 4), ("euler_lagrange", 5)])
+def test_quantile64_solve_keeps_its_newton_iterations_on_the_krylov_path(monkeypatch, solver,
+                                                                        iterations):
+    # the acceptance gate's solve takes as many Newton iterations as with the
+    # block reduction, which none of its steps reaches
+    def no_reduction(*args):
+        raise AssertionError("a block reduction")
+
+    monkeypatch.setattr(wed, "_block_reduction", no_reduction)
+    assert minimize_wed(quantile64_problem(solver)).iterations == iterations
+
+
+def test_nearly_singular_pivot_block_trips_the_residual_gate():
+    # a well-conditioned system (condition number 8.1) whose odd pivot block
+    # [[1, 1], [1, 1]] + rho I is nearly singular: the reduction, which does
+    # not pivot across blocks, is off by order one at rho = 1e-8, and so is
+    # its one refinement.  The solve comes back as NaN, and the Levenberg
+    # ladder takes shifts until a step passes the gate
+    rho, I = 1e-8, np.eye(2)
+    diag = np.array([0.5 * I, np.ones((2, 2)) + rho * I, 0.5 * I])
+    sub = sup = np.ones((2, 2))
+    rhs = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, -1.0]])
+    M = block_matrix(sub, diag, sup)
+    assert np.linalg.cond(M) < 10.0
+    x = wed._block_reduction(sub, diag.copy(), sup, rhs)
+    assert rel_err(x, np.linalg.solve(M, rhs.ravel()).reshape(3, 2)) > 0.1
+    assert np.isnan(solve_block_tridiag(sub, diag, sup, rhs)).all()
+    shifts = []
+
+    def solve(s):
+        shifts.append(s)
+        return solve_block_tridiag(sub, diag + s * I, sup, rhs)
+
+    step = levenberg(solve, -rhs, None)
+    assert step is not None and shifts[0] == 0.0 and len(shifts) > 1
+    shifted = block_matrix(sub, diag + shifts[-1] * I, sup)
+    assert np.linalg.norm(shifted @ step.ravel() - rhs.ravel()) <= 1e-8 * np.linalg.norm(rhs)
+
+
+def test_euler_lagrange_stops_at_a_step_the_residual_gate_refuses(monkeypatch):
+    # the Euler-Lagrange backend has no Levenberg ladder: a block solve that
+    # comes back as NaN ends the solve, with the iterate it had reached
+    monkeypatch.setattr(wed, "solve_block_tridiag",
+                        lambda sub, diag, sup, rhs: np.full_like(rhs, np.nan))
+    pr = block_problem("double_well_4d", "euler_lagrange")
+    with pytest.raises(NonConvergenceError, match="residual gate") as info:
+        minimize_wed(pr)
+    assert np.array_equal(info.value.best[0], pr.x_bar.coords)
