@@ -14,11 +14,12 @@ Both initialize at the constant trajectory, which always has finite cost
 equal to phi of the initial point.  There every free node has the one
 Hessian of phi at the initial point, and with d > 1 the first Newton step is
 taken in its eigenbasis as d scalar tridiagonal systems; every later step
-solves the block system, from ``KRYLOV_MIN_DIM`` coordinates on by GMRES
-preconditioned with that eigenbasis solve fitted to the step's blocks, and
-below it (or where GMRES misses its tolerance) by block cyclic reduction.  A
-residual gate refuses a d > 1 block solution that stays inexact after one
-refinement.
+solves the block system.  From ``KRYLOV_MIN_DIM`` coordinates on, where the
+step's blocks fit one Hessian up to scale and shift, GMRES solves it,
+preconditioned with that eigenbasis solve fitted to the blocks; otherwise
+(or where GMRES misses its tolerance) block cyclic reduction does.  A
+residual gate refuses a d > 1 block solution whose backward error stays
+large after one refinement.
 """
 
 from __future__ import annotations
@@ -139,16 +140,23 @@ def _weighted_cost(eps, grid, v, phis) -> float:
 DENSE_CUT = 32
 
 # block systems with this many coordinates or more go to preconditioned GMRES
-# first.  On Gaussian quantile solves GMRES is faster from d = 9 on and 30-40 %
-# faster at d = 16; at d = 8 it ties, and on the p = 3 Dirichlet fixture of
-# d = 8, whose Hessians vary more along the trajectory, it is 1.7-1.8x slower
+# first, where their blocks fit one Hessian up to scale and shift: the fit
+# leaves out at most KRYLOV_FIT of the blocks' traceless parts, in the
+# Frobenius norm.  Whole solves, block reduction against GMRES: Gaussian
+# quantile starts leave out 3e-4 to 3e-3 and take 4-5 iterations, and GMRES
+# is 10-35 % faster at d = 12 on both backends, but within +-10 % on the
+# direct one at d = 9 and 10 and no faster at d = 8.  At d = 12 blocks that
+# leave out 0.008-0.011 still gain 3-6 % and 0.015-0.02 lose 7-10 %; p = 3
+# Dirichlet chains and non-Gaussian quantile starts leave out 0.04-0.4 and
+# run up to twice as long on GMRES
 KRYLOV_MIN_DIM = 12
+KRYLOV_FIT = 0.01
 # GMRES stops at this relative residual, and gives up after KRYLOV_BUDGET
 # iterations for the block reduction
 KRYLOV_TOL = 1e-10
 KRYLOV_BUDGET = 30
-# a d > 1 Newton step whose relative residual stays above this after one
-# refinement is refused, and the Levenberg ladder takes the next shift
+# a d > 1 Newton step whose normwise backward error stays above this after
+# one refinement is refused, and the Levenberg ladder takes the next shift
 RESIDUAL_GATE = 1e-8
 
 
@@ -271,18 +279,23 @@ def solve_block_tridiag(sub, diag, sup, rhs):
     are diagonal and given by their diagonals, ``sub`` and ``sup`` (n - 1, d);
     ``rhs`` is (n, d).  Row k reads ``sub[k-1] x[k-1] + diag[k] x[k] + sup[k]
     x[k+1] = rhs[k]``.  At d = 1 this is ``solve_tridiag``.  From
-    ``KRYLOV_MIN_DIM`` coordinates on, preconditioned GMRES (``_krylov_solve``)
-    solves it to relative residual ``KRYLOV_TOL``; where it misses that within
-    its budget, and at every other d > 1, the block cyclic reduction
-    (``_block_reduction``) solves it, on a copy of ``diag``, which it
-    overwrites.  ``diag`` is never written.
+    ``KRYLOV_MIN_DIM`` coordinates on, a system whose blocks fit one Hessian
+    goes to preconditioned GMRES (``_krylov_solve``), which solves it to
+    relative residual ``KRYLOV_TOL``; every other d > 1 system, and one that
+    GMRES cannot solve within its budget, goes to the block cyclic reduction
+    (``_block_reduction``), on a copy of ``diag``, which it overwrites.
+    ``diag`` is never written.
 
     At d > 1 a residual gate checks the answer: the reduction does not pivot
     across blocks and loses accuracy on a nearly singular pivot block, and
-    GMRES stops at a tolerance.  A solution whose residual exceeds
-    ``RESIDUAL_GATE`` |rhs| (2-norms) is refined once, and one still above
-    it comes back as NaN, a step the Levenberg ladder refuses.  An exactly
-    singular pivot raises LinAlgError; overflow gives non-finite entries.
+    GMRES stops at a tolerance.  The gate reads the normwise backward error
+    |rhs - A x| / (|A| |x| + |rhs|) (2-norms of the vectors; |A| the largest
+    Frobenius norm of a block row, between |A|_2 / sqrt(3) and sqrt(d) |A|_2),
+    which a backward-stable solve keeps near roundoff at any condition
+    number.  A solution whose backward error exceeds ``RESIDUAL_GATE`` is
+    refined once, and one still above it comes back as NaN, a step the
+    Levenberg ladder refuses.  An exactly singular pivot raises LinAlgError;
+    overflow gives non-finite entries.
     """
     d = rhs.shape[1]
     if d == 1:
@@ -292,14 +305,21 @@ def solve_block_tridiag(sub, diag, sup, rhs):
         x = _krylov_solve(sub, diag, sup, r) if d >= KRYLOV_MIN_DIM else None
         return _block_reduction(sub, diag.copy(), sup, r) if x is None else x
 
-    residual = lambda x: rhs - _block_matvec(sub, diag, sup, x)
-    bound = RESIDUAL_GATE * np.linalg.norm(rhs)
+    rows = np.einsum("kij,kij->k", diag, diag)
+    rows[1:] += np.einsum("ki,ki->k", sub, sub)
+    rows[:-1] += np.einsum("ki,ki->k", sup, sup)
+    norm_a, norm_rhs = math.sqrt(rows.max()), np.linalg.norm(rhs)
+
+    def passes(x):
+        norm_x = np.linalg.norm(x)
+        return norm_x < math.inf and (np.linalg.norm(rhs - _block_matvec(sub, diag, sup, x))
+                                      <= RESIDUAL_GATE * (norm_a * norm_x + norm_rhs))
+
     x = solve(rhs)
-    r = residual(x)
-    if np.linalg.norm(r) <= bound:
+    if passes(x):
         return x
-    x = x + solve(r)
-    return x if np.linalg.norm(residual(x)) <= bound else np.full_like(x, np.nan)
+    x = x + solve(rhs - _block_matvec(sub, diag, sup, x))
+    return x if passes(x) else np.full_like(x, np.nan)
 
 
 def _block_matvec(sub, diag, sup, x):
@@ -314,25 +334,34 @@ def _block_matvec(sub, diag, sup, x):
 @np.errstate(over="ignore", invalid="ignore")
 def _krylov_solve(sub, diag, sup, rhs):
     """GMRES on the block system, preconditioned by its fit in one eigenbasis;
-    None where it misses ``KRYLOV_TOL`` within ``KRYLOV_BUDGET`` iterations.
+    None where the system does not fit, or GMRES misses ``KRYLOV_TOL`` within
+    ``KRYLOV_BUDGET`` iterations.
 
     Each block B_k is fitted to a_k H + b_k I by least squares in the
-    Frobenius norm, H the traceless part of the blocks' symmetrized mean (so
-    the fit spans that mean and I): b_k is the block's mean diagonal entry
-    and a_k = <B_k, H>/<H, H>.  The preconditioner is the fitted system with
-    the couplings' first columns, which are the couplings wherever every
-    space's metric weights are uniform; ``_eigenbasis_solve`` solves it in
-    H's eigenbasis with one ``solve_tridiag`` call on d columns, O(n d) a
-    call where the block reduction costs O(n d^3).  Newton blocks that stay
-    close to one Hessian up to scale and shift take a few iterations.
+    Frobenius norm, H the traceless part of the blocks' symmetrized mean: H
+    and I are orthogonal, so b_k is the block's mean diagonal entry, a_k =
+    <B_k, H>/<H, H>, and the fit leaves out |B_k|^2 - a_k^2 |H|^2 - d b_k^2
+    of the block's traceless part's |B_k|^2 - d b_k^2.  The preconditioner is
+    the fitted system; ``_eigenbasis_solve`` solves it in H's eigenbasis with
+    one ``solve_tridiag`` call on d columns, O(n d) a call where the block
+    reduction costs O(n d^3).  Newton blocks that stay close to one Hessian
+    up to scale and shift take a few iterations; a system whose fit leaves
+    out more than ``KRYLOV_FIT`` of the traceless parts (in the Frobenius
+    norm), or whose couplings differ across coordinates (the metric weights
+    of every space are uniform), is left to the reduction.
     """
     n, d = rhs.shape
+    if not ((sub == sub[:, :1]).all() and (sup == sup[:, :1]).all()):
+        return None
     H = diag.mean(axis=0)
     H = 0.5 * (H + H.T)
     np.einsum("ii->i", H)[...] -= np.trace(H) / d
     hh = float(np.sum(H * H))
     b = np.einsum("kii->k", diag) / d
     a = np.einsum("kij,ij->k", diag, H) / hh if hh > 0.0 else np.zeros(n)
+    traceless = float(np.einsum("kij,kij->", diag, diag)) - d * float(b @ b)
+    if traceless - hh * float(a @ a) > KRYLOV_FIT**2 * traceless:
+        return None
     try:
         eig = np.linalg.eigh(H)
         x = _gmres(lambda v: _block_matvec(sub, diag, sup, v.reshape(n, d)).ravel(),

@@ -440,17 +440,21 @@ def test_block_tridiag_matches_dense_solve_at_every_size(n, d, tridiagonal_block
     # the block cyclic reduction: n = 2^k halves through even sizes only,
     # 2^k + 1 through odd ones.  It overwrites diag at every d > 1 once there
     # is a level to reduce; solve_block_tridiag hands it a copy and never
-    # writes diag, and below KRYLOV_MIN_DIM its answer is the reduction's
+    # writes diag.  These random blocks fit no one Hessian, and their
+    # couplings differ across coordinates, so at every d the solve is the
+    # reduction's
     sub, diag, sup, rhs, M = banded_system(np.random.default_rng(seed), n, d,
                                            tridiagonal_blocks)
+    dense = np.linalg.solve(M, rhs.ravel()).reshape(n, d)
     work = diag.copy()
     x = wed._block_reduction(sub, work, sup, rhs)
-    assert rel_err(x, np.linalg.solve(M, rhs.ravel()).reshape(n, d)) <= 1e-12
+    assert rel_err(x, dense) <= 1e-12
     assert n == 1 or not np.array_equal(work, diag)
     work = diag.copy()
     y = solve_block_tridiag(sub, work, sup, rhs)
+    assert rel_err(y, dense) <= 1e-12
     assert np.array_equal(work, diag)
-    assert d >= wed.KRYLOV_MIN_DIM or np.array_equal(y, x)
+    assert np.array_equal(y, x)
 
 
 def thomas_routes(monkeypatch):
@@ -888,11 +892,25 @@ def test_krylov_step_is_the_banded_lu_step(monkeypatch, d, solver):
         assert rel_err(x, solve_block_banded_ref(sub, diag, sup, rhs)) <= 1e-10
 
 
-def test_system_gmres_cannot_reach_takes_the_block_reduction_bitwise():
+def eigenbasis_solves(monkeypatch):
+    """How many times GMRES applied its preconditioner, counted as it runs."""
+    calls, solve = [], wed._eigenbasis_solve
+
+    def count(*args):
+        calls.append(1)
+        return solve(*args)
+
+    monkeypatch.setattr(wed, "_eigenbasis_solve", count)
+    return calls
+
+
+def test_system_that_does_not_fit_takes_the_block_reduction_bitwise(monkeypatch):
     # Euler-Lagrange-like blocks at a coarse step, with the Hessians of a
     # p = 3 Dirichlet energy at scattered states: the blocks spread far from
-    # any a_k H + b_k I, GMRES misses its tolerance within its budget, and
-    # the solve is the reduction's, bit for bit
+    # any a_k H + b_k I, and the solve goes straight to the reduction, bit
+    # for bit, without a GMRES iteration.  With the fit check off, GMRES
+    # runs its whole budget, misses its tolerance and gives way to the
+    # reduction, with the same result
     from wedflow import discrete_dirichlet
 
     d, n, eps, dt = 16, 200, 0.05, 1.0 / 50
@@ -903,10 +921,50 @@ def test_system_gmres_cannot_reach_takes_the_block_reduction_bitwise():
     sub = np.full((n - 1, d), -eps / dt**2 - 0.5 / dt)
     sup = np.full((n - 1, d), -eps / dt**2 + 0.5 / dt)
     rhs = rng.standard_normal((n, d))
+    reduction = wed._block_reduction(sub, diag.copy(), sup, rhs)
+    calls = eigenbasis_solves(monkeypatch)
     assert d >= wed.KRYLOV_MIN_DIM
+    assert wed._krylov_solve(sub, diag, sup, rhs) is None and not calls
+    assert np.array_equal(solve_block_tridiag(sub, diag, sup, rhs), reduction)
+    assert not calls
+    monkeypatch.setattr(wed, "KRYLOV_FIT", math.inf)
     assert wed._krylov_solve(sub, diag, sup, rhs) is None
-    x = solve_block_tridiag(sub, diag, sup, rhs)
-    assert np.array_equal(x, wed._block_reduction(sub, diag.copy(), sup, rhs))
+    assert len(calls) == wed.KRYLOV_BUDGET
+    assert np.array_equal(solve_block_tridiag(sub, diag, sup, rhs), reduction)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(n=st.integers(2, 40), d=st.sampled_from([12, 16, 25]),
+       spread=st.sampled_from([0.0, 1e-3, 5e-3]), seed=st.integers(0, 2**32 - 1))
+def test_block_solve_of_a_fitting_system_is_gmres_to_its_tolerance(n, d, spread, seed):
+    # blocks a_k H + b_k I plus a perturbation that the fit leaves out,
+    # `spread` of the blocks' traceless parts, and couplings the same for
+    # every coordinate, as a Newton system has them: the solve is GMRES's,
+    # its residual is below KRYLOV_TOL |rhs|, and its 2-norm error against
+    # the dense solve is below the bound that residual implies
+    rng = np.random.default_rng(seed)
+    H = rng.standard_normal((d, d))
+    H += H.T
+    np.einsum("ii->i", H)[...] -= np.trace(H) / d
+    a = rng.uniform(0.5, 2.0, n)
+    E = rng.standard_normal((n, d, d))
+    np.einsum("kii->ki", E)[...] -= np.einsum("kii->k", E)[:, None] / d
+    E -= np.multiply.outer(np.einsum("kij,ij->k", E, H) / np.sum(H * H), H)
+    E *= spread * np.linalg.norm(a) * np.linalg.norm(H) / np.linalg.norm(E)
+    diag = (np.multiply.outer(a, H) + E
+            + np.multiply.outer(rng.uniform(1.0, 2.0, n) * np.sqrt(8.0 * d), np.eye(d)))
+    sub = np.repeat(rng.standard_normal((n - 1, 1)), d, axis=1)
+    sup = np.repeat(rng.standard_normal((n - 1, 1)), d, axis=1)
+    rhs = rng.standard_normal((n, d))
+    x = wed._krylov_solve(sub, diag, sup, rhs)
+    assert x is not None
+    assert np.array_equal(solve_block_tridiag(sub, diag, sup, rhs), x)
+    M = block_matrix(sub, diag, sup)
+    residual = np.linalg.norm(rhs.ravel() - M @ x.ravel()) / np.linalg.norm(rhs)
+    assert residual <= wed.KRYLOV_TOL
+    dense = np.linalg.solve(M, rhs.ravel())
+    error = np.linalg.norm(x.ravel() - dense) / np.linalg.norm(dense)
+    assert error <= np.linalg.cond(M) * wed.KRYLOV_TOL
 
 
 @pytest.mark.parametrize("solver, iterations", [("direct", 4), ("euler_lagrange", 5)])
@@ -924,9 +982,10 @@ def test_quantile64_solve_keeps_its_newton_iterations_on_the_krylov_path(monkeyp
 def test_nearly_singular_pivot_block_trips_the_residual_gate():
     # a well-conditioned system (condition number 8.1) whose odd pivot block
     # [[1, 1], [1, 1]] + rho I is nearly singular: the reduction, which does
-    # not pivot across blocks, is off by order one at rho = 1e-8, and so is
-    # its one refinement.  The solve comes back as NaN, and the Levenberg
-    # ladder takes shifts until a step passes the gate
+    # not pivot across blocks, is off by order one at rho = 1e-8, with a
+    # backward error of 0.44, and 0.17 after its one refinement.  The solve
+    # comes back as NaN, and the Levenberg ladder takes shifts until a step
+    # passes the gate
     rho, I = 1e-8, np.eye(2)
     diag = np.array([0.5 * I, np.ones((2, 2)) + rho * I, 0.5 * I])
     sub = sup = np.ones((2, 2))
@@ -946,6 +1005,23 @@ def test_nearly_singular_pivot_block_trips_the_residual_gate():
     assert step is not None and shifts[0] == 0.0 and len(shifts) > 1
     shifted = block_matrix(sub, diag + shifts[-1] * I, sup)
     assert np.linalg.norm(shifted @ step.ravel() - rhs.ravel()) <= 1e-8 * np.linalg.norm(rhs)
+
+
+def test_ill_conditioned_system_solved_to_roundoff_passes_the_residual_gate():
+    # blocks Q diag(1, 1e-10) Q' with no couplings: condition number 1e10.
+    # The reduction solves it to roundoff, but its residual is roundoff of
+    # |A| |x|, 2.3e-7 of |rhs|; the gate reads the backward error, 6e-17,
+    # and passes the solution as it is
+    n, Q = 5, np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
+    diag = np.array([Q @ np.diag([1.0, 1e-10]) @ Q.T] * n)
+    sub = sup = np.zeros((n - 1, 2))
+    rhs = np.random.default_rng(0).standard_normal((n, 2))
+    M = block_matrix(sub, diag, sup)
+    assert np.linalg.cond(M) > 1e9
+    x = wed._block_reduction(sub, diag.copy(), sup, rhs)
+    assert np.linalg.norm(rhs - wed._block_matvec(sub, diag, sup, x)) > 1e-8 * np.linalg.norm(rhs)
+    assert rel_err(x, np.linalg.solve(M, rhs.ravel()).reshape(n, 2)) <= 1e-12
+    assert np.array_equal(solve_block_tridiag(sub, diag, sup, rhs), x)
 
 
 def test_euler_lagrange_stops_at_a_step_the_residual_gate_refuses(monkeypatch):
