@@ -16,7 +16,8 @@ Hessian of phi at the initial point, and with d > 1 the first Newton step is
 taken in its eigenbasis as d scalar tridiagonal systems; every later step
 solves the block system.  From ``KRYLOV_MIN_DIM`` coordinates on, where the
 step's blocks fit one Hessian up to scale and shift, GMRES solves it,
-preconditioned with that eigenbasis solve fitted to the blocks; otherwise
+preconditioned with that eigenbasis solve fitted to the blocks and
+factored once per system; otherwise
 (or where GMRES misses its tolerance) block cyclic reduction does.  A
 residual gate refuses a d > 1 block solution whose backward error stays
 large after one refinement.
@@ -178,6 +179,35 @@ def solve_tridiag(sub, diag, sup, rhs):
     (Heller, SIAM J. Numer. Anal. 13, 1976).  An exactly zero odd pivot of a
     level, or a singular remainder, raises LinAlgError; overflow gives
     non-finite entries.
+
+    A call keeps nothing between right-hand sides: it is one band pass of
+    ``_reduce_tridiag``, which reduces the bands and ``rhs`` together.  Where
+    one system meets many right-hand sides (GMRES's preconditioner), that
+    pass keeps each level's odd pivots, multipliers and folded couplings and
+    the remainder's dense matrix, and every further right-hand side only
+    applies them.
+    """
+    return _reduce_tridiag(sub, diag, sup, rhs, keep=False)[0]
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _reduce_tridiag(sub, diag, sup, rhs, keep):
+    """``solve_tridiag``'s band pass: its x, and where ``keep``, an apply that
+    solves the same system for another right-hand side of ``rhs``'s shape
+    (None otherwise).
+
+    To keep, the pass holds on to what depends on the bands alone: each
+    level's odd pivots, the multipliers L[0] and L[1] of the odd unknowns'
+    neighbours, the couplings of the even rows it folds the odd rows into,
+    and the remainder's dense matrix.  The apply reduces its right-hand side
+    with one division by the kept pivots and two multiply-adds a level, runs
+    the remainder's ``np.linalg.solve`` and the same back substitution: the
+    band pass's arithmetic on every element of the right-hand side, so its x
+    is bitwise that of a fresh ``solve_tridiag`` call.  Only the band pass
+    raises LinAlgError.  Keeping holds every level's arrays to the end of the
+    pass, and their fresh memory costs a one-shot call about 10 % at n =
+    1440 with 16 columns and 3 % at n = 4000 with one, so ``solve_tridiag``
+    does not keep.
     """
     n = rhs.shape[0]
     # S[:, k] holds row k as x[k] = (S[2, k] + S[0, k] x[k-1] + S[1, k] x[k+1]) / S[3, k]
@@ -186,43 +216,68 @@ def solve_tridiag(sub, diag, sup, rhs):
     np.negative(sub, out=S[0, 1:])
     np.negative(sup, out=S[1, :-1])
     S[2], S[3] = rhs, diag
+    # each level's L, then where kept its odd pivots and the couplings of its
+    # even rows to their left and right
     levels = []
-    with np.errstate(over="ignore", invalid="ignore"):
-        while n > DENSE_CUT:
-            odd, even = S[:, 1::2], S[:, ::2]
-            if not odd[3].all():
-                raise np.linalg.LinAlgError("zero pivot")
-            # x[2i+1] = L[2, i] + L[0, i] x[2i] + L[1, i] x[2i+2]
-            L = odd[:3] / odd[3]
-            levels.append(L)
-            me, mo = even.shape[1], L.shape[1]
-            # the first even row has no odd row on its left, and the last one
-            # none on its right when n is odd; their zero couplings carry over
-            S = even.copy()
-            left = even[0, 1:] * L[:, :me - 1]
-            S[0, 1:] = left[0]
-            S[2, 1:] += left[2]
-            S[3, 1:] -= left[1]
-            right = even[1, :mo] * L
-            S[1, :mo] = right[1]
-            S[2, :mo] += right[2]
-            S[3, :mo] -= right[0]
-            n = me
-        # one dense matrix per system, flat; the transposes put each
-        # system's rows last
-        M = np.zeros(S.shape[2:] + (n * n,))
-        M[..., ::n + 1] = S[3].T
-        M[..., 1::n + 1] = -S[1, :-1].T
-        M[..., n::n + 1] = -S[0, 1:].T
-        x = np.linalg.solve(M.reshape(M.shape[:-1] + (n, n)), S[2].T[..., None])[..., 0].T
-        while levels:
-            L = levels.pop()
-            me, mo = x.shape[0], L.shape[1]
-            odd = L[2] + L[0] * x[:mo]
-            odd[:me - 1] += L[1, :me - 1] * x[1:]
-            out = np.empty((me + mo,) + x.shape[1:])
-            out[::2], out[1::2] = x, odd
-            x = out
+    while n > DENSE_CUT:
+        odd, even = S[:, 1::2], S[:, ::2]
+        if not odd[3].all():
+            raise np.linalg.LinAlgError("zero pivot")
+        # x[2i+1] = L[2, i] + L[0, i] x[2i] + L[1, i] x[2i+2]
+        L = odd[:3] / odd[3]
+        me, mo = even.shape[1], L.shape[1]
+        levels.append((L, odd[3], even[0, 1:], even[1, :mo]) if keep else (L,))
+        # the first even row has no odd row on its left, and the last one
+        # none on its right when n is odd; their zero couplings carry over
+        S = even.copy()
+        left = even[0, 1:] * L[:, :me - 1]
+        S[0, 1:] = left[0]
+        S[2, 1:] += left[2]
+        S[3, 1:] -= left[1]
+        right = even[1, :mo] * L
+        S[1, :mo] = right[1]
+        S[2, :mo] += right[2]
+        S[3, :mo] -= right[0]
+        n = me
+    # one dense matrix per system, flat; the transposes put each system's
+    # rows last
+    M = np.zeros(S.shape[2:] + (n * n,))
+    M[..., ::n + 1] = S[3].T
+    M[..., 1::n + 1] = -S[1, :-1].T
+    M[..., n::n + 1] = -S[0, 1:].T
+    M = M.reshape(M.shape[:-1] + (n, n))
+    x = _solve_remainder(M, S[2], levels, [level[0][2] for level in levels])
+    if not keep:
+        return x, None
+
+    def apply(r):
+        odds = []  # each level's odd right-hand sides over their pivots
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _, piv, left, right in levels:
+                t = r[1::2] / piv
+                odds.append(t)
+                r = r[::2].copy()
+                r[1:] += left * t[:r.shape[0] - 1]
+                r[:t.shape[0]] += right * t
+            return _solve_remainder(M, r, levels, odds)
+
+    return x, apply
+
+
+def _solve_remainder(M, r, levels, odds):
+    """The reduction's last steps: solve the dense remainder M for the reduced
+    right-hand side r, then fill in each level's odd unknowns, the deepest
+    first, as x[2i+1] = t[i] + L[0, i] x[2i] + L[1, i] x[2i+2] with t that
+    level's entry of ``odds``."""
+    x = np.linalg.solve(M, r.T[..., None])[..., 0].T
+    for level, t in zip(reversed(levels), reversed(odds)):
+        L = level[0]
+        me, mo = x.shape[0], t.shape[0]
+        odd = t + L[0] * x[:mo]
+        odd[:me - 1] += L[1, :me - 1] * x[1:]
+        out = np.empty((me + mo,) + x.shape[1:])
+        out[::2], out[1::2] = x, odd
+        x = out
     return x
 
 
@@ -280,7 +335,7 @@ def solve_block_tridiag(sub, diag, sup, rhs):
     ``rhs`` is (n, d).  Row k reads ``sub[k-1] x[k-1] + diag[k] x[k] + sup[k]
     x[k+1] = rhs[k]``.  At d = 1 this is ``solve_tridiag``.  From
     ``KRYLOV_MIN_DIM`` coordinates on, a system whose blocks fit one Hessian
-    goes to preconditioned GMRES (``_krylov_solve``), which solves it to
+    goes to preconditioned GMRES (``_krylov_solver``), which solves it to
     relative residual ``KRYLOV_TOL``; every other d > 1 system, and one that
     GMRES cannot solve within its budget, goes to the block cyclic reduction
     (``_block_reduction``), on a copy of ``diag``, which it overwrites.
@@ -294,18 +349,22 @@ def solve_block_tridiag(sub, diag, sup, rhs):
     which a backward-stable solve keeps near roundoff at any condition
     number.  A solution whose backward error exceeds ``RESIDUAL_GATE`` is
     refined once, and one still above it comes back as NaN, a step the
-    Levenberg ladder refuses.  An exactly singular pivot raises LinAlgError;
-    overflow gives non-finite entries.
+    Levenberg ladder refuses.  The refinement's GMRES run reuses the first
+    one's fit and preconditioner, and each block's squared Frobenius norm,
+    summed once, serves both the fit and the gate.  An exactly singular
+    pivot raises LinAlgError; overflow gives non-finite entries.
     """
     d = rhs.shape[1]
     if d == 1:
         return solve_tridiag(sub[:, 0], diag[:, 0, 0], sup[:, 0], rhs[:, 0])[:, None]
+    squares = np.einsum("kij,kij->k", diag, diag)
+    krylov = _krylov_solver(sub, diag, sup, squares) if d >= KRYLOV_MIN_DIM else None
 
     def solve(r):
-        x = _krylov_solve(sub, diag, sup, r) if d >= KRYLOV_MIN_DIM else None
+        x = None if krylov is None else krylov(r)
         return _block_reduction(sub, diag.copy(), sup, r) if x is None else x
 
-    rows = np.einsum("kij,kij->k", diag, diag)
+    rows = squares.copy()
     rows[1:] += np.einsum("ki,ki->k", sub, sub)
     rows[:-1] += np.einsum("ki,ki->k", sup, sup)
     norm_a, norm_rhs = math.sqrt(rows.max()), np.linalg.norm(rhs)
@@ -332,25 +391,32 @@ def _block_matvec(sub, diag, sup, x):
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _krylov_solve(sub, diag, sup, rhs):
-    """GMRES on the block system, preconditioned by its fit in one eigenbasis;
-    None where the system does not fit, or GMRES misses ``KRYLOV_TOL`` within
-    ``KRYLOV_BUDGET`` iterations.
+def _krylov_solver(sub, diag, sup, squares):
+    """A GMRES solve of the block system for any right-hand side,
+    preconditioned by the system's fit in one eigenbasis; None where the
+    system does not fit.  The solve returns None where GMRES misses
+    ``KRYLOV_TOL`` within ``KRYLOV_BUDGET`` iterations.  ``squares`` holds
+    each block's squared Frobenius norm.
 
     Each block B_k is fitted to a_k H + b_k I by least squares in the
     Frobenius norm, H the traceless part of the blocks' symmetrized mean: H
     and I are orthogonal, so b_k is the block's mean diagonal entry, a_k =
     <B_k, H>/<H, H>, and the fit leaves out |B_k|^2 - a_k^2 |H|^2 - d b_k^2
     of the block's traceless part's |B_k|^2 - d b_k^2.  The preconditioner is
-    the fitted system; ``_eigenbasis_solve`` solves it in H's eigenbasis with
-    one ``solve_tridiag`` call on d columns, O(n d) a call where the block
-    reduction costs O(n d^3).  Newton blocks that stay close to one Hessian
-    up to scale and shift take a few iterations; a system whose fit leaves
-    out more than ``KRYLOV_FIT`` of the traceless parts (in the Frobenius
-    norm), or whose couplings differ across coordinates (the metric weights
-    of every space are uniform), is left to the reduction.
+    the fitted system, solved in H's eigenbasis as ``_eigenbasis_solve``
+    solves it, O(n d) an application where the block reduction costs O(n
+    d^3).  The fit and H's eigendecomposition are made once per system, and
+    so are the scalar reduction's factors (``_reduce_tridiag``), at the
+    first application, which solves for its right-hand side in the same
+    pass; every later one, in the same GMRES run or in a refinement's, only
+    applies them, bitwise as a fresh eigenbasis solve.  Newton blocks that
+    stay close to one Hessian up to scale and shift take a few iterations; a
+    system whose fit leaves out more than ``KRYLOV_FIT`` of the traceless
+    parts (in the Frobenius norm), or whose couplings differ across
+    coordinates (the metric weights of every space are uniform), is left to
+    the reduction.
     """
-    n, d = rhs.shape
+    n, d = diag.shape[:2]
     if not ((sub == sub[:, :1]).all() and (sup == sup[:, :1]).all()):
         return None
     H = diag.mean(axis=0)
@@ -359,18 +425,36 @@ def _krylov_solve(sub, diag, sup, rhs):
     hh = float(np.sum(H * H))
     b = np.einsum("kii->k", diag) / d
     a = np.einsum("kij,ij->k", diag, H) / hh if hh > 0.0 else np.zeros(n)
-    traceless = float(np.einsum("kij,kij->", diag, diag)) - d * float(b @ b)
+    traceless = float(squares.sum()) - d * float(b @ b)
     if traceless - hh * float(a @ a) > KRYLOV_FIT**2 * traceless:
         return None
     try:
         eig = np.linalg.eigh(H)
-        x = _gmres(lambda v: _block_matvec(sub, diag, sup, v.reshape(n, d)).ravel(),
-                   lambda v: _eigenbasis_solve(sub[:, 0], a, b, sup[:, 0], v.reshape(n, d),
-                                               eig).ravel(),
-                   rhs.ravel())
     except np.linalg.LinAlgError:
         return None
-    return None if x is None else x.reshape(n, d)
+    lam, Q = eig
+    fitted = np.multiply.outer(a, lam) + b[:, None]  # the d scalar diagonals
+    apply = None
+
+    def precond(v):
+        nonlocal apply
+        y = v.reshape(n, d) @ Q
+        if apply is None:
+            y, apply = _reduce_tridiag(sub[:, :1], fitted, sup[:, :1], y, keep=True)
+        else:
+            y = apply(y)
+        return (y @ Q.T).ravel()
+
+    @np.errstate(over="ignore", invalid="ignore")
+    def solve(rhs):
+        try:
+            x = _gmres(lambda v: _block_matvec(sub, diag, sup, v.reshape(n, d)).ravel(),
+                       precond, rhs.ravel())
+        except np.linalg.LinAlgError:
+            return None
+        return None if x is None else x.reshape(n, d)
+
+    return solve
 
 
 def _gmres(matvec, precond, rhs):
@@ -540,7 +624,10 @@ def _eigenbasis_solve(sub, a, b, sup, rhs, eig):
     the fast diagonalization of a Kronecker sum (Lynch, Rice and Thomas,
     Numer. Math. 6, 1964), O(n d) plus one d x d eigendecomposition where
     the block reduction costs O(n d^3).  ``a`` and ``b`` are (n,) arrays or
-    scalars, ``sub`` and ``sup`` (n - 1,) arrays, ``eig`` is (lam, Q).
+    scalars, ``sub`` and ``sup`` (n - 1,) arrays, ``eig`` is (lam, Q).  A
+    call keeps nothing: the first Newton step solves its system once.
+    GMRES's preconditioner, which solves one such system for every
+    iteration, keeps the reduction's factors (``_krylov_solver``).
     """
     lam, Q = eig
     diag = np.multiply.outer(a, lam) + np.expand_dims(b, -1)

@@ -559,6 +559,8 @@ def test_tridiag_zero_odd_pivot_raises_above_the_cut_only(n):
     if n == 64:
         with pytest.raises(np.linalg.LinAlgError, match="zero pivot"):
             solve_tridiag(sub, diag, sup, rhs)
+        with pytest.raises(np.linalg.LinAlgError, match="zero pivot"):
+            wed._reduce_tridiag(sub, diag, sup, rhs, keep=True)
     else:
         bands = (sub, diag, sup, rhs)
         assert rel_err(solve_tridiag(*bands), solve_banded_ref(*bands)) <= 1e-13
@@ -863,6 +865,34 @@ def test_tridiag_columns_are_their_one_column_solves_bitwise(n):
         assert np.array_equal(X[:, j], solve_tridiag(sub[:, 0], diags[:, j], sup[:, 0], rhss[:, j]))
 
 
+@pytest.mark.parametrize("n", [2, 32, 33, 64, 65, 1441])
+@pytest.mark.parametrize("bands", ["one_system", "shared", "per_column", "broadcast_diag"])
+def test_factored_tridiag_applies_are_fresh_solves_bitwise(n, bands):
+    # one band pass, then its factors applied to the three other
+    # right-hand sides and the first again: each apply is a fresh
+    # solve_tridiag call bit for bit, and nothing writes its arguments.  The bands are (n,) with rhs (n,); one
+    # shared column with rhs (n, c); c columns; and the Euler-Lagrange
+    # first step's diagonal of shape (c,), the same at every row.  n runs
+    # both sides of DENSE_CUT, odd and even
+    rng = np.random.default_rng(n)
+    c = 5
+    sub, sup = rng.uniform(-1.0, 1.0, (2, n - 1, c))
+    diag = rng.uniform(2.5, 4.0, (n, c))
+    rhss = rng.standard_normal((4, n, c))
+    if bands == "one_system":
+        sub, diag, sup, rhss = sub[:, 0], diag[:, 0], sup[:, 0], rhss[..., 0]
+    elif bands == "shared":
+        sub, diag, sup = sub[:, :1], diag[:, :1], sup[:, :1]
+    elif bands == "broadcast_diag":
+        sub, diag, sup = sub[:, :1], diag[0], sup[:, :1]
+    kept = [a.copy() for a in (sub, diag, sup, rhss)]
+    x, apply = wed._reduce_tridiag(sub, diag, sup, rhss[0], keep=True)
+    assert x.shape == rhss[0].shape and np.array_equal(x, solve_tridiag(sub, diag, sup, rhss[0]))
+    for r in (rhss[2], rhss[1], rhss[3], rhss[0]):
+        assert np.array_equal(apply(r), solve_tridiag(sub, diag, sup, r))
+    assert all(np.array_equal(a, b) for a, b in zip((sub, diag, sup, rhss), kept))
+
+
 def quantile64_problem(solver, N=1000):
     """The acceptance gate's Ornstein-Uhlenbeck solve in 64 quantiles."""
     from wedflow import gaussian_quantiles, quantile_entropy_potential
@@ -887,20 +917,37 @@ def test_krylov_step_is_the_banded_lu_step(monkeypatch, d, solver):
     minimize_wed(pr)
     assert systems and all(s[3].shape[1] == d for s in systems)
     for sub, diag, sup, rhs in systems:
-        x = wed._krylov_solve(sub, diag, sup, rhs)
+        x = krylov_solve(sub, diag, sup, rhs)
         assert x is not None
         assert rel_err(x, solve_block_banded_ref(sub, diag, sup, rhs)) <= 1e-10
 
 
-def eigenbasis_solves(monkeypatch):
-    """How many times GMRES applied its preconditioner, counted as it runs."""
-    calls, solve = [], wed._eigenbasis_solve
+def krylov_solve(sub, diag, sup, rhs):
+    """GMRES's answer for the block system; None where the system does not
+    fit, or GMRES misses its tolerance."""
+    solve = wed._krylov_solver(sub, diag, sup, np.einsum("kij,kij->k", diag, diag))
+    return None if solve is None else solve(rhs)
 
-    def count(*args):
-        calls.append(1)
-        return solve(*args)
 
-    monkeypatch.setattr(wed, "_eigenbasis_solve", count)
+def preconditioner_applications(monkeypatch):
+    """How GMRES applied its preconditioner, recorded as it runs: "factor"
+    where a band pass factored it (and solved for its first right-hand
+    side), "apply" where a later application applied those factors."""
+    calls, reduce = [], wed._reduce_tridiag
+
+    def factor(sub, diag, sup, rhs, keep):
+        x, apply = reduce(sub, diag, sup, rhs, keep=keep)
+        if apply is None:
+            return x, None
+        calls.append("factor")
+
+        def counted(r):
+            calls.append("apply")
+            return apply(r)
+
+        return x, counted
+
+    monkeypatch.setattr(wed, "_reduce_tridiag", factor)
     return calls
 
 
@@ -922,27 +969,23 @@ def test_system_that_does_not_fit_takes_the_block_reduction_bitwise(monkeypatch)
     sup = np.full((n - 1, d), -eps / dt**2 + 0.5 / dt)
     rhs = rng.standard_normal((n, d))
     reduction = wed._block_reduction(sub, diag.copy(), sup, rhs)
-    calls = eigenbasis_solves(monkeypatch)
+    calls = preconditioner_applications(monkeypatch)
     assert d >= wed.KRYLOV_MIN_DIM
-    assert wed._krylov_solve(sub, diag, sup, rhs) is None and not calls
+    assert krylov_solve(sub, diag, sup, rhs) is None and not calls
     assert np.array_equal(solve_block_tridiag(sub, diag, sup, rhs), reduction)
     assert not calls
     monkeypatch.setattr(wed, "KRYLOV_FIT", math.inf)
-    assert wed._krylov_solve(sub, diag, sup, rhs) is None
+    assert krylov_solve(sub, diag, sup, rhs) is None
     assert len(calls) == wed.KRYLOV_BUDGET
+    assert calls == ["factor"] + ["apply"] * (wed.KRYLOV_BUDGET - 1)
     assert np.array_equal(solve_block_tridiag(sub, diag, sup, rhs), reduction)
 
 
-@settings(max_examples=20, deadline=None, derandomize=True)
-@given(n=st.integers(2, 40), d=st.sampled_from([12, 16, 25]),
-       spread=st.sampled_from([0.0, 1e-3, 5e-3]), seed=st.integers(0, 2**32 - 1))
-def test_block_solve_of_a_fitting_system_is_gmres_to_its_tolerance(n, d, spread, seed):
-    # blocks a_k H + b_k I plus a perturbation that the fit leaves out,
-    # `spread` of the blocks' traceless parts, and couplings the same for
-    # every coordinate, as a Newton system has them: the solve is GMRES's,
-    # its residual is below KRYLOV_TOL |rhs|, and its 2-norm error against
-    # the dense solve is below the bound that residual implies
-    rng = np.random.default_rng(seed)
+def fitting_system(rng, n, d, spread):
+    """A block system (sub, diag, sup, rhs) whose blocks are a_k H + b_k I
+    plus a perturbation that the fit leaves out, `spread` of the blocks'
+    traceless parts, and whose couplings are the same for every coordinate,
+    as a Newton system has them."""
     H = rng.standard_normal((d, d))
     H += H.T
     np.einsum("ii->i", H)[...] -= np.trace(H) / d
@@ -955,8 +998,18 @@ def test_block_solve_of_a_fitting_system_is_gmres_to_its_tolerance(n, d, spread,
             + np.multiply.outer(rng.uniform(1.0, 2.0, n) * np.sqrt(8.0 * d), np.eye(d)))
     sub = np.repeat(rng.standard_normal((n - 1, 1)), d, axis=1)
     sup = np.repeat(rng.standard_normal((n - 1, 1)), d, axis=1)
-    rhs = rng.standard_normal((n, d))
-    x = wed._krylov_solve(sub, diag, sup, rhs)
+    return sub, diag, sup, rng.standard_normal((n, d))
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(n=st.integers(2, 40), d=st.sampled_from([12, 16, 25]),
+       spread=st.sampled_from([0.0, 1e-3, 5e-3]), seed=st.integers(0, 2**32 - 1))
+def test_block_solve_of_a_fitting_system_is_gmres_to_its_tolerance(n, d, spread, seed):
+    # the solve of a system that fits is GMRES's, its residual is below
+    # KRYLOV_TOL |rhs|, and its 2-norm error against the dense solve is
+    # below the bound that residual implies
+    sub, diag, sup, rhs = fitting_system(np.random.default_rng(seed), n, d, spread)
+    x = krylov_solve(sub, diag, sup, rhs)
     assert x is not None
     assert np.array_equal(solve_block_tridiag(sub, diag, sup, rhs), x)
     M = block_matrix(sub, diag, sup)
@@ -965,6 +1018,23 @@ def test_block_solve_of_a_fitting_system_is_gmres_to_its_tolerance(n, d, spread,
     dense = np.linalg.solve(M, rhs.ravel())
     error = np.linalg.norm(x.ravel() - dense) / np.linalg.norm(dense)
     assert error <= np.linalg.cond(M) * wed.KRYLOV_TOL
+
+
+def test_refinement_reuses_the_fit_and_the_factored_preconditioner(monkeypatch):
+    # with RESIDUAL_GATE at 0 no solution passes the gate: the solve refines
+    # once and comes back as NaN.  Both GMRES runs precondition with the one
+    # fit, eigendecomposition and factorization: the first application of
+    # the first run factors, every other one applies the factors
+    sub, diag, sup, rhs = fitting_system(np.random.default_rng(2), 300, 16, 1e-3)
+    fits, runs = [], []
+    fit, gmres = wed._krylov_solver, wed._gmres
+    monkeypatch.setattr(wed, "_krylov_solver", lambda *args: fits.append(1) or fit(*args))
+    monkeypatch.setattr(wed, "_gmres", lambda *args: runs.append(1) or gmres(*args))
+    calls = preconditioner_applications(monkeypatch)
+    monkeypatch.setattr(wed, "RESIDUAL_GATE", 0.0)
+    assert np.isnan(solve_block_tridiag(sub, diag, sup, rhs)).all()
+    assert len(fits) == 1 and len(runs) == 2
+    assert calls[0] == "factor" and calls.count("factor") == 1 and len(calls) > 2
 
 
 @pytest.mark.parametrize("solver, iterations", [("direct", 4), ("euler_lagrange", 5)])
