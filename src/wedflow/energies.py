@@ -12,10 +12,10 @@ Built-in kinds
 Values are plain floats with math.inf as the absorbing out-of-domain
 sentinel (non-monotone quantile vectors).  Gradients and Hessians raise
 DomainError there instead.  The ``*_many`` kernels work row-wise on (n, d)
-arrays: a trajectory solver gets all Hessians of a Newton step from one
-``hess_many`` call, the descent check all slopes of a curve from one
-``analytic_slopes`` call, and the proximal step ``prox`` all inner problems
-of a stack of coordinate rows from one damped-Newton run.
+arrays: a trajectory solver gets all Hessians of a Newton step, as bands,
+from one ``hess_bands`` call, the descent check all slopes of a curve from
+one ``analytic_slopes`` call, and the proximal step ``prox`` all inner
+problems of a stack of coordinate rows from one damped-Newton run.
 """
 
 from __future__ import annotations
@@ -273,45 +273,74 @@ def grad_many(spec: EnergySpec, U: np.ndarray) -> np.ndarray:
     return out
 
 
-def hess_many(spec: EnergySpec, U: np.ndarray) -> np.ndarray:
-    """Hessians of phi row-wise on an (n, d) array, as dense (n, d, d) blocks.
+def hess_bands(spec: EnergySpec, U: np.ndarray):
+    """Hessians of phi row-wise on an (n, d) array, as the bands of
+    symmetric tridiagonal blocks: (diag (n, d), off (n, d - 1)), where
+    off[k, i] is both the (i, i + 1) and the (i + 1, i) entry of row k's
+    Hessian.
 
-    Built-in kinds other than quadratics have tridiagonal Hessians.  The
-    blocks are always a fresh array, so callers may assemble in place.
+    Every built-in kind but the quadratic has tridiagonal Hessians, and
+    this is where their formulas live.  A quadratic's Hessian is its A at
+    every row: its bands, where A has no entry off them (at d = 1 always),
+    and InvalidInputError otherwise.  Both arrays are fresh, so callers
+    may assemble in place.
     """
     U = np.atleast_2d(np.asarray(U, dtype=float))
     n, d = U.shape
     k = spec.kind
     if k == QUADRATIC:
-        return np.repeat(_quadratic_params(spec, U)[0][None], n, axis=0)
-    off = None  # the sub- and superdiagonal, where nonzero
+        A = _quadratic_params(spec, U)[0]
+        if np.triu(A, 2).any():
+            raise InvalidInputError("quadratic A is not tridiagonal: its Hessian has no bands",
+                                    "energy")
+        return tuple(np.repeat(np.diagonal(A, k)[None], n, axis=0) for k in (0, 1))
     if k == CONVEX_QUARTIC:
-        diag = 3.0 * U**2
-    elif k == DOUBLE_WELL:
-        diag = 3.0 * U**2 - 1.0
-    elif k == DISCRETE_DIRICHLET:
+        return 3.0 * U**2, np.zeros((n, d - 1))
+    if k == DOUBLE_WELL:
+        return 3.0 * U**2 - 1.0, np.zeros((n, d - 1))
+    if k == DISCRETE_DIRICHLET:
         p, h, reac = spec.params["p"], spec.params["h"], spec.params["reaction"]
         g = np.diff(U, axis=1, prepend=0.0, append=0.0) / h  # zero Dirichlet boundary
         w = (p - 1.0) * np.abs(g) ** (p - 2.0) / h
-        diag = w[:, :-1] + w[:, 1:] + h * np.polyval(np.polyder(reac[::-1], 2), U)
-        off = -w[:, 1:-1]
-    else:  # the quantile entropy potential
-        v2 = spec.params["v2"]
-        gaps = np.diff(U, axis=1)
-        if np.any(gaps <= 0.0):
-            raise DomainError("non-monotone quantile point has no Hessian")
-        w = 1.0 / (d * gaps**2)
-        diag = np.full((n, d), v2 / d)
-        diag[:, :-1] += w
-        diag[:, 1:] += w
-        off = -w
-    H = np.zeros((n, d, d))
-    np.einsum("nii->ni", H)[...] = diag  # a strided view of the diagonals
-    if off is not None:
-        i = np.arange(d)
-        H[:, i[1:], i[:-1]] = off
-        H[:, i[:-1], i[1:]] = off
-    return H
+        return w[:, :-1] + w[:, 1:] + h * np.polyval(np.polyder(reac[::-1], 2), U), -w[:, 1:-1]
+    # the quantile entropy potential
+    v2 = spec.params["v2"]
+    gaps = np.diff(U, axis=1)
+    if np.any(gaps <= 0.0):
+        raise DomainError("non-monotone quantile point has no Hessian")
+    w = 1.0 / (d * gaps**2)
+    diag = np.full((n, d), v2 / d)
+    diag[:, :-1] += w
+    diag[:, 1:] += w
+    return diag, -w
+
+
+def tridiag_blocks(diag, off, out=None):
+    """The symmetric tridiagonal d x d blocks with diagonals ``diag`` (n, d)
+    and off-diagonals ``off`` (n, d - 1), as an (n, d, d) array.  Where
+    ``out`` is given, an (n, d * d) array whose rows may be strided (each
+    row one block, flat), the blocks are written into it, and the result is
+    a view of it."""
+    n, d = diag.shape
+    flat = np.empty((n, d * d)) if out is None else out
+    flat[...] = 0.0
+    flat[:, ::d + 1] = diag
+    flat[:, 1::d + 1] = off
+    flat[:, d::d + 1] = off
+    return flat.reshape(n, d, d)
+
+
+def hess_many(spec: EnergySpec, U: np.ndarray) -> np.ndarray:
+    """Hessians of phi row-wise on an (n, d) array, as dense (n, d, d) blocks:
+    a quadratic's A at every row, and every other kind's ``hess_bands``
+    densified.  The blocks are always a fresh array, so callers may
+    assemble in place.  The trajectory solvers read the bands; the
+    proximal step ``prox`` solves with these blocks.
+    """
+    U = np.atleast_2d(np.asarray(U, dtype=float))
+    if spec.kind == QUADRATIC:
+        return np.repeat(_quadratic_params(spec, U)[0][None], U.shape[0], axis=0)
+    return tridiag_blocks(*hess_bands(spec, U))
 
 
 # -- metric-aware helpers ------------------------------------------------------

@@ -13,14 +13,18 @@ Two backends produce the same minimizer by different routes:
 Both initialize at the constant trajectory, which always has finite cost
 equal to phi of the initial point.  There every free node has the one
 Hessian of phi at the initial point, and with d > 1 the first Newton step is
-taken in its eigenbasis as d scalar tridiagonal systems; every later step
-solves the block system.  From ``KRYLOV_MIN_DIM`` coordinates on, where the
-step's blocks fit one Hessian up to scale and shift, GMRES solves it,
-preconditioned with that eigenbasis solve fitted to the blocks and
-factored once per system; otherwise
-(or where GMRES misses its tolerance) block cyclic reduction does.  A
-residual gate refuses a d > 1 block solution whose backward error stays
-large after one refinement.
+taken in its eigenbasis as d scalar tridiagonal systems; a quadratic's
+Hessian is its A everywhere, so every one of its steps is taken so.  Every
+later step of the other kinds solves the block system, whose diagonal
+blocks, Hessians plus multiples of the identity, are symmetric tridiagonal
+and stay as their bands (``energies.hess_bands``) through the assembly,
+GMRES, the residual gate and the first level of the block reduction.  From
+``KRYLOV_MIN_DIM`` coordinates on, where the step's blocks fit one Hessian
+up to scale and shift, GMRES solves it, preconditioned with that eigenbasis
+solve fitted to the blocks and factored once per system; otherwise (or
+where GMRES misses its tolerance) block cyclic reduction does.  A residual
+gate refuses a d > 1 block solution whose backward error stays large after
+one refinement.
 """
 
 from __future__ import annotations
@@ -30,7 +34,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energies import EnergySpec, eval_many, grad_many, hess_many
+from .energies import (
+    QUADRATIC, EnergySpec, eval_many, grad_many, hess_bands, hess_many, tridiag_blocks,
+)
 from .errors import InvalidInputError, NonConvergenceError
 from .newton import damped_newton, levenberg
 from .spaces import Point, SpaceSpec, admissible
@@ -285,23 +291,20 @@ def _matvec(M, v):
     return (M @ v[..., None])[..., 0]
 
 
-def _thomas_inverts(B) -> bool:
-    """Whether every block of the stack B (m, d, d) is tridiagonal and strictly
-    row diagonally dominant, so that ``_thomas_inverse`` inverts it stably."""
-    b = np.abs(np.diagonal(B, 0, 1, 2))
-    lo, up = np.abs(np.diagonal(B, -1, 1, 2)), np.abs(np.diagonal(B, 1, 1, 2))
-    off = np.zeros_like(b)
-    off[:, 1:] += lo
-    off[:, :-1] += up
-    if not np.all(b > off):
-        return False
-    # all of B's nonzeros on its bands; counting B != 0 takes half the time
-    # of counting the strided stack itself
-    return bool(np.count_nonzero(B != 0.0) == b.size + np.count_nonzero(lo) + np.count_nonzero(up))
+def _thomas_inverts(diag, off) -> bool:
+    """Whether every symmetric tridiagonal block with bands ``diag`` (m, d)
+    and ``off`` (m, d - 1) is strictly row diagonally dominant, so that
+    ``_thomas_inverse`` inverts it stably."""
+    b, a = np.abs(diag), np.abs(off)
+    rest = np.zeros_like(b)  # each row's off-diagonal sum
+    rest[:, 1:] += a
+    rest[:, :-1] += a
+    return bool(np.all(b > rest))
 
 
-def _thomas_inverse(B):
-    """Overwrite the stack B (m, d, d) of tridiagonal blocks with their inverses.
+def _thomas_inverse(diag, off, out):
+    """Write into the stack ``out`` (m, d, d) the inverses of the symmetric
+    tridiagonal blocks with bands ``diag`` (m, d) and ``off`` (m, d - 1).
 
     Thomas elimination without pivoting on the identity, one row of all m
     blocks at a time: O(m d^2) against LAPACK's O(m d^3).  Row i of the
@@ -309,37 +312,37 @@ def _thomas_inverse(B):
     in the rest.  Stable on strictly row diagonally dominant blocks, where
     every pivot exceeds its row's off-diagonal sum (``_thomas_inverts``).
     """
-    m, d, _ = B.shape
-    b = np.diagonal(B, 0, 1, 2).copy()
-    lo = np.diagonal(B, -1, 1, 2).copy()  # lo[:, i - 1] = B[:, i, i - 1]
-    up = np.diagonal(B, 1, 1, 2).copy()  # up[:, i] = B[:, i, i + 1]
-    B[...] = 0.0
+    m, d = diag.shape
+    out[...] = 0.0
     cp = np.empty((m, d - 1))  # the eliminated superdiagonal
-    r = 1.0 / b[:, 0]  # each row's reciprocal pivot
-    B[:, 0, 0] = r
+    r = 1.0 / diag[:, 0]  # each row's reciprocal pivot
+    out[:, 0, 0] = r
     for i in range(1, d):
-        cp[:, i - 1] = up[:, i - 1] * r
-        r = 1.0 / (b[:, i] - lo[:, i - 1] * cp[:, i - 1])
-        np.multiply(B[:, i - 1, :i], (-lo[:, i - 1] * r)[:, None], out=B[:, i, :i])
-        B[:, i, i] = r
+        cp[:, i - 1] = off[:, i - 1] * r
+        r = 1.0 / (diag[:, i] - off[:, i - 1] * cp[:, i - 1])
+        np.multiply(out[:, i - 1, :i], (-off[:, i - 1] * r)[:, None], out=out[:, i, :i])
+        out[:, i, i] = r
     for i in range(d - 2, -1, -1):
-        B[:, i] -= cp[:, i, None] * B[:, i + 1]
+        out[:, i] -= cp[:, i, None] * out[:, i + 1]
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def solve_block_tridiag(sub, diag, sup, rhs):
-    """Solve a block-tridiagonal system.
+def solve_block_tridiag(sub, diag, off, sup, rhs):
+    """Solve a block-tridiagonal system with symmetric tridiagonal diagonal
+    blocks.
 
-    The diagonal blocks are dense, ``diag`` (n, d, d); the off-diagonal blocks
-    are diagonal and given by their diagonals, ``sub`` and ``sup`` (n - 1, d);
-    ``rhs`` is (n, d).  Row k reads ``sub[k-1] x[k-1] + diag[k] x[k] + sup[k]
-    x[k+1] = rhs[k]``.  At d = 1 this is ``solve_tridiag``.  From
+    The diagonal blocks are given by their bands, ``diag`` (n, d) and
+    ``off`` (n, d - 1), off[k, i] both the (i, i + 1) and the (i + 1, i)
+    entry of block k, as ``energies.hess_bands`` gives them; the
+    off-diagonal blocks are diagonal and given by their diagonals, ``sub``
+    and ``sup`` (n - 1, d); ``rhs`` is (n, d).  Row k reads ``sub[k-1]
+    x[k-1] + B[k] x[k] + sup[k] x[k+1] = rhs[k]``, B[k] the block with bands
+    diag[k] and off[k].  At d = 1 this is ``solve_tridiag``.  From
     ``KRYLOV_MIN_DIM`` coordinates on, a system whose blocks fit one Hessian
     goes to preconditioned GMRES (``_krylov_solver``), which solves it to
     relative residual ``KRYLOV_TOL``; every other d > 1 system, and one that
     GMRES cannot solve within its budget, goes to the block cyclic reduction
-    (``_block_reduction``), on a copy of ``diag``, which it overwrites.
-    ``diag`` is never written.
+    (``_block_reduction``).  No argument is written.
 
     At d > 1 a residual gate checks the answer: the reduction does not pivot
     across blocks and loses accuracy on a nearly singular pivot block, and
@@ -351,18 +354,19 @@ def solve_block_tridiag(sub, diag, sup, rhs):
     refined once, and one still above it comes back as NaN, a step the
     Levenberg ladder refuses.  The refinement's GMRES run reuses the first
     one's fit and preconditioner, and each block's squared Frobenius norm,
-    summed once, serves both the fit and the gate.  An exactly singular
-    pivot raises LinAlgError; overflow gives non-finite entries.
+    summed once on the bands, serves both the fit and the gate.  An exactly
+    singular pivot raises LinAlgError; overflow gives non-finite entries.
     """
     d = rhs.shape[1]
     if d == 1:
-        return solve_tridiag(sub[:, 0], diag[:, 0, 0], sup[:, 0], rhs[:, 0])[:, None]
-    squares = np.einsum("kij,kij->k", diag, diag)
-    krylov = _krylov_solver(sub, diag, sup, squares) if d >= KRYLOV_MIN_DIM else None
+        return solve_tridiag(sub[:, 0], diag[:, 0], sup[:, 0], rhs[:, 0])[:, None]
+    squares = np.einsum("ki,ki->k", diag, diag)
+    squares += 2.0 * np.einsum("ki,ki->k", off, off)
+    krylov = _krylov_solver(sub, diag, off, sup, squares) if d >= KRYLOV_MIN_DIM else None
 
     def solve(r):
         x = None if krylov is None else krylov(r)
-        return _block_reduction(sub, diag.copy(), sup, r) if x is None else x
+        return _block_reduction(sub, diag, off, sup, r) if x is None else x
 
     rows = squares.copy()
     rows[1:] += np.einsum("ki,ki->k", sub, sub)
@@ -371,27 +375,30 @@ def solve_block_tridiag(sub, diag, sup, rhs):
 
     def passes(x):
         norm_x = np.linalg.norm(x)
-        return norm_x < math.inf and (np.linalg.norm(rhs - _block_matvec(sub, diag, sup, x))
+        return norm_x < math.inf and (np.linalg.norm(rhs - _block_matvec(sub, diag, off, sup, x))
                                       <= RESIDUAL_GATE * (norm_a * norm_x + norm_rhs))
 
     x = solve(rhs)
     if passes(x):
         return x
-    x = x + solve(rhs - _block_matvec(sub, diag, sup, x))
+    x = x + solve(rhs - _block_matvec(sub, diag, off, sup, x))
     return x if passes(x) else np.full_like(x, np.nan)
 
 
-def _block_matvec(sub, diag, sup, x):
-    """The block-tridiagonal product, row k ``sub[k-1] x[k-1] + diag[k] x[k] +
-    sup[k] x[k+1]``, with ``solve_block_tridiag``'s layout."""
-    y = _matvec(diag, x)
+def _block_matvec(sub, diag, off, sup, x):
+    """The block-tridiagonal product, row k ``sub[k-1] x[k-1] + B[k] x[k] +
+    sup[k] x[k+1]``, with ``solve_block_tridiag``'s layout: on the bands,
+    O(n d)."""
+    y = diag * x
+    y[:, 1:] += off * x[:, :-1]
+    y[:, :-1] += off * x[:, 1:]
     y[1:] += sub * x[:-1]
     y[:-1] += sup * x[1:]
     return y
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _krylov_solver(sub, diag, sup, squares):
+def _krylov_solver(sub, diag, off, sup, squares):
     """A GMRES solve of the block system for any right-hand side,
     preconditioned by the system's fit in one eigenbasis; None where the
     system does not fit.  The solve returns None where GMRES misses
@@ -399,10 +406,12 @@ def _krylov_solver(sub, diag, sup, squares):
     each block's squared Frobenius norm.
 
     Each block B_k is fitted to a_k H + b_k I by least squares in the
-    Frobenius norm, H the traceless part of the blocks' symmetrized mean: H
-    and I are orthogonal, so b_k is the block's mean diagonal entry, a_k =
-    <B_k, H>/<H, H>, and the fit leaves out |B_k|^2 - a_k^2 |H|^2 - d b_k^2
-    of the block's traceless part's |B_k|^2 - d b_k^2.  The preconditioner is
+    Frobenius norm, H the traceless part of the blocks' mean, tridiagonal
+    and symmetric as they are: H and I are orthogonal, so b_k is the
+    block's mean diagonal entry, a_k = <B_k, H>/<H, H>, and the fit leaves
+    out |B_k|^2 - a_k^2 |H|^2 - d b_k^2 of the block's traceless part's
+    |B_k|^2 - d b_k^2.  All of these are sums over the bands, and only the
+    one d x d matrix H is made dense, for its ``eigh``.  The preconditioner is
     the fitted system, solved in H's eigenbasis as ``_eigenbasis_solve``
     solves it, O(n d) an application where the block reduction costs O(n
     d^3).  The fit and H's eigendecomposition are made once per system, and
@@ -416,20 +425,19 @@ def _krylov_solver(sub, diag, sup, squares):
     coordinates (the metric weights of every space are uniform), is left to
     the reduction.
     """
-    n, d = diag.shape[:2]
+    n, d = diag.shape
     if not ((sub == sub[:, :1]).all() and (sup == sup[:, :1]).all()):
         return None
-    H = diag.mean(axis=0)
-    H = 0.5 * (H + H.T)
-    np.einsum("ii->i", H)[...] -= np.trace(H) / d
-    hh = float(np.sum(H * H))
-    b = np.einsum("kii->k", diag) / d
-    a = np.einsum("kij,ij->k", diag, H) / hh if hh > 0.0 else np.zeros(n)
+    hd, ho = diag.mean(axis=0), off.mean(axis=0)  # H's bands
+    hd -= hd.sum() / d
+    hh = float(hd @ hd) + 2.0 * float(ho @ ho)
+    b = diag.sum(axis=1) / d
+    a = (diag @ hd + 2.0 * (off @ ho)) / hh if hh > 0.0 else np.zeros(n)
     traceless = float(squares.sum()) - d * float(b @ b)
     if traceless - hh * float(a @ a) > KRYLOV_FIT**2 * traceless:
         return None
     try:
-        eig = np.linalg.eigh(H)
+        eig = np.linalg.eigh(tridiag_blocks(hd[None], ho[None])[0])
     except np.linalg.LinAlgError:
         return None
     lam, Q = eig
@@ -448,7 +456,7 @@ def _krylov_solver(sub, diag, sup, squares):
     @np.errstate(over="ignore", invalid="ignore")
     def solve(rhs):
         try:
-            x = _gmres(lambda v: _block_matvec(sub, diag, sup, v.reshape(n, d)).ravel(),
+            x = _gmres(lambda v: _block_matvec(sub, diag, off, sup, v.reshape(n, d)).ravel(),
                        precond, rhs.ravel())
         except np.linalg.LinAlgError:
             return None
@@ -504,42 +512,50 @@ def _gmres(matvec, precond, rhs):
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _block_reduction(sub, diag, sup, rhs):
+def _block_reduction(sub, diag, off, sup, rhs):
     """Block odd-even cyclic reduction for ``solve_block_tridiag``'s system at
-    d > 1.  It overwrites ``diag``.
+    d > 1, with its blocks' bands ``diag`` and ``off``, which it only reads.
 
     Each level inverts its odd-row pivot blocks B_j in one batched call, keeps
-    the inverses in their slots of ``diag`` and folds the odd rows into the
-    even ones: B_k -= A_k B_j^-1 C_j (left) and C_k B_j^-1 A_j (right), with
-    the new couplings -A_k B_j^-1 A_j and -C_k B_j^-1 C_j, which leaves a
-    block-tridiagonal system of half the size in the even unknowns.  Level 0's
-    couplings are the diagonal bands, so its products are elementwise; the
-    dense couplings of the levels below live in two buffers of ceil(n/2)
-    blocks, where each level writes its even rows' new couplings over their
-    old ones and its odd rows' B^-1 A and B^-1 C, which back substitution
-    reads, over theirs.  Level 0 inverts its pivot blocks by one batched
-    Thomas elimination when all of them are tridiagonal and strictly row
-    diagonally dominant (``_thomas_inverts``); otherwise, and at every level
-    below, LAPACK's partially pivoted LU inverts them.  Rows never swap
-    across blocks: the elimination is stable on block-diagonally dominant
-    systems (Heller, SIAM J. Numer. Anal. 13, 1976).  An exactly singular
-    pivot block raises LinAlgError; overflow gives non-finite entries.
+    the inverses in their slots of the work array and folds the odd rows
+    into the even ones: B_k -= A_k B_j^-1 C_j (left) and C_k B_j^-1 A_j
+    (right), with the new couplings -A_k B_j^-1 A_j and -C_k B_j^-1 C_j,
+    which leaves a block-tridiagonal system of half the size in the even
+    unknowns.  The work array (n, d, d) is the one dense block stack of a
+    solve: level 0 builds its even rows from the bands, and its odd rows
+    take the pivots' inverses; the fill-in makes every block below level 0
+    dense.  Level 0's couplings are the diagonal bands, so its products are
+    elementwise; the dense couplings of the levels below live in two buffers
+    of ceil(n/2) blocks, where each level writes its even rows' new
+    couplings over their old ones and its odd rows' B^-1 A and B^-1 C, which
+    back substitution reads, over theirs.  Level 0 inverts its pivot blocks
+    on their bands by one batched Thomas elimination when all of them are
+    strictly row diagonally dominant (``_thomas_inverts``); otherwise, and
+    at every level below, LAPACK's partially pivoted LU inverts them.  Rows
+    never swap across blocks: the elimination is stable on block-diagonally
+    dominant systems (Heller, SIAM J. Numer. Anal. 13, 1976).  An exactly
+    singular pivot block raises LinAlgError; overflow gives non-finite
+    entries.
     """
     n, d = rhs.shape
     x = np.array(rhs, dtype=float)  # reduced, then solved, in place
-    levels = []  # each level's (diag, x, A, C) views; A = C = None at level 0
-    D, X, A, C = diag, x, None, None
+    work = np.empty((n, d * d))
+    tridiag_blocks(diag[::2], off[::2], out=work[::2])
+    D = work.reshape(n, d, d)
+    levels = []  # each level's (D, x, A, C) views; A = C = None at level 0
+    X, A, C = x, None, None
     while D.shape[0] > 1:
         m = D.shape[0]
         mo = m // 2
         L = m - mo - 1  # even rows with an odd row on their left
         levels.append((D, X, A, C))
         Bi = D[1::2]
-        # level 0's pivots are the energies' Hessian blocks plus diagonal
-        # terms, tridiagonal but for quadratics; the levels below fill them in
-        if A is None and _thomas_inverts(Bi):
-            _thomas_inverse(Bi)
+        if A is not None:
+            Bi[...] = np.linalg.inv(Bi)
+        elif _thomas_inverts(diag[1::2], off[1::2]):
+            _thomas_inverse(diag[1::2], off[1::2], Bi)
         else:
+            tridiag_blocks(diag[1::2], off[1::2], out=work[1::2])
             Bi[...] = np.linalg.inv(Bi)
         X[1::2] = _matvec(Bi, X[1::2])
         if A is None:
@@ -603,15 +619,18 @@ def _block_reduction(sub, diag, sup, rhs):
 
 def _shared_hessian(energy, V, omega):
     """The eigendecomposition (lam, Q) of the one Hessian of phi at the free
-    nodes V, where d > 1, all of them coincide (as at the constant start),
-    the metric weights are uniform and the Hessian is exactly symmetric;
-    None otherwise, and the Newton step takes the block solve."""
-    if V.shape[1] == 1 or not (omega == omega[0]).all() or not (V == V[0]).all():
+    nodes V, where d > 1, the metric weights are uniform and every node has
+    that Hessian: a quadratic's A at any V, and any other kind's where the
+    nodes coincide (as at the constant start); None otherwise, and the
+    Newton step takes the block solve.  Both are exactly symmetric: A is
+    stored so, and the other kinds' Hessians are their bands."""
+    if V.shape[1] == 1 or not (omega == omega[0]).all():
         return None
-    H = hess_many(energy, V[:1])[0]
-    if not (H == H.T).all():
+    if energy.kind == QUADRATIC:
+        return np.linalg.eigh(energy.params["A"])
+    if not (V == V[0]).all():
         return None
-    return np.linalg.eigh(H)
+    return np.linalg.eigh(hess_many(energy, V[:1])[0])
 
 
 def _eigenbasis_solve(sub, a, b, sup, rhs, eig):
@@ -653,7 +672,6 @@ def minimize_wed(problem: WedProblem) -> WedSolution:
     # the constant parts of the row-scaled Newton matrix: the kinetic coupling
     # to the cells on both sides of a node (the last node has one), with row k
     # scaled by its preconditioner weight pw[k] to tame the mass decay
-    W = np.diag(omega)
     opw = omega * pw[:, None]  # the stopping norms' scale
     kin = np.append(c[:-1] + c[1:], c[-1])[:, None] * omega
     sub = -c[1:, None] * omega
@@ -687,17 +705,20 @@ def minimize_wed(problem: WedProblem) -> WedSolution:
         rhs = -g / pw[:, None]
         eig = _shared_hessian(problem.energy, V, omega)
         if eig is not None:
-            # the blocks are (nodew H + kin)/pw + rho W, with kin and W
-            # multiples of the identity
+            # the blocks are (nodew H + kin)/pw + rho diag(omega), with kin
+            # and omega multiples of the identity
             a, b = nodew / pw, kin[:, 0] / pw
             solve = lambda rho: _eigenbasis_solve(sub[:, 0], a, b + rho * omega[0], sup[:, 0],
                                                   rhs, eig)
         else:
-            diag = hess_many(problem.energy, V)
-            diag *= nodew[:, None, None]
-            np.einsum("nii->ni", diag)[...] += kin
-            diag /= pw[:, None, None]
-            solve = lambda rho: solve_block_tridiag(sub, diag + rho * W, sup, rhs)
+            # the blocks' bands: (nodew H + kin)/pw, shifted by rho omega
+            diag, off = hess_bands(problem.energy, V)
+            diag *= nodew[:, None]
+            diag += kin
+            diag /= pw[:, None]
+            off *= nodew[:, None]
+            off /= pw[:, None]
+            solve = lambda rho: solve_block_tridiag(sub, diag + rho * omega, off, sup, rhs)
         step = levenberg(solve, g, -(g / omega) / pw[:, None])
         return step, float(np.sum(g * step))
 
@@ -780,10 +801,13 @@ def solve_euler_lagrange(problem: WedProblem) -> WedSolution:
                 step = _eigenbasis_solve(lo[:, 0], 1.0 / omega[0], 2.0 * eps / dt**2, up[:, 0],
                                          -F, eig)
             else:
-                di = hess_many(problem.energy, V)
-                di /= omega[:, None]
-                np.einsum("nii->ni", di)[...] += 2.0 * eps / dt**2
-                step = solve_block_tridiag(lo, di, up, -F)
+                # the Hessian's rows over their metric weights, which are
+                # uniform, so the blocks stay symmetric
+                di, off = hess_bands(problem.energy, V)
+                di /= omega
+                di += 2.0 * eps / dt**2
+                off /= omega[1:]
+                step = solve_block_tridiag(lo, di, off, up, -F)
         except np.linalg.LinAlgError as exc:
             raise NonConvergenceError(f"singular Jacobian: {exc}", best=full(V))
         if np.isnan(step).all():

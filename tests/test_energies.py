@@ -10,8 +10,8 @@ from wedflow import (
 )
 from wedflow.cli import _energy
 from wedflow.energies import (
-    PARAMS, QUADRATIC, analytic_slope, analytic_slopes, eval_many, grad_many, hess_many, prox,
-    reference_point,
+    PARAMS, QUADRATIC, analytic_slope, analytic_slopes, eval_many, grad_many, hess_bands, hess_many,
+    prox, reference_point,
 )
 from wedflow.spaces import EUCLIDEAN, QUANTILE1D, probe_directions
 
@@ -464,9 +464,8 @@ def test_hess_many_rows_are_one_point_hessians(spec, U):
         assert np.array_equal(H[k], hess_many(spec, U[k:k + 1])[0])
 
 
-@pytest.mark.parametrize("spec, U", hess_fixtures(), ids=HESS_IDS)
-def test_hess_many_matches_central_differences(spec, U):
-    H = hess_many(spec, U)
+def central_differences(spec, U):
+    """Each row's Hessian by central differences of ``grad_many``, (n, d, d)."""
     n, d = U.shape
     fd = np.empty((n, d, d))
     for j in range(d):
@@ -475,7 +474,59 @@ def test_hess_many_matches_central_differences(spec, U):
         up[:, j:j + 1] += h
         dn[:, j:j + 1] -= h
         fd[:, :, j] = (grad_many(spec, up) - grad_many(spec, dn)) / (2 * h)
+    return fd
+
+
+@pytest.mark.parametrize("spec, U", hess_fixtures(), ids=HESS_IDS)
+def test_hess_many_matches_central_differences(spec, U):
+    H = hess_many(spec, U)
+    fd = central_differences(spec, U)
     assert np.max(np.abs(H - fd)) < 1e-5 * max(1.0, np.max(np.abs(H))), spec.kind
+
+
+BAND_FIXTURES = [(spec, U) for spec, U in hess_fixtures() if spec.kind != QUADRATIC]
+BAND_IDS = [f"{spec.kind}-d{U.shape[1]}" for spec, U in BAND_FIXTURES]
+
+
+@pytest.mark.parametrize("spec, U", BAND_FIXTURES, ids=BAND_IDS)
+def test_hess_bands_densify_to_hess_many_bitwise(spec, U):
+    # the trajectory solvers read the bands and prox the dense blocks: one
+    # formula per kind serves both
+    diag, off = hess_bands(spec, U)
+    n, d = U.shape
+    assert diag.shape == (n, d) and off.shape == (n, d - 1)
+    dense = np.array([np.diag(a) + np.diag(b, 1) + np.diag(b, -1) for a, b in zip(diag, off)])
+    assert np.array_equal(hess_many(spec, U), dense)
+
+
+@pytest.mark.parametrize("spec, U", BAND_FIXTURES, ids=BAND_IDS)
+def test_hess_bands_match_central_differences(spec, U):
+    # the diagonal and both off-diagonals of the difference quotients are
+    # the bands, and every entry off them vanishes
+    diag, off = hess_bands(spec, U)
+    fd = central_differences(spec, U)
+    tol = 1e-5 * max(1.0, np.max(np.abs(diag)), np.max(np.abs(off), initial=0.0))
+    assert np.max(np.abs(np.diagonal(fd, 0, 1, 2) - diag)) < tol, spec.kind
+    for k in (1, -1):
+        assert np.max(np.abs(np.diagonal(fd, k, 1, 2) - off), initial=0.0) < tol, spec.kind
+    far = np.abs(np.subtract.outer(np.arange(U.shape[1]), np.arange(U.shape[1]))) > 1
+    assert np.max(np.abs(fd[:, far]), initial=0.0) < tol, spec.kind
+
+
+def test_hess_bands_of_a_quadratic_are_those_of_its_a():
+    # a quadratic's Hessian is A at every row: a tridiagonal A, and every
+    # 1 x 1 one, has bands; an A with an entry off them has none, and the
+    # trajectory solvers take such a quadratic in A's eigenbasis instead
+    A = np.array([[2.0, 0.5, 0.0], [0.5, 1.5, 0.4], [0.0, 0.4, 1.0]])
+    diag, off = hess_bands(quadratic(A), np.zeros((4, 3)))
+    assert np.array_equal(diag, np.tile([2.0, 1.5, 1.0], (4, 1)))
+    assert np.array_equal(off, np.tile([0.5, 0.4], (4, 1)))
+    diag, off = hess_bands(quadratic([[3.0]]), np.zeros((2, 1)))
+    assert np.array_equal(diag, [[3.0], [3.0]]) and off.shape == (2, 0)
+    assert diag.flags.writeable and off.flags.writeable  # the solvers assemble in place
+    A[0, 2] = A[2, 0] = 0.3
+    with pytest.raises(InvalidInputError, match="not tridiagonal"):
+        hess_bands(quadratic(A), np.zeros((4, 3)))
 
 
 @pytest.mark.parametrize("spec, U", hess_fixtures(), ids=HESS_IDS)

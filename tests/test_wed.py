@@ -364,37 +364,46 @@ def test_inner_variation_quadratic_residuals():
         reps[4000].residuals[-1] * abs(sol.objective), rel=1e-12)
 
 
-def block_matrix(sub, diag, sup):
-    """The dense matrix of a block system whose off-diagonal blocks are diagonal."""
-    n, d = diag.shape[:2]
+def dense_blocks(diag, off):
+    """The symmetric tridiagonal blocks with bands diag (n, d) and off
+    (n, d - 1), as an (n, d, d) array."""
+    return np.array([np.diag(a) + np.diag(b, 1) + np.diag(b, -1) for a, b in zip(diag, off)])
+
+
+def block_matrix(sub, diag, off, sup):
+    """The dense matrix of a block system whose diagonal blocks have bands
+    diag and off and whose off-diagonal blocks are diagonal."""
+    blocks = dense_blocks(diag, off)
+    n, d = diag.shape
     M = np.zeros((n * d, n * d))
     for k in range(n):
-        M[k * d:(k + 1) * d, k * d:(k + 1) * d] = diag[k]
+        M[k * d:(k + 1) * d, k * d:(k + 1) * d] = blocks[k]
         if k < n - 1:
             M[(k + 1) * d:(k + 2) * d, k * d:(k + 1) * d] = np.diag(sub[k])
             M[k * d:(k + 1) * d, (k + 1) * d:(k + 2) * d] = np.diag(sup[k])
     return M
 
 
-def banded_system(rng, n, d, tridiagonal_blocks=False):
-    """Random block-diagonally dominant (sub, diag, sup, rhs) and its dense matrix;
-    the off-diagonal blocks are diagonal, given by their (n - 1, d) diagonals.
-    The diagonal blocks are dense, as a quadratic's Hessian, or tridiagonal,
-    as the Dirichlet and quantile Hessians."""
+def banded_system(rng, n, d):
+    """Random block-diagonally dominant (sub, diag, off, sup, rhs) and its
+    dense matrix: the off-diagonal blocks are diagonal, given by their
+    (n - 1, d) diagonals, and the diagonal blocks symmetric tridiagonal,
+    given by their bands diag (n, d) and off (n, d - 1), as the Newton
+    systems have them.  Each row has two random couplings, and at d > 1 two
+    more inside its block, against a shifted diagonal entry of 4 and 8."""
     sub = rng.standard_normal((max(n - 1, 0), d))
     sup = rng.standard_normal((max(n - 1, 0), d))
-    diag = rng.standard_normal((n, d, d)) + 4.0 * d * np.eye(d)
-    if tridiagonal_blocks:
-        diag *= np.abs(np.subtract.outer(np.arange(d), np.arange(d))) <= 1
+    diag = rng.standard_normal((n, d)) + (4.0 if d == 1 else 8.0)
+    off = rng.standard_normal((n, d - 1))
     rhs = rng.standard_normal((n, d))
-    return sub, diag, sup, rhs, block_matrix(sub, diag, sup)
+    return sub, diag, off, sup, rhs, block_matrix(sub, diag, off, sup)
 
 
 @pytest.mark.parametrize("d", [1, 3])
 @pytest.mark.parametrize("n", [1, 2, 500])
 def test_block_tridiag_matches_dense_solve(n, d):
-    sub, diag, sup, rhs, M = banded_system(np.random.default_rng(n + 10 * d), n, d)
-    x = solve_block_tridiag(sub, diag, sup, rhs)
+    sub, diag, off, sup, rhs, M = banded_system(np.random.default_rng(n + 10 * d), n, d)
+    x = solve_block_tridiag(sub, diag, off, sup, rhs)
     ref = np.linalg.solve(M, rhs.ravel()).reshape(n, d)
     assert x.shape == (n, d)
     assert np.max(np.abs(x - ref)) < 1e-12 * max(1.0, np.max(np.abs(ref)))
@@ -409,17 +418,17 @@ def test_tridiag_zero_pivot_raises(sub, diag, sup):
     with pytest.raises(np.linalg.LinAlgError):
         solve_tridiag(*args, np.ones(len(diag)))
     with pytest.raises(np.linalg.LinAlgError):
-        solve_block_tridiag(args[0][:, None], args[1].reshape(-1, 1, 1), args[2][:, None],
-                            np.ones((len(diag), 1)))
+        solve_block_tridiag(args[0][:, None], args[1][:, None], np.zeros((len(diag), 0)),
+                            args[2][:, None], np.ones((len(diag), 1)))
 
 
 def test_zero_pivot_at_d1_takes_the_next_levenberg_shift():
     # [[1, 1], [1, 1]] has a zero second pivot: rho = 0 raises and rho = 1e-8
     # gives the step, as a singular block system at d > 1 does
     sub, sup = np.ones((1, 1)), np.ones((1, 1))
-    diag = np.ones((2, 1, 1))
+    diag, off = np.ones((2, 1)), np.zeros((2, 0))
     g = np.array([[-1.0], [0.0]])
-    step = levenberg(lambda rho: solve_block_tridiag(sub, diag + rho, sup, -g), g, None)
+    step = levenberg(lambda rho: solve_block_tridiag(sub, diag + rho, off, sup, -g), g, None)
     shifted = np.array([[1.0 + 1e-8, 1.0], [1.0, 1.0 + 1e-8]])
     assert step is not None
     assert np.allclose(step[:, 0], np.linalg.solve(shifted, -g[:, 0]), rtol=1e-6, atol=0.0)
@@ -427,34 +436,33 @@ def test_zero_pivot_at_d1_takes_the_next_levenberg_shift():
 
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(n=st.integers(1, 130), d=st.sampled_from([2, 3, 16, 24, 25, 32]),
-       tridiagonal_blocks=st.booleans(), seed=st.integers(0, 2**32 - 1))
-@example(n=127, d=2, tridiagonal_blocks=False, seed=0)
-@example(n=128, d=3, tridiagonal_blocks=True, seed=0)
-@example(n=129, d=16, tridiagonal_blocks=False, seed=0)
-@example(n=31, d=24, tridiagonal_blocks=True, seed=0)
-@example(n=32, d=25, tridiagonal_blocks=False, seed=0)
-@example(n=33, d=32, tridiagonal_blocks=True, seed=0)
-@example(n=17, d=64, tridiagonal_blocks=True, seed=0)
-@example(n=16, d=64, tridiagonal_blocks=False, seed=0)
-def test_block_tridiag_matches_dense_solve_at_every_size(n, d, tridiagonal_blocks, seed):
+       seed=st.integers(0, 2**32 - 1))
+@example(n=127, d=2, seed=0)
+@example(n=128, d=3, seed=0)
+@example(n=129, d=16, seed=0)
+@example(n=31, d=24, seed=0)
+@example(n=32, d=25, seed=0)
+@example(n=33, d=32, seed=0)
+@example(n=17, d=64, seed=0)
+@example(n=16, d=64, seed=0)
+@example(n=1, d=16, seed=0)
+def test_block_tridiag_matches_dense_solve_at_every_size(n, d, seed):
     # the block cyclic reduction: n = 2^k halves through even sizes only,
-    # 2^k + 1 through odd ones.  It overwrites diag at every d > 1 once there
-    # is a level to reduce; solve_block_tridiag hands it a copy and never
-    # writes diag.  These random blocks fit no one Hessian, and their
-    # couplings differ across coordinates, so at every d the solve is the
-    # reduction's
-    sub, diag, sup, rhs, M = banded_system(np.random.default_rng(seed), n, d,
-                                           tridiagonal_blocks)
+    # 2^k + 1 through odd ones.  It builds its own work array, and neither
+    # it nor solve_block_tridiag writes its arguments.  These random blocks
+    # fit no one Hessian, and their couplings differ across coordinates, so
+    # at every d the solve is the reduction's; but one block (n = 1) fits
+    # itself and has no couplings, and from KRYLOV_MIN_DIM on GMRES solves it
+    sub, diag, off, sup, rhs, M = banded_system(np.random.default_rng(seed), n, d)
     dense = np.linalg.solve(M, rhs.ravel()).reshape(n, d)
-    work = diag.copy()
-    x = wed._block_reduction(sub, work, sup, rhs)
+    args = (sub, diag, off, sup, rhs)
+    kept = [a.copy() for a in args]
+    x = wed._block_reduction(*args)
     assert rel_err(x, dense) <= 1e-12
-    assert n == 1 or not np.array_equal(work, diag)
-    work = diag.copy()
-    y = solve_block_tridiag(sub, work, sup, rhs)
+    y = solve_block_tridiag(*args)
     assert rel_err(y, dense) <= 1e-12
-    assert np.array_equal(work, diag)
-    assert np.array_equal(y, x)
+    assert np.array_equal(y, x) or (n == 1 and d >= wed.KRYLOV_MIN_DIM)
+    assert all(np.array_equal(a, b) for a, b in zip(args, kept))
 
 
 def thomas_routes(monkeypatch):
@@ -462,29 +470,34 @@ def thomas_routes(monkeypatch):
     elimination, recorded as it runs."""
     routes, inverts = [], wed._thomas_inverts
 
-    def record(B):
-        routes.append(inverts(B))
+    def record(diag, off):
+        routes.append(inverts(diag, off))
         return routes[-1]
 
     monkeypatch.setattr(wed, "_thomas_inverts", record)
     return routes
 
 
-@pytest.mark.parametrize("blocks", ["dominant", "big_upper_entry", "big_lower_entry", "dense"])
+@pytest.mark.parametrize("blocks", ["dominant", "big_upper_entry", "big_lower_entry",
+                                    "small_diagonal_entry"])
 def test_level0_pivots_take_thomas_only_when_tridiagonal_and_dominant(monkeypatch, blocks):
-    # level 0 inverts its odd-row pivot blocks by Thomas elimination when all
-    # of them are tridiagonal and strictly row diagonally dominant; one row
-    # that is not, or a dense block, sends the whole stack to LAPACK
+    # level 0 inverts its odd-row pivot blocks by Thomas elimination on their
+    # bands when all of them are strictly row diagonally dominant; one row
+    # that is not sends the whole stack to LAPACK's LU on the blocks' dense
+    # form.  A big off-diagonal entry at the top or the bottom of one pivot
+    # block breaks two of its rows, a small diagonal entry one
     n, d = 65, 6
-    sub, diag, sup, rhs, _ = banded_system(np.random.default_rng(5), n, d,
-                                           tridiagonal_blocks=blocks != "dense")
+    sub, diag, off, sup, rhs, _ = banded_system(np.random.default_rng(5), n, d)
     if blocks == "big_upper_entry":
-        diag[1, 0, 1] = 8.0 * d
+        off[1, 0] = 8.0 * d
     if blocks == "big_lower_entry":
-        diag[1, d - 1, d - 2] = 8.0 * d
-    M = block_matrix(sub, diag, sup)
+        off[1, d - 2] = 8.0 * d
+    if blocks == "small_diagonal_entry":
+        diag[3, 2] = 0.5
+        assert abs(off[3, 1]) + abs(off[3, 2]) > 0.5
+    M = block_matrix(sub, diag, off, sup)
     routes = thomas_routes(monkeypatch)
-    x = solve_block_tridiag(sub, diag.copy(), sup, rhs)
+    x = solve_block_tridiag(sub, diag, off, sup, rhs)
     assert routes == [blocks == "dominant"]
     assert rel_err(x, np.linalg.solve(M, rhs.ravel()).reshape(n, d)) <= 1e-12
 
@@ -494,24 +507,22 @@ def test_singular_odd_pivot_block_takes_the_next_levenberg_shift():
     # singular and its shifted steps there are rhs / rho.  Level 0 of the
     # reduction inverts row 1's block and folds it into rows 0 and 2, then
     # level 1 meets row 2's pivot block, singular at rho = 0, and raises.
-    # The reduction has written its copy of diag by then; diag stays as it was
+    # The reduction writes only its own work array: the bands stay as they
+    # were
     d = 2
     sub = sup = np.array([[0.5, 0.5], [0.0, 0.5]])
-    diag = np.array([[[4.0, 1.0], [1.0, 4.0]], [[4.0, 1.0], [1.0, 4.0]], [[0.0, 0.0], [0.0, 4.0]]])
-    n, W = diag.shape[0], np.eye(d)
+    diag = np.array([[4.0, 4.0], [4.0, 4.0], [0.0, 4.0]])
+    off = np.array([[1.0], [1.0], [0.0]])
+    n = diag.shape[0]
     g = np.array([[-1.0, 0.0], [0.0, 0.0], [-1.0, 0.0]])
-    work = diag.copy()
-    with pytest.raises(np.linalg.LinAlgError):
-        wed._block_reduction(sub, work, sup, -g)
-    assert not np.array_equal(work, diag)  # written before it raised
-    work = diag.copy()
-    with pytest.raises(np.linalg.LinAlgError):
-        solve_block_tridiag(sub, work, sup, -g)
-    assert np.array_equal(work, diag)
     kept = diag.copy()
-    step = levenberg(lambda rho: solve_block_tridiag(sub, diag + rho * W, sup, -g), g, None)
+    with pytest.raises(np.linalg.LinAlgError):
+        wed._block_reduction(sub, diag, off, sup, -g)
+    with pytest.raises(np.linalg.LinAlgError):
+        solve_block_tridiag(sub, diag, off, sup, -g)
+    step = levenberg(lambda rho: solve_block_tridiag(sub, diag + rho, off, sup, -g), g, None)
     assert np.array_equal(diag, kept)
-    shifted = block_matrix(sub, diag + 1e-8 * W, sup)
+    shifted = block_matrix(sub, diag + 1e-8, off, sup)
     assert step is not None
     assert step[2, 0] == pytest.approx(1e8, rel=1e-12)
     assert rel_err(step, np.linalg.solve(shifted, -g.ravel()).reshape(n, d)) <= 1e-12
@@ -535,8 +546,8 @@ def test_tridiag_matches_solve_banded(n):
     # the reduction meets odd and even sizes on its way down.  Up to
     # DENSE_CUT = 32 unknowns the dense remainder solve is all there is;
     # 33, 64 and 65 take one reduction level before it
-    sub, diag, sup, rhs, _ = banded_system(np.random.default_rng(7 * n), n, 1)
-    bands = (sub[:, 0], diag[:, 0, 0], sup[:, 0], rhs[:, 0])
+    sub, diag, _, sup, rhs, _ = banded_system(np.random.default_rng(7 * n), n, 1)
+    bands = (sub[:, 0], diag[:, 0], sup[:, 0], rhs[:, 0])
     x = solve_tridiag(*bands)
     assert x.shape == (n,)
     assert rel_err(x, solve_banded_ref(*bands)) <= 1e-13
@@ -554,7 +565,7 @@ def test_tridiag_zero_odd_pivot_raises_above_the_cut_only(n):
     sub, sup, diag = np.ones(n - 1), np.ones(n - 1), np.full(n, 4.0)
     diag[1] = 0.0
     rhs = np.ones(n)
-    assert np.linalg.matrix_rank(block_matrix(sub[:, None], diag.reshape(-1, 1, 1),
+    assert np.linalg.matrix_rank(block_matrix(sub[:, None], diag[:, None], np.zeros((n, 0)),
                                               sup[:, None])) == n
     if n == 64:
         with pytest.raises(np.linalg.LinAlgError, match="zero pivot"):
@@ -587,8 +598,8 @@ def test_tridiag_singular_remainder_raises():
 @example(n=129, seed=0)
 def test_tridiag_matches_dense_solve(n, seed):
     # n = 2^k halves through even sizes only, 2^k + 1 through odd ones down to 3
-    sub, diag, sup, rhs, M = banded_system(np.random.default_rng(seed), n, 1)
-    x = solve_tridiag(sub[:, 0], diag[:, 0, 0], sup[:, 0], rhs[:, 0])
+    sub, diag, _, sup, rhs, M = banded_system(np.random.default_rng(seed), n, 1)
+    x = solve_tridiag(sub[:, 0], diag[:, 0], sup[:, 0], rhs[:, 0])
     assert rel_err(x, np.linalg.solve(M, rhs[:, 0])) <= 1e-13
 
 
@@ -603,9 +614,9 @@ def test_tridiag_on_the_double_well_newton_matrix_near_the_hilltop(monkeypatch, 
     # them to the solver
     systems, solve = [], wed.solve_block_tridiag
 
-    def record(sub, diag, sup, rhs):
-        systems.append((sub[:, 0].copy(), diag[:, 0, 0].copy(), sup[:, 0].copy(), rhs[:, 0].copy()))
-        return solve(sub, diag, sup, rhs)
+    def record(sub, diag, off, sup, rhs):
+        systems.append((sub[:, 0].copy(), diag[:, 0].copy(), sup[:, 0].copy(), rhs[:, 0].copy()))
+        return solve(sub, diag, off, sup, rhs)
 
     monkeypatch.setattr(wed, "solve_block_tridiag", record)
     minimize_wed(WedProblem(epsilon=0.05, T=1.25, N=4000, space=E1, energy=double_well(),
@@ -632,14 +643,14 @@ def test_double_well_solve_is_the_same_with_a_banded_lu(monkeypatch, solver):
     assert np.max(np.abs(ours.trajectory.points - ref.trajectory.points)) <= 1e-12
 
 
-def solve_block_banded_ref(sub, diag, sup, rhs):
+def solve_block_banded_ref(sub, diag, off, sup, rhs):
     """scipy's banded LU with partial pivoting (LAPACK gbsv) on the block
     system as a matrix of bandwidth (d, d), the reference."""
     la = pytest.importorskip("scipy.linalg")
     n, d = rhs.shape
     ab = np.zeros((2 * d + 1, n * d))
     a, b = np.meshgrid(np.arange(d), np.arange(d), indexing="ij")
-    ab[d + a - b, np.arange(n)[:, None, None] * d + b] = diag
+    ab[d + a - b, np.arange(n)[:, None, None] * d + b] = dense_blocks(diag, off)
     ab[2 * d, :(n - 1) * d] = sub.ravel()
     ab[0, d:] = sup.ravel()
     return la.solve_banded((d, d), ab, rhs.ravel()).reshape(n, d)
@@ -753,12 +764,13 @@ def test_euler_lagrange_solution_does_not_see_the_window_past_8_eps(name):
 
 
 def block_systems(monkeypatch):
-    """The block systems (sub, diag, sup, rhs), copied as the solver gets them."""
+    """The block systems (sub, diag, off, sup, rhs), copied as the solver gets
+    them."""
     systems, solve = [], wed.solve_block_tridiag
 
-    def record(sub, diag, sup, rhs):
-        systems.append(tuple(a.copy() for a in (sub, diag, sup, rhs)))
-        return solve(sub, diag, sup, rhs)
+    def record(*args):
+        systems.append(tuple(a.copy() for a in args))
+        return solve(*args)
 
     monkeypatch.setattr(wed, "solve_block_tridiag", record)
     return systems
@@ -782,7 +794,7 @@ def test_block_solve_is_the_same_without_the_thomas_route(monkeypatch, name, sol
         assert not systems and not routes and ours.iterations == 2
     else:
         assert len(systems) == ours.iterations - 2 and routes and all(routes)
-    monkeypatch.setattr(wed, "_thomas_inverts", lambda B: False)
+    monkeypatch.setattr(wed, "_thomas_inverts", lambda diag, off: False)
     ref = minimize_wed(pr)
     assert ours.iterations == ref.iterations
     assert np.max(np.abs(ours.trajectory.points - ref.trajectory.points)) <= 1e-12
@@ -824,26 +836,67 @@ def test_first_newton_step_is_the_banded_lu_step(monkeypatch, name, solver):
                                   else 1e-10)
 
 
+@pytest.mark.parametrize("solver", ["direct", "euler_lagrange"])
+def test_dense_quadratic_takes_every_newton_step_in_its_eigenbasis(monkeypatch, solver):
+    # a quadratic's Hessian is its A at every node, dense or not: each step
+    # of a d > 1 solve, at the constant start or anywhere else, is taken in
+    # A's eigenbasis, and no block system is ever made.  The first step
+    # solves the linear Newton system exactly, and the second iteration
+    # only tests convergence.  The three-coordinate quadratic of the CI
+    # smoke test
+    def no_block_solve(*args):
+        raise AssertionError("a block solve of a quadratic")
+
+    monkeypatch.setattr(wed, "solve_block_tridiag", no_block_solve)
+    E3 = SpaceSpec.euclidean(3)
+    A = np.array([[2.0, 0.5, 0.3], [0.5, 1.5, 0.4], [0.3, 0.4, 1.0]])
+    energy = quadratic(A, [0.2, -0.1, 0.3])
+    pr = WedProblem(epsilon=0.05, T=1.0, N=800, space=E3, energy=energy,
+                    x_bar=point([1.0, -0.5, 0.8], E3), solver=solver)
+    assert minimize_wed(pr).iterations == 2
+    V = np.random.default_rng(4).standard_normal((50, 3))
+    lam, Q = wed._shared_hessian(energy, V, E3.metric_weights)
+    assert np.array_equal(lam, np.linalg.eigh(A)[0]) and np.array_equal(Q, np.linalg.eigh(A)[1])
+
+
+@pytest.mark.parametrize("solver", ["direct", "euler_lagrange"])
+@pytest.mark.parametrize("name", ["quantile16", "double_well_4d", "dirichlet_double_well_reaction"])
+def test_block_newton_steps_make_no_dense_hessian_stack(monkeypatch, name, solver):
+    # d > 1 Newton steps read the Hessians as bands: the dense form is made
+    # for one node only, the shared Hessian of the first step's eigenbasis
+    rows, many = [], energies.hess_many
+
+    def record(spec, U):
+        rows.append(np.atleast_2d(U).shape[0])
+        return many(spec, U)
+
+    monkeypatch.setattr(wed, "hess_many", record)
+    monkeypatch.setattr(energies, "hess_many", record)
+    systems = block_systems(monkeypatch)
+    sol = minimize_wed(block_problem(name, solver))
+    assert rows == [1] and len(systems) == sol.iterations - 2
+
+
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(n=st.integers(1, 130), d=st.integers(2, 16), seed=st.integers(0, 2**32 - 1))
 @example(n=33, d=16, seed=0)
 @example(n=128, d=2, seed=1)
 def test_eigenbasis_solve_is_the_block_solve(n, d, seed):
-    # blocks a_k H + b_k I with one symmetric H, indefinite in general, and
-    # couplings that are multiples of the identity: the d scalar systems in
-    # H's eigenbasis give the block solve's x.  b_k outweighs a_k |H| and the
-    # couplings, so both eliminations are stable
+    # blocks a_k H + b_k I with one symmetric tridiagonal H, indefinite in
+    # general, and couplings that are multiples of the identity: the d
+    # scalar systems in H's eigenbasis give the block solve's x.  b_k
+    # outweighs a_k |H| and the couplings, so both eliminations are stable
     rng = np.random.default_rng(seed)
-    H = rng.standard_normal((d, d))
-    H += H.T
+    hd, ho = rng.standard_normal(d), rng.standard_normal(d - 1)
+    H = dense_blocks(hd[None], ho[None])[0]
     sub, sup = rng.uniform(-1.0, 1.0, n - 1), rng.uniform(-1.0, 1.0, n - 1)
     a = rng.uniform(0.1, 2.0, n)
     couplings = np.append(0.0, np.abs(sub)) + np.append(np.abs(sup), 0.0)
     b = a * np.max(np.abs(np.linalg.eigvalsh(H))) + couplings + rng.uniform(0.5, 2.0, n)
     rhs = rng.standard_normal((n, d))
-    blocks = a[:, None, None] * H + b[:, None, None] * np.eye(d)
-    ref = solve_block_tridiag(np.repeat(sub[:, None], d, axis=1), blocks,
-                              np.repeat(sup[:, None], d, axis=1), rhs)
+    wide = [np.repeat(c[:, None], d, axis=1) for c in (sub, sup)]
+    ref = solve_block_tridiag(wide[0], np.multiply.outer(a, hd) + b[:, None],
+                              np.multiply.outer(a, ho), wide[1], rhs)
     x = wed._eigenbasis_solve(sub, a, b, sup, rhs, np.linalg.eigh(H))
     assert x.shape == (n, d)
     assert rel_err(x, ref) <= 1e-12
@@ -854,11 +907,11 @@ def test_tridiag_columns_are_their_one_column_solves_bitwise(n):
     # one reduction solves the systems in rhs's columns, each bitwise as a
     # call with that system alone; bands of one column are shared
     rng = np.random.default_rng(3 * n)
-    sub, diag, sup, rhs, _ = banded_system(rng, n, 1)
-    bands = (sub[:, 0], diag[:, 0, 0], sup[:, 0], rhs[:, 0])
+    sub, diag, _, sup, rhs, _ = banded_system(rng, n, 1)
+    bands = (sub[:, 0], diag[:, 0], sup[:, 0], rhs[:, 0])
     x = solve_tridiag(*bands)
-    assert np.array_equal(solve_tridiag(sub, diag[:, :, 0], sup, rhs), x[:, None])
-    diags = diag[:, :, 0] + rng.uniform(0.0, 1.0, (n, 5))
+    assert np.array_equal(solve_tridiag(sub, diag, sup, rhs), x[:, None])
+    diags = diag + rng.uniform(0.0, 1.0, (n, 5))
     rhss = rng.standard_normal((n, 5))
     X = solve_tridiag(sub, diags, sup, rhss)
     for j in range(5):
@@ -915,17 +968,18 @@ def test_krylov_step_is_the_banded_lu_step(monkeypatch, d, solver):
     pr = block_problem("quantile16", solver) if d == 16 else quantile64_problem(solver, N=100)
     systems = block_systems(monkeypatch)
     minimize_wed(pr)
-    assert systems and all(s[3].shape[1] == d for s in systems)
-    for sub, diag, sup, rhs in systems:
-        x = krylov_solve(sub, diag, sup, rhs)
+    assert systems and all(s[4].shape[1] == d for s in systems)
+    for system in systems:
+        x = krylov_solve(*system)
         assert x is not None
-        assert rel_err(x, solve_block_banded_ref(sub, diag, sup, rhs)) <= 1e-10
+        assert rel_err(x, solve_block_banded_ref(*system)) <= 1e-10
 
 
-def krylov_solve(sub, diag, sup, rhs):
+def krylov_solve(sub, diag, off, sup, rhs):
     """GMRES's answer for the block system; None where the system does not
     fit, or GMRES misses its tolerance."""
-    solve = wed._krylov_solver(sub, diag, sup, np.einsum("kij,kij->k", diag, diag))
+    squares = np.einsum("ki,ki->k", diag, diag) + 2.0 * np.einsum("ki,ki->k", off, off)
+    solve = wed._krylov_solver(sub, diag, off, sup, squares)
     return None if solve is None else solve(rhs)
 
 
@@ -963,42 +1017,49 @@ def test_system_that_does_not_fit_takes_the_block_reduction_bitwise(monkeypatch)
     d, n, eps, dt = 16, 200, 0.05, 1.0 / 50
     rng = np.random.default_rng(1)
     energy = discrete_dirichlet(3.0, 1.0 / (d + 1), (0.0, 0.0, -0.5, 0.0, 0.25))
-    diag = energies.hess_many(energy, 3.0 * rng.standard_normal((n, d)))
-    np.einsum("nii->ni", diag)[...] += 2.0 * eps / dt**2
+    diag, off = energies.hess_bands(energy, 3.0 * rng.standard_normal((n, d)))
+    diag += 2.0 * eps / dt**2
     sub = np.full((n - 1, d), -eps / dt**2 - 0.5 / dt)
     sup = np.full((n - 1, d), -eps / dt**2 + 0.5 / dt)
     rhs = rng.standard_normal((n, d))
-    reduction = wed._block_reduction(sub, diag.copy(), sup, rhs)
+    system = (sub, diag, off, sup, rhs)
+    reduction = wed._block_reduction(*system)
     calls = preconditioner_applications(monkeypatch)
     assert d >= wed.KRYLOV_MIN_DIM
-    assert krylov_solve(sub, diag, sup, rhs) is None and not calls
-    assert np.array_equal(solve_block_tridiag(sub, diag, sup, rhs), reduction)
+    assert krylov_solve(*system) is None and not calls
+    assert np.array_equal(solve_block_tridiag(*system), reduction)
     assert not calls
     monkeypatch.setattr(wed, "KRYLOV_FIT", math.inf)
-    assert krylov_solve(sub, diag, sup, rhs) is None
+    assert krylov_solve(*system) is None
     assert len(calls) == wed.KRYLOV_BUDGET
     assert calls == ["factor"] + ["apply"] * (wed.KRYLOV_BUDGET - 1)
-    assert np.array_equal(solve_block_tridiag(sub, diag, sup, rhs), reduction)
+    assert np.array_equal(solve_block_tridiag(*system), reduction)
 
 
 def fitting_system(rng, n, d, spread):
-    """A block system (sub, diag, sup, rhs) whose blocks are a_k H + b_k I
-    plus a perturbation that the fit leaves out, `spread` of the blocks'
+    """A block system (sub, diag, off, sup, rhs) whose blocks are a_k H + b_k
+    I plus a perturbation that the fit leaves out, `spread` of the blocks'
     traceless parts, and whose couplings are the same for every coordinate,
-    as a Newton system has them."""
-    H = rng.standard_normal((d, d))
-    H += H.T
-    np.einsum("ii->i", H)[...] -= np.trace(H) / d
+    as a Newton system has them.  H and the perturbations are symmetric and
+    tridiagonal, given by their bands; in the Frobenius inner product an
+    off-diagonal band entry counts twice."""
+    hd, ho = rng.standard_normal(d), rng.standard_normal(d - 1)
+    hd -= hd.mean()
+    hh = hd @ hd + 2.0 * ho @ ho
     a = rng.uniform(0.5, 2.0, n)
-    E = rng.standard_normal((n, d, d))
-    np.einsum("kii->ki", E)[...] -= np.einsum("kii->k", E)[:, None] / d
-    E -= np.multiply.outer(np.einsum("kij,ij->k", E, H) / np.sum(H * H), H)
-    E *= spread * np.linalg.norm(a) * np.linalg.norm(H) / np.linalg.norm(E)
-    diag = (np.multiply.outer(a, H) + E
-            + np.multiply.outer(rng.uniform(1.0, 2.0, n) * np.sqrt(8.0 * d), np.eye(d)))
+    ed, eo = rng.standard_normal((n, d)), rng.standard_normal((n, d - 1))
+    ed -= ed.mean(axis=1, keepdims=True)
+    along = (ed @ hd + 2.0 * eo @ ho) / hh
+    ed -= np.multiply.outer(along, hd)
+    eo -= np.multiply.outer(along, ho)
+    scale = spread * np.linalg.norm(a) * math.sqrt(hh) / math.sqrt(
+        np.sum(ed * ed) + 2.0 * np.sum(eo * eo))
+    b = rng.uniform(1.0, 2.0, n) * np.sqrt(8.0 * d)
+    diag = np.multiply.outer(a, hd) + scale * ed + b[:, None]
+    off = np.multiply.outer(a, ho) + scale * eo
     sub = np.repeat(rng.standard_normal((n - 1, 1)), d, axis=1)
     sup = np.repeat(rng.standard_normal((n - 1, 1)), d, axis=1)
-    return sub, diag, sup, rng.standard_normal((n, d))
+    return sub, diag, off, sup, rng.standard_normal((n, d))
 
 
 @settings(max_examples=20, deadline=None, derandomize=True)
@@ -1008,11 +1069,11 @@ def test_block_solve_of_a_fitting_system_is_gmres_to_its_tolerance(n, d, spread,
     # the solve of a system that fits is GMRES's, its residual is below
     # KRYLOV_TOL |rhs|, and its 2-norm error against the dense solve is
     # below the bound that residual implies
-    sub, diag, sup, rhs = fitting_system(np.random.default_rng(seed), n, d, spread)
-    x = krylov_solve(sub, diag, sup, rhs)
+    sub, diag, off, sup, rhs = fitting_system(np.random.default_rng(seed), n, d, spread)
+    x = krylov_solve(sub, diag, off, sup, rhs)
     assert x is not None
-    assert np.array_equal(solve_block_tridiag(sub, diag, sup, rhs), x)
-    M = block_matrix(sub, diag, sup)
+    assert np.array_equal(solve_block_tridiag(sub, diag, off, sup, rhs), x)
+    M = block_matrix(sub, diag, off, sup)
     residual = np.linalg.norm(rhs.ravel() - M @ x.ravel()) / np.linalg.norm(rhs)
     assert residual <= wed.KRYLOV_TOL
     dense = np.linalg.solve(M, rhs.ravel())
@@ -1025,14 +1086,14 @@ def test_refinement_reuses_the_fit_and_the_factored_preconditioner(monkeypatch):
     # once and comes back as NaN.  Both GMRES runs precondition with the one
     # fit, eigendecomposition and factorization: the first application of
     # the first run factors, every other one applies the factors
-    sub, diag, sup, rhs = fitting_system(np.random.default_rng(2), 300, 16, 1e-3)
+    system = fitting_system(np.random.default_rng(2), 300, 16, 1e-3)
     fits, runs = [], []
     fit, gmres = wed._krylov_solver, wed._gmres
     monkeypatch.setattr(wed, "_krylov_solver", lambda *args: fits.append(1) or fit(*args))
     monkeypatch.setattr(wed, "_gmres", lambda *args: runs.append(1) or gmres(*args))
     calls = preconditioner_applications(monkeypatch)
     monkeypatch.setattr(wed, "RESIDUAL_GATE", 0.0)
-    assert np.isnan(solve_block_tridiag(sub, diag, sup, rhs)).all()
+    assert np.isnan(solve_block_tridiag(*system)).all()
     assert len(fits) == 1 and len(runs) == 2
     assert calls[0] == "factor" and calls.count("factor") == 1 and len(calls) > 2
 
@@ -1056,49 +1117,52 @@ def test_nearly_singular_pivot_block_trips_the_residual_gate():
     # backward error of 0.44, and 0.17 after its one refinement.  The solve
     # comes back as NaN, and the Levenberg ladder takes shifts until a step
     # passes the gate
-    rho, I = 1e-8, np.eye(2)
-    diag = np.array([0.5 * I, np.ones((2, 2)) + rho * I, 0.5 * I])
+    rho = 1e-8
+    diag = np.array([[0.5, 0.5], [1.0 + rho, 1.0 + rho], [0.5, 0.5]])
+    off = np.array([[0.0], [1.0], [0.0]])
     sub = sup = np.ones((2, 2))
     rhs = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, -1.0]])
-    M = block_matrix(sub, diag, sup)
+    M = block_matrix(sub, diag, off, sup)
     assert np.linalg.cond(M) < 10.0
-    x = wed._block_reduction(sub, diag.copy(), sup, rhs)
+    x = wed._block_reduction(sub, diag, off, sup, rhs)
     assert rel_err(x, np.linalg.solve(M, rhs.ravel()).reshape(3, 2)) > 0.1
-    assert np.isnan(solve_block_tridiag(sub, diag, sup, rhs)).all()
+    assert np.isnan(solve_block_tridiag(sub, diag, off, sup, rhs)).all()
     shifts = []
 
     def solve(s):
         shifts.append(s)
-        return solve_block_tridiag(sub, diag + s * I, sup, rhs)
+        return solve_block_tridiag(sub, diag + s, off, sup, rhs)
 
     step = levenberg(solve, -rhs, None)
     assert step is not None and shifts[0] == 0.0 and len(shifts) > 1
-    shifted = block_matrix(sub, diag + shifts[-1] * I, sup)
+    shifted = block_matrix(sub, diag + shifts[-1], off, sup)
     assert np.linalg.norm(shifted @ step.ravel() - rhs.ravel()) <= 1e-8 * np.linalg.norm(rhs)
 
 
 def test_ill_conditioned_system_solved_to_roundoff_passes_the_residual_gate():
     # blocks Q diag(1, 1e-10) Q' with no couplings: condition number 1e10.
     # The reduction solves it to roundoff, but its residual is roundoff of
-    # |A| |x|, 2.3e-7 of |rhs|; the gate reads the backward error, 6e-17,
+    # |A| |x|, 2.6e-7 of |rhs|; the gate reads the backward error, 7e-17,
     # and passes the solution as it is
     n, Q = 5, np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
-    diag = np.array([Q @ np.diag([1.0, 1e-10]) @ Q.T] * n)
+    B = Q @ np.diag([1.0, 1e-10]) @ Q.T
+    diag, off = np.tile(np.diagonal(B), (n, 1)), np.full((n, 1), B[0, 1])
     sub = sup = np.zeros((n - 1, 2))
     rhs = np.random.default_rng(0).standard_normal((n, 2))
-    M = block_matrix(sub, diag, sup)
+    M = block_matrix(sub, diag, off, sup)
     assert np.linalg.cond(M) > 1e9
-    x = wed._block_reduction(sub, diag.copy(), sup, rhs)
-    assert np.linalg.norm(rhs - wed._block_matvec(sub, diag, sup, x)) > 1e-8 * np.linalg.norm(rhs)
+    x = wed._block_reduction(sub, diag, off, sup, rhs)
+    residual = rhs - wed._block_matvec(sub, diag, off, sup, x)
+    assert np.linalg.norm(residual) > 1e-8 * np.linalg.norm(rhs)
     assert rel_err(x, np.linalg.solve(M, rhs.ravel()).reshape(n, 2)) <= 1e-12
-    assert np.array_equal(solve_block_tridiag(sub, diag, sup, rhs), x)
+    assert np.array_equal(solve_block_tridiag(sub, diag, off, sup, rhs), x)
 
 
 def test_euler_lagrange_stops_at_a_step_the_residual_gate_refuses(monkeypatch):
     # the Euler-Lagrange backend has no Levenberg ladder: a block solve that
     # comes back as NaN ends the solve, with the iterate it had reached
     monkeypatch.setattr(wed, "solve_block_tridiag",
-                        lambda sub, diag, sup, rhs: np.full_like(rhs, np.nan))
+                        lambda sub, diag, off, sup, rhs: np.full_like(rhs, np.nan))
     pr = block_problem("double_well_4d", "euler_lagrange")
     with pytest.raises(NonConvergenceError, match="residual gate") as info:
         minimize_wed(pr)
