@@ -18,13 +18,13 @@ Hessian is its A everywhere, so every one of its steps is taken so.  Every
 later step of the other kinds solves the block system, whose diagonal
 blocks, Hessians plus multiples of the identity, are symmetric tridiagonal
 and stay as their bands (``energies.hess_bands``) through the assembly,
-GMRES, the residual gate and the first level of the block reduction.  From
-``KRYLOV_MIN_DIM`` coordinates on, where the step's blocks fit one Hessian
-up to scale and shift, GMRES solves it, preconditioned with that eigenbasis
-solve fitted to the blocks and factored once per system; otherwise (or
-where GMRES misses its tolerance) block cyclic reduction does.  A residual
-gate refuses a d > 1 block solution whose backward error stays large after
-one refinement.
+the block products, the residual gate and the first level of the block
+reduction.  From ``KRYLOV_MIN_DIM`` coordinates on, where the step's blocks
+fit one Hessian up to scale and shift, iterative refinement on that
+eigenbasis solve, fitted to the blocks and factored once per system, solves
+it; otherwise (or where the refinement misses its tolerance) block cyclic
+reduction does.  A residual gate refuses a d > 1 block solution whose
+backward error stays large after one more refinement step.
 """
 
 from __future__ import annotations
@@ -146,24 +146,22 @@ def _weighted_cost(eps, grid, v, phis) -> float:
 # more in numpy call overhead than one dense LU solve of the whole remainder
 DENSE_CUT = 32
 
-# block systems with this many coordinates or more go to preconditioned GMRES
-# first, where their blocks fit one Hessian up to scale and shift: the fit
-# leaves out at most KRYLOV_FIT of the blocks' traceless parts, in the
-# Frobenius norm.  Whole solves, block reduction against GMRES: Gaussian
-# quantile starts leave out 3e-4 to 3e-3 and take 4-5 iterations, and GMRES
-# is 10-35 % faster at d = 12 on both backends, but within +-10 % on the
-# direct one at d = 9 and 10 and no faster at d = 8.  At d = 12 blocks that
-# leave out 0.008-0.011 still gain 3-6 % and 0.015-0.02 lose 7-10 %; p = 3
-# Dirichlet chains and non-Gaussian quantile starts leave out 0.04-0.4 and
-# run up to twice as long on GMRES
+# block systems with this many coordinates or more go first to iterative
+# refinement on the eigenbasis solve fitted to their blocks, where those fit
+# one Hessian up to scale and shift: the fit leaves out at most KRYLOV_FIT of
+# the blocks' traceless parts, in the Frobenius norm.  Gaussian quantile
+# starts leave out 3e-4 to 3e-3 and take 4-6 applications of the fitted
+# solve; p = 3 Dirichlet chains and non-Gaussian quantile starts leave out
+# 0.04-0.4 (README "Solvers" has the crossover)
 KRYLOV_MIN_DIM = 12
 KRYLOV_FIT = 0.01
-# GMRES stops at this relative residual, and gives up after KRYLOV_BUDGET
-# iterations for the block reduction
+# the refinement stops at this relative residual, and gives up for the block
+# reduction after KRYLOV_BUDGET applications of the fitted solve
 KRYLOV_TOL = 1e-10
 KRYLOV_BUDGET = 30
 # a d > 1 Newton step whose normwise backward error stays above this after
-# one refinement is refused, and the Levenberg ladder takes the next shift
+# one refinement step is refused, and the Levenberg ladder takes the next
+# shift
 RESIDUAL_GATE = 1e-8
 
 
@@ -188,10 +186,10 @@ def solve_tridiag(sub, diag, sup, rhs):
 
     A call keeps nothing between right-hand sides: it is one band pass of
     ``_reduce_tridiag``, which reduces the bands and ``rhs`` together.  Where
-    one system meets many right-hand sides (GMRES's preconditioner), that
-    pass keeps each level's odd pivots, multipliers and folded couplings and
-    the remainder's dense matrix, and every further right-hand side only
-    applies them.
+    one system meets many right-hand sides (the Krylov path's
+    preconditioner), that pass keeps each level's odd pivots, multipliers
+    and folded couplings and the remainder's dense matrix, and every further
+    right-hand side only applies them.
     """
     return _reduce_tridiag(sub, diag, sup, rhs, keep=False)[0]
 
@@ -339,23 +337,25 @@ def solve_block_tridiag(sub, diag, off, sup, rhs):
     x[k-1] + B[k] x[k] + sup[k] x[k+1] = rhs[k]``, B[k] the block with bands
     diag[k] and off[k].  At d = 1 this is ``solve_tridiag``.  From
     ``KRYLOV_MIN_DIM`` coordinates on, a system whose blocks fit one Hessian
-    goes to preconditioned GMRES (``_krylov_solver``), which solves it to
-    relative residual ``KRYLOV_TOL``; every other d > 1 system, and one that
-    GMRES cannot solve within its budget, goes to the block cyclic reduction
+    goes to iterative refinement on the eigenbasis solve fitted to them
+    (``_krylov_solver``), which solves it to relative residual
+    ``KRYLOV_TOL``; every other d > 1 system, and one that the refinement
+    cannot solve within its budget, goes to the block cyclic reduction
     (``_block_reduction``).  No argument is written.
 
     At d > 1 a residual gate checks the answer: the reduction does not pivot
     across blocks and loses accuracy on a nearly singular pivot block, and
-    GMRES stops at a tolerance.  The gate reads the normwise backward error
-    |rhs - A x| / (|A| |x| + |rhs|) (2-norms of the vectors; |A| the largest
-    Frobenius norm of a block row, between |A|_2 / sqrt(3) and sqrt(d) |A|_2),
-    which a backward-stable solve keeps near roundoff at any condition
-    number.  A solution whose backward error exceeds ``RESIDUAL_GATE`` is
-    refined once, and one still above it comes back as NaN, a step the
-    Levenberg ladder refuses.  The refinement's GMRES run reuses the first
-    one's fit and preconditioner, and each block's squared Frobenius norm,
-    summed once on the bands, serves both the fit and the gate.  An exactly
-    singular pivot raises LinAlgError; overflow gives non-finite entries.
+    the refinement stops at a tolerance.  The gate reads the normwise
+    backward error |rhs - A x| / (|A| |x| + |rhs|) (2-norms of the vectors;
+    |A| the largest Frobenius norm of a block row, between |A|_2 / sqrt(3)
+    and sqrt(d) |A|_2), which a backward-stable solve keeps near roundoff at
+    any condition number.  A solution whose backward error exceeds
+    ``RESIDUAL_GATE`` takes one step of ``_refine`` with this solve, and one
+    still above it comes back as NaN, a step the Levenberg ladder refuses.
+    That step's Krylov solve reuses the first one's fit and factored
+    preconditioner, and each block's squared Frobenius norm, summed once on
+    the bands, serves both the fit and the gate.  An exactly singular pivot
+    raises LinAlgError; overflow gives non-finite entries.
     """
     d = rhs.shape[1]
     if d == 1:
@@ -372,17 +372,10 @@ def solve_block_tridiag(sub, diag, off, sup, rhs):
     rows[1:] += np.einsum("ki,ki->k", sub, sub)
     rows[:-1] += np.einsum("ki,ki->k", sup, sup)
     norm_a, norm_rhs = math.sqrt(rows.max()), np.linalg.norm(rhs)
-
-    def passes(x):
-        norm_x = np.linalg.norm(x)
-        return norm_x < math.inf and (np.linalg.norm(rhs - _block_matvec(sub, diag, off, sup, x))
-                                      <= RESIDUAL_GATE * (norm_a * norm_x + norm_rhs))
-
-    x = solve(rhs)
-    if passes(x):
-        return x
-    x = x + solve(rhs - _block_matvec(sub, diag, off, sup, x))
-    return x if passes(x) else np.full_like(x, np.nan)
+    # the first solve and one refinement
+    x = _refine((sub, diag, off, sup), solve, rhs, 2,
+                lambda x: RESIDUAL_GATE * (norm_a * np.linalg.norm(x) + norm_rhs))
+    return np.full(rhs.shape, np.nan) if x is None else x
 
 
 def _block_matvec(sub, diag, off, sup, x):
@@ -399,29 +392,31 @@ def _block_matvec(sub, diag, off, sup, x):
 
 @np.errstate(over="ignore", invalid="ignore")
 def _krylov_solver(sub, diag, off, sup, squares):
-    """A GMRES solve of the block system for any right-hand side,
-    preconditioned by the system's fit in one eigenbasis; None where the
-    system does not fit.  The solve returns None where GMRES misses
-    ``KRYLOV_TOL`` within ``KRYLOV_BUDGET`` iterations.  ``squares`` holds
-    each block's squared Frobenius norm.
+    """A solve of the block system for any right-hand side, by iterative
+    refinement on its fit in one eigenbasis; None where the system does not
+    fit.  The solve returns None where the refinement misses ``KRYLOV_TOL``
+    within ``KRYLOV_BUDGET`` applications of the fitted solve, or its
+    residual stops being finite.  ``squares`` holds each block's squared
+    Frobenius norm.
 
     Each block B_k is fitted to a_k H + b_k I by least squares in the
     Frobenius norm, H the traceless part of the blocks' mean, tridiagonal
     and symmetric as they are: H and I are orthogonal, so b_k is the
     block's mean diagonal entry, a_k = <B_k, H>/<H, H>, and the fit leaves
     out |B_k|^2 - a_k^2 |H|^2 - d b_k^2 of the block's traceless part's
-    |B_k|^2 - d b_k^2.  All of these are sums over the bands, and only the
-    one d x d matrix H is made dense, for its ``eigh``.  The preconditioner is
-    the fitted system, solved in H's eigenbasis as ``_eigenbasis_solve``
-    solves it, O(n d) an application where the block reduction costs O(n
-    d^3).  The fit and H's eigendecomposition are made once per system, and
-    so are the scalar reduction's factors (``_reduce_tridiag``), at the
-    first application, which solves for its right-hand side in the same
-    pass; every later one, in the same GMRES run or in a refinement's, only
-    applies them, bitwise as a fresh eigenbasis solve.  Newton blocks that
-    stay close to one Hessian up to scale and shift take a few iterations; a
-    system whose fit leaves out more than ``KRYLOV_FIT`` of the traceless
-    parts (in the Frobenius norm), or whose couplings differ across
+    |B_k|^2 - d b_k^2, all sums over the bands; only H is made dense, for
+    its ``eigh``.  The fitted system M, solved in H's eigenbasis as
+    ``_eigenbasis_solve`` solves it (O(n d) where the block reduction costs
+    O(n d^3)), preconditions a Richardson iteration (``_refine``; Saad,
+    Iterative Methods for Sparse Linear Systems, 2nd ed., ch. 4): x = M^-1
+    rhs, then x += M^-1 (rhs - A x), each step multiplying the error by
+    I - M^-1 A, small where M leaves out little of A.  The fit, H's
+    eigendecomposition and the scalar reduction's factors
+    (``_reduce_tridiag``) are made once per system, the factors by the
+    first application in the pass that solves it; every later one, in the
+    same solve or the residual gate's, only applies them, bitwise as a fresh
+    eigenbasis solve.  A system whose fit leaves out more than
+    ``KRYLOV_FIT`` of the traceless parts, or whose couplings differ across
     coordinates (the metric weights of every space are uniform), is left to
     the reduction.
     """
@@ -446,68 +441,39 @@ def _krylov_solver(sub, diag, off, sup, squares):
 
     def precond(v):
         nonlocal apply
-        y = v.reshape(n, d) @ Q
         if apply is None:
-            y, apply = _reduce_tridiag(sub[:, :1], fitted, sup[:, :1], y, keep=True)
+            y, apply = _reduce_tridiag(sub[:, :1], fitted, sup[:, :1], v @ Q, keep=True)
         else:
-            y = apply(y)
-        return (y @ Q.T).ravel()
+            y = apply(v @ Q)
+        return y @ Q.T
 
-    @np.errstate(over="ignore", invalid="ignore")
     def solve(rhs):
+        tol = KRYLOV_TOL * np.linalg.norm(rhs)
         try:
-            x = _gmres(lambda v: _block_matvec(sub, diag, off, sup, v.reshape(n, d)).ravel(),
-                       precond, rhs.ravel())
+            return _refine((sub, diag, off, sup), precond, rhs, KRYLOV_BUDGET, lambda x: tol)
         except np.linalg.LinAlgError:
             return None
-        return None if x is None else x.reshape(n, d)
 
     return solve
 
 
-def _gmres(matvec, precond, rhs):
-    """Right-preconditioned GMRES from 0 (Saad and Schultz, SIAM J. Sci. Stat.
-    Comput. 7, 1986) on flat vectors: x = M^-1 V y, where the orthonormal
-    columns of V span the Krylov space of A M^-1 and rhs, and y leaves the
-    least residual.  Each new basis vector is orthogonalized by classical
-    Gram-Schmidt, twice (CGS2), and Givens rotations reduce each Hessenberg
-    column as it comes, so that |g[j + 1]| is the residual's norm after
-    iteration j.  Basis vectors are allocated as the iterations need them.
-    Returns None where that norm misses ``KRYLOV_TOL`` |rhs| after
-    ``KRYLOV_BUDGET`` iterations, or stops being finite.
-    """
-    beta = float(np.linalg.norm(rhs))
-    if beta == 0.0:
-        return np.zeros_like(rhs)
-    m = KRYLOV_BUDGET
-    V = [rhs / beta]
-    R = np.zeros((m, m))
-    cs, sn = np.zeros(m), np.zeros(m)
-    g = np.zeros(m + 1)
-    g[0] = beta
-    for j in range(m):
-        w = matvec(precond(V[j]))
-        h = np.zeros(j + 1)
-        for _ in range(2):
-            c = np.array([v @ w for v in V])
-            for ci, v in zip(c, V):
-                w -= ci * v
-            h += c
-        hn = float(np.linalg.norm(w))
-        for i in range(j):
-            h[i], h[i + 1] = cs[i] * h[i] + sn[i] * h[i + 1], cs[i] * h[i + 1] - sn[i] * h[i]
-        r = math.hypot(h[j], hn)
-        if not 0.0 < r < math.inf:
+@np.errstate(over="ignore", invalid="ignore")
+def _refine(system, solve, rhs, solves, bound):
+    """Iterative refinement of ``solve`` on the block system with bands
+    ``system``, (sub, diag, off, sup): x = solve(rhs), then x += solve(r)
+    with the residual r = rhs - A x, until |r| <= bound(x) (2-norms).
+    Returns x, or None where |r| stops being finite or ``solves`` calls of
+    ``solve``, the first included, leave it above the bound."""
+    x = solve(rhs)
+    for k in range(1, solves + 1):
+        r = rhs - _block_matvec(*system, x)
+        norm_r = np.linalg.norm(r)
+        if not norm_r < math.inf:
             return None
-        cs[j], sn[j] = h[j] / r, hn / r
-        h[j] = r
-        R[:j + 1, j] = h
-        g[j + 1] = -sn[j] * g[j]
-        g[j] *= cs[j]
-        if abs(g[j + 1]) <= KRYLOV_TOL * beta or hn == 0.0:
-            y = np.linalg.solve(R[:j + 1, :j + 1], g[:j + 1])
-            return precond(sum(yi * v for yi, v in zip(y, V)))
-        V.append(w / hn)
+        if norm_r <= bound(x):
+            return x
+        if k < solves:
+            x += solve(r)
     return None
 
 
@@ -644,9 +610,9 @@ def _eigenbasis_solve(sub, a, b, sup, rhs, eig):
     Numer. Math. 6, 1964), O(n d) plus one d x d eigendecomposition where
     the block reduction costs O(n d^3).  ``a`` and ``b`` are (n,) arrays or
     scalars, ``sub`` and ``sup`` (n - 1,) arrays, ``eig`` is (lam, Q).  A
-    call keeps nothing: the first Newton step solves its system once.
-    GMRES's preconditioner, which solves one such system for every
-    iteration, keeps the reduction's factors (``_krylov_solver``).
+    call keeps nothing: the first Newton step solves its system once.  The
+    Krylov path, which solves one such system for every refinement step,
+    keeps the reduction's factors (``_krylov_solver``).
     """
     lam, Q = eig
     diag = np.multiply.outer(a, lam) + np.expand_dims(b, -1)

@@ -452,7 +452,8 @@ def test_block_tridiag_matches_dense_solve_at_every_size(n, d, seed):
     # it nor solve_block_tridiag writes its arguments.  These random blocks
     # fit no one Hessian, and their couplings differ across coordinates, so
     # at every d the solve is the reduction's; but one block (n = 1) fits
-    # itself and has no couplings, and from KRYLOV_MIN_DIM on GMRES solves it
+    # itself and has no couplings, and from KRYLOV_MIN_DIM on the Krylov path
+    # solves it
     sub, diag, off, sup, rhs, M = banded_system(np.random.default_rng(seed), n, d)
     dense = np.linalg.solve(M, rhs.ravel()).reshape(n, d)
     args = (sub, diag, off, sup, rhs)
@@ -784,8 +785,8 @@ def test_block_solve_is_the_same_without_the_thomas_route(monkeypatch, name, sol
     # inverting it by LAPACK instead changes the Newton steps at roundoff only.
     # The concave reaction's Hessian is constant: the first step, taken in its
     # eigenbasis, is exact, and the solve makes no block solve at all.  The
-    # 16-quantile blocks would go to GMRES: the threshold is raised past them,
-    # so that the reduction solves them
+    # 16-quantile blocks would go to the Krylov path: the threshold is raised
+    # past them, so that the reduction solves them
     monkeypatch.setattr(wed, "KRYLOV_MIN_DIM", 17)
     pr = block_problem(name, solver)
     routes, systems = thomas_routes(monkeypatch), block_systems(monkeypatch)
@@ -960,7 +961,7 @@ def quantile64_problem(solver, N=1000):
 @pytest.mark.parametrize("d", [16, 64])
 def test_krylov_step_is_the_banded_lu_step(monkeypatch, d, solver):
     # every Newton system of a 16- and a 64-quantile solve after the first
-    # step: GMRES, preconditioned in the eigenbasis of the blocks' mean,
+    # step: the refinement on the eigenbasis solve fitted to the blocks
     # reaches its tolerance and matches LAPACK's pivoted banded LU within
     # 1e-10 relative (measured 1.2e-13 to 2.2e-11; the block reduction 3.1e-15
     # to 1.7e-13).  The 64-quantile solve runs at N = 100, where the banded
@@ -976,17 +977,18 @@ def test_krylov_step_is_the_banded_lu_step(monkeypatch, d, solver):
 
 
 def krylov_solve(sub, diag, off, sup, rhs):
-    """GMRES's answer for the block system; None where the system does not
-    fit, or GMRES misses its tolerance."""
+    """The Krylov path's answer for the block system; None where the system
+    does not fit, or the refinement misses its tolerance."""
     squares = np.einsum("ki,ki->k", diag, diag) + 2.0 * np.einsum("ki,ki->k", off, off)
     solve = wed._krylov_solver(sub, diag, off, sup, squares)
     return None if solve is None else solve(rhs)
 
 
 def preconditioner_applications(monkeypatch):
-    """How GMRES applied its preconditioner, recorded as it runs: "factor"
-    where a band pass factored it (and solved for its first right-hand
-    side), "apply" where a later application applied those factors."""
+    """How the refinement applied its preconditioner, recorded as it runs:
+    "factor" where a band pass factored it (and solved for its first
+    right-hand side), "apply" where a later application applied those
+    factors."""
     calls, reduce = [], wed._reduce_tridiag
 
     def factor(sub, diag, sup, rhs, keep):
@@ -1009,9 +1011,10 @@ def test_system_that_does_not_fit_takes_the_block_reduction_bitwise(monkeypatch)
     # Euler-Lagrange-like blocks at a coarse step, with the Hessians of a
     # p = 3 Dirichlet energy at scattered states: the blocks spread far from
     # any a_k H + b_k I, and the solve goes straight to the reduction, bit
-    # for bit, without a GMRES iteration.  With the fit check off, GMRES
-    # runs its whole budget, misses its tolerance and gives way to the
-    # reduction, with the same result
+    # for bit, without a preconditioner application.  With the fit check
+    # off, the refinement spends its whole budget of applications, the first
+    # one included, misses its tolerance and gives way to the reduction, with
+    # the same result
     from wedflow import discrete_dirichlet
 
     d, n, eps, dt = 16, 200, 0.05, 1.0 / 50
@@ -1064,11 +1067,13 @@ def fitting_system(rng, n, d, spread):
 
 @settings(max_examples=20, deadline=None, derandomize=True)
 @given(n=st.integers(2, 40), d=st.sampled_from([12, 16, 25]),
-       spread=st.sampled_from([0.0, 1e-3, 5e-3]), seed=st.integers(0, 2**32 - 1))
-def test_block_solve_of_a_fitting_system_is_gmres_to_its_tolerance(n, d, spread, seed):
-    # the solve of a system that fits is GMRES's, its residual is below
-    # KRYLOV_TOL |rhs|, and its 2-norm error against the dense solve is
-    # below the bound that residual implies
+       spread=st.sampled_from([0.0, 1e-3, 5e-3, wed.KRYLOV_FIT]),
+       seed=st.integers(0, 2**32 - 1))
+def test_block_solve_of_a_fitting_system_is_refined_to_its_tolerance(n, d, spread, seed):
+    # the solve of a system that fits is the refinement's, its residual is
+    # below KRYLOV_TOL |rhs|, and its 2-norm error against the dense solve is
+    # below the bound that residual implies.  At the fit's bound, KRYLOV_FIT,
+    # the refinement contracts slowest
     sub, diag, off, sup, rhs = fitting_system(np.random.default_rng(seed), n, d, spread)
     x = krylov_solve(sub, diag, off, sup, rhs)
     assert x is not None
@@ -1081,16 +1086,36 @@ def test_block_solve_of_a_fitting_system_is_gmres_to_its_tolerance(n, d, spread,
     assert error <= np.linalg.cond(M) * wed.KRYLOV_TOL
 
 
+@pytest.mark.parametrize("d", [12, 16, 25])
+def test_exactly_fitting_system_takes_one_preconditioner_application(monkeypatch, d):
+    # blocks that are exactly a_k H + b_k I: the fitted solve is the solve,
+    # so the first application, which factors, meets KRYLOV_TOL at once
+    calls = preconditioner_applications(monkeypatch)
+    for n in (2, 17, 40):
+        sub, diag, off, sup, rhs = fitting_system(np.random.default_rng(n), n, d, 0.0)
+        calls.clear()
+        x = krylov_solve(sub, diag, off, sup, rhs)
+        assert calls == ["factor"]
+        dense = np.linalg.solve(block_matrix(sub, diag, off, sup), rhs.ravel())
+        assert rel_err(x.ravel(), dense) <= 1e-12
+
+
 def test_refinement_reuses_the_fit_and_the_factored_preconditioner(monkeypatch):
     # with RESIDUAL_GATE at 0 no solution passes the gate: the solve refines
-    # once and comes back as NaN.  Both GMRES runs precondition with the one
-    # fit, eigendecomposition and factorization: the first application of
-    # the first run factors, every other one applies the factors
+    # once and comes back as NaN.  Both runs of the Krylov solve precondition
+    # with the one fit, eigendecomposition and factorization: the first
+    # application of the first run factors, every other one applies the
+    # factors
     system = fitting_system(np.random.default_rng(2), 300, 16, 1e-3)
     fits, runs = [], []
-    fit, gmres = wed._krylov_solver, wed._gmres
-    monkeypatch.setattr(wed, "_krylov_solver", lambda *args: fits.append(1) or fit(*args))
-    monkeypatch.setattr(wed, "_gmres", lambda *args: runs.append(1) or gmres(*args))
+    fit = wed._krylov_solver
+
+    def counted_fit(*args):
+        fits.append(1)
+        solve = fit(*args)
+        return lambda r: runs.append(1) or solve(r)
+
+    monkeypatch.setattr(wed, "_krylov_solver", counted_fit)
     calls = preconditioner_applications(monkeypatch)
     monkeypatch.setattr(wed, "RESIDUAL_GATE", 0.0)
     assert np.isnan(solve_block_tridiag(*system)).all()
