@@ -394,9 +394,9 @@ def prox(spec: EnergySpec, space: SpaceSpec, coords: np.ndarray, t):
         # quadratics have no growth beyond their curvature: the inner problem
         # is unbounded below once 1/t + lambda_min <= 0
         raise InvalidInputError("inner problem not coercive: need t < 1/|lambda|")
-    w = space.metric_weights
+    w = space.metric_weight
     tc = t[:, None]
-    S = (w / tc)[:, :, None] * np.eye(d)  # the proximal curvature diag(w)/t_r
+    S = (w / t)[:, None, None] * np.eye(d)  # the proximal curvature w I / t_r
 
     def objective(Y):
         D = Y - X

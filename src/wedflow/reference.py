@@ -72,18 +72,16 @@ def exact_flows(energy: EnergySpec, x_bar: Point, ts) -> np.ndarray:
     row per time, where ``has_exact_flow`` holds (``NotAvailableError``
     elsewhere).
 
-    quadratic                  u(t) = x* + W^{-1/2} e^{-Mt} W^{1/2}(x_bar - x*),
-                               A x* = b, M = W^{-1/2} A W^{-1/2}
+    quadratic                  u(t) = x* + e^{-t A/w} (x_bar - x*), A x* = b
     quantile_entropy_potential Gaussian-family solution in quantile
                                coordinates (confined drift-diffusion); the
                                initial datum is matched by its mean and its
                                projection on the standard normal profile
-    double_well                u_i(t) = x_i / sqrt(x_i^2 + (1 - x_i^2) e^{-2t/w_i})
-    convex_quartic             u_i(t) = x_i / sqrt(1 + 2 x_i^2 t / w_i)
+    double_well                u_i(t) = x_i / sqrt(x_i^2 + (1 - x_i^2) e^{-2t/w})
+    convex_quartic             u_i(t) = x_i / sqrt(1 + 2 x_i^2 t / w)
 
-    W = diag(w_i) holds the space's metric weights: every flow but the
-    quantile one solves w_i u_i' = -dphi/du_i, the gradient flow of the
-    space's weighted l^2 metric.
+    w is the space's metric weight: every flow but the quantile one solves
+    w u' = -grad phi, the gradient flow of the space's weighted l^2 metric.
     """
     ts = np.asarray(ts, dtype=float)
     if np.any(ts < 0.0):
@@ -108,12 +106,12 @@ def exact_flows(energy: EnergySpec, x_bar: Point, ts) -> np.ndarray:
         mt = m_inf + (m0 - m_inf) * decay
         var = 1.0 / v2 + (s0 * s0 - 1.0 / v2) * decay2
         return mt[:, None] + np.sqrt(var)[:, None] * z
-    x, w = x_bar.coords, x_bar.space.metric_weights
+    x, w = x_bar.coords, x_bar.space.metric_weight
     x2 = x * x
     if energy.kind == CONVEX_QUARTIC:
         return x / np.sqrt(1.0 + 2.0 * x2 * ts[:, None] / w)
     # the double well; the hilltop x_i = 0 stays at 0, with no 0/0 once
-    # e^{-2t/w_i} underflows
+    # e^{-2t/w} underflows
     den = x2 + (1.0 - x2) * _libm_exp(-2.0 * ts[:, None] / w)
     return x / np.sqrt(np.where(x == 0.0, 1.0, den))
 
@@ -125,10 +123,10 @@ def _libm_exp(a: np.ndarray) -> np.ndarray:
 
 
 def _quadratic_modes(energy: EnergySpec, space: SpaceSpec):
-    """Eigenpairs of W^{-1/2} A W^{-1/2}, W the metric weights, and the root
-    weights r = W^{1/2}: v = r (u - x*) then solves v' = -W^{-1/2} A W^{-1/2} v."""
-    r = np.sqrt(space.metric_weights)
-    vals, vecs = np.linalg.eigh(energy.params["A"] / np.outer(r, r))
+    """Eigenpairs of A / w, w the metric weight, and the root weight r =
+    sqrt(w): v = r (u - x*) then solves v' = -(A / w) v."""
+    r = math.sqrt(space.metric_weight)
+    vals, vecs = np.linalg.eigh(energy.params["A"] / (r * r))
     return vals, vecs, r
 
 

@@ -4,7 +4,7 @@ Two space kinds are supported: Euclidean R^n, and the set of one-dimensional
 probability measures represented by m quantile values sampled at the
 midpoints s_j = (j - 1/2)/m.  In quantile coordinates the 2-Wasserstein
 distance is the L^2([0,1]) distance of quantile functions, so every space is
-R^n with a diagonal weighted l^2 norm, given by ``SpaceSpec.metric_weights``,
+R^n with the l^2 norm weighted by one number, ``SpaceSpec.metric_weight``,
 and has straight-line constant-speed geodesics.
 """
 
@@ -50,17 +50,15 @@ class SpaceSpec:
     # -- geometry ----------------------------------------------------------
 
     @property
-    def metric_weights(self) -> np.ndarray:
-        """Diagonal w of the metric tensor in coordinates: the norm of a
-        displacement v is sqrt(sum w v^2), and solvers take ``w`` as their
-        kinetic quadratic form.
+    def metric_weight(self) -> float:
+        """The one weight w of the metric tensor in coordinates: the norm of
+        a displacement v is sqrt(w sum v^2), and solvers take ``w`` times
+        the identity as their kinetic quadratic form.
 
-        Uniform weights 1/m for quantile vectors make the coordinate l^2
-        norm coincide with the L^2([0,1]) (= W_2) distance.
+        The weight 1/m for quantile vectors makes the coordinate l^2 norm
+        coincide with the L^2([0,1]) (= W_2) distance.
         """
-        if self.kind == QUANTILE1D:
-            return np.full(self.dim, 1.0 / self.dim)
-        return np.ones(self.dim)
+        return 1.0 / self.dim if self.kind == QUANTILE1D else 1.0
 
     @property
     def quantile_nodes(self) -> np.ndarray:

@@ -445,7 +445,7 @@ def finsler_distance(f, u0: Point, u1: Point) -> tuple:
     f2 = lambda P: np.float_power(row_values(f, P), 2)
     K = 64
     space = u0.space
-    w = space.metric_weights
+    w = space.metric_weight
     theta = np.linspace(0.0, 1.0, K + 1)[:, None] * (u1.coords - u0.coords) + u0.coords
     i = np.arange(1, K)
     lap_inv = np.minimum.outer(i, i) * (K - np.maximum.outer(i, i)) / K  # of tridiag(-1, 2, -1)

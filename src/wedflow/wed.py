@@ -19,12 +19,14 @@ later step of the other kinds solves the block system, whose diagonal
 blocks, Hessians plus multiples of the identity, are symmetric tridiagonal
 and stay as their bands (``energies.hess_bands``) through the assembly,
 the block products, the residual gate and the first level of the block
-reduction.  From ``KRYLOV_MIN_DIM`` coordinates on, where the step's blocks
-fit one Hessian up to scale and shift, iterative refinement on that
-eigenbasis solve, fitted to the blocks and factored once per system, solves
-it; otherwise (or where the refinement misses its tolerance) block cyclic
-reduction does.  A residual gate refuses a d > 1 block solution whose
-backward error stays large after one more refinement step.
+reduction; every coupling is a scalar per node times the identity, since
+every space's metric is one weight times the coordinate l^2 norm.  Where
+the step's blocks fit one Hessian up to scale and shift, iterative
+refinement on that eigenbasis solve, fitted to the blocks and factored once
+per system, solves it; otherwise (or where the refinement misses its
+tolerance) block cyclic reduction does.  A residual gate refuses a
+reduction's answer whose backward error stays large after one more
+refinement step.
 """
 
 from __future__ import annotations
@@ -146,22 +148,20 @@ def _weighted_cost(eps, grid, v, phis) -> float:
 # more in numpy call overhead than one dense LU solve of the whole remainder
 DENSE_CUT = 32
 
-# block systems with this many coordinates or more go first to iterative
-# refinement on the eigenbasis solve fitted to their blocks, where those fit
-# one Hessian up to scale and shift: the fit leaves out at most KRYLOV_FIT of
-# the blocks' traceless parts, in the Frobenius norm.  Gaussian quantile
-# starts leave out 3e-4 to 3e-3 and take 4-6 applications of the fitted
-# solve; p = 3 Dirichlet chains and non-Gaussian quantile starts leave out
-# 0.04-0.4 (README "Solvers" has the crossover)
-KRYLOV_MIN_DIM = 12
+# block systems go first to iterative refinement on the eigenbasis solve
+# fitted to their blocks, where those fit one Hessian up to scale and shift:
+# the fit leaves out at most KRYLOV_FIT of the blocks' traceless parts, in
+# the Frobenius norm.  Gaussian quantile starts leave out 3e-4 to 3e-3 and
+# take 4-6 applications of the fitted solve; p = 3 Dirichlet chains and
+# non-Gaussian quantile starts leave out 0.04-0.4 (README "Solvers")
 KRYLOV_FIT = 0.01
 # the refinement stops at this relative residual, and gives up for the block
 # reduction after KRYLOV_BUDGET applications of the fitted solve
 KRYLOV_TOL = 1e-10
 KRYLOV_BUDGET = 30
-# a d > 1 Newton step whose normwise backward error stays above this after
-# one refinement step is refused, and the Levenberg ladder takes the next
-# shift
+# a block reduction's answer whose normwise backward error stays above this
+# after one refinement step is refused, and the Levenberg ladder takes the
+# next shift
 RESIDUAL_GATE = 1e-8
 
 
@@ -327,54 +327,52 @@ def _thomas_inverse(diag, off, out):
 @np.errstate(over="ignore", invalid="ignore")
 def solve_block_tridiag(sub, diag, off, sup, rhs):
     """Solve a block-tridiagonal system with symmetric tridiagonal diagonal
-    blocks.
+    blocks and scalar couplings.
 
     The diagonal blocks are given by their bands, ``diag`` (n, d) and
     ``off`` (n, d - 1), off[k, i] both the (i, i + 1) and the (i + 1, i)
     entry of block k, as ``energies.hess_bands`` gives them; the
-    off-diagonal blocks are diagonal and given by their diagonals, ``sub``
-    and ``sup`` (n - 1, d); ``rhs`` is (n, d).  Row k reads ``sub[k-1]
-    x[k-1] + B[k] x[k] + sup[k] x[k+1] = rhs[k]``, B[k] the block with bands
-    diag[k] and off[k].  At d = 1 this is ``solve_tridiag``.  From
-    ``KRYLOV_MIN_DIM`` coordinates on, a system whose blocks fit one Hessian
+    off-diagonal blocks are multiples of the identity, given by their
+    factors ``sub`` and ``sup`` (n - 1,); ``rhs`` is (n, d).  Row k reads
+    ``sub[k-1] x[k-1] + B[k] x[k] + sup[k] x[k+1] = rhs[k]``, B[k] the block
+    with bands diag[k] and off[k].  At d = 1 this is ``solve_tridiag``.  At
+    d > 1 the fit alone routes the system: one whose blocks fit one Hessian
     goes to iterative refinement on the eigenbasis solve fitted to them
-    (``_krylov_solver``), which solves it to relative residual
-    ``KRYLOV_TOL``; every other d > 1 system, and one that the refinement
+    (``_krylov_solver``), whose answer, at relative residual ``KRYLOV_TOL``,
+    comes back as it is; every other system, and one that the refinement
     cannot solve within its budget, goes to the block cyclic reduction
     (``_block_reduction``).  No argument is written.
 
-    At d > 1 a residual gate checks the answer: the reduction does not pivot
-    across blocks and loses accuracy on a nearly singular pivot block, and
-    the refinement stops at a tolerance.  The gate reads the normwise
-    backward error |rhs - A x| / (|A| |x| + |rhs|) (2-norms of the vectors;
-    |A| the largest Frobenius norm of a block row, between |A|_2 / sqrt(3)
-    and sqrt(d) |A|_2), which a backward-stable solve keeps near roundoff at
-    any condition number.  A solution whose backward error exceeds
-    ``RESIDUAL_GATE`` takes one step of ``_refine`` with this solve, and one
-    still above it comes back as NaN, a step the Levenberg ladder refuses.
-    That step's Krylov solve reuses the first one's fit and factored
-    preconditioner, and each block's squared Frobenius norm, summed once on
-    the bands, serves both the fit and the gate.  An exactly singular pivot
-    raises LinAlgError; overflow gives non-finite entries.
+    A residual gate checks the reduction's answer: the reduction does not
+    pivot across blocks and loses accuracy on a nearly singular pivot block.
+    The gate reads the normwise backward error |rhs - A x| / (|A| |x| +
+    |rhs|) (2-norms of the vectors; |A| the largest Frobenius norm of a
+    block row, between |A|_2 / sqrt(3) and sqrt(d) |A|_2), which a
+    backward-stable solve keeps near roundoff at any condition number.  A
+    solution whose backward error exceeds ``RESIDUAL_GATE`` takes one step
+    of ``_refine`` with the reduction, and one still above it comes back as
+    NaN, a step the Levenberg ladder refuses.  The refinement's answer needs
+    no gate: its stop test, ``KRYLOV_TOL`` |rhs|, lies inside the gate's
+    bound.  Each block's squared Frobenius norm, summed once on the bands,
+    serves both the fit and the gate.  An exactly singular pivot raises
+    LinAlgError; overflow gives non-finite entries.
     """
     d = rhs.shape[1]
     if d == 1:
-        return solve_tridiag(sub[:, 0], diag[:, 0], sup[:, 0], rhs[:, 0])[:, None]
+        return solve_tridiag(sub, diag[:, 0], sup, rhs[:, 0])[:, None]
     squares = np.einsum("ki,ki->k", diag, diag)
     squares += 2.0 * np.einsum("ki,ki->k", off, off)
-    krylov = _krylov_solver(sub, diag, off, sup, squares) if d >= KRYLOV_MIN_DIM else None
-
-    def solve(r):
-        x = None if krylov is None else krylov(r)
-        return _block_reduction(sub, diag, off, sup, r) if x is None else x
-
+    krylov = _krylov_solver(sub, diag, off, sup, squares)
+    x = None if krylov is None else krylov(rhs)
+    if x is not None:
+        return x
     rows = squares.copy()
-    rows[1:] += np.einsum("ki,ki->k", sub, sub)
-    rows[:-1] += np.einsum("ki,ki->k", sup, sup)
+    rows[1:] += d * (sub * sub)
+    rows[:-1] += d * (sup * sup)
     norm_a, norm_rhs = math.sqrt(rows.max()), np.linalg.norm(rhs)
-    # the first solve and one refinement
-    x = _refine((sub, diag, off, sup), solve, rhs, 2,
-                lambda x: RESIDUAL_GATE * (norm_a * np.linalg.norm(x) + norm_rhs))
+    # the reduction's answer and one refinement
+    x = _refine((sub, diag, off, sup), lambda r: _block_reduction(sub, diag, off, sup, r), rhs,
+                2, lambda x: RESIDUAL_GATE * (norm_a * np.linalg.norm(x) + norm_rhs))
     return np.full(rhs.shape, np.nan) if x is None else x
 
 
@@ -385,8 +383,8 @@ def _block_matvec(sub, diag, off, sup, x):
     y = diag * x
     y[:, 1:] += off * x[:, :-1]
     y[:, :-1] += off * x[:, 1:]
-    y[1:] += sub * x[:-1]
-    y[:-1] += sup * x[1:]
+    y[1:] += sub[:, None] * x[:-1]
+    y[:-1] += sup[:, None] * x[1:]
     return y
 
 
@@ -413,16 +411,11 @@ def _krylov_solver(sub, diag, off, sup, squares):
     I - M^-1 A, small where M leaves out little of A.  The fit, H's
     eigendecomposition and the scalar reduction's factors
     (``_reduce_tridiag``) are made once per system, the factors by the
-    first application in the pass that solves it; every later one, in the
-    same solve or the residual gate's, only applies them, bitwise as a fresh
-    eigenbasis solve.  A system whose fit leaves out more than
-    ``KRYLOV_FIT`` of the traceless parts, or whose couplings differ across
-    coordinates (the metric weights of every space are uniform), is left to
-    the reduction.
+    first application; every later one only applies them, bitwise as a
+    fresh eigenbasis solve.  A system whose fit leaves out more than
+    ``KRYLOV_FIT`` of the traceless parts is left to the reduction.
     """
     n, d = diag.shape
-    if not ((sub == sub[:, :1]).all() and (sup == sup[:, :1]).all()):
-        return None
     hd, ho = diag.mean(axis=0), off.mean(axis=0)  # H's bands
     hd -= hd.sum() / d
     hh = float(hd @ hd) + 2.0 * float(ho @ ho)
@@ -442,7 +435,7 @@ def _krylov_solver(sub, diag, off, sup, squares):
     def precond(v):
         nonlocal apply
         if apply is None:
-            y, apply = _reduce_tridiag(sub[:, :1], fitted, sup[:, :1], v @ Q, keep=True)
+            y, apply = _reduce_tridiag(sub[:, None], fitted, sup[:, None], v @ Q, keep=True)
         else:
             y = apply(v @ Q)
         return y @ Q.T
@@ -525,13 +518,13 @@ def _block_reduction(sub, diag, off, sup, rhs):
             Bi[...] = np.linalg.inv(Bi)
         X[1::2] = _matvec(Bi, X[1::2])
         if A is None:
-            # A_k = sub[k-1] and C_k = sup[k] are diagonal: ak, cj pair the
-            # even row k = 2i + 2 with the odd row on its left, ck, aj the
-            # even row k = 2i with the odd row on its right.  Running level 0
+            # A_k = sub[k-1] I and C_k = sup[k] I: ak, cj pair the even row
+            # k = 2i + 2 with the odd row on its left, ck, aj the even row
+            # k = 2i with the odd row on its right.  Running level 0
             # through the dense branch below, on couplings built as diagonal
             # d x d blocks, raised solve-blocks' peak RSS from 51.8 to 57.2
             # MiB and its round from 0.182 to 0.204 s (medians of 10 pairs)
-            ak, aj, ck, cj = sub[1::2], sub[::2], sup[::2], sup[1::2]
+            ak, aj, ck, cj = sub[1::2, None], sub[::2, None], sup[::2, None], sup[1::2, None]
             X[2::2] -= ak * X[1::2][:L]
             X[:2 * mo:2] -= ck * X[1::2]
             A = np.empty((m - mo, d, d))
@@ -574,8 +567,8 @@ def _block_reduction(sub, diag, off, sup, rhs):
         mo = D.shape[0] // 2
         L = D.shape[0] - mo - 1
         if A is None:
-            t = sub[::2] * X[:2 * mo:2]
-            t[:L] += sup[1::2] * X[2::2]
+            t = sub[::2, None] * X[:2 * mo:2]
+            t[:L] += sup[1::2, None] * X[2::2]
             X[1::2] -= _matvec(D[1::2], t)
         else:
             X[1::2] -= _matvec(A[1::2], X[:2 * mo:2])
@@ -583,14 +576,13 @@ def _block_reduction(sub, diag, off, sup, rhs):
     return x
 
 
-def _shared_hessian(energy, V, omega):
+def _shared_hessian(energy, V):
     """The eigendecomposition (lam, Q) of the one Hessian of phi at the free
-    nodes V, where d > 1, the metric weights are uniform and every node has
-    that Hessian: a quadratic's A at any V, and any other kind's where the
-    nodes coincide (as at the constant start); None otherwise, and the
-    Newton step takes the block solve.  Both are exactly symmetric: A is
+    nodes V, where d > 1 and every node has that Hessian: a quadratic's A at
+    any V, and any other kind's where the nodes coincide (as at the constant
+    start); None otherwise, and the Newton step takes the block solve.  Both are exactly symmetric: A is
     stored so, and the other kinds' Hessians are their bands."""
-    if V.shape[1] == 1 or not (omega == omega[0]).all():
+    if V.shape[1] == 1:
         return None
     if energy.kind == QUADRATIC:
         return np.linalg.eigh(energy.params["A"])
@@ -628,7 +620,7 @@ def minimize_wed(problem: WedProblem) -> WedSolution:
     grid = problem.grid()
     w = Weights.for_grid(grid, problem.epsilon)
     eps, m, tail, dt = problem.epsilon, w.masses, w.tail, grid.dt
-    omega = problem.space.metric_weights
+    omega = problem.space.metric_weight
     N = grid.n_cells
     c = eps * m / dt**2  # kinetic coupling per cell
     pw = np.concatenate([m[:-1] + m[1:], [m[-1] + tail]])
@@ -639,10 +631,10 @@ def minimize_wed(problem: WedProblem) -> WedSolution:
     # to the cells on both sides of a node (the last node has one), with row k
     # scaled by its preconditioner weight pw[k] to tame the mass decay
     opw = omega * pw[:, None]  # the stopping norms' scale
-    kin = np.append(c[:-1] + c[1:], c[-1])[:, None] * omega
-    sub = -c[1:, None] * omega
-    sup = sub / pw[:-1, None]
-    sub /= pw[1:, None]
+    kin = np.append(c[:-1] + c[1:], c[-1]) * omega
+    sub = -c[1:] * omega
+    sup = sub / pw[:-1]
+    sub /= pw[1:]
 
     def evaluate(V):
         U = full(V)
@@ -669,18 +661,16 @@ def minimize_wed(problem: WedProblem) -> WedSolution:
     def direction(V, g):
         # row-scaled Newton step with a deterministic Levenberg ladder
         rhs = -g / pw[:, None]
-        eig = _shared_hessian(problem.energy, V, omega)
+        eig = _shared_hessian(problem.energy, V)
         if eig is not None:
-            # the blocks are (nodew H + kin)/pw + rho diag(omega), with kin
-            # and omega multiples of the identity
-            a, b = nodew / pw, kin[:, 0] / pw
-            solve = lambda rho: _eigenbasis_solve(sub[:, 0], a, b + rho * omega[0], sup[:, 0],
-                                                  rhs, eig)
+            # the blocks are (nodew H + kin I)/pw + rho omega I
+            a, b = nodew / pw, kin / pw
+            solve = lambda rho: _eigenbasis_solve(sub, a, b + rho * omega, sup, rhs, eig)
         else:
-            # the blocks' bands: (nodew H + kin)/pw, shifted by rho omega
+            # the blocks' bands: (nodew H + kin I)/pw, shifted by rho omega
             diag, off = hess_bands(problem.energy, V)
             diag *= nodew[:, None]
-            diag += kin
+            diag += kin[:, None]
             diag /= pw[:, None]
             off *= nodew[:, None]
             off /= pw[:, None]
@@ -740,11 +730,11 @@ def solve_euler_lagrange(problem: WedProblem) -> WedSolution:
     # of the artificial end condition decays no slower than e^{-(T_ext-t)/eps})
     t_ext = problem.T + 8.0 * eps
     n_c = int(math.ceil(t_ext / dt - 1e-12))
-    omega = problem.space.metric_weights
+    omega = problem.space.metric_weight
     d = problem.space.dim
     full = lambda V: np.concatenate([problem.x_bar.coords[None, :], V])  # U[0] = x_bar is pinned
-    lo = np.full((n_c - 1, d), -eps / dt**2 - 1.0 / (2.0 * dt))
-    up = np.full((n_c - 1, d), -eps / dt**2 + 1.0 / (2.0 * dt))
+    lo = np.full(n_c - 1, -eps / dt**2 - 1.0 / (2.0 * dt))
+    up = np.full(n_c - 1, -eps / dt**2 + 1.0 / (2.0 * dt))
     lo[-1] = -2.0 * eps / dt**2
 
     sup_norm = lambda F: float(np.max(np.abs(F)))
@@ -761,18 +751,16 @@ def solve_euler_lagrange(problem: WedProblem) -> WedSolution:
         return sup_norm(F), F
 
     def direction(V, F):
-        eig = _shared_hessian(problem.energy, V, omega)
+        eig = _shared_hessian(problem.energy, V)
         try:
             if eig is not None:
-                step = _eigenbasis_solve(lo[:, 0], 1.0 / omega[0], 2.0 * eps / dt**2, up[:, 0],
-                                         -F, eig)
+                step = _eigenbasis_solve(lo, 1.0 / omega, 2.0 * eps / dt**2, up, -F, eig)
             else:
-                # the Hessian's rows over their metric weights, which are
-                # uniform, so the blocks stay symmetric
+                # the Hessian over the metric weight: the blocks stay symmetric
                 di, off = hess_bands(problem.energy, V)
                 di /= omega
                 di += 2.0 * eps / dt**2
-                off /= omega[1:]
+                off /= omega
                 step = solve_block_tridiag(lo, di, off, up, -F)
         except np.linalg.LinAlgError as exc:
             raise NonConvergenceError(f"singular Jacobian: {exc}", best=full(V))

@@ -13,7 +13,7 @@ from wedflow.energies import (
     PARAMS, QUADRATIC, analytic_slope, analytic_slopes, eval_many, grad_many, hess_bands, hess_many,
     prox, reference_point,
 )
-from wedflow.spaces import EUCLIDEAN, QUANTILE1D, probe_directions
+from wedflow.spaces import EUCLIDEAN, QUANTILE1D, probe_directions, row_distances
 
 E1 = SpaceSpec.euclidean(1)
 
@@ -373,7 +373,7 @@ def loop_lambda_representation(spec, x):
             coords = x.coords + r * e
             if space.kind == "quantile1d" and not np.all(np.diff(coords) > 0.0):
                 continue
-            dv = float(np.sqrt(np.sum(space.metric_weights * (r * e) ** 2)))
+            dv = float(np.sqrt(np.sum(space.metric_weight * (r * e) ** 2)))
             phi_v = energy_eval(spec, Point(coords, space))
             if math.isfinite(phi_v):
                 q_r = max(q_r, (phi_x - phi_v) / dv + 0.5 * spec.lam * dv)
@@ -542,10 +542,14 @@ def test_hess_many_blocks_are_bitwise_symmetric(spec, U):
 @pytest.mark.parametrize("kind", [EUCLIDEAN, QUANTILE1D])
 def test_metric_weights_are_uniform_in_every_space_kind(kind):
     # the same invariant of the constant-start Newton step: each coupling of
-    # its block system is then a multiple of the identity
+    # its block system is then a multiple of the identity.  The metric is one
+    # positive weight, and every coordinate axis has its root as its length
     for dim in range(1, 33):
-        w = SpaceSpec(kind, dim).metric_weights
-        assert w.shape == (dim,) and np.all(w == w[0]) and w[0] > 0.0
+        space = SpaceSpec(kind, dim)
+        w = space.metric_weight
+        assert isinstance(w, float) and w > 0.0
+        axes = row_distances(space, np.eye(dim), np.zeros((dim, dim)))
+        assert np.array_equal(axes, np.full(dim, math.sqrt(w)))
 
 
 def test_quadratic_a_is_stored_symmetric():

@@ -100,7 +100,7 @@ def test_speed_of_geodesic_interpolation_is_constant():
 def weighted_segment_lengths(space, P):
     """Segment lengths with the metric weights inside the sum."""
     diff = np.diff(P, axis=0)
-    return np.sqrt(np.sum(space.metric_weights * diff * diff, axis=1))
+    return np.sqrt(np.sum(space.metric_weight * diff * diff, axis=1))
 
 
 @pytest.mark.parametrize("space, bitwise", [

@@ -581,7 +581,7 @@ def test_finsler_parameter_length_is_the_closed_form(case):
     val, curve = finsler_distance(f, point(a, space), point(b, space))
     P, K = curve.points, curve.grid.n_cells
     dP = np.diff(P, axis=0)
-    kin = 0.5 * float(np.sum(space.metric_weights * dP * dP))
+    kin = 0.5 * float(np.sum(space.metric_weight * dP * dP))
     pot = 0.5 * float(np.sum(np.float_power(f(0.5 * (P[:-1] + P[1:])), 2)))
     S = curve.grid.T
     assert S == pytest.approx(K * math.sqrt(kin / pot), rel=1e-14)

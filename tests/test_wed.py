@@ -372,27 +372,28 @@ def dense_blocks(diag, off):
 
 def block_matrix(sub, diag, off, sup):
     """The dense matrix of a block system whose diagonal blocks have bands
-    diag and off and whose off-diagonal blocks are diagonal."""
+    diag and off and whose off-diagonal blocks are sub[k] I and sup[k] I."""
     blocks = dense_blocks(diag, off)
     n, d = diag.shape
     M = np.zeros((n * d, n * d))
     for k in range(n):
         M[k * d:(k + 1) * d, k * d:(k + 1) * d] = blocks[k]
         if k < n - 1:
-            M[(k + 1) * d:(k + 2) * d, k * d:(k + 1) * d] = np.diag(sub[k])
-            M[k * d:(k + 1) * d, (k + 1) * d:(k + 2) * d] = np.diag(sup[k])
+            M[(k + 1) * d:(k + 2) * d, k * d:(k + 1) * d] = sub[k] * np.eye(d)
+            M[k * d:(k + 1) * d, (k + 1) * d:(k + 2) * d] = sup[k] * np.eye(d)
     return M
 
 
 def banded_system(rng, n, d):
     """Random block-diagonally dominant (sub, diag, off, sup, rhs) and its
-    dense matrix: the off-diagonal blocks are diagonal, given by their
-    (n - 1, d) diagonals, and the diagonal blocks symmetric tridiagonal,
-    given by their bands diag (n, d) and off (n, d - 1), as the Newton
-    systems have them.  Each row has two random couplings, and at d > 1 two
-    more inside its block, against a shifted diagonal entry of 4 and 8."""
-    sub = rng.standard_normal((max(n - 1, 0), d))
-    sup = rng.standard_normal((max(n - 1, 0), d))
+    dense matrix: the off-diagonal blocks are multiples of the identity,
+    given by their (n - 1,) factors, and the diagonal blocks symmetric
+    tridiagonal, given by their bands diag (n, d) and off (n, d - 1), as the
+    Newton systems have them.  Each row has two random couplings, and at
+    d > 1 two more inside its block, against a shifted diagonal entry of 4
+    and 8."""
+    sub = rng.standard_normal(max(n - 1, 0))
+    sup = rng.standard_normal(max(n - 1, 0))
     diag = rng.standard_normal((n, d)) + (4.0 if d == 1 else 8.0)
     off = rng.standard_normal((n, d - 1))
     rhs = rng.standard_normal((n, d))
@@ -418,14 +419,14 @@ def test_tridiag_zero_pivot_raises(sub, diag, sup):
     with pytest.raises(np.linalg.LinAlgError):
         solve_tridiag(*args, np.ones(len(diag)))
     with pytest.raises(np.linalg.LinAlgError):
-        solve_block_tridiag(args[0][:, None], args[1][:, None], np.zeros((len(diag), 0)),
-                            args[2][:, None], np.ones((len(diag), 1)))
+        solve_block_tridiag(args[0], args[1][:, None], np.zeros((len(diag), 0)), args[2],
+                            np.ones((len(diag), 1)))
 
 
 def test_zero_pivot_at_d1_takes_the_next_levenberg_shift():
     # [[1, 1], [1, 1]] has a zero second pivot: rho = 0 raises and rho = 1e-8
     # gives the step, as a singular block system at d > 1 does
-    sub, sup = np.ones((1, 1)), np.ones((1, 1))
+    sub, sup = np.ones(1), np.ones(1)
     diag, off = np.ones((2, 1)), np.zeros((2, 0))
     g = np.array([[-1.0], [0.0]])
     step = levenberg(lambda rho: solve_block_tridiag(sub, diag + rho, off, sup, -g), g, None)
@@ -450,9 +451,8 @@ def test_block_tridiag_matches_dense_solve_at_every_size(n, d, seed):
     # the block cyclic reduction: n = 2^k halves through even sizes only,
     # 2^k + 1 through odd ones.  It builds its own work array, and neither
     # it nor solve_block_tridiag writes its arguments.  These random blocks
-    # fit no one Hessian, and their couplings differ across coordinates, so
-    # at every d the solve is the reduction's; but one block (n = 1) fits
-    # itself and has no couplings, and from KRYLOV_MIN_DIM on the Krylov path
+    # fit no one Hessian, so at every d the solve is the reduction's; but one
+    # block (n = 1) fits itself and has no couplings, and the Krylov path
     # solves it
     sub, diag, off, sup, rhs, M = banded_system(np.random.default_rng(seed), n, d)
     dense = np.linalg.solve(M, rhs.ravel()).reshape(n, d)
@@ -462,7 +462,7 @@ def test_block_tridiag_matches_dense_solve_at_every_size(n, d, seed):
     assert rel_err(x, dense) <= 1e-12
     y = solve_block_tridiag(*args)
     assert rel_err(y, dense) <= 1e-12
-    assert np.array_equal(y, x) or (n == 1 and d >= wed.KRYLOV_MIN_DIM)
+    assert np.array_equal(y, x) or n == 1
     assert all(np.array_equal(a, b) for a, b in zip(args, kept))
 
 
@@ -504,14 +504,15 @@ def test_level0_pivots_take_thomas_only_when_tridiagonal_and_dominant(monkeypatc
 
 
 def test_singular_odd_pivot_block_takes_the_next_levenberg_shift():
-    # coordinate 0 of the last row has a zero row and column: the matrix is
-    # singular and its shifted steps there are rhs / rho.  Level 0 of the
-    # reduction inverts row 1's block and folds it into rows 0 and 2, then
-    # level 1 meets row 2's pivot block, singular at rho = 0, and raises.
-    # The reduction writes only its own work array: the bands stay as they
-    # were
+    # coordinate 0 of the last row, which no coupling reaches, has a zero
+    # row and column: the matrix is singular and its shifted steps there are
+    # rhs / rho.  Level 0 of the reduction inverts row 1's block and folds it
+    # into row 0, then level 1 meets row 2's pivot block, singular at rho =
+    # 0, and raises.  The blocks fit no one Hessian, so the Krylov path does
+    # not take them.  The reduction writes only its own work array: the
+    # bands stay as they were
     d = 2
-    sub = sup = np.array([[0.5, 0.5], [0.0, 0.5]])
+    sub = sup = np.array([0.5, 0.0])
     diag = np.array([[4.0, 4.0], [4.0, 4.0], [0.0, 4.0]])
     off = np.array([[1.0], [1.0], [0.0]])
     n = diag.shape[0]
@@ -548,7 +549,7 @@ def test_tridiag_matches_solve_banded(n):
     # DENSE_CUT = 32 unknowns the dense remainder solve is all there is;
     # 33, 64 and 65 take one reduction level before it
     sub, diag, _, sup, rhs, _ = banded_system(np.random.default_rng(7 * n), n, 1)
-    bands = (sub[:, 0], diag[:, 0], sup[:, 0], rhs[:, 0])
+    bands = (sub, diag[:, 0], sup, rhs[:, 0])
     x = solve_tridiag(*bands)
     assert x.shape == (n,)
     assert rel_err(x, solve_banded_ref(*bands)) <= 1e-13
@@ -566,8 +567,7 @@ def test_tridiag_zero_odd_pivot_raises_above_the_cut_only(n):
     sub, sup, diag = np.ones(n - 1), np.ones(n - 1), np.full(n, 4.0)
     diag[1] = 0.0
     rhs = np.ones(n)
-    assert np.linalg.matrix_rank(block_matrix(sub[:, None], diag[:, None], np.zeros((n, 0)),
-                                              sup[:, None])) == n
+    assert np.linalg.matrix_rank(block_matrix(sub, diag[:, None], np.zeros((n, 0)), sup)) == n
     if n == 64:
         with pytest.raises(np.linalg.LinAlgError, match="zero pivot"):
             solve_tridiag(sub, diag, sup, rhs)
@@ -600,7 +600,7 @@ def test_tridiag_singular_remainder_raises():
 def test_tridiag_matches_dense_solve(n, seed):
     # n = 2^k halves through even sizes only, 2^k + 1 through odd ones down to 3
     sub, diag, _, sup, rhs, M = banded_system(np.random.default_rng(seed), n, 1)
-    x = solve_tridiag(sub[:, 0], diag[:, 0], sup[:, 0], rhs[:, 0])
+    x = solve_tridiag(sub, diag[:, 0], sup, rhs[:, 0])
     assert rel_err(x, np.linalg.solve(M, rhs[:, 0])) <= 1e-13
 
 
@@ -616,7 +616,7 @@ def test_tridiag_on_the_double_well_newton_matrix_near_the_hilltop(monkeypatch, 
     systems, solve = [], wed.solve_block_tridiag
 
     def record(sub, diag, off, sup, rhs):
-        systems.append((sub[:, 0].copy(), diag[:, 0].copy(), sup[:, 0].copy(), rhs[:, 0].copy()))
+        systems.append((sub.copy(), diag[:, 0].copy(), sup.copy(), rhs[:, 0].copy()))
         return solve(sub, diag, off, sup, rhs)
 
     monkeypatch.setattr(wed, "solve_block_tridiag", record)
@@ -652,21 +652,22 @@ def solve_block_banded_ref(sub, diag, off, sup, rhs):
     ab = np.zeros((2 * d + 1, n * d))
     a, b = np.meshgrid(np.arange(d), np.arange(d), indexing="ij")
     ab[d + a - b, np.arange(n)[:, None, None] * d + b] = dense_blocks(diag, off)
-    ab[2 * d, :(n - 1) * d] = sub.ravel()
-    ab[0, d:] = sup.ravel()
+    ab[2 * d, :(n - 1) * d] = np.repeat(sub, d)
+    ab[0, d:] = np.repeat(sup, d)
     return la.solve_banded((d, d), ab, rhs.ravel()).reshape(n, d)
 
 
 def block_problem(name, solver):
-    """A 16-quantile solve and three non-convex ones in 4 and 8 coordinates.
-    The non-convex ones start where their energy is concave: in every row of
+    """A Gaussian quantile solve ("quantile16", or another number of
+    quantiles) and three non-convex ones in 4 and 8 coordinates.  The
+    non-convex ones start where their energy is concave: in every row of
     their first Newton system but the one next to the pinned node, the
     smallest singular value of the diagonal block is below the sum of its
     couplings' norms, so those systems are not block-diagonally dominant."""
     from wedflow import discrete_dirichlet, gaussian_quantiles, quantile_entropy_potential
 
-    if name == "quantile16":
-        qs = SpaceSpec.quantile1d(16)
+    if name.startswith("quantile"):
+        qs = SpaceSpec.quantile1d(int(name[len("quantile"):]))
         return WedProblem(epsilon=0.05, T=0.5, N=400, space=qs,
                           energy=quantile_entropy_potential(v2=1.0, v1=0.0),
                           x_bar=gaussian_quantiles(qs, 1.0, 1.6), solver=solver)
@@ -785,9 +786,9 @@ def test_block_solve_is_the_same_without_the_thomas_route(monkeypatch, name, sol
     # inverting it by LAPACK instead changes the Newton steps at roundoff only.
     # The concave reaction's Hessian is constant: the first step, taken in its
     # eigenbasis, is exact, and the solve makes no block solve at all.  The
-    # 16-quantile blocks would go to the Krylov path: the threshold is raised
-    # past them, so that the reduction solves them
-    monkeypatch.setattr(wed, "KRYLOV_MIN_DIM", 17)
+    # 16-quantile blocks would go to the Krylov path: with KRYLOV_FIT at 0 no
+    # fit passes, so that the reduction solves them
+    monkeypatch.setattr(wed, "KRYLOV_FIT", 0.0)
     pr = block_problem(name, solver)
     routes, systems = thomas_routes(monkeypatch), block_systems(monkeypatch)
     ours = minimize_wed(pr)
@@ -856,7 +857,7 @@ def test_dense_quadratic_takes_every_newton_step_in_its_eigenbasis(monkeypatch, 
                     x_bar=point([1.0, -0.5, 0.8], E3), solver=solver)
     assert minimize_wed(pr).iterations == 2
     V = np.random.default_rng(4).standard_normal((50, 3))
-    lam, Q = wed._shared_hessian(energy, V, E3.metric_weights)
+    lam, Q = wed._shared_hessian(energy, V)
     assert np.array_equal(lam, np.linalg.eigh(A)[0]) and np.array_equal(Q, np.linalg.eigh(A)[1])
 
 
@@ -885,8 +886,10 @@ def test_block_newton_steps_make_no_dense_hessian_stack(monkeypatch, name, solve
 def test_eigenbasis_solve_is_the_block_solve(n, d, seed):
     # blocks a_k H + b_k I with one symmetric tridiagonal H, indefinite in
     # general, and couplings that are multiples of the identity: the d
-    # scalar systems in H's eigenbasis give the block solve's x.  b_k
-    # outweighs a_k |H| and the couplings, so both eliminations are stable
+    # scalar systems in H's eigenbasis give the block reduction's x (the
+    # block solve would take the Krylov path on these blocks, which fit).
+    # b_k outweighs a_k |H| and the couplings, so both eliminations are
+    # stable
     rng = np.random.default_rng(seed)
     hd, ho = rng.standard_normal(d), rng.standard_normal(d - 1)
     H = dense_blocks(hd[None], ho[None])[0]
@@ -895,9 +898,8 @@ def test_eigenbasis_solve_is_the_block_solve(n, d, seed):
     couplings = np.append(0.0, np.abs(sub)) + np.append(np.abs(sup), 0.0)
     b = a * np.max(np.abs(np.linalg.eigvalsh(H))) + couplings + rng.uniform(0.5, 2.0, n)
     rhs = rng.standard_normal((n, d))
-    wide = [np.repeat(c[:, None], d, axis=1) for c in (sub, sup)]
-    ref = solve_block_tridiag(wide[0], np.multiply.outer(a, hd) + b[:, None],
-                              np.multiply.outer(a, ho), wide[1], rhs)
+    ref = wed._block_reduction(sub, np.multiply.outer(a, hd) + b[:, None],
+                               np.multiply.outer(a, ho), sup, rhs)
     x = wed._eigenbasis_solve(sub, a, b, sup, rhs, np.linalg.eigh(H))
     assert x.shape == (n, d)
     assert rel_err(x, ref) <= 1e-12
@@ -909,8 +911,9 @@ def test_tridiag_columns_are_their_one_column_solves_bitwise(n):
     # call with that system alone; bands of one column are shared
     rng = np.random.default_rng(3 * n)
     sub, diag, _, sup, rhs, _ = banded_system(rng, n, 1)
-    bands = (sub[:, 0], diag[:, 0], sup[:, 0], rhs[:, 0])
+    bands = (sub, diag[:, 0], sup, rhs[:, 0])
     x = solve_tridiag(*bands)
+    sub, sup = sub[:, None], sup[:, None]
     assert np.array_equal(solve_tridiag(sub, diag, sup, rhs), x[:, None])
     diags = diag + rng.uniform(0.0, 1.0, (n, 5))
     rhss = rng.standard_normal((n, 5))
@@ -958,17 +961,25 @@ def quantile64_problem(solver, N=1000):
 
 
 @pytest.mark.parametrize("solver", ["direct", "euler_lagrange"])
-@pytest.mark.parametrize("d", [16, 64])
+@pytest.mark.parametrize("d", [2, 8, 16, 64])
 def test_krylov_step_is_the_banded_lu_step(monkeypatch, d, solver):
-    # every Newton system of a 16- and a 64-quantile solve after the first
-    # step: the refinement on the eigenbasis solve fitted to the blocks
+    # every Newton system of a Gaussian 2-, 8-, 16- and 64-quantile solve
+    # after the first step takes the refinement on the eigenbasis solve
+    # fitted to the blocks, and no block reduction runs: the refinement
     # reaches its tolerance and matches LAPACK's pivoted banded LU within
-    # 1e-10 relative (measured 1.2e-13 to 2.2e-11; the block reduction 3.1e-15
-    # to 1.7e-13).  The 64-quantile solve runs at N = 100, where the banded
-    # LU of its (n d)-unknown systems takes about 10 MB
-    pr = block_problem("quantile16", solver) if d == 16 else quantile64_problem(solver, N=100)
+    # 1e-10 relative (measured 1.2e-13 to 2.2e-11 at d = 16 and 64; the block
+    # reduction 3.1e-15 to 1.7e-13), with as many Newton iterations as the
+    # block reduction took (4 direct; Euler-Lagrange 4 at d = 2, else 5).
+    # The 64-quantile solve runs at N = 100, where the banded LU of its
+    # (n d)-unknown systems takes about 10 MB
+    def no_reduction(*args):
+        raise AssertionError("a block reduction")
+
+    pr = block_problem(f"quantile{d}", solver) if d < 64 else quantile64_problem(solver, N=100)
     systems = block_systems(monkeypatch)
-    minimize_wed(pr)
+    monkeypatch.setattr(wed, "_block_reduction", no_reduction)
+    iterations = minimize_wed(pr).iterations
+    assert iterations == (5 if solver == "euler_lagrange" and d > 2 else 4)
     assert systems and all(s[4].shape[1] == d for s in systems)
     for system in systems:
         x = krylov_solve(*system)
@@ -1022,13 +1033,12 @@ def test_system_that_does_not_fit_takes_the_block_reduction_bitwise(monkeypatch)
     energy = discrete_dirichlet(3.0, 1.0 / (d + 1), (0.0, 0.0, -0.5, 0.0, 0.25))
     diag, off = energies.hess_bands(energy, 3.0 * rng.standard_normal((n, d)))
     diag += 2.0 * eps / dt**2
-    sub = np.full((n - 1, d), -eps / dt**2 - 0.5 / dt)
-    sup = np.full((n - 1, d), -eps / dt**2 + 0.5 / dt)
+    sub = np.full(n - 1, -eps / dt**2 - 0.5 / dt)
+    sup = np.full(n - 1, -eps / dt**2 + 0.5 / dt)
     rhs = rng.standard_normal((n, d))
     system = (sub, diag, off, sup, rhs)
     reduction = wed._block_reduction(*system)
     calls = preconditioner_applications(monkeypatch)
-    assert d >= wed.KRYLOV_MIN_DIM
     assert krylov_solve(*system) is None and not calls
     assert np.array_equal(solve_block_tridiag(*system), reduction)
     assert not calls
@@ -1042,8 +1052,8 @@ def test_system_that_does_not_fit_takes_the_block_reduction_bitwise(monkeypatch)
 def fitting_system(rng, n, d, spread):
     """A block system (sub, diag, off, sup, rhs) whose blocks are a_k H + b_k
     I plus a perturbation that the fit leaves out, `spread` of the blocks'
-    traceless parts, and whose couplings are the same for every coordinate,
-    as a Newton system has them.  H and the perturbations are symmetric and
+    traceless parts, and whose couplings are scalars, as a Newton system has
+    them.  H and the perturbations are symmetric and
     tridiagonal, given by their bands; in the Frobenius inner product an
     off-diagonal band entry counts twice."""
     hd, ho = rng.standard_normal(d), rng.standard_normal(d - 1)
@@ -1060,8 +1070,7 @@ def fitting_system(rng, n, d, spread):
     b = rng.uniform(1.0, 2.0, n) * np.sqrt(8.0 * d)
     diag = np.multiply.outer(a, hd) + scale * ed + b[:, None]
     off = np.multiply.outer(a, ho) + scale * eo
-    sub = np.repeat(rng.standard_normal((n - 1, 1)), d, axis=1)
-    sup = np.repeat(rng.standard_normal((n - 1, 1)), d, axis=1)
+    sub, sup = rng.standard_normal(n - 1), rng.standard_normal(n - 1)
     return sub, diag, off, sup, rng.standard_normal((n, d))
 
 
@@ -1101,26 +1110,39 @@ def test_exactly_fitting_system_takes_one_preconditioner_application(monkeypatch
 
 
 def test_refinement_reuses_the_fit_and_the_factored_preconditioner(monkeypatch):
-    # with RESIDUAL_GATE at 0 no solution passes the gate: the solve refines
-    # once and comes back as NaN.  Both runs of the Krylov solve precondition
-    # with the one fit, eigendecomposition and factorization: the first
-    # application of the first run factors, every other one applies the
-    # factors
+    # with RESIDUAL_GATE at 0 no solution passes the gate, but the
+    # refinement's answer comes back as it is: the gate reads the block
+    # reduction's answers only.  The one run of the Krylov solve
+    # preconditions with one fit, eigendecomposition and factorization: the
+    # first application factors, every other one applies the factors, and
+    # each is followed by one block product, its residual, with no product
+    # for the gate.  With the fit refused, the reduction's answer fails the
+    # gate, refines once and comes back as NaN, after two products
     system = fitting_system(np.random.default_rng(2), 300, 16, 1e-3)
-    fits, runs = [], []
-    fit = wed._krylov_solver
+    fits, runs, products = [], [], []
+    fit, matvec = wed._krylov_solver, wed._block_matvec
 
     def counted_fit(*args):
         fits.append(1)
         solve = fit(*args)
-        return lambda r: runs.append(1) or solve(r)
+        return None if solve is None else lambda r: runs.append(1) or solve(r)
+
+    def counted_matvec(*args):
+        products.append(1)
+        return matvec(*args)
 
     monkeypatch.setattr(wed, "_krylov_solver", counted_fit)
+    monkeypatch.setattr(wed, "_block_matvec", counted_matvec)
     calls = preconditioner_applications(monkeypatch)
     monkeypatch.setattr(wed, "RESIDUAL_GATE", 0.0)
-    assert np.isnan(solve_block_tridiag(*system)).all()
-    assert len(fits) == 1 and len(runs) == 2
+    assert np.isfinite(solve_block_tridiag(*system)).all()
+    assert len(fits) == 1 and len(runs) == 1
     assert calls[0] == "factor" and calls.count("factor") == 1 and len(calls) > 2
+    assert len(products) == len(calls)
+    monkeypatch.setattr(wed, "KRYLOV_FIT", 0.0)
+    products.clear()
+    assert np.isnan(solve_block_tridiag(*system)).all()
+    assert len(fits) == 2 and len(runs) == 1 and len(products) == 2
 
 
 @pytest.mark.parametrize("solver, iterations", [("direct", 4), ("euler_lagrange", 5)])
@@ -1135,22 +1157,32 @@ def test_quantile64_solve_keeps_its_newton_iterations_on_the_krylov_path(monkeyp
     assert minimize_wed(quantile64_problem(solver)).iterations == iterations
 
 
-def test_nearly_singular_pivot_block_trips_the_residual_gate():
+def test_nearly_singular_pivot_block_trips_the_residual_gate(monkeypatch):
     # a well-conditioned system (condition number 8.1) whose odd pivot block
-    # [[1, 1], [1, 1]] + rho I is nearly singular: the reduction, which does
-    # not pivot across blocks, is off by order one at rho = 1e-8, with a
-    # backward error of 0.44, and 0.17 after its one refinement.  The solve
-    # comes back as NaN, and the Levenberg ladder takes shifts until a step
-    # passes the gate
+    # [[1, 1], [1, 1]] + rho I is nearly singular.  Its blocks fit one
+    # Hessian exactly, and the refinement solves it inside the gate, to
+    # KRYLOV_TOL.  Routed to the reduction, which does not pivot across
+    # blocks, it is off by order one at rho = 1e-8, with a backward error of
+    # 0.44, and 0.17 after its one refinement.  The solve comes back as NaN,
+    # and the Levenberg ladder takes shifts until a step passes the gate
     rho = 1e-8
     diag = np.array([[0.5, 0.5], [1.0 + rho, 1.0 + rho], [0.5, 0.5]])
     off = np.array([[0.0], [1.0], [0.0]])
-    sub = sup = np.ones((2, 2))
+    sub = sup = np.ones(2)
     rhs = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, -1.0]])
     M = block_matrix(sub, diag, off, sup)
     assert np.linalg.cond(M) < 10.0
+    dense = np.linalg.solve(M, rhs.ravel()).reshape(3, 2)
+    x = solve_block_tridiag(sub, diag, off, sup, rhs)
+    assert np.array_equal(x, krylov_solve(sub, diag, off, sup, rhs))
+    residual = np.linalg.norm(rhs.ravel() - M @ x.ravel())
+    assert residual <= wed.KRYLOV_TOL * np.linalg.norm(rhs)
+    assert residual <= wed.RESIDUAL_GATE * (np.linalg.norm(M, 2) / math.sqrt(3.0)
+                                            * np.linalg.norm(x) + np.linalg.norm(rhs))
+    assert rel_err(x, dense) <= 1e-10
+    monkeypatch.setattr(wed, "_krylov_solver", lambda *args: None)
     x = wed._block_reduction(sub, diag, off, sup, rhs)
-    assert rel_err(x, np.linalg.solve(M, rhs.ravel()).reshape(3, 2)) > 0.1
+    assert rel_err(x, dense) > 0.1
     assert np.isnan(solve_block_tridiag(sub, diag, off, sup, rhs)).all()
     shifts = []
 
@@ -1172,7 +1204,7 @@ def test_ill_conditioned_system_solved_to_roundoff_passes_the_residual_gate():
     n, Q = 5, np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
     B = Q @ np.diag([1.0, 1e-10]) @ Q.T
     diag, off = np.tile(np.diagonal(B), (n, 1)), np.full((n, 1), B[0, 1])
-    sub = sup = np.zeros((n - 1, 2))
+    sub = sup = np.zeros(n - 1)
     rhs = np.random.default_rng(0).standard_normal((n, 2))
     M = block_matrix(sub, diag, off, sup)
     assert np.linalg.cond(M) > 1e9
