@@ -104,14 +104,19 @@ class EnergySpec:
             object.__setattr__(self, "lam", _default_lambda(self))
         if self.coercivity is None:
             object.__setattr__(self, "coercivity", _default_coercivity(self))
+        items = tuple((k, v.tobytes() if isinstance(v, np.ndarray) else v)
+                      for k, v in sorted(self.params.items()))
+        co = self.coercivity
+        if co is not None:
+            co = (co.A, co.B, None if co.u_star is None else co.u_star.tobytes())
+        # made once: the value cache reads it on every query
+        object.__setattr__(self, "_key", (self.kind, items, self.lam, co))
 
     def key(self) -> tuple:
-        """Stable hashable identity, used by the value-function cache."""
-        items = []
-        for k in sorted(self.params):
-            v = self.params[k]
-            items.append((k, v.tobytes() if isinstance(v, np.ndarray) else v))
-        return (self.kind, tuple(items), self.lam)
+        """Stable hashable identity, used by the value-function cache: every
+        field, the coercivity constants included, which decide whether a
+        solve is well posed."""
+        return self._key
 
 
 def quadratic(A, b=None, lam=None) -> EnergySpec:

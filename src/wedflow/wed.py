@@ -11,22 +11,22 @@ Two backends produce the same minimizer by different routes:
   condition at the far end of the computational window, T + 8 eps.
 
 Both initialize at the constant trajectory, which always has finite cost
-equal to phi of the initial point.  There every free node has the one
-Hessian of phi at the initial point, and with d > 1 the first Newton step is
-taken in its eigenbasis as d scalar tridiagonal systems; a quadratic's
-Hessian is its A everywhere, so every one of its steps is taken so.  Every
-later step of the other kinds solves the block system, whose diagonal
-blocks, Hessians plus multiples of the identity, are symmetric tridiagonal
-and stay as their bands (``energies.hess_bands``) through the assembly,
-the block products, the residual gate and the first level of the block
-reduction; every coupling is a scalar per node times the identity, since
-every space's metric is one weight times the coordinate l^2 norm.  Where
-the step's blocks fit one Hessian up to scale and shift, iterative
-refinement on that eigenbasis solve, fitted to the blocks and factored once
-per system, solves it; otherwise (or where the refinement misses its
-tolerance) block cyclic reduction does.  A residual gate refuses a
-reduction's answer whose backward error stays large after one more
-refinement step.
+equal to phi of the initial point.  Each Newton step of either backend
+solves one kind of block-tridiagonal system, built by ``_newton_system``:
+diagonal blocks a Hessian of phi times a scalar plus a multiple of the
+identity, and couplings a scalar per node times the identity, since every
+space's metric is one weight times the coordinate l^2 norm.  Where d > 1
+and every free node has one Hessian (at the constant start, and anywhere
+for a quadratic's A), the step is taken in its eigenbasis as d scalar
+tridiagonal systems.  Every other step solves the block system, whose
+blocks are symmetric tridiagonal and stay as their bands
+(``energies.hess_bands``) through the assembly, the block products, the
+residual gate and the first level of the block reduction.  Where its blocks
+fit one Hessian up to scale and shift, iterative refinement on the
+eigenbasis solve fitted to them solves it; otherwise (or where the
+refinement stalls or misses its tolerance) block cyclic reduction does.  A
+residual gate refuses, with LinAlgError, a reduction's answer whose
+backward error stays large after one more refinement step.
 """
 
 from __future__ import annotations
@@ -155,8 +155,9 @@ DENSE_CUT = 32
 # take 4-6 applications of the fitted solve; p = 3 Dirichlet chains and
 # non-Gaussian quantile starts leave out 0.04-0.4 (README "Solvers")
 KRYLOV_FIT = 0.01
-# the refinement stops at this relative residual, and gives up for the block
-# reduction after KRYLOV_BUDGET applications of the fitted solve
+# the refinement stops at this relative residual, and hands the system to
+# the block reduction once its residual stops falling, or after
+# KRYLOV_BUDGET applications of the fitted solve
 KRYLOV_TOL = 1e-10
 KRYLOV_BUDGET = 30
 # a block reduction's answer whose normwise backward error stays above this
@@ -186,10 +187,10 @@ def solve_tridiag(sub, diag, sup, rhs):
 
     A call keeps nothing between right-hand sides: it is one band pass of
     ``_reduce_tridiag``, which reduces the bands and ``rhs`` together.  Where
-    one system meets many right-hand sides (the Krylov path's
-    preconditioner), that pass keeps each level's odd pivots, multipliers
-    and folded couplings and the remainder's dense matrix, and every further
-    right-hand side only applies them.
+    one system may meet many right-hand sides (``_eigenbasis_solver``), that
+    pass keeps each level's odd pivots, multipliers and folded couplings and
+    the remainder's dense matrix, and every further right-hand side only
+    applies them.
     """
     return _reduce_tridiag(sub, diag, sup, rhs, keep=False)[0]
 
@@ -338,32 +339,33 @@ def solve_block_tridiag(sub, diag, off, sup, rhs):
     with bands diag[k] and off[k].  At d = 1 this is ``solve_tridiag``.  At
     d > 1 the fit alone routes the system: one whose blocks fit one Hessian
     goes to iterative refinement on the eigenbasis solve fitted to them
-    (``_krylov_solver``), whose answer, at relative residual ``KRYLOV_TOL``,
+    (``_krylov_solve``), whose answer, at relative residual ``KRYLOV_TOL``,
     comes back as it is; every other system, and one that the refinement
-    cannot solve within its budget, goes to the block cyclic reduction
-    (``_block_reduction``).  No argument is written.
+    cannot solve, goes to the block cyclic reduction (``_block_reduction``).
+    No argument is written.
 
-    A residual gate checks the reduction's answer: the reduction does not
+    The call returns a solution or raises LinAlgError, its one refusal.  A
+    residual gate checks the reduction's answer: the reduction does not
     pivot across blocks and loses accuracy on a nearly singular pivot block.
     The gate reads the normwise backward error |rhs - A x| / (|A| |x| +
     |rhs|) (2-norms of the vectors; |A| the largest Frobenius norm of a
     block row, between |A|_2 / sqrt(3) and sqrt(d) |A|_2), which a
     backward-stable solve keeps near roundoff at any condition number.  A
     solution whose backward error exceeds ``RESIDUAL_GATE`` takes one step
-    of ``_refine`` with the reduction, and one still above it comes back as
-    NaN, a step the Levenberg ladder refuses.  The refinement's answer needs
-    no gate: its stop test, ``KRYLOV_TOL`` |rhs|, lies inside the gate's
-    bound.  Each block's squared Frobenius norm, summed once on the bands,
-    serves both the fit and the gate.  An exactly singular pivot raises
-    LinAlgError; overflow gives non-finite entries.
+    of ``_refine`` with the reduction, and one still above it, or whose
+    residual is not finite, raises LinAlgError: the Levenberg ladder takes
+    the next shift.  The refinement's answer needs no gate: its stop test,
+    ``KRYLOV_TOL`` |rhs|, lies inside the gate's bound.  Each block's
+    squared Frobenius norm, summed once on the bands, serves both the fit
+    and the gate.  An exactly singular pivot raises LinAlgError too; at d =
+    1 overflow gives non-finite entries.
     """
     d = rhs.shape[1]
     if d == 1:
         return solve_tridiag(sub, diag[:, 0], sup, rhs[:, 0])[:, None]
     squares = np.einsum("ki,ki->k", diag, diag)
     squares += 2.0 * np.einsum("ki,ki->k", off, off)
-    krylov = _krylov_solver(sub, diag, off, sup, squares)
-    x = None if krylov is None else krylov(rhs)
+    x = _krylov_solve(sub, diag, off, sup, squares, rhs)
     if x is not None:
         return x
     rows = squares.copy()
@@ -373,7 +375,9 @@ def solve_block_tridiag(sub, diag, off, sup, rhs):
     # the reduction's answer and one refinement
     x = _refine((sub, diag, off, sup), lambda r: _block_reduction(sub, diag, off, sup, r), rhs,
                 2, lambda x: RESIDUAL_GATE * (norm_a * np.linalg.norm(x) + norm_rhs))
-    return np.full(rhs.shape, np.nan) if x is None else x
+    if x is None:
+        raise np.linalg.LinAlgError("backward error above the residual gate")
+    return x
 
 
 def _block_matvec(sub, diag, off, sup, x):
@@ -389,12 +393,12 @@ def _block_matvec(sub, diag, off, sup, x):
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _krylov_solver(sub, diag, off, sup, squares):
-    """A solve of the block system for any right-hand side, by iterative
-    refinement on its fit in one eigenbasis; None where the system does not
-    fit.  The solve returns None where the refinement misses ``KRYLOV_TOL``
-    within ``KRYLOV_BUDGET`` applications of the fitted solve, or its
-    residual stops being finite.  ``squares`` holds each block's squared
+def _krylov_solve(sub, diag, off, sup, squares, rhs):
+    """The block system's solution for ``rhs`` by iterative refinement on
+    its fit in one eigenbasis; None where the system does not fit, or where
+    the refinement hands it over (``_refine``: its residual stops falling
+    or being finite before ``KRYLOV_TOL``, or ``KRYLOV_BUDGET`` applications
+    of the fitted solve miss it).  ``squares`` holds each block's squared
     Frobenius norm.
 
     Each block B_k is fitted to a_k H + b_k I by least squares in the
@@ -403,17 +407,15 @@ def _krylov_solver(sub, diag, off, sup, squares):
     block's mean diagonal entry, a_k = <B_k, H>/<H, H>, and the fit leaves
     out |B_k|^2 - a_k^2 |H|^2 - d b_k^2 of the block's traceless part's
     |B_k|^2 - d b_k^2, all sums over the bands; only H is made dense, for
-    its ``eigh``.  The fitted system M, solved in H's eigenbasis as
-    ``_eigenbasis_solve`` solves it (O(n d) where the block reduction costs
-    O(n d^3)), preconditions a Richardson iteration (``_refine``; Saad,
-    Iterative Methods for Sparse Linear Systems, 2nd ed., ch. 4): x = M^-1
-    rhs, then x += M^-1 (rhs - A x), each step multiplying the error by
-    I - M^-1 A, small where M leaves out little of A.  The fit, H's
-    eigendecomposition and the scalar reduction's factors
-    (``_reduce_tridiag``) are made once per system, the factors by the
-    first application; every later one only applies them, bitwise as a
-    fresh eigenbasis solve.  A system whose fit leaves out more than
-    ``KRYLOV_FIT`` of the traceless parts is left to the reduction.
+    its ``eigh``.  The fitted system M, solved by ``_eigenbasis_solver``
+    (O(n d) where the block reduction costs O(n d^3)), preconditions a
+    Richardson iteration (``_refine``; Saad, Iterative Methods for Sparse
+    Linear Systems, 2nd ed., ch. 4): x = M^-1 rhs, then x += M^-1 (rhs -
+    A x), each step multiplying the error by I - M^-1 A, small where M
+    leaves out little of A.  The fit, H's eigendecomposition and the scalar
+    reduction's factors are made once per system, the factors by the first
+    application.  A system whose fit leaves out more than ``KRYLOV_FIT`` of
+    the traceless parts is left to the reduction.
     """
     n, d = diag.shape
     hd, ho = diag.mean(axis=0), off.mean(axis=0)  # H's bands
@@ -424,30 +426,13 @@ def _krylov_solver(sub, diag, off, sup, squares):
     traceless = float(squares.sum()) - d * float(b @ b)
     if traceless - hh * float(a @ a) > KRYLOV_FIT**2 * traceless:
         return None
+    tol = KRYLOV_TOL * np.linalg.norm(rhs)
     try:
-        eig = np.linalg.eigh(tridiag_blocks(hd[None], ho[None])[0])
+        lam, Q = np.linalg.eigh(tridiag_blocks(hd[None], ho[None])[0])
+        solve = _eigenbasis_solver(sub, a[:, None], b[:, None], sup, lam, Q)
+        return _refine((sub, diag, off, sup), solve, rhs, KRYLOV_BUDGET, lambda x: tol)
     except np.linalg.LinAlgError:
         return None
-    lam, Q = eig
-    fitted = np.multiply.outer(a, lam) + b[:, None]  # the d scalar diagonals
-    apply = None
-
-    def precond(v):
-        nonlocal apply
-        if apply is None:
-            y, apply = _reduce_tridiag(sub[:, None], fitted, sup[:, None], v @ Q, keep=True)
-        else:
-            y = apply(v @ Q)
-        return y @ Q.T
-
-    def solve(rhs):
-        tol = KRYLOV_TOL * np.linalg.norm(rhs)
-        try:
-            return _refine((sub, diag, off, sup), precond, rhs, KRYLOV_BUDGET, lambda x: tol)
-        except np.linalg.LinAlgError:
-            return None
-
-    return solve
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -455,9 +440,11 @@ def _refine(system, solve, rhs, solves, bound):
     """Iterative refinement of ``solve`` on the block system with bands
     ``system``, (sub, diag, off, sup): x = solve(rhs), then x += solve(r)
     with the residual r = rhs - A x, until |r| <= bound(x) (2-norms).
-    Returns x, or None where |r| stops being finite or ``solves`` calls of
-    ``solve``, the first included, leave it above the bound."""
-    x = solve(rhs)
+    Returns x, or None where |r| is not finite, where it is not below the
+    previous step's |r| (refinement has stalled at the solve's accuracy),
+    or where ``solves`` calls of ``solve``, the first included, leave it
+    above the bound."""
+    x, last = solve(rhs), math.inf
     for k in range(1, solves + 1):
         r = rhs - _block_matvec(*system, x)
         norm_r = np.linalg.norm(r)
@@ -465,9 +452,10 @@ def _refine(system, solve, rhs, solves, bound):
             return None
         if norm_r <= bound(x):
             return x
-        if k < solves:
-            x += solve(r)
-    return None
+        if k == solves or not norm_r < last:
+            return None
+        last = norm_r
+        x += solve(r)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -576,39 +564,63 @@ def _block_reduction(sub, diag, off, sup, rhs):
     return x
 
 
-def _shared_hessian(energy, V):
-    """The eigendecomposition (lam, Q) of the one Hessian of phi at the free
-    nodes V, where d > 1 and every node has that Hessian: a quadratic's A at
-    any V, and any other kind's where the nodes coincide (as at the constant
-    start); None otherwise, and the Newton step takes the block solve.  Both are exactly symmetric: A is
-    stored so, and the other kinds' Hessians are their bands."""
-    if V.shape[1] == 1:
-        return None
-    if energy.kind == QUADRATIC:
-        return np.linalg.eigh(energy.params["A"])
-    if not (V == V[0]).all():
-        return None
-    return np.linalg.eigh(hess_many(energy, V[:1])[0])
+def _eigenbasis_solver(sub, a, b, sup, lam, Q):
+    """A solve, for any (n, d) right-hand side, of the block-tridiagonal
+    system with diagonal blocks a[k] H + b[k] I and couplings sub[k] I and
+    sup[k] I, in the eigenbasis of H = Q diag(lam) Q'.
 
-
-def _eigenbasis_solve(sub, a, b, sup, rhs, eig):
-    """The block-tridiagonal system with diagonal blocks a[k] H + b[k] I and
-    couplings sub[k] I and sup[k] I, solved in H's eigenbasis.
-
-    With H = Q diag(lam) Q', the unknowns y = x Q (rows of the (n, d) array
-    x) decouple into d scalar tridiagonal systems, column j with diagonal
-    a[k] lam[j] + b[k], and one ``solve_tridiag`` call reduces all of them:
-    the fast diagonalization of a Kronecker sum (Lynch, Rice and Thomas,
-    Numer. Math. 6, 1964), O(n d) plus one d x d eigendecomposition where
-    the block reduction costs O(n d^3).  ``a`` and ``b`` are (n,) arrays or
-    scalars, ``sub`` and ``sup`` (n - 1,) arrays, ``eig`` is (lam, Q).  A
-    call keeps nothing: the first Newton step solves its system once.  The
-    Krylov path, which solves one such system for every refinement step,
-    keeps the reduction's factors (``_krylov_solver``).
+    The unknowns y = x Q (rows of the (n, d) array x) decouple into d scalar
+    tridiagonal systems, column j with diagonal a[k] lam[j] + b[k], and one
+    scalar reduction solves all of them: the fast diagonalization of a
+    Kronecker sum (Lynch, Rice and Thomas, Numer. Math. 6, 1964), O(n d)
+    where the block reduction costs O(n d^3).  ``a`` and ``b`` are (n, 1)
+    columns or scalars, ``sub`` and ``sup`` (n - 1,) arrays.  The first call
+    runs the band pass and keeps its factors (``_reduce_tridiag``); every
+    later one only applies them, bitwise as a fresh ``solve_tridiag`` call.
     """
-    lam, Q = eig
-    diag = np.multiply.outer(a, lam) + np.expand_dims(b, -1)
-    return solve_tridiag(sub[:, None], diag, sup[:, None], rhs @ Q) @ Q.T
+    diag = a * lam + b
+    apply = None
+
+    def solve(v):
+        nonlocal apply
+        if apply is None:
+            y, apply = _reduce_tridiag(sub[:, None], diag, sup[:, None], v @ Q, keep=True)
+        else:
+            y = apply(v @ Q)
+        return y @ Q.T
+
+    return solve
+
+
+def _newton_system(energy, V, sub, sup, rhs, alpha, beta, scale, shift):
+    """A backend's Newton system at the free nodes V, as its solve for a
+    Levenberg shift rho: ``solve(rho)`` is the (n, d) solution, or raises
+    LinAlgError where the system is refused.
+
+    Row k's diagonal block is (alpha[k] H_k + beta[k] I) / scale[k] + rho
+    shift I, H_k the Hessian of phi at V[k]; its couplings are sub[k - 1] I
+    and sup[k] I.  ``alpha``, ``beta`` and ``scale`` are (n, 1) columns or
+    scalars.  Where d > 1 and every node has one Hessian H, a quadratic's A
+    at any V and any other kind's where the nodes coincide (as at the
+    constant start), the blocks are a[k] H + b[k] I with a = alpha / scale
+    and b = beta / scale + rho shift, and the system is solved in H's
+    eigenbasis (``_eigenbasis_solver``); H is exactly symmetric either way,
+    A stored so and the other kinds' Hessians made from their bands.
+    Otherwise the blocks' bands (``energies.hess_bands``) are scaled in
+    place, shifted, and ``solve_block_tridiag`` solves them.
+    """
+    if V.shape[1] > 1 and (energy.kind == QUADRATIC or (V == V[0]).all()):
+        H = energy.params["A"] if energy.kind == QUADRATIC else hess_many(energy, V[:1])[0]
+        lam, Q = np.linalg.eigh(H)
+        a, b = alpha / scale, beta / scale
+        return lambda rho: _eigenbasis_solver(sub, a, b + rho * shift, sup, lam, Q)(rhs)
+    diag, off = hess_bands(energy, V)
+    diag *= alpha
+    diag += beta
+    diag /= scale
+    off *= alpha
+    off /= scale
+    return lambda rho: solve_block_tridiag(sub, diag + rho * shift, off, sup, rhs)
 
 
 # -- direct minimization ---------------------------------------------------------
@@ -659,22 +671,10 @@ def minimize_wed(problem: WedProblem) -> WedSolution:
         return float(np.max(np.abs(g) / opw))
 
     def direction(V, g):
-        # row-scaled Newton step with a deterministic Levenberg ladder
-        rhs = -g / pw[:, None]
-        eig = _shared_hessian(problem.energy, V)
-        if eig is not None:
-            # the blocks are (nodew H + kin I)/pw + rho omega I
-            a, b = nodew / pw, kin / pw
-            solve = lambda rho: _eigenbasis_solve(sub, a, b + rho * omega, sup, rhs, eig)
-        else:
-            # the blocks' bands: (nodew H + kin I)/pw, shifted by rho omega
-            diag, off = hess_bands(problem.energy, V)
-            diag *= nodew[:, None]
-            diag += kin[:, None]
-            diag /= pw[:, None]
-            off *= nodew[:, None]
-            off /= pw[:, None]
-            solve = lambda rho: solve_block_tridiag(sub, diag + rho * omega, off, sup, rhs)
+        # row-scaled Newton step with a deterministic Levenberg ladder: the
+        # blocks are (nodew H + kin I)/pw + rho omega I
+        solve = _newton_system(problem.energy, V, sub, sup, -g / pw[:, None], nodew[:, None],
+                               kin[:, None], pw[:, None], omega)
         step = levenberg(solve, g, -(g / omega) / pw[:, None])
         return step, float(np.sum(g * step))
 
@@ -736,6 +736,7 @@ def solve_euler_lagrange(problem: WedProblem) -> WedSolution:
     lo = np.full(n_c - 1, -eps / dt**2 - 1.0 / (2.0 * dt))
     up = np.full(n_c - 1, -eps / dt**2 + 1.0 / (2.0 * dt))
     lo[-1] = -2.0 * eps / dt**2
+    kin = 2.0 * eps * omega / dt**2  # the kinetic diagonal, times omega
 
     sup_norm = lambda F: float(np.max(np.abs(F)))
 
@@ -751,21 +752,11 @@ def solve_euler_lagrange(problem: WedProblem) -> WedSolution:
         return sup_norm(F), F
 
     def direction(V, F):
-        eig = _shared_hessian(problem.energy, V)
+        # the blocks, (H + kin I)/omega, stay symmetric; no Levenberg shift
         try:
-            if eig is not None:
-                step = _eigenbasis_solve(lo, 1.0 / omega, 2.0 * eps / dt**2, up, -F, eig)
-            else:
-                # the Hessian over the metric weight: the blocks stay symmetric
-                di, off = hess_bands(problem.energy, V)
-                di /= omega
-                di += 2.0 * eps / dt**2
-                off /= omega
-                step = solve_block_tridiag(lo, di, off, up, -F)
+            step = _newton_system(problem.energy, V, lo, up, -F, 1.0, kin, omega, omega)(0.0)
         except np.linalg.LinAlgError as exc:
-            raise NonConvergenceError(f"singular Jacobian: {exc}", best=full(V))
-        if np.isnan(step).all():
-            raise NonConvergenceError("Jacobian solve above the residual gate", best=full(V))
+            raise NonConvergenceError(f"Jacobian solve refused: {exc}", best=full(V))
         return step, -sup_norm(F)
 
     V0 = np.tile(problem.x_bar.coords, (n_c, 1))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from wedflow import (
-    InvalidInputError, SpaceSpec, TimeGrid, ValueCache, ValueOptions,
+    Coercivity, EnergySpec, InvalidInputError, SpaceSpec, TimeGrid, ValueCache, ValueOptions,
     WedProblem, check_dpp, check_eps_monotonicity, check_fundamental_identity, check_hj,
     check_yosida_bound, conditioned_slope_estimate, convex_quartic, distance,
     discrete_dirichlet, double_well, energy_eval, finsler_distance, gaussian_quantiles,
@@ -93,6 +93,20 @@ def test_value_cache_key_is_exact_in_coordinates():
     assert len(cache._data) == 2
     assert a.solve_ref is not b.solve_ref
     assert b.solve_ref.problem.x_bar.coords[0] == 1.0 + 1e-13
+
+
+def test_value_cache_key_includes_the_coercivity_constants():
+    # two double wells that differ only in their coercivity constants: the
+    # second one's B = 10 makes a solve at eps 0.05 ill posed (1/(16 eps) <
+    # B), so it must not read the first one's cached solve
+    cache = ValueCache()
+    opts = ValueOptions(N=200, cache=cache)
+    x = point([0.3], E1)
+    value_function(DW, x, 0.05, opts)
+    steep = EnergySpec("double_well", coercivity=Coercivity(0.0, 10.0, [0.0]))
+    with pytest.raises(InvalidInputError, match="well-posedness"):
+        value_function(steep, x, 0.05, opts)
+    assert len(cache._data) == 1
 
 
 def _phi_cases():

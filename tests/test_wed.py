@@ -811,29 +811,44 @@ class FirstStep(Exception):
                                   "dirichlet_double_well_reaction"])
 def test_first_newton_step_is_the_banded_lu_step(monkeypatch, name, solver):
     # every solve starts at the constant trajectory, where all free nodes
-    # share one Hessian: the first step is taken in its eigenbasis, with no
-    # block solve, and matches LAPACK's pivoted banded LU on the assembled
-    # block system within 1e-10 relative (measured 6.4e-13 to 2.8e-11; block
-    # cyclic reduction 2.2e-13 to 6.6e-11).  The Euler-Lagrange system at
-    # the double well's hilltop has condition number about 1e7, so unit
-    # roundoff allows 1.1e-9 there: measured 1.09e-10, bounded by 2e-10
-    steps = []
+    # share one Hessian H: the first step is taken in its eigenbasis, with
+    # no block solve, and matches LAPACK's pivoted banded LU on the block
+    # system a_k H + b_k I it solves within 1e-10 relative (measured 5.8e-13
+    # to 1.1e-11; block cyclic reduction 2.2e-13 to 6.6e-11).  The
+    # Euler-Lagrange system at the double well's hilltop has condition
+    # number about 1e7, so unit roundoff allows 1.1e-9 there: measured
+    # 1.09e-10, bounded by 2e-10.  A direct step may climb the Levenberg
+    # ladder; its last solve is the step
+    pr = block_problem(name, solver)
+    H = energies.hess_many(pr.energy, pr.x_bar.coords[None])[0]
+    steps, solves, eigenbasis = [], [], wed._eigenbasis_solver
 
     def no_block_solve(*args):
         raise AssertionError("a block solve at the constant start")
 
+    def with_reference(sub, a, b, sup, lam, Q):
+        solve = eigenbasis(sub, a, b, sup, lam, Q)
+
+        def both(v):
+            n, d = v.shape
+            diag, off = a * np.diagonal(H) + b, a * np.diagonal(H, 1)
+            solves.append((solve(v), solve_block_banded_ref(
+                sub, np.broadcast_to(diag, (n, d)), np.broadcast_to(off, (n, d - 1)), sup, v)))
+            return solves[-1][0]
+
+        return both
+
     def first_step(x, start, evaluate, residual, done, direction, max_iter):
-        steps.append(direction(x, start[1])[0])
-        monkeypatch.setattr(wed, "_shared_hessian", lambda *args: None)
-        monkeypatch.setattr(wed, "solve_block_tridiag", solve_block_banded_ref)
         steps.append(direction(x, start[1])[0])
         raise FirstStep
 
     monkeypatch.setattr(wed, "solve_block_tridiag", no_block_solve)
+    monkeypatch.setattr(wed, "_eigenbasis_solver", with_reference)
     monkeypatch.setattr(wed, "damped_newton", first_step)
     with pytest.raises(FirstStep):
-        minimize_wed(block_problem(name, solver))
-    ours, ref = steps
+        minimize_wed(pr)
+    ours, ref = solves[-1]
+    assert np.array_equal(steps[0], ours)
     assert rel_err(ours, ref) <= (2e-10 if (name, solver) == ("double_well_4d", "euler_lagrange")
                                   else 1e-10)
 
@@ -845,20 +860,34 @@ def test_dense_quadratic_takes_every_newton_step_in_its_eigenbasis(monkeypatch, 
     # A's eigenbasis, and no block system is ever made.  The first step
     # solves the linear Newton system exactly, and the second iteration
     # only tests convergence.  The three-coordinate quadratic of the CI
-    # smoke test
+    # smoke test; then its Newton system at scattered nodes, against the
+    # dense solve
     def no_block_solve(*args):
         raise AssertionError("a block solve of a quadratic")
 
+    bases, eigenbasis = [], wed._eigenbasis_solver
+
+    def record(sub, a, b, sup, lam, Q):
+        bases.append((lam, Q))
+        return eigenbasis(sub, a, b, sup, lam, Q)
+
     monkeypatch.setattr(wed, "solve_block_tridiag", no_block_solve)
+    monkeypatch.setattr(wed, "_eigenbasis_solver", record)
     E3 = SpaceSpec.euclidean(3)
     A = np.array([[2.0, 0.5, 0.3], [0.5, 1.5, 0.4], [0.3, 0.4, 1.0]])
     energy = quadratic(A, [0.2, -0.1, 0.3])
     pr = WedProblem(epsilon=0.05, T=1.0, N=800, space=E3, energy=energy,
                     x_bar=point([1.0, -0.5, 0.8], E3), solver=solver)
     assert minimize_wed(pr).iterations == 2
-    V = np.random.default_rng(4).standard_normal((50, 3))
-    lam, Q = wed._shared_hessian(energy, V)
-    assert np.array_equal(lam, np.linalg.eigh(A)[0]) and np.array_equal(Q, np.linalg.eigh(A)[1])
+    rng = np.random.default_rng(4)
+    V, rhs = rng.standard_normal((2, 50, 3))
+    sub, sup = rng.uniform(-1.0, 1.0, (2, 49))
+    x = wed._newton_system(energy, V, sub, sup, rhs, 1.0, 4.0, 2.0, 1.0)(0.5)
+    assert bases and all(np.array_equal(lam, np.linalg.eigh(A)[0])
+                         and np.array_equal(Q, np.linalg.eigh(A)[1]) for lam, Q in bases)
+    M = np.kron(np.diag(sub, -1) + np.diag(sup, 1), np.eye(3)) + np.kron(
+        np.eye(50), (A + 4.0 * np.eye(3)) / 2.0 + 0.5 * np.eye(3))
+    assert rel_err(x, np.linalg.solve(M, rhs.ravel()).reshape(50, 3)) <= 1e-12
 
 
 @pytest.mark.parametrize("solver", ["direct", "euler_lagrange"])
@@ -889,7 +918,8 @@ def test_eigenbasis_solve_is_the_block_solve(n, d, seed):
     # scalar systems in H's eigenbasis give the block reduction's x (the
     # block solve would take the Krylov path on these blocks, which fit).
     # b_k outweighs a_k |H| and the couplings, so both eliminations are
-    # stable
+    # stable.  A second application, through the kept factors, is the
+    # first bit for bit
     rng = np.random.default_rng(seed)
     hd, ho = rng.standard_normal(d), rng.standard_normal(d - 1)
     H = dense_blocks(hd[None], ho[None])[0]
@@ -900,9 +930,11 @@ def test_eigenbasis_solve_is_the_block_solve(n, d, seed):
     rhs = rng.standard_normal((n, d))
     ref = wed._block_reduction(sub, np.multiply.outer(a, hd) + b[:, None],
                                np.multiply.outer(a, ho), sup, rhs)
-    x = wed._eigenbasis_solve(sub, a, b, sup, rhs, np.linalg.eigh(H))
+    solve = wed._eigenbasis_solver(sub, a[:, None], b[:, None], sup, *np.linalg.eigh(H))
+    x = solve(rhs)
     assert x.shape == (n, d)
     assert rel_err(x, ref) <= 1e-12
+    assert np.array_equal(solve(rhs), x)
 
 
 @pytest.mark.parametrize("n", [1, 2, 31, 32, 33, 64, 65, 500, 4001])
@@ -989,10 +1021,9 @@ def test_krylov_step_is_the_banded_lu_step(monkeypatch, d, solver):
 
 def krylov_solve(sub, diag, off, sup, rhs):
     """The Krylov path's answer for the block system; None where the system
-    does not fit, or the refinement misses its tolerance."""
+    does not fit, or the refinement stalls or misses its tolerance."""
     squares = np.einsum("ki,ki->k", diag, diag) + 2.0 * np.einsum("ki,ki->k", off, off)
-    solve = wed._krylov_solver(sub, diag, off, sup, squares)
-    return None if solve is None else solve(rhs)
+    return wed._krylov_solve(sub, diag, off, sup, squares, rhs)
 
 
 def preconditioner_applications(monkeypatch):
@@ -1023,9 +1054,9 @@ def test_system_that_does_not_fit_takes_the_block_reduction_bitwise(monkeypatch)
     # p = 3 Dirichlet energy at scattered states: the blocks spread far from
     # any a_k H + b_k I, and the solve goes straight to the reduction, bit
     # for bit, without a preconditioner application.  With the fit check
-    # off, the refinement spends its whole budget of applications, the first
-    # one included, misses its tolerance and gives way to the reduction, with
-    # the same result
+    # off, the refinement's residual does not fall from its first
+    # application to its second: it hands over to the reduction there, long
+    # before its budget, with the same result
     from wedflow import discrete_dirichlet
 
     d, n, eps, dt = 16, 200, 0.05, 1.0 / 50
@@ -1044,8 +1075,7 @@ def test_system_that_does_not_fit_takes_the_block_reduction_bitwise(monkeypatch)
     assert not calls
     monkeypatch.setattr(wed, "KRYLOV_FIT", math.inf)
     assert krylov_solve(*system) is None
-    assert len(calls) == wed.KRYLOV_BUDGET
-    assert calls == ["factor"] + ["apply"] * (wed.KRYLOV_BUDGET - 1)
+    assert calls == ["factor", "apply"]
     assert np.array_equal(solve_block_tridiag(*system), reduction)
 
 
@@ -1117,32 +1147,37 @@ def test_refinement_reuses_the_fit_and_the_factored_preconditioner(monkeypatch):
     # first application factors, every other one applies the factors, and
     # each is followed by one block product, its residual, with no product
     # for the gate.  With the fit refused, the reduction's answer fails the
-    # gate, refines once and comes back as NaN, after two products
+    # gate, refines once and is refused with LinAlgError, after two products
     system = fitting_system(np.random.default_rng(2), 300, 16, 1e-3)
-    fits, runs, products = [], [], []
-    fit, matvec = wed._krylov_solver, wed._block_matvec
+    fits, eighs, products = [], [], []
+    fit, eigh, matvec = wed._krylov_solve, np.linalg.eigh, wed._block_matvec
 
     def counted_fit(*args):
         fits.append(1)
-        solve = fit(*args)
-        return None if solve is None else lambda r: runs.append(1) or solve(r)
+        return fit(*args)
+
+    def counted_eigh(*args):
+        eighs.append(1)
+        return eigh(*args)
 
     def counted_matvec(*args):
         products.append(1)
         return matvec(*args)
 
-    monkeypatch.setattr(wed, "_krylov_solver", counted_fit)
+    monkeypatch.setattr(wed, "_krylov_solve", counted_fit)
+    monkeypatch.setattr(wed.np.linalg, "eigh", counted_eigh)
     monkeypatch.setattr(wed, "_block_matvec", counted_matvec)
     calls = preconditioner_applications(monkeypatch)
     monkeypatch.setattr(wed, "RESIDUAL_GATE", 0.0)
     assert np.isfinite(solve_block_tridiag(*system)).all()
-    assert len(fits) == 1 and len(runs) == 1
+    assert len(fits) == 1 and len(eighs) == 1
     assert calls[0] == "factor" and calls.count("factor") == 1 and len(calls) > 2
     assert len(products) == len(calls)
     monkeypatch.setattr(wed, "KRYLOV_FIT", 0.0)
     products.clear()
-    assert np.isnan(solve_block_tridiag(*system)).all()
-    assert len(fits) == 2 and len(runs) == 1 and len(products) == 2
+    with pytest.raises(np.linalg.LinAlgError, match="residual gate"):
+        solve_block_tridiag(*system)
+    assert len(fits) == 2 and len(eighs) == 1 and len(products) == 2
 
 
 @pytest.mark.parametrize("solver, iterations", [("direct", 4), ("euler_lagrange", 5)])
@@ -1163,8 +1198,9 @@ def test_nearly_singular_pivot_block_trips_the_residual_gate(monkeypatch):
     # Hessian exactly, and the refinement solves it inside the gate, to
     # KRYLOV_TOL.  Routed to the reduction, which does not pivot across
     # blocks, it is off by order one at rho = 1e-8, with a backward error of
-    # 0.44, and 0.17 after its one refinement.  The solve comes back as NaN,
-    # and the Levenberg ladder takes shifts until a step passes the gate
+    # 0.44, and 0.17 after its one refinement.  The solve raises
+    # LinAlgError, and the Levenberg ladder takes shifts until a step passes
+    # the gate
     rho = 1e-8
     diag = np.array([[0.5, 0.5], [1.0 + rho, 1.0 + rho], [0.5, 0.5]])
     off = np.array([[0.0], [1.0], [0.0]])
@@ -1180,10 +1216,11 @@ def test_nearly_singular_pivot_block_trips_the_residual_gate(monkeypatch):
     assert residual <= wed.RESIDUAL_GATE * (np.linalg.norm(M, 2) / math.sqrt(3.0)
                                             * np.linalg.norm(x) + np.linalg.norm(rhs))
     assert rel_err(x, dense) <= 1e-10
-    monkeypatch.setattr(wed, "_krylov_solver", lambda *args: None)
+    monkeypatch.setattr(wed, "_krylov_solve", lambda *args: None)
     x = wed._block_reduction(sub, diag, off, sup, rhs)
     assert rel_err(x, dense) > 0.1
-    assert np.isnan(solve_block_tridiag(sub, diag, off, sup, rhs)).all()
+    with pytest.raises(np.linalg.LinAlgError, match="residual gate"):
+        solve_block_tridiag(sub, diag, off, sup, rhs)
     shifts = []
 
     def solve(s):
@@ -1215,11 +1252,36 @@ def test_ill_conditioned_system_solved_to_roundoff_passes_the_residual_gate():
     assert np.array_equal(solve_block_tridiag(sub, diag, off, sup, rhs), x)
 
 
+def test_stalled_refinement_hands_over_to_the_reduction(monkeypatch):
+    # the blocks Q diag(1, 1e-10) Q' above fit one Hessian exactly, so the
+    # refinement takes them, but its first residual, roundoff of |A| |x|,
+    # lies above KRYLOV_TOL |rhs| and the next one does not fall below it:
+    # the refinement hands over after two applications and two products,
+    # and the reduction's answer passes the gate with one more product
+    n, Q = 5, np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
+    B = Q @ np.diag([1.0, 1e-10]) @ Q.T
+    system = (np.zeros(n - 1), np.tile(np.diagonal(B), (n, 1)), np.full((n, 1), B[0, 1]),
+              np.zeros(n - 1), np.random.default_rng(0).standard_normal((n, 2)))
+    products, matvec = [], wed._block_matvec
+
+    def counted(*args):
+        products.append(1)
+        return matvec(*args)
+
+    calls = preconditioner_applications(monkeypatch)
+    monkeypatch.setattr(wed, "_block_matvec", counted)
+    x = solve_block_tridiag(*system)
+    assert calls == ["factor", "apply"] and len(products) <= 3
+    assert np.array_equal(x, wed._block_reduction(*system))
+
+
 def test_euler_lagrange_stops_at_a_step_the_residual_gate_refuses(monkeypatch):
     # the Euler-Lagrange backend has no Levenberg ladder: a block solve that
-    # comes back as NaN ends the solve, with the iterate it had reached
-    monkeypatch.setattr(wed, "solve_block_tridiag",
-                        lambda sub, diag, off, sup, rhs: np.full_like(rhs, np.nan))
+    # the gate refuses ends the solve, with the iterate it had reached
+    def refused(*args):
+        raise np.linalg.LinAlgError("backward error above the residual gate")
+
+    monkeypatch.setattr(wed, "solve_block_tridiag", refused)
     pr = block_problem("double_well_4d", "euler_lagrange")
     with pytest.raises(NonConvergenceError, match="residual gate") as info:
         minimize_wed(pr)
