@@ -172,7 +172,8 @@ def solve_tridiag(sub, diag, sup, rhs):
     Row k reads ``sub[k-1] x[k-1] + diag[k] x[k] + sup[k] x[k+1] = rhs[k]``.
     ``rhs`` is (n,), one system, or (n, c), c independent systems in its
     columns, all reduced at once; each band then has c columns or one, which
-    every system shares.
+    every system shares, and ``diag`` may be one (c,) row that every row
+    shares.
     Each level divides the odd rows by their pivots and eliminates x[1],
     x[3], ... from the even rows, which leaves a tridiagonal system in x[0],
     x[2], ... of half the size.  Once ``DENSE_CUT`` or fewer unknowns are
@@ -185,75 +186,63 @@ def solve_tridiag(sub, diag, sup, rhs):
     level, or a singular remainder, raises LinAlgError; overflow gives
     non-finite entries.
 
-    A call keeps nothing between right-hand sides: it is one band pass of
-    ``_reduce_tridiag``, which reduces the bands and ``rhs`` together.  Where
-    one system may meet many right-hand sides (``_eigenbasis_solver``), that
-    pass keeps each level's odd pivots, multipliers and folded couplings and
-    the remainder's dense matrix, and every further right-hand side only
-    applies them.
+    A call is one band pass of ``_factor_tridiag`` and one application of
+    its factors to ``rhs``; where one system meets many right-hand sides
+    (``_eigenbasis_solver``), the band pass runs once.
     """
-    return _reduce_tridiag(sub, diag, sup, rhs, keep=False)[0]
+    return _factor_tridiag(sub, diag, sup)(rhs)
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _reduce_tridiag(sub, diag, sup, rhs, keep):
-    """``solve_tridiag``'s band pass: its x, and where ``keep``, an apply that
-    solves the same system for another right-hand side of ``rhs``'s shape
-    (None otherwise).
+def _factor_tridiag(sub, diag, sup):
+    """``solve_tridiag``'s band pass, which reads the bands alone: the apply
+    that solves the system for a right-hand side.
 
-    To keep, the pass holds on to what depends on the bands alone: each
-    level's odd pivots, the multipliers L[0] and L[1] of the odd unknowns'
-    neighbours, the couplings of the even rows it folds the odd rows into,
-    and the remainder's dense matrix.  The apply reduces its right-hand side
-    with one division by the kept pivots and two multiply-adds a level, runs
-    the remainder's ``np.linalg.solve`` and the same back substitution: the
-    band pass's arithmetic on every element of the right-hand side, so its x
-    is bitwise that of a fresh ``solve_tridiag`` call.  Only the band pass
-    raises LinAlgError.  Keeping holds every level's arrays to the end of the
-    pass, and their fresh memory costs a one-shot call about 10 % at n =
-    1440 with 16 columns and 3 % at n = 4000 with one, so ``solve_tridiag``
-    does not keep.
+    The pass keeps each level's odd pivots, the multipliers L[0] and L[1] of
+    the odd unknowns' neighbours, the couplings of the even rows it folds the
+    odd rows into, and the remainder's dense matrix, and raises LinAlgError
+    at an exactly zero odd pivot.  The apply divides its right-hand side's
+    odd entries by the kept pivots, folds them into the even entries with two
+    multiply-adds a level, solves the remainder with ``np.linalg.solve``
+    (LinAlgError where it is singular) and back-substitutes, the deepest
+    level first.  It writes none of its arguments, and each call is the same
+    arithmetic on its right-hand side, bitwise.
     """
-    n = rhs.shape[0]
-    # S[:, k] holds row k as x[k] = (S[2, k] + S[0, k] x[k-1] + S[1, k] x[k+1]) / S[3, k]
-    S = np.empty((4,) + rhs.shape)
+    n = sub.shape[0] + 1
+    # S[:, k] holds row k as S[2, k] x[k] = rhs[k] + S[0, k] x[k-1] + S[1, k] x[k+1]
+    S = np.empty((3,) + np.broadcast_shapes((n,) + sub.shape[1:], diag.shape))
     S[0, :1] = S[1, -1:] = 0.0
     np.negative(sub, out=S[0, 1:])
     np.negative(sup, out=S[1, :-1])
-    S[2], S[3] = rhs, diag
-    # each level's L, then where kept its odd pivots and the couplings of its
-    # even rows to their left and right
+    S[2] = diag
+    # each level's L, its odd pivots, and the couplings of its even rows to
+    # their left and right
     levels = []
     while n > DENSE_CUT:
         odd, even = S[:, 1::2], S[:, ::2]
-        if not odd[3].all():
+        if not odd[2].all():
             raise np.linalg.LinAlgError("zero pivot")
-        # x[2i+1] = L[2, i] + L[0, i] x[2i] + L[1, i] x[2i+2]
-        L = odd[:3] / odd[3]
+        # x[2i+1] = t[i] + L[0, i] x[2i] + L[1, i] x[2i+2], t[i] = rhs[2i+1] / S[2, 2i+1]
+        L = odd[:2] / odd[2]
         me, mo = even.shape[1], L.shape[1]
-        levels.append((L, odd[3], even[0, 1:], even[1, :mo]) if keep else (L,))
+        levels.append((L, odd[2], even[0, 1:], even[1, :mo]))
         # the first even row has no odd row on its left, and the last one
         # none on its right when n is odd; their zero couplings carry over
         S = even.copy()
         left = even[0, 1:] * L[:, :me - 1]
         S[0, 1:] = left[0]
-        S[2, 1:] += left[2]
-        S[3, 1:] -= left[1]
+        S[2, 1:] -= left[1]
         right = even[1, :mo] * L
         S[1, :mo] = right[1]
-        S[2, :mo] += right[2]
-        S[3, :mo] -= right[0]
+        S[2, :mo] -= right[0]
         n = me
     # one dense matrix per system, flat; the transposes put each system's
     # rows last
     M = np.zeros(S.shape[2:] + (n * n,))
-    M[..., ::n + 1] = S[3].T
+    M[..., ::n + 1] = S[2].T
     M[..., 1::n + 1] = -S[1, :-1].T
     M[..., n::n + 1] = -S[0, 1:].T
     M = M.reshape(M.shape[:-1] + (n, n))
-    x = _solve_remainder(M, S[2], levels, [level[0][2] for level in levels])
-    if not keep:
-        return x, None
 
     def apply(r):
         odds = []  # each level's odd right-hand sides over their pivots
@@ -264,26 +253,17 @@ def _reduce_tridiag(sub, diag, sup, rhs, keep):
                 r = r[::2].copy()
                 r[1:] += left * t[:r.shape[0] - 1]
                 r[:t.shape[0]] += right * t
-            return _solve_remainder(M, r, levels, odds)
+            x = np.linalg.solve(M, r.T[..., None])[..., 0].T
+            for (L, *_), t in zip(reversed(levels), reversed(odds)):
+                me, mo = x.shape[0], t.shape[0]
+                odd = t + L[0] * x[:mo]
+                odd[:me - 1] += L[1, :me - 1] * x[1:]
+                out = np.empty((me + mo,) + x.shape[1:])
+                out[::2], out[1::2] = x, odd
+                x = out
+        return x
 
-    return x, apply
-
-
-def _solve_remainder(M, r, levels, odds):
-    """The reduction's last steps: solve the dense remainder M for the reduced
-    right-hand side r, then fill in each level's odd unknowns, the deepest
-    first, as x[2i+1] = t[i] + L[0, i] x[2i] + L[1, i] x[2i+2] with t that
-    level's entry of ``odds``."""
-    x = np.linalg.solve(M, r.T[..., None])[..., 0].T
-    for level, t in zip(reversed(levels), reversed(odds)):
-        L = level[0]
-        me, mo = x.shape[0], t.shape[0]
-        odd = t + L[0] * x[:mo]
-        odd[:me - 1] += L[1, :me - 1] * x[1:]
-        out = np.empty((me + mo,) + x.shape[1:])
-        out[::2], out[1::2] = x, odd
-        x = out
-    return x
+    return apply
 
 
 def _matvec(M, v):
@@ -413,9 +393,9 @@ def _krylov_solve(sub, diag, off, sup, squares, rhs):
     Linear Systems, 2nd ed., ch. 4): x = M^-1 rhs, then x += M^-1 (rhs -
     A x), each step multiplying the error by I - M^-1 A, small where M
     leaves out little of A.  The fit, H's eigendecomposition and the scalar
-    reduction's factors are made once per system, the factors by the first
-    application.  A system whose fit leaves out more than ``KRYLOV_FIT`` of
-    the traceless parts is left to the reduction.
+    reduction's factors are made once per system.  A system whose fit
+    leaves out more than ``KRYLOV_FIT`` of the traceless parts is left to
+    the reduction.
     """
     n, d = diag.shape
     hd, ho = diag.mean(axis=0), off.mean(axis=0)  # H's bands
@@ -574,22 +554,12 @@ def _eigenbasis_solver(sub, a, b, sup, lam, Q):
     scalar reduction solves all of them: the fast diagonalization of a
     Kronecker sum (Lynch, Rice and Thomas, Numer. Math. 6, 1964), O(n d)
     where the block reduction costs O(n d^3).  ``a`` and ``b`` are (n, 1)
-    columns or scalars, ``sub`` and ``sup`` (n - 1,) arrays.  The first call
-    runs the band pass and keeps its factors (``_reduce_tridiag``); every
-    later one only applies them, bitwise as a fresh ``solve_tridiag`` call.
+    columns or scalars, ``sub`` and ``sup`` (n - 1,) arrays.  The band pass
+    runs here, once (``_factor_tridiag``), and every call of the solve
+    applies its factors; either may raise LinAlgError.
     """
-    diag = a * lam + b
-    apply = None
-
-    def solve(v):
-        nonlocal apply
-        if apply is None:
-            y, apply = _reduce_tridiag(sub[:, None], diag, sup[:, None], v @ Q, keep=True)
-        else:
-            y = apply(v @ Q)
-        return y @ Q.T
-
-    return solve
+    apply = _factor_tridiag(sub[:, None], a * lam + b, sup[:, None])
+    return lambda v: apply(v @ Q) @ Q.T
 
 
 def _newton_system(energy, V, sub, sup, rhs, alpha, beta, scale, shift):

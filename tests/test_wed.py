@@ -571,8 +571,12 @@ def test_tridiag_zero_odd_pivot_raises_above_the_cut_only(n):
     if n == 64:
         with pytest.raises(np.linalg.LinAlgError, match="zero pivot"):
             solve_tridiag(sub, diag, sup, rhs)
+        # the band pass raises before any right-hand side exists, and so
+        # does an eigenbasis solver, which factors as it is made
         with pytest.raises(np.linalg.LinAlgError, match="zero pivot"):
-            wed._reduce_tridiag(sub, diag, sup, rhs, keep=True)
+            wed._factor_tridiag(sub, diag, sup)
+        with pytest.raises(np.linalg.LinAlgError, match="zero pivot"):
+            wed._eigenbasis_solver(sub, 1.0, diag[:, None], sup, np.zeros(2), np.eye(2))
     else:
         bands = (sub, diag, sup, rhs)
         assert rel_err(solve_tridiag(*bands), solve_banded_ref(*bands)) <= 1e-13
@@ -957,8 +961,8 @@ def test_tridiag_columns_are_their_one_column_solves_bitwise(n):
 @pytest.mark.parametrize("n", [2, 32, 33, 64, 65, 1441])
 @pytest.mark.parametrize("bands", ["one_system", "shared", "per_column", "broadcast_diag"])
 def test_factored_tridiag_applies_are_fresh_solves_bitwise(n, bands):
-    # one band pass, then its factors applied to the three other
-    # right-hand sides and the first again: each apply is a fresh
+    # one band pass, then its factors applied to the first right-hand side,
+    # the three others and the first again: each apply is a fresh
     # solve_tridiag call bit for bit, and nothing writes its arguments.  The bands are (n,) with rhs (n,); one
     # shared column with rhs (n, c); c columns; and the Euler-Lagrange
     # first step's diagonal of shape (c,), the same at every row.  n runs
@@ -975,7 +979,8 @@ def test_factored_tridiag_applies_are_fresh_solves_bitwise(n, bands):
     elif bands == "broadcast_diag":
         sub, diag, sup = sub[:, :1], diag[0], sup[:, :1]
     kept = [a.copy() for a in (sub, diag, sup, rhss)]
-    x, apply = wed._reduce_tridiag(sub, diag, sup, rhss[0], keep=True)
+    apply = wed._factor_tridiag(sub, diag, sup)
+    x = apply(rhss[0])
     assert x.shape == rhss[0].shape and np.array_equal(x, solve_tridiag(sub, diag, sup, rhss[0]))
     for r in (rhss[2], rhss[1], rhss[3], rhss[0]):
         assert np.array_equal(apply(r), solve_tridiag(sub, diag, sup, r))
@@ -1028,24 +1033,24 @@ def krylov_solve(sub, diag, off, sup, rhs):
 
 def preconditioner_applications(monkeypatch):
     """How the refinement applied its preconditioner, recorded as it runs:
-    "factor" where a band pass factored it (and solved for its first
-    right-hand side), "apply" where a later application applied those
+    "factor" where a band pass factored it and solved for its first
+    right-hand side, "apply" where a later application applied those
     factors."""
-    calls, reduce = [], wed._reduce_tridiag
+    calls, factor = [], wed._factor_tridiag
 
-    def factor(sub, diag, sup, rhs, keep):
-        x, apply = reduce(sub, diag, sup, rhs, keep=keep)
-        if apply is None:
-            return x, None
+    def counted_factor(sub, diag, sup):
+        apply, applied = factor(sub, diag, sup), []
         calls.append("factor")
 
         def counted(r):
-            calls.append("apply")
+            if applied:
+                calls.append("apply")
+            applied.append(1)
             return apply(r)
 
-        return x, counted
+        return counted
 
-    monkeypatch.setattr(wed, "_reduce_tridiag", factor)
+    monkeypatch.setattr(wed, "_factor_tridiag", counted_factor)
     return calls
 
 
