@@ -33,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .energies import PARAMS, Coercivity, EnergySpec, eval_many
+from .energies import PARAMS, QUADRATIC, Coercivity, EnergySpec, eval_many
 from .errors import NonConvergenceError, WedflowError
 from .reference import convergence_study, lambda_diagnostics, minimizing_movements
 from .spaces import EUCLIDEAN, QUANTILE1D, Point, SpaceSpec, distance
@@ -146,15 +146,17 @@ def _energy(obj: dict) -> EnergySpec:
     return EnergySpec(kind, params, _numbers(obj, "lambda", "/energy", 0, None), co)
 
 
-def _at(pointer: str, build, *args):
-    """``build(*args)``, with a package error raised in it as a config error
-    at ``pointer``, unless it is one already."""
+def _at(pointer: str, build, *args, **kwargs):
+    """``build(*args, **kwargs)``, with a package error raised in it as a
+    config error, unless it is one already: at ``/field`` where the error
+    names a ``field``, else at ``pointer``."""
     try:
-        return build(*args)
+        return build(*args, **kwargs)
     except ConfigError:
         raise
     except WedflowError as exc:
-        raise ConfigError(pointer, str(exc))
+        field = getattr(exc, "field", None)
+        raise ConfigError(f"/{field}" if field else pointer, str(exc))
 
 
 class Experiment:
@@ -179,12 +181,9 @@ class Experiment:
             raise ConfigError("/grid_mode", 'must be "uniform"')
         solver = _need(cfg, "solver", str, default=DIRECT)
         horizon = T if T is not None else default_horizon(self.epsilon, self.t_obs)
-        try:
-            self._problem = WedProblem(epsilon=self.epsilon, T=horizon, N=self.N, space=self.space,
-                                       energy=self.energy, x_bar=self.x_bar, solver=solver)
-        except WedflowError as exc:
-            field = getattr(exc, "field", None)
-            raise ConfigError(f"/{field}" if field else "", str(exc))
+        self._problem = _at("", WedProblem, epsilon=self.epsilon, T=horizon, N=self.N,
+                            space=self.space, energy=self.energy, x_bar=self.x_bar,
+                            solver=solver)
         # after the problem: with T <= 0 and no t_obs, T is at fault
         if self.t_obs <= 0.0:
             raise ConfigError("/t_obs", "must be positive")
@@ -345,7 +344,7 @@ def suite_convergence(exp: Experiment, outdir: Path) -> IdentityReport:
     errs = table.sup_errors
     resid = [max(0.0, errs[i + 1] - 1.1 * errs[i]) for i in range(len(errs) - 1)]
     resid.append(max(0.0, table.rows[-1].lsc_residual - 5e-2))
-    if exp.energy.kind == "quadratic" and exp.space.kind == EUCLIDEAN:
+    if exp.energy.kind == QUADRATIC and exp.space.kind == EUCLIDEAN:
         # first-order rate is a sharp claim only when the reference flow has
         # no discretization floor of its own (closed form in the same space)
         for i in range(len(errs) - 1):

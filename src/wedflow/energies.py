@@ -356,10 +356,7 @@ def analytic_slopes(spec: EnergySpec, space: SpaceSpec, U: np.ndarray) -> np.nda
     gradient under the weighted l^2 metric, sqrt(sum g^2 / w), from one
     ``grad_many`` call, bitwise ``analytic_slope`` per row."""
     G = grad_many(spec, U)
-    if space.kind == QUANTILE1D:
-        # metric gradient m*g measured in the (1/m)-weighted l2 norm
-        return np.sqrt(space.dim * np.sum(G * G, axis=1))
-    return np.sqrt(np.sum(G * G, axis=1))
+    return np.sqrt(np.sum(G * G, axis=1) / space.metric_weight)
 
 
 def analytic_slope(spec: EnergySpec, x: Point) -> float:

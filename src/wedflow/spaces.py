@@ -116,12 +116,11 @@ def distance(a: Point, b: Point) -> float:
 
 
 def row_distances(space: SpaceSpec, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """The distances of the rows of A and B, pair by pair, each bitwise the
-    distance of its pair on numpy scalars."""
+    """The distances of the rows of A and B, pair by pair, sqrt(w sum d^2)
+    with w the ``metric_weight``, each bitwise the distance of its pair on
+    numpy scalars."""
     diff = A - B
-    if space.kind == QUANTILE1D:
-        return np.sqrt(np.sum(diff * diff, axis=1) / space.dim)
-    return np.sqrt(np.sum(diff * diff, axis=1))
+    return np.sqrt(space.metric_weight * np.sum(diff * diff, axis=1))
 
 
 def probe_directions(space: SpaceSpec, at: np.ndarray) -> np.ndarray:

@@ -26,7 +26,7 @@ fit one Hessian up to scale and shift, iterative refinement on the
 eigenbasis solve fitted to them solves it; otherwise (or where the
 refinement stalls or misses its tolerance) block cyclic reduction does.  A
 residual gate refuses, with LinAlgError, a reduction's answer whose
-backward error stays large after one more refinement step.
+backward error is large.
 """
 
 from __future__ import annotations
@@ -160,9 +160,8 @@ KRYLOV_FIT = 0.01
 # KRYLOV_BUDGET applications of the fitted solve
 KRYLOV_TOL = 1e-10
 KRYLOV_BUDGET = 30
-# a block reduction's answer whose normwise backward error stays above this
-# after one refinement step is refused, and the Levenberg ladder takes the
-# next shift
+# a block reduction's answer whose normwise backward error is above this is
+# refused, and the Levenberg ladder takes the next shift
 RESIDUAL_GATE = 1e-8
 
 
@@ -331,14 +330,14 @@ def solve_block_tridiag(sub, diag, off, sup, rhs):
     |rhs|) (2-norms of the vectors; |A| the largest Frobenius norm of a
     block row, between |A|_2 / sqrt(3) and sqrt(d) |A|_2), which a
     backward-stable solve keeps near roundoff at any condition number.  A
-    solution whose backward error exceeds ``RESIDUAL_GATE`` takes one step
-    of ``_refine`` with the reduction, and one still above it, or whose
-    residual is not finite, raises LinAlgError: the Levenberg ladder takes
-    the next shift.  The refinement's answer needs no gate: its stop test,
-    ``KRYLOV_TOL`` |rhs|, lies inside the gate's bound.  Each block's
-    squared Frobenius norm, summed once on the bands, serves both the fit
-    and the gate.  An exactly singular pivot raises LinAlgError too; at d =
-    1 overflow gives non-finite entries.
+    solution whose backward error exceeds ``RESIDUAL_GATE``, or whose
+    residual is not finite, raises LinAlgError at once: the gate checks and
+    does not repair, and the Levenberg ladder takes the next shift.  The
+    refinement's answer needs no gate: its stop test, ``KRYLOV_TOL`` |rhs|,
+    lies inside the gate's bound.  Each block's squared Frobenius norm,
+    summed once on the bands, serves both the fit and the gate.  An exactly
+    singular pivot raises LinAlgError too; at d = 1 overflow gives
+    non-finite entries.
     """
     d = rhs.shape[1]
     if d == 1:
@@ -348,14 +347,13 @@ def solve_block_tridiag(sub, diag, off, sup, rhs):
     x = _krylov_solve(sub, diag, off, sup, squares, rhs)
     if x is not None:
         return x
-    rows = squares.copy()
-    rows[1:] += d * (sub * sub)
-    rows[:-1] += d * (sup * sup)
-    norm_a, norm_rhs = math.sqrt(rows.max()), np.linalg.norm(rhs)
-    # the reduction's answer and one refinement
-    x = _refine((sub, diag, off, sup), lambda r: _block_reduction(sub, diag, off, sup, r), rhs,
-                2, lambda x: RESIDUAL_GATE * (norm_a * np.linalg.norm(x) + norm_rhs))
-    if x is None:
+    x = _block_reduction(sub, diag, off, sup, rhs)
+    # the block rows' squared Frobenius norms
+    squares[1:] += d * (sub * sub)
+    squares[:-1] += d * (sup * sup)
+    residual = np.linalg.norm(rhs - _block_matvec(sub, diag, off, sup, x))
+    bound = RESIDUAL_GATE * (math.sqrt(squares.max()) * np.linalg.norm(x) + np.linalg.norm(rhs))
+    if not (math.isfinite(residual) and residual <= bound):
         raise np.linalg.LinAlgError("backward error above the residual gate")
     return x
 
@@ -376,9 +374,7 @@ def _block_matvec(sub, diag, off, sup, x):
 def _krylov_solve(sub, diag, off, sup, squares, rhs):
     """The block system's solution for ``rhs`` by iterative refinement on
     its fit in one eigenbasis; None where the system does not fit, or where
-    the refinement hands it over (``_refine``: its residual stops falling
-    or being finite before ``KRYLOV_TOL``, or ``KRYLOV_BUDGET`` applications
-    of the fitted solve miss it).  ``squares`` holds each block's squared
+    the refinement hands it over.  ``squares`` holds each block's squared
     Frobenius norm.
 
     Each block B_k is fitted to a_k H + b_k I by least squares in the
@@ -387,15 +383,20 @@ def _krylov_solve(sub, diag, off, sup, squares, rhs):
     block's mean diagonal entry, a_k = <B_k, H>/<H, H>, and the fit leaves
     out |B_k|^2 - a_k^2 |H|^2 - d b_k^2 of the block's traceless part's
     |B_k|^2 - d b_k^2, all sums over the bands; only H is made dense, for
-    its ``eigh``.  The fitted system M, solved by ``_eigenbasis_solver``
-    (O(n d) where the block reduction costs O(n d^3)), preconditions a
-    Richardson iteration (``_refine``; Saad, Iterative Methods for Sparse
-    Linear Systems, 2nd ed., ch. 4): x = M^-1 rhs, then x += M^-1 (rhs -
-    A x), each step multiplying the error by I - M^-1 A, small where M
-    leaves out little of A.  The fit, H's eigendecomposition and the scalar
-    reduction's factors are made once per system.  A system whose fit
-    leaves out more than ``KRYLOV_FIT`` of the traceless parts is left to
-    the reduction.
+    its ``eigh``.  A system whose fit leaves out more than ``KRYLOV_FIT`` of
+    the traceless parts is left to the reduction.  The fitted system M,
+    solved by ``_eigenbasis_solver`` (O(n d) where the block reduction
+    costs O(n d^3)), preconditions a Richardson iteration (Saad, Iterative
+    Methods for Sparse Linear Systems, 2nd ed., ch. 4): x = M^-1 rhs, then
+    x += M^-1 r with the residual r = rhs - A x, each step multiplying the
+    error by I - M^-1 A, small where M leaves out little of A.  It returns
+    x once |r| <= ``KRYLOV_TOL`` |rhs| (2-norms), and hands the system over
+    where |r| is not finite, where it is not below the previous step's |r|
+    (refinement has stalled at the fitted solve's accuracy), or where
+    ``KRYLOV_BUDGET`` applications of M^-1, the first included, leave it
+    above the tolerance.  Each step makes one block product, its residual.
+    The fit, H's eigendecomposition and the scalar reduction's factors are
+    made once per system.
     """
     n, d = diag.shape
     hd, ho = diag.mean(axis=0), off.mean(axis=0)  # H's bands
@@ -410,32 +411,20 @@ def _krylov_solve(sub, diag, off, sup, squares, rhs):
     try:
         lam, Q = np.linalg.eigh(tridiag_blocks(hd[None], ho[None])[0])
         solve = _eigenbasis_solver(sub, a[:, None], b[:, None], sup, lam, Q)
-        return _refine((sub, diag, off, sup), solve, rhs, KRYLOV_BUDGET, lambda x: tol)
+        x, last = solve(rhs), math.inf
+        for applied in range(1, KRYLOV_BUDGET + 1):
+            r = rhs - _block_matvec(sub, diag, off, sup, x)
+            norm_r = np.linalg.norm(r)
+            if not norm_r < last:  # not finite, or stalled
+                return None
+            if norm_r <= tol:
+                return x
+            if applied == KRYLOV_BUDGET:
+                return None
+            last = norm_r
+            x += solve(r)
     except np.linalg.LinAlgError:
         return None
-
-
-@np.errstate(over="ignore", invalid="ignore")
-def _refine(system, solve, rhs, solves, bound):
-    """Iterative refinement of ``solve`` on the block system with bands
-    ``system``, (sub, diag, off, sup): x = solve(rhs), then x += solve(r)
-    with the residual r = rhs - A x, until |r| <= bound(x) (2-norms).
-    Returns x, or None where |r| is not finite, where it is not below the
-    previous step's |r| (refinement has stalled at the solve's accuracy),
-    or where ``solves`` calls of ``solve``, the first included, leave it
-    above the bound."""
-    x, last = solve(rhs), math.inf
-    for k in range(1, solves + 1):
-        r = rhs - _block_matvec(*system, x)
-        norm_r = np.linalg.norm(r)
-        if not norm_r < math.inf:
-            return None
-        if norm_r <= bound(x):
-            return x
-        if k == solves or not norm_r < last:
-            return None
-        last = norm_r
-        x += solve(r)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -627,8 +616,9 @@ def minimize_wed(problem: WedProblem) -> WedSolution:
         g = np.zeros_like(U)
         g[:-1] -= ke
         g[1:] += ke
-        g[:-1] += m[:, None] * grad_many(problem.energy, U[:-1])
-        g[-1] += tail * grad_many(problem.energy, U[-1:])[0]
+        G = grad_many(problem.energy, U)
+        g[:-1] += m[:, None] * G[:-1]
+        g[-1] += tail * G[-1]
         return kin + float(np.sum(m * phis[:-1]) + tail * phis[-1]), g[1:]
 
     def dual_norm(g):

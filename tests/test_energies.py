@@ -297,9 +297,7 @@ def test_local_slope_analytic():
 def numpy_scalar_slope(spec, space, x):
     """|dphi|(x) from the gradient of one point, on numpy scalars."""
     g = grad_many(spec, x.coords[None])[0]
-    if space.kind == "quantile1d":
-        return float(np.sqrt(space.dim * np.sum(g * g)))
-    return float(np.sqrt(np.sum(g * g)))
+    return float(np.sqrt(np.sum(g * g) / space.metric_weight))
 
 
 def slope_cases():
@@ -316,10 +314,14 @@ def slope_cases():
          SpaceSpec.euclidean(3), rng.standard_normal((2000, 3))),
         (quadratic([[2.0, 0.7], [0.7, 1.0]], [0.3, -0.4]), SpaceSpec.euclidean(2),
          rng.standard_normal((2000, 2))),
+        # a metric weight 1/6 that is no power of two
+        (quantile_entropy_potential(v2=1.0, v1=0.3), SpaceSpec.quantile1d(6),
+         np.cumsum(rng.uniform(0.05, 0.8, (2000, 6)), axis=1) - 2.0),
     ]
 
 
-SLOPE_IDS = ["euclidean1", "euclidean3", "quantile10", "quadratic3", "quadratic2"]
+SLOPE_IDS = ["euclidean1", "euclidean3", "quantile10", "quadratic3", "quadratic2",
+             "quantile6"]
 
 
 @pytest.mark.parametrize("spec, space, U", slope_cases(), ids=SLOPE_IDS)

@@ -82,13 +82,11 @@ def test_row_distances_are_bitwise_distance(space):
 def numpy_scalar_distance(space, a, b):
     """d(a, b) of one pair on numpy scalars."""
     diff = a.coords - b.coords
-    if space.kind == "quantile1d":
-        return float(np.sqrt(np.sum(diff * diff) / space.dim))
-    return float(np.sqrt(np.sum(diff * diff)))
+    return float(np.sqrt(space.metric_weight * np.sum(diff * diff)))
 
 
 @pytest.mark.parametrize("space", SPACES + [
-    SpaceSpec.euclidean(1), SpaceSpec.quantile1d(10),
+    SpaceSpec.euclidean(1), SpaceSpec.quantile1d(10), SpaceSpec.quantile1d(6),
 ], ids=lambda s: f"{s.kind}{s.dim}")
 def test_distance_is_bitwise_the_numpy_scalar_formula(space):
     rng = np.random.default_rng(17)

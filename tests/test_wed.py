@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from wedflow import (
     Coercivity, EnergySpec, InvalidInputError, NonConvergenceError, Point, SpaceSpec, TimeGrid,
-    Trajectory, WedProblem, Weights, check_inner_variation, double_well,
+    Trajectory, WedProblem, Weights, check_inner_variation, double_well, gaussian_quantiles,
     minimize_wed, point, q_value, quadratic, solve_euler_lagrange, wed_value,
 )
 from wedflow import energies, wed
@@ -290,6 +290,24 @@ def test_u_star_off_the_quantile_cone_is_an_error_of_the_energy_where_B_is_posit
     problem(energy(0.0, [3.0, 2.0, 1.0]))
     assert np.array_equal(quadratic(np.eye(3)).coercivity.u_star, np.zeros(3))
     problem(quadratic(np.eye(3)))
+
+
+def test_indefinite_quadratic_on_a_quantile_space_is_an_error_of_the_energy():
+    # A = diag(-0.1, 1, ..., 1) on 32 quantiles: the default constants, B =
+    # 1.1 and A = 0 with u_star = 0, are derived with the metric weight 1, and
+    # the bound they state fails on the cone.  At x = t v, v = (-10,
+    # linspace(-0.1, 0.1, 31)), phi = -4.945 t^2 lies below -B d^2(x, 0) =
+    # -3.441 t^2, and below -B d^2 from the N(0, 1) quantiles too.  So the
+    # problem refuses the energy, as it refuses its u_star off the cone
+    qs = SpaceSpec.quantile1d(32)
+    A = np.eye(32)
+    A[0, 0] = -0.1
+    spec = quadratic(A)
+    assert spec.coercivity.B == pytest.approx(1.1) and spec.coercivity.A == 0.0
+    with pytest.raises(InvalidInputError) as info:
+        WedProblem(epsilon=0.05, T=0.5, N=10, space=qs, energy=spec,
+                   x_bar=gaussian_quantiles(qs))
+    assert info.value.field == "energy"
 
 
 def test_smallness_condition_enforced():
@@ -1152,10 +1170,12 @@ def test_refinement_reuses_the_fit_and_the_factored_preconditioner(monkeypatch):
     # first application factors, every other one applies the factors, and
     # each is followed by one block product, its residual, with no product
     # for the gate.  With the fit refused, the reduction's answer fails the
-    # gate, refines once and is refused with LinAlgError, after two products
+    # gate and is refused with LinAlgError at once, after one product and
+    # no second reduction
     system = fitting_system(np.random.default_rng(2), 300, 16, 1e-3)
-    fits, eighs, products = [], [], []
+    fits, eighs, products, reductions = [], [], [], []
     fit, eigh, matvec = wed._krylov_solve, np.linalg.eigh, wed._block_matvec
+    reduction = wed._block_reduction
 
     def counted_fit(*args):
         fits.append(1)
@@ -1169,7 +1189,12 @@ def test_refinement_reuses_the_fit_and_the_factored_preconditioner(monkeypatch):
         products.append(1)
         return matvec(*args)
 
+    def counted_reduction(*args):
+        reductions.append(1)
+        return reduction(*args)
+
     monkeypatch.setattr(wed, "_krylov_solve", counted_fit)
+    monkeypatch.setattr(wed, "_block_reduction", counted_reduction)
     monkeypatch.setattr(wed.np.linalg, "eigh", counted_eigh)
     monkeypatch.setattr(wed, "_block_matvec", counted_matvec)
     calls = preconditioner_applications(monkeypatch)
@@ -1177,12 +1202,12 @@ def test_refinement_reuses_the_fit_and_the_factored_preconditioner(monkeypatch):
     assert np.isfinite(solve_block_tridiag(*system)).all()
     assert len(fits) == 1 and len(eighs) == 1
     assert calls[0] == "factor" and calls.count("factor") == 1 and len(calls) > 2
-    assert len(products) == len(calls)
+    assert len(products) == len(calls) and not reductions
     monkeypatch.setattr(wed, "KRYLOV_FIT", 0.0)
     products.clear()
     with pytest.raises(np.linalg.LinAlgError, match="residual gate"):
         solve_block_tridiag(*system)
-    assert len(fits) == 2 and len(eighs) == 1 and len(products) == 2
+    assert len(fits) == 2 and len(eighs) == 1 and len(products) == 1 and len(reductions) == 1
 
 
 @pytest.mark.parametrize("solver, iterations", [("direct", 4), ("euler_lagrange", 5)])
@@ -1203,9 +1228,8 @@ def test_nearly_singular_pivot_block_trips_the_residual_gate(monkeypatch):
     # Hessian exactly, and the refinement solves it inside the gate, to
     # KRYLOV_TOL.  Routed to the reduction, which does not pivot across
     # blocks, it is off by order one at rho = 1e-8, with a backward error of
-    # 0.44, and 0.17 after its one refinement.  The solve raises
-    # LinAlgError, and the Levenberg ladder takes shifts until a step passes
-    # the gate
+    # 0.44.  The gate refuses it at once, the solve raises LinAlgError, and
+    # the Levenberg ladder takes shifts until a step passes the gate
     rho = 1e-8
     diag = np.array([[0.5, 0.5], [1.0 + rho, 1.0 + rho], [0.5, 0.5]])
     off = np.array([[0.0], [1.0], [0.0]])
